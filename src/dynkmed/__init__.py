@@ -17,7 +17,6 @@ from .cover import (
     CoverParams,
     CoverResult,
     almost_cover,
-    build_layers,
     coverage_radius,
 )
 from .dynamic import (
@@ -77,7 +76,6 @@ __all__ = [
     "brute_force_coverage_radius",
     "brute_force_opt",
     "brute_force_opt_weighted",
-    "build_layers",
     "cost_assignment",
     "cost_set",
     "cost_weighted",

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cover import build_layers
-from .dynamic import ClusteringState, DynamicParams, empty_state
+from .dynamic import ClusteringState, DynamicParams, empty_state, preprocess
 from .metric import DistanceOracle, Point, points_from_array
-from .solver import WeightedInstance, cost_set, query, weighted_solve
+from .solver import cost_set, query, weighted_solve
 
 CSV_HEADER = [
     "update_index",
@@ -135,6 +135,8 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
                 values = [float(v) for v in parts]
             except ValueError:
                 raise DatasetError(f"{path}: malformed row at line {lineno}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DatasetError(f"{path}: non-finite value at line {lineno}")
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:
@@ -197,6 +199,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Queries land after updates floor(j*m/queries) for j=1..queries; a query
     that falls on an empty live set is skipped and counted in the summary.
+    Asking for more queries than the stream has updates is a
+    :class:`ConfigError`.
     Query timing covers instance extraction plus the weighted solve. The
     baseline, when enabled, recomputes a fresh static solution at a query
     point whenever at least ``baseline_every`` updates passed since its last
@@ -205,7 +209,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     points = _resolve_points(config)
     offset = 1.0 / len(points) if config.offset_mode == "inv-n" else 0.0
-    oracle = DistanceOracle(offset=offset, power=config.p)
+    oracle = DistanceOracle(offset=offset)
 
     root_ss = np.random.SeedSequence(config.seed)
     state_ss, query_ss, baseline_ss = root_ss.spawn(3)
@@ -220,6 +224,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     updates = sliding_window_stream(len(points), config.window)
     m = len(updates)
+    if config.queries > m:
+        raise ConfigError(f"{config.queries} queries exceed the {m} updates of the stream")
     query_after = {}
     if config.queries > 0:
         for j in range(1, config.queries + 1):
@@ -289,7 +295,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     or updates_since_baseline >= config.baseline_every
                 ):
                     baseline_centers = _static_solution(
-                        state, config, oracle, next(baseline_seeds), next(baseline_seeds)
+                        state, config.k, config.p, next(baseline_seeds), next(baseline_seeds)
                     )
                     updates_since_baseline = 0
                 base_cost = cost_set(
@@ -313,34 +319,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _static_solution(
-    state: ClusteringState,
-    config: ExperimentConfig,
-    oracle: DistanceOracle,
-    build_seed,
-    solve_seed,
+    state: ClusteringState, k: int, p: float, build_seed, solve_seed
 ) -> list[Point]:
-    """From-scratch static build plus weighted solve over the live set."""
+    """From-scratch static build plus weighted solve over the live set, with
+    the state's own parameters on a fresh sample stream."""
     live = state.live_points()
-    if len(live) <= config.k:
+    if len(live) <= k:
         return live
-    params = DynamicParams(
-        k=config.k,
-        phi=config.phi,
-        beta=config.beta,
-        epsilon=config.epsilon,
-        seed=build_seed,
-    )
-    layers, _, _ = build_layers(live, params, oracle)
-    by_id = {p.id: p for p in live}
-    weight: dict[int, int] = {}
-    for layer in layers:
-        for pid, center in layer.assignment.items():
-            weight[center] = weight.get(center, 0) + 1
-    instance = WeightedInstance(
-        [(by_id[c], w) for c, w in sorted(weight.items())]
-    )
-    picked = weighted_solve(instance, config.k, config.p, solve_seed, oracle)
-    return [by_id[c] for c in sorted(picked.centers)]
+    fresh = preprocess(live, replace(state.params, seed=build_seed), state.oracle)
+    picked = weighted_solve(fresh.weighted_instance(), k, p, solve_seed, state.oracle)
+    return [state.store.get(c) for c in sorted(picked.centers)]
 
 
 def _summarize(

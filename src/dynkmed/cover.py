@@ -1,11 +1,12 @@
-"""Static successive-sampling pipeline.
+"""Successive-sampling cover rounds.
 
-One round (:func:`almost_cover`) samples ``phi`` points uniformly with
-replacement, finds the smallest radius whose balls around the sample capture a
-``beta`` fraction of the set, and assigns every captured point to its nearest
-sampled center. :func:`build_layers` iterates rounds, peeling the covered
-points each time, until the remainder fits under the last-layer threshold;
-leftover points become their own centers at radius zero.
+One round samples ``phi`` points uniformly with replacement, finds the
+smallest radius whose balls around the sample capture a ``beta`` fraction of
+the set, and assigns every captured point to its nearest sampled center.
+:func:`_cover_arrays` runs one round over sorted id and coordinate arrays;
+the layered state peels rounds with it until the remainder fits under the
+last-layer threshold. :func:`almost_cover` is the one-round public form over
+points, returning sets and an assignment map.
 """
 from __future__ import annotations
 
@@ -50,10 +51,6 @@ class CoverParams:
     @property
     def threshold(self) -> int:
         return self.phi if self.last_layer_threshold is None else self.last_layer_threshold
-
-    def effective_k(self, n: int) -> int:
-        """max(k, ceil(log2(n + 2))): the center budget grows with log of n."""
-        return max(self.k, math.ceil(math.log2(n + 2)))
 
 
 @dataclass
@@ -100,9 +97,13 @@ def _cover_arrays(
     params: CoverParams,
     rng: np.random.Generator,
     oracle: DistanceOracle,
-) -> tuple[CoverResult, np.ndarray]:
-    """Cover round over (sorted ids, matching coords); also returns the
-    boolean covered mask aligned with ``ids``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Cover round over (sorted ids, matching coords).
+
+    Returns the sorted distinct sampled center ids, each point's nearest
+    center as an index into them (ties toward the smallest id), the boolean
+    covered mask aligned with ``ids``, and the radius.
+    """
     n = ids.shape[0]
     if params.sampler is not None:
         sample = list(params.sampler(list(int(i) for i in ids), params.phi, rng))
@@ -119,20 +120,8 @@ def _cover_arrays(
     dmin = dist.min(axis=1)
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
-    mask = dmin <= radius
     nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
-
-    covered = ids[mask]
-    assignment = {
-        int(u): int(center_ids[j]) for u, j in zip(covered, nearest[mask])
-    }
-    result = CoverResult(
-        centers={int(c) for c in center_ids},
-        covered={int(u) for u in covered},
-        assignment=assignment,
-        radius=radius,
-    )
-    return result, mask
+    return center_ids, nearest, dmin <= radius, radius
 
 
 def almost_cover(
@@ -149,56 +138,13 @@ def almost_cover(
     pts = sorted(universe, key=lambda p: p.id)
     ids = np.array([p.id for p in pts], dtype=np.int64)
     coords = np.stack([p.coords for p in pts])
-    result, _ = _cover_arrays(ids, coords, params, rng, oracle)
-    return result
-
-
-def _build_layers_arrays(
-    ids: np.ndarray,
-    coords: np.ndarray,
-    params: CoverParams,
-    rng: np.random.Generator,
-    oracle: DistanceOracle,
-) -> list[CoverResult]:
-    layers: list[CoverResult] = []
-    while ids.shape[0] > params.threshold:
-        result, mask = _cover_arrays(ids, coords, params, rng, oracle)
-        layers.append(result)
-        keep = ~mask
-        ids = ids[keep]
-        coords = coords[keep]
-    rest = {int(i) for i in ids}
-    layers.append(
-        CoverResult(
-            centers=set(rest),
-            covered=set(rest),
-            assignment={i: i for i in rest},
-            radius=0.0,
-        )
+    center_ids, nearest, mask, radius = _cover_arrays(ids, coords, params, rng, oracle)
+    assignment = {
+        int(u): int(center_ids[j]) for u, j in zip(ids[mask], nearest[mask])
+    }
+    return CoverResult(
+        centers=set(center_ids.tolist()),
+        covered=set(assignment),
+        assignment=assignment,
+        radius=radius,
     )
-    return layers
-
-
-def build_layers(
-    universe: Sequence[Point],
-    params: CoverParams,
-    oracle: Optional[DistanceOracle] = None,
-) -> tuple[list[CoverResult], dict[PointId, PointId], int]:
-    """Peel cover rounds off ``universe`` until the remainder is small.
-
-    Returns the per-round results (last round is the identity cover of the
-    residual), the merged assignment over all of ``universe``, and the round
-    count. Deterministic given ``params.seed`` and input ids.
-    """
-    if not universe:
-        raise ValueError("universe must be nonempty")
-    oracle = oracle or DistanceOracle()
-    rng = np.random.default_rng(params.seed)
-    pts = sorted(universe, key=lambda p: p.id)
-    ids = np.array([p.id for p in pts], dtype=np.int64)
-    coords = np.stack([p.coords for p in pts])
-    layers = _build_layers_arrays(ids, coords, params, rng, oracle)
-    assignment: dict[PointId, PointId] = {}
-    for layer in layers:
-        assignment.update(layer.assignment)
-    return layers, assignment, len(layers)

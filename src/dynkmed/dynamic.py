@@ -1,27 +1,29 @@
 """Fully dynamic layered clustering structure.
 
 The state keeps a stack of layers, each one round of the static sampling
-cover. Updates touch only per-layer member sets, counters, and single cluster
-records; no distances are evaluated outside rebuilds. A slack counter per
-layer (updates absorbed since the layer was last built) forces a rebuild of
-layers i..t as soon as it reaches a ``tau`` fraction of the layer's size at
-its last build, which keeps the maintained layers close to what a fresh
-static run would produce.
+cover, and one map from every live point id to its cluster record. A record
+holds its current center, its members and the depth of its layer; a layer
+holds its records, its radius and two counters. Centers and covered sets are
+read off the records, and U_i, the points covered at depth i or deeper, is
+the union of the records of layers i..t, so the U_i nest by construction.
 
-Cluster records realize the assignment implicitly: every covered point knows
-its cluster, every cluster its current center. Deleting a center promotes the
-smallest-id surviving member, which keeps all members within twice the layer
-radius of their center.
+Updates touch only the map, the counters and one record, and evaluate no
+distances. Each layer counts the updates it absorbed since it was built; once
+that reaches a ``tau`` fraction of its size at build time, layers i..t are
+rebuilt, which keeps them close to what a fresh static run would produce.
+Deleting a center promotes the smallest-id surviving member, which keeps all
+members within twice the layer radius of their center.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .cover import CoverParams, CoverResult, _cover_arrays
+from .cover import CoverParams, _cover_arrays
 from .metric import DistanceOracle, Point, PointId, PointStore
 from .solver import WeightedInstance
 
@@ -31,15 +33,10 @@ _EPS = 1e-9
 
 @dataclass
 class DynamicParams(CoverParams):
-    """Cover knobs plus the rebuild slack ``epsilon``.
-
-    ``slack`` (the tau threshold) defaults to ``epsilon * beta``;
-    ``strict_slack`` switches to the more conservative
-    ``epsilon*beta / (beta*(1+epsilon) + 1)`` variant.
-    """
+    """Cover knobs plus the rebuild slack ``epsilon``; the slack threshold
+    tau is ``epsilon * beta``."""
 
     epsilon: float = 0.2
-    strict_slack: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -48,8 +45,6 @@ class DynamicParams(CoverParams):
 
     @property
     def slack(self) -> float:
-        if self.strict_slack:
-            return self.epsilon * self.beta / (self.beta * (1.0 + self.epsilon) + 1.0)
         return self.epsilon * self.beta
 
     @property
@@ -58,13 +53,14 @@ class DynamicParams(CoverParams):
         return 1.0 - self.beta * (1.0 - self.epsilon)
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusterRecord:
-    """One cluster: unique id within the state, current center, member ids."""
+    """One cluster: current center, member ids, and the 1-based depth of the
+    layer that holds it. Records compare and hash by identity."""
 
-    cid: int
     center: PointId
     members: set[PointId]
+    depth: int
 
     @property
     def size(self) -> int:
@@ -73,14 +69,21 @@ class ClusterRecord:
 
 @dataclass
 class Layer:
-    members: set[PointId]               # U_i
-    centers: set[PointId]               # S_i: current cluster centers
-    covered: set[PointId]               # C_i: union of cluster members
-    clusters: dict[int, ClusterRecord]
-    cluster_of: dict[PointId, int]      # domain is exactly `covered`
-    radius: float
-    base_size: int                      # |U_i| when the layer was last built
-    updates: int                        # updates absorbed since that build
+    # insertion-ordered set of the layer's records (values unused)
+    clusters: dict[ClusterRecord, None] = field(default_factory=dict)
+    radius: float = 0.0
+    base_size: int = 0                  # |U_i| when the layer was last built
+    updates: int = 0                    # updates absorbed since that build
+
+    @property
+    def centers(self) -> set[PointId]:
+        """S_i: the current cluster centers."""
+        return {record.center for record in self.clusters}
+
+    @property
+    def covered(self) -> set[PointId]:
+        """C_i: the union of the cluster members."""
+        return set(chain.from_iterable(record.members for record in self.clusters))
 
 
 class ClusteringState:
@@ -97,9 +100,8 @@ class ClusteringState:
         self.oracle = oracle or DistanceOracle()
         self.store = PointStore()
         self.rng = np.random.default_rng(params.seed)
-        self.effective_k = params.k
-        self._next_cid = 0
-        self.layers: list[Layer] = [self._terminal_layer(set())]
+        self.cluster_of: dict[PointId, ClusterRecord] = {}
+        self.layers: list[Layer] = [Layer()]  # empty: one terminal layer
 
     # -- basic views ---------------------------------------------------------
 
@@ -114,54 +116,46 @@ class ClusteringState:
     def live_points(self) -> list[Point]:
         return self.store.points_sorted()
 
+    def members(self, index: int) -> set[PointId]:
+        """U_index (1-based): the points covered at depth index or deeper."""
+        return set().union(*(layer.covered for layer in self.layers[index - 1 :]))
+
     # -- construction --------------------------------------------------------
 
-    def _new_cid(self) -> int:
-        cid = self._next_cid
-        self._next_cid += 1
-        return cid
-
-    def _terminal_layer(self, members: set[PointId]) -> Layer:
-        clusters: dict[int, ClusterRecord] = {}
-        cluster_of: dict[PointId, int] = {}
-        for pid in sorted(members):
-            cid = self._new_cid()
-            clusters[cid] = ClusterRecord(cid, pid, {pid})
-            cluster_of[pid] = cid
-        return Layer(
-            members=set(members),
-            centers=set(members),
-            covered=set(members),
-            clusters=clusters,
-            cluster_of=cluster_of,
-            radius=0.0,
-            base_size=len(members),
-            updates=0,
-        )
-
-    def _layer_from_cover(self, members: set[PointId], cover: CoverResult) -> Layer:
-        clusters: dict[int, ClusterRecord] = {}
-        cluster_of: dict[PointId, int] = {}
-        by_center: dict[PointId, set[PointId]] = {}
-        for pid, center in cover.assignment.items():
-            by_center.setdefault(center, set()).add(pid)
-        # A sampled center can end up with no members only when a same-coord
-        # twin with a smaller id absorbed it; such centers are dropped.
-        for center in sorted(by_center):
-            cid = self._new_cid()
-            clusters[cid] = ClusterRecord(cid, center, by_center[center])
-            for pid in by_center[center]:
-                cluster_of[pid] = cid
-        return Layer(
-            members=set(members),
-            centers=set(by_center),
-            covered=set(cover.covered),
-            clusters=clusters,
-            cluster_of=cluster_of,
-            radius=cover.radius,
-            base_size=len(members),
-            updates=0,
-        )
+    def _peel(self, ids: np.ndarray) -> None:
+        """Append layers built from the sorted ids: cover rounds peel the
+        covered points off until at most ``threshold`` remain, which become
+        a last layer of singleton clusters at radius zero."""
+        coords = self.store.coords_for(ids)
+        while True:
+            layer = Layer(base_size=ids.shape[0])
+            self.layers.append(layer)
+            depth = self.t
+            if ids.shape[0] <= self.params.threshold:
+                pids = ids.tolist()
+                records = [ClusterRecord(pid, {pid}, depth) for pid in pids]
+                layer.clusters = dict.fromkeys(records)
+                self.cluster_of.update(zip(pids, records))
+                return
+            center_ids, nearest, mask, layer.radius = _cover_arrays(
+                ids, coords, self.params, self.rng, self.oracle
+            )
+            # group the covered points by nearest center, in center order; a
+            # sampled center whose same-coord twin with a smaller id absorbed
+            # it gets no members and no record
+            order = np.argsort(nearest[mask], kind="stable")
+            near = nearest[mask][order]
+            pids = ids[mask][order].tolist()
+            lo = 0
+            for hi in [*(np.flatnonzero(np.diff(near)) + 1).tolist(), len(pids)]:
+                group = pids[lo:hi]
+                record = ClusterRecord(int(center_ids[near[lo]]), set(group), depth)
+                layer.clusters[record] = None
+                self.cluster_of.update(dict.fromkeys(group, record))
+                lo = hi
+            keep = ~mask
+            ids = ids[keep]
+            coords = coords[keep]
 
     def rebuild_from_layer(self, index: int) -> None:
         """Discard layers index..t and rebuild them from the current U_index.
@@ -171,70 +165,39 @@ class ClusteringState:
         """
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
-        working = self.layers[index - 1].members
+        ids = np.fromiter(self.members(index), dtype=np.int64)
+        ids.sort()
         del self.layers[index - 1 :]
-        self.effective_k = self.params.effective_k(len(self.store))
-
-        ids = np.fromiter(sorted(working), dtype=np.int64, count=len(working))
-        coords = self.store.coords_for(ids)
-        remaining = ids
-        while remaining.shape[0] > self.params.threshold:
-            cover, mask = _cover_arrays(remaining, coords, self.params, self.rng, self.oracle)
-            self.layers.append(
-                self._layer_from_cover({int(i) for i in remaining}, cover)
-            )
-            keep = ~mask
-            remaining = remaining[keep]
-            coords = coords[keep]
-        self.layers.append(self._terminal_layer({int(i) for i in remaining}))
+        self._peel(ids)
 
     # -- updates -------------------------------------------------------------
 
     def insert(self, point: Point) -> None:
-        """Add a new point: joins every layer, becomes its own center in the
-        last one, then the slack check runs."""
-        if point.id in self.store:
-            raise ValueError(f"point id {point.id} already present")
-        self.store.add(point)
-        pid = point.id
+        """Add a new point: counts as an update in every layer, becomes its
+        own center in the last one, then the slack check runs."""
+        self.store.add(point)  # raises on a duplicate id before any change
         for layer in self.layers:
-            layer.members.add(pid)
             layer.updates += 1
-        last = self.layers[-1]
-        cid = self._new_cid()
-        last.clusters[cid] = ClusterRecord(cid, pid, {pid})
-        last.cluster_of[pid] = cid
-        last.covered.add(pid)
-        last.centers.add(pid)
+        record = ClusterRecord(point.id, {point.id}, self.t)
+        self.layers[-1].clusters[record] = None
+        self.cluster_of[point.id] = record
         self.rebuild()
 
     def delete(self, pid: PointId) -> None:
-        """Remove a live point from every layer containing it.
+        """Remove a live point; counts as an update in layers 1..depth.
 
         If it centered a cluster with surviving members, the smallest-id
         member takes over as center; an emptied cluster is dropped.
         """
-        if pid not in self.store:
-            raise KeyError(f"point id {pid} not present")
-        for layer in self.layers:
-            if pid not in layer.members:
-                continue
-            layer.members.discard(pid)
+        record = self.cluster_of.pop(pid)  # KeyError for an unknown id
+        for layer in self.layers[: record.depth]:
             layer.updates += 1
-            cid = layer.cluster_of.pop(pid, None)
-            if cid is None:
-                continue
-            layer.covered.discard(pid)
-            record = layer.clusters[cid]
-            record.members.discard(pid)
-            if record.center == pid:
-                layer.centers.discard(pid)
-                if record.members:
-                    promoted = min(record.members)
-                    record.center = promoted
-                    layer.centers.add(promoted)
-                else:
-                    del layer.clusters[cid]
+        record.members.discard(pid)
+        if record.center == pid:
+            if record.members:
+                record.center = min(record.members)
+            else:
+                del self.layers[record.depth - 1].clusters[record]
         self.store.remove(pid)
         self.rebuild()
 
@@ -255,20 +218,11 @@ class ClusteringState:
 
     def assignment_of(self, pid: PointId) -> PointId:
         """Current center of the unique cluster containing ``pid``."""
-        for layer in self.layers:
-            cid = layer.cluster_of.get(pid)
-            if cid is not None:
-                return layer.clusters[cid].center
-        raise KeyError(f"point id {pid} not present")
+        return self.cluster_of[pid].center
 
     def assignment(self) -> dict[PointId, PointId]:
         """Full point -> center map across all layers."""
-        out: dict[PointId, PointId] = {}
-        for layer in self.layers:
-            for record in layer.clusters.values():
-                for pid in record.members:
-                    out[pid] = record.center
-        return out
+        return {pid: record.center for pid, record in self.cluster_of.items()}
 
     def weighted_instance(self) -> WeightedInstance:
         """All current centers, weighted by their cluster sizes.
@@ -279,36 +233,53 @@ class ClusteringState:
             raise ValueError("state is empty")
         entries: list[tuple[Point, int]] = []
         for layer in self.layers:
-            for record in sorted(layer.clusters.values(), key=lambda r: r.center):
+            for record in sorted(layer.clusters, key=lambda r: r.center):
                 entries.append((self.store.get(record.center), record.size))
         return WeightedInstance(entries)
 
     # -- diagnostics ---------------------------------------------------------
 
+    def _sizes(self) -> list[int]:
+        """|U_i| for i = 1..t, summed from the covered counts of layers i..t."""
+        counts = [sum(r.size for r in layer.clusters) for layer in reversed(self.layers)]
+        return list(accumulate(counts))[::-1]
+
     def integrity_check(self) -> list[str]:
         """Verify the structural invariants; returns violations (empty = ok).
 
-        Checks nesting, the covered-set partition, cluster-record consistency,
-        the slack invariant, the per-layer shrink bound, the 2*radius cluster
-        bound, and the layer-count bound. Distance work here is uncounted so
+        Checks the point map against the live set and the cluster records,
+        the records themselves, the slack invariant, the per-layer shrink
+        bound, the 2*radius cluster bound, and the layer-count bound. Nesting
+        of the U_i holds by construction. Distance work here is uncounted so
         diagnostics never distort evaluation-cost measurements.
         """
         violations: list[str] = []
         params = self.params
-        live = set(self.store.ids_sorted())
+        n = len(self.store)
         slack = params.slack
 
-        seen_covered: set[PointId] = set()
-        covered_total = 0
-        prev_members: Optional[set[PointId]] = None
+        if self.cluster_of.keys() != set(self.store.ids_sorted()):
+            violations.append("point map keys differ from the live point set")
+        for pid, record in self.cluster_of.items():
+            if pid not in record.members:
+                violations.append(f"point {pid} is not a member of its cluster")
+            if not (
+                1 <= record.depth <= self.t
+                and record in self.layers[record.depth - 1].clusters
+            ):
+                violations.append(f"point {pid}: cluster not in layer {record.depth}")
+
+        sizes = self._sizes()
+        if sizes[0] != n:
+            # with every point in its own record, an excess means a point
+            # sits in two records or a record holds a dead point
+            violations.append("cluster members do not partition the live point set")
         for i, layer in enumerate(self.layers, start=1):
-            if prev_members is not None:
-                if not layer.members <= prev_members:
-                    violations.append(f"layer {i}: members not nested in layer {i-1}")
-                bound = params.shrink_factor * len(prev_members)
-                if len(layer.members) > bound + _EPS:
+            if i > 1:
+                bound = params.shrink_factor * sizes[i - 2]
+                if sizes[i - 1] > bound + _EPS:
                     violations.append(
-                        f"layer {i}: size {len(layer.members)} exceeds shrink bound "
+                        f"layer {i}: size {sizes[i - 1]} exceeds shrink bound "
                         f"{bound:.3f} from layer {i-1}"
                     )
             if layer.updates > slack * layer.base_size + _EPS:
@@ -316,40 +287,13 @@ class ClusteringState:
                     f"layer {i}: slack invariant broken "
                     f"({layer.updates} updates > {slack} * {layer.base_size})"
                 )
-            if not layer.covered <= layer.members:
-                violations.append(f"layer {i}: covered set not within members")
-            member_count = 0
-            for record in layer.clusters.values():
+            for record in layer.clusters:
                 if record.center not in record.members:
                     violations.append(
-                        f"layer {i}: cluster {record.cid} center {record.center} "
-                        "is not a member"
+                        f"layer {i}: cluster center {record.center} is not a member"
                     )
-                if record.size < 1:
-                    violations.append(f"layer {i}: cluster {record.cid} is empty")
-                member_count += record.size
-            if member_count != len(layer.covered):
-                violations.append(
-                    f"layer {i}: cluster members do not partition the covered set"
-                )
-            if set(layer.cluster_of) != layer.covered:
-                violations.append(f"layer {i}: cluster index out of sync with covered set")
-            centers = {r.center for r in layer.clusters.values()}
-            if centers != layer.centers:
-                violations.append(f"layer {i}: center set out of sync with clusters")
-            if len(centers) != len(layer.clusters):
-                violations.append(f"layer {i}: duplicate cluster centers")
-            covered_total += len(layer.covered)
-            seen_covered |= layer.covered
-            violations.extend(self._check_layer_radius(i, layer))
-            prev_members = layer.members
+        violations.extend(self._check_radii())
 
-        if seen_covered != live or covered_total != len(live):
-            violations.append("covered sets do not partition the live point set")
-        if self.layers and self.layers[0].members != live:
-            violations.append("top layer members differ from the live point set")
-
-        n = len(live)
         if n > 0:
             # The next-to-last layer was bigger than the threshold when built
             # and may have shrunk by a `slack` fraction since, hence the
@@ -367,27 +311,18 @@ class ClusteringState:
                 )
         return violations
 
-    def _check_layer_radius(self, i: int, layer: Layer) -> list[str]:
-        stale: list[str] = []
-        pids: list[PointId] = []
-        centers: list[PointId] = []
-        for record in layer.clusters.values():
-            if record.size == 1:
-                continue  # singleton: zero distance by identity
-            if record.center not in self.store:
-                stale.append(
-                    f"layer {i}: cluster {record.cid} center {record.center} is not live"
-                )
-                continue
-            for pid in record.members:
-                if pid != record.center:
-                    if pid not in self.store:
-                        stale.append(f"layer {i}: member {pid} is not live")
-                        continue
-                    pids.append(pid)
-                    centers.append(record.center)
-        if not pids:
-            return stale
+    def _check_radii(self) -> list[str]:
+        """Every live point lies within twice its layer's radius of its
+        cluster's center (singletons are at distance zero by identity)."""
+        pairs = [
+            (pid, record.center, record.depth)
+            for pid, record in self.cluster_of.items()
+            if pid != record.center and 1 <= record.depth <= self.t
+            and pid in self.store and record.center in self.store
+        ]
+        if not pairs:
+            return []
+        pids, centers, depths = (list(column) for column in zip(*pairs))
         a = self.store.coords_for(pids)
         b = self.store.coords_for(centers)
         if self.oracle.base is None:
@@ -396,23 +331,24 @@ class ClusteringState:
             d = np.array([self.oracle.base(a[j], b[j]) for j in range(len(pids))])
         if self.oracle.offset:
             d = d + self.oracle.offset
-        limit = 2.0 * layer.radius
-        tol = 1e-6 + 1e-9 * max(1.0, limit)
+        limit = 2.0 * np.array([self.layers[i - 1].radius for i in depths])
+        tol = 1e-6 + 1e-9 * np.maximum(1.0, limit)
         bad = np.nonzero(d > limit + tol)[0]
-        return stale + [
-            f"layer {i}: point {pids[j]} at distance {d[j]:.6g} from center "
-            f"{centers[j]} exceeds 2*radius={limit:.6g}"
+        return [
+            f"layer {depths[j]}: point {pids[j]} at distance {d[j]:.6g} from center "
+            f"{centers[j]} exceeds 2*radius={limit[j]:.6g}"
             for j in bad[:5]
         ]
 
     def snapshot(self) -> str:
         """Tab-separated debug dump: one line per layer with
         i, |U_i|, |S_i|, |C_i|, radius, base size, update counter."""
+        sizes = self._sizes() + [0]
         lines = []
         for i, layer in enumerate(self.layers, start=1):
             lines.append(
-                f"{i}\t{len(layer.members)}\t{len(layer.centers)}\t"
-                f"{len(layer.covered)}\t{layer.radius!r}\t{layer.base_size}\t{layer.updates}"
+                f"{i}\t{sizes[i - 1]}\t{len(layer.clusters)}\t{sizes[i - 1] - sizes[i]}\t"
+                f"{layer.radius!r}\t{layer.base_size}\t{layer.updates}"
             )
         return "\n".join(lines) + "\n"
 
@@ -429,19 +365,8 @@ def preprocess(
     state = ClusteringState(params, oracle)
     for p in pts:
         state.store.add(p)
-    state.layers = [
-        Layer(
-            members=set(state.store.ids_sorted()),
-            centers=set(),
-            covered=set(),
-            clusters={},
-            cluster_of={},
-            radius=0.0,
-            base_size=len(pts),
-            updates=0,
-        )
-    ]
-    state.rebuild_from_layer(1)
+    del state.layers[:]
+    state._peel(np.array(state.store.ids_sorted(), dtype=np.int64))
     return state
 
 

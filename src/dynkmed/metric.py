@@ -115,9 +115,8 @@ class DistanceOracle:
 
     The base metric is Euclidean L2 over coordinates unless a symmetric
     callable ``base(coords_a, coords_b) -> float`` is supplied. The offset is
-    added to every distinct-id pair; same-id pairs are exactly zero. ``power``
-    records the exponent of the working dissimilarity d^p; costs apply it at
-    evaluation sites.
+    added to every distinct-id pair; same-id pairs are exactly zero. Costs
+    apply the exponent of the working dissimilarity d^p at evaluation sites.
 
     Immutable after construction except the counter; confine each oracle to
     one thread of control when counts matter.
@@ -126,15 +125,11 @@ class DistanceOracle:
     def __init__(
         self,
         offset: float = 0.0,
-        power: float = 1.0,
         base: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
     ) -> None:
         if offset < 0.0:
             raise ValueError("offset must be nonnegative")
-        if power < 1.0:
-            raise ValueError("power must be at least 1")
         self.offset = float(offset)
-        self.power = float(power)
         self.base = base
         self.evals = 0
 

@@ -48,9 +48,6 @@ class WeightedInstance:
     def total_weight(self) -> int:
         return sum(w for _, w in self.entries)
 
-    def ids(self) -> set[PointId]:
-        return {p.id for p, _ in self.entries}
-
     def sorted_entries(self) -> list[tuple[Point, int]]:
         return sorted(self.entries, key=lambda e: e[0].id)
 

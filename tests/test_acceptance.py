@@ -147,8 +147,8 @@ def test_criterion_4_radius_vs_best_coverage():
         )
         state = preprocess(pts, params)
         good = True
-        for layer in state.layers[:-1]:
-            members = [state.store.get(i) for i in sorted(layer.members)]
+        for i, layer in enumerate(state.layers[:-1], start=1):
+            members = [state.store.get(pid) for pid in sorted(state.members(i))]
             best = brute_force_coverage_radius(members, 2, GAMMA_STAR, state.oracle)
             if layer.radius > 4.0 * best + 1e-9:
                 good = False

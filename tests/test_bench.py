@@ -70,6 +70,13 @@ def test_load_dataset_dimension_drift_reports_line(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_non_finite_reports_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\nnan,3\n")
+    with pytest.raises(DatasetError, match="line 2"):
+        load_dataset(path)
+
+
 def test_load_dataset_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("\n")
@@ -216,6 +223,20 @@ def test_run_experiment_determinism_modulo_wall(tmp_path):
     assert masked(config_a.out) == masked(config_b.out)
 
 
+def test_run_experiment_rejects_more_queries_than_updates(tmp_path):
+    # 3 points through a window of 1 make 6 updates; 50 queries cannot all land
+    config = small_config(
+        tmp_path, window=1, synthetic=SyntheticSpec(2, 2, 3), queries=50
+    )
+    with pytest.raises(ConfigError, match="50 queries"):
+        run_experiment(config)
+    result = run_experiment(
+        small_config(tmp_path, window=1, synthetic=SyntheticSpec(2, 2, 3), queries=6)
+    )
+    ran = result.summary["per_op"]["query"]["rows"]
+    assert ran + result.summary["queries_skipped_empty"] == 6
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(window=0, k=1, phi=1).validate()
@@ -357,6 +378,45 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("contract_p1", {}), ("contract_p2", {"p": 2.0, "offset_mode": "none"})],
+)
+def test_metrics_contract(name, overrides):
+    """The criterion-8 run, row for row, against the rows recorded from the
+    engine: op, evaluation delta, t, n and center count exactly, costs to
+    1e-9 relative. A mismatch is a behaviour change; re-record a file only
+    when the change is deliberate (run with ``out=...`` and drop the
+    ``wall_nanos`` column)."""
+    fields = dict(
+        window=120,
+        k=5,
+        phi=30,
+        synthetic=SyntheticSpec(components=4, dim=3, count=400),
+        queries=20,
+        seed=7,
+        offset_mode="inv-n",
+        baseline_every=1,
+    )
+    fields.update(overrides)
+    rows = run_experiment(ExperimentConfig(**fields)).rows
+    with open(Path(__file__).parent / "data" / f"{name}.csv") as handle:
+        expected = list(csv.DictReader(handle))
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert (
+            row.update_index, row.op, row.distance_evals_delta, row.t, row.n
+        ) == (
+            int(want["update_index"]), want["op"], int(want["distance_evals_delta"]),
+            int(want["t"]), int(want["n"]),
+        )
+        if want["solution_cost"]:
+            assert row.solution_cost == pytest.approx(float(want["solution_cost"]), rel=1e-9)
+            assert row.centers_returned == int(want["centers"])
+        else:
+            assert row.solution_cost is None and row.centers_returned is None
+
+
 def test_cli_ingestion_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     code = cli_main(
@@ -371,3 +431,20 @@ def test_cli_ingestion_error_exit_code(tmp_path, capsys):
          "--queries", "0", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
+    non_finite = tmp_path / "nan.csv"
+    non_finite.write_text("1,2\nnan,3\n")
+    code = cli_main(
+        ["--dataset", str(non_finite), "--window", "2", "--k", "1", "--phi", "1",
+         "--queries", "0", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_too_many_queries_is_config_error(tmp_path, capsys):
+    code = cli_main(
+        ["--synthetic", "g:2:2:3", "--window", "1", "--k", "1", "--phi", "1",
+         "--queries", "50", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 1
+    assert "config error" in capsys.readouterr().err

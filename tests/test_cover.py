@@ -6,10 +6,11 @@ import pytest
 from dynkmed import (
     CoverParams,
     DistanceOracle,
+    DynamicParams,
     almost_cover,
-    build_layers,
     coverage_radius,
     points_from_array,
+    preprocess,
 )
 
 
@@ -118,38 +119,32 @@ def test_params_validation():
     assert CoverParams(k=1, phi=4, last_layer_threshold=9).threshold == 9
 
 
-def test_effective_k():
-    params = CoverParams(k=3, phi=2)
-    assert params.effective_k(1) == 3
-    # log2(1002) ~ 9.97 -> 10 exceeds k=3
-    assert params.effective_k(1000) == 10
-
-
 def test_build_layers_small_input_single_layer():
     pts = line_points(4, 5, 6)
-    params = CoverParams(k=2, phi=3)
-    layers, assignment, t = build_layers(pts, params)
-    assert t == 1
-    assert layers[0].centers == {0, 1, 2}
-    assert layers[0].radius == 0.0
-    assert assignment == {0: 0, 1: 1, 2: 2}
+    params = DynamicParams(k=2, phi=3)
+    state = preprocess(pts, params)
+    assert state.t == 1
+    assert state.layers[0].centers == {0, 1, 2}
+    assert state.layers[0].radius == 0.0
+    assert state.assignment() == {0: 0, 1: 1, 2: 2}
 
 
 def test_build_layers_partition_and_shrink():
     rng = np.random.default_rng(31)
     pts = points_from_array(rng.normal(size=(200, 2)))
-    params = CoverParams(k=5, phi=10, last_layer_threshold=20, beta=0.5, seed=8)
-    layers, assignment, t = build_layers(pts, params)
+    params = DynamicParams(k=5, phi=10, last_layer_threshold=20, beta=0.5, seed=8)
+    state = preprocess(pts, params)
 
     seen = set()
     sizes = []
     remaining = set(range(200))
-    for layer in layers:
-        assert layer.covered <= remaining
-        assert not (layer.covered & seen)
-        seen |= layer.covered
+    for layer in state.layers:
+        covered = layer.covered
+        assert covered <= remaining
+        assert not (covered & seen)
+        seen |= covered
         sizes.append(len(remaining))
-        remaining -= layer.covered
+        remaining -= covered
     assert seen == set(range(200))
     assert not remaining
     # per-iteration shrink: at least beta of the working set is peeled
@@ -161,30 +156,30 @@ def test_build_layers_count_bound_gaussian():
     rng = np.random.default_rng(12)
     pts = points_from_array(rng.normal(size=(200, 2)))
     for seed in range(10):
-        params = CoverParams(k=4, phi=20, last_layer_threshold=20, beta=0.5, seed=seed)
-        _, _, t = build_layers(pts, params)
-        assert t <= math.ceil(math.log2(200 / 20)) + 1
+        params = DynamicParams(k=4, phi=20, last_layer_threshold=20, beta=0.5, seed=seed)
+        assert preprocess(pts, params).t <= math.ceil(math.log2(200 / 20)) + 1
 
 
 def test_build_layers_assignment_radius():
     rng = np.random.default_rng(44)
     pts = points_from_array(rng.uniform(size=(120, 4)))
     oracle = DistanceOracle()
-    params = CoverParams(k=3, phi=12, beta=0.4, seed=3)
-    layers, assignment, _ = build_layers(pts, params, oracle)
+    params = DynamicParams(k=3, phi=12, beta=0.4, seed=3)
+    state = preprocess(pts, params, oracle)
     by_id = {p.id: p for p in pts}
-    for layer in layers:
-        for pid in layer.covered:
-            d = oracle.distance(by_id[pid], by_id[layer.assignment[pid]])
-            assert d <= layer.radius + 1e-9
+    for layer in state.layers:
+        for record in layer.clusters:
+            for pid in record.members:
+                d = oracle.distance(by_id[pid], by_id[record.center])
+                assert d <= layer.radius + 1e-9
 
 
 def test_build_layers_deterministic():
     rng = np.random.default_rng(1)
     pts = points_from_array(rng.normal(size=(90, 3)))
-    params = CoverParams(k=2, phi=7, beta=0.5, seed=42)
-    a = build_layers(pts, params)
-    b = build_layers(pts, params)
-    assert a[1] == b[1] and a[2] == b[2]
-    for la, lb in zip(a[0], b[0]):
-        assert la == lb
+    params = DynamicParams(k=2, phi=7, beta=0.5, seed=42)
+    a = preprocess(pts, params)
+    b = preprocess(pts, params)
+    assert a.assignment() == b.assignment() and a.t == b.t
+    for la, lb in zip(a.layers, b.layers):
+        assert (la.centers, la.covered, la.radius) == (lb.centers, lb.covered, lb.radius)

@@ -39,7 +39,7 @@ def test_preprocess_small_input_trivial():
     state = preprocess(pts, DynamicParams(k=2, phi=5))
     assert state.t == 1
     layer = state.layers[0]
-    assert layer.members == layer.centers == layer.covered == {0, 1, 2}
+    assert state.members(1) == layer.centers == layer.covered == {0, 1, 2}
     for pid in (0, 1, 2):
         assert state.assignment_of(pid) == pid
     assert state.integrity_check() == []
@@ -56,9 +56,10 @@ def test_preprocess_invariants_and_layer_bound():
     assert state.integrity_check() == []
     assert state.t <= math.ceil(math.log(500 / 50) / math.log(1 / params.shrink_factor)) + 1
     assert state.t <= 5
-    for above, below in zip(state.layers, state.layers[1:]):
-        assert below.members <= above.members
-        assert len(below.members) <= params.shrink_factor * len(above.members) + 1e-9
+    for i in range(1, state.t):
+        above, below = state.members(i), state.members(i + 1)
+        assert below <= above
+        assert len(below) <= params.shrink_factor * len(above) + 1e-9
 
 
 def test_rebuild_from_layer_one_matches_static_pipeline():
@@ -77,7 +78,7 @@ def test_rebuild_from_layer_one_matches_static_pipeline():
         assert cover.radius == layer.radius
         assert cover.centers == layer.centers
         remaining = [p for p in remaining if p.id not in cover.covered]
-    assert {p.id for p in remaining} == state.layers[-1].members
+    assert {p.id for p in remaining} == state.members(state.t)
     for layer in state.layers:
         assert layer.updates == 0
 
@@ -161,21 +162,21 @@ def test_tenth_consecutive_update_rebuilds_top_layer():
 def test_delete_non_center_member():
     state = big_state(seed=9)
     layer = state.layers[0]
-    record = next(r for r in layer.clusters.values() if r.size >= 2)
+    record = next(r for r in layer.clusters if r.size >= 2)
     victim = max(pid for pid in record.members if pid != record.center)
     centers_before = set(layer.centers)
     size_before = record.size
     state.delete(victim)
     assert layer.centers == centers_before
     assert record.size == size_before - 1
-    assert victim not in layer.members
+    assert victim not in state.members(1)
     assert state.integrity_check() == []
 
 
 def test_delete_center_promotes_smallest_member():
     state = big_state(seed=21)
     layer = state.layers[0]
-    record = next(r for r in layer.clusters.values() if r.size >= 3)
+    record = next(r for r in layer.clusters if r.size >= 3)
     old_center = record.center
     expected = min(pid for pid in record.members if pid != old_center)
     state.delete(old_center)
@@ -192,7 +193,7 @@ def test_delete_center_promotes_smallest_member():
 def test_delete_last_layer_singleton_drops_cluster():
     state = big_state(seed=13)
     last = state.layers[-1]
-    victim = sorted(last.members)[0]
+    victim = sorted(state.members(state.t))[0]
     clusters_before = len(last.clusters)
     evals_before = state.oracle.evals
     state.delete(victim)
@@ -226,7 +227,7 @@ def test_rebuild_from_exact_violating_layer():
     assert [id(state.layers[0]), id(state.layers[1])] == top_two
     assert [state.layers[0].updates, state.layers[1].updates] == counters
     assert state.layers[2].updates == 0
-    assert state.layers[2].base_size == len(state.layers[2].members)
+    assert state.layers[2].base_size == len(state.members(3))
     assert state.integrity_check() == []
 
 
@@ -255,7 +256,7 @@ def test_invariants_hold_over_seeded_stream():
 def test_assignment_of_center_and_covered():
     state = big_state(seed=33)
     layer = state.layers[0]
-    record = next(r for r in layer.clusters.values() if r.size >= 2)
+    record = next(r for r in layer.clusters if r.size >= 2)
     assert state.assignment_of(record.center) == record.center
     member = next(pid for pid in record.members if pid != record.center)
     center = state.assignment_of(member)
@@ -294,11 +295,33 @@ def test_weighted_instance_empty_state_rejected():
 def test_integrity_check_flags_corruption():
     state = big_state(seed=55)
     layer = state.layers[0]
-    record = next(iter(layer.clusters.values()))
+    record = next(iter(layer.clusters))
     record.center = 10**8  # corrupt: center no longer a member
     report = state.integrity_check()
     assert report
     assert any("center" in line for line in report)
+
+
+def test_integrity_check_flags_point_map_corruption():
+    state = big_state(seed=55)
+    top, last = next(iter(state.layers[0].clusters)), next(iter(state.layers[-1].clusters))
+    last.members.add(top.center)  # one point in two records
+    assert any("partition" in line for line in state.integrity_check())
+
+    state = big_state(seed=55)
+    pid = next(iter(state.cluster_of))
+    state.cluster_of[pid] = next(iter(state.layers[-1].clusters))  # wrong record
+    assert any(f"point {pid} is not a member" in line for line in state.integrity_check())
+
+    state = big_state(seed=55)
+    record = next(iter(state.layers[0].clusters))
+    del state.layers[0].clusters[record]
+    state.layers[1].clusters[record] = None  # record outside its depth
+    assert any("not in layer 1" in line for line in state.integrity_check())
+
+    state = big_state(seed=55)
+    state.cluster_of[10**7] = next(iter(state.layers[-1].clusters))  # dead key
+    assert any("live point set" in line for line in state.integrity_check())
 
 
 def test_update_locality_no_rebuild_means_no_distance_work():
@@ -320,7 +343,7 @@ def test_snapshot_schema():
         assert int(fields[0]) == i
         layer = state.layers[i - 1]
         assert [int(fields[1]), int(fields[2]), int(fields[3])] == [
-            len(layer.members),
+            len(state.members(i)),
             len(layer.centers),
             len(layer.covered),
         ]
@@ -350,20 +373,6 @@ def test_empty_state_constructor():
     assert state.live_count == 1
 
 
-def test_strict_slack_variant():
-    loose = DynamicParams(k=1, phi=1, beta=0.5, epsilon=0.2)
-    strict = DynamicParams(k=1, phi=1, beta=0.5, epsilon=0.2, strict_slack=True)
-    assert loose.slack == pytest.approx(0.1)
-    assert strict.slack == pytest.approx(0.1 / 1.6)
-    assert strict.slack < loose.slack
-
-
-def test_effective_k_frozen_at_rebuild():
-    params = DynamicParams(k=2, phi=10, seed=3)
-    state = preprocess(gaussian_points(100, seed=3), params)
-    assert state.effective_k == max(2, math.ceil(math.log2(102)))
-
-
 def test_cluster_members_pairwise_within_twice_radius():
     state = big_state(seed=77)
     rng = np.random.default_rng(6)
@@ -374,7 +383,7 @@ def test_cluster_members_pairwise_within_twice_radius():
         else:
             state.delete(state.store.ids_sorted()[int(rng.integers(0, state.live_count))])
     for layer in state.layers:
-        for record in layer.clusters.values():
+        for record in layer.clusters:
             members = [state.store.get(m) for m in sorted(record.members)]
             dist = state.oracle.pairwise(members, members, count=False)
             assert dist.max() <= 2 * layer.radius + 1e-9
@@ -382,7 +391,8 @@ def test_cluster_members_pairwise_within_twice_radius():
 
 def test_amortized_distance_work_budget():
     # total evaluations over a long seeded stream stay under
-    # c * m * k' * t * log2(n) for the frozen calibration constant c = 6
+    # c * m * k' * t * log2(n) for the frozen calibration constant c = 6,
+    # where k' = max(k, ceil(log2(n + 2))) grows the center budget with log n
     from dynkmed import Point, synthetic_points, SyntheticSpec
 
     pts = synthetic_points(SyntheticSpec(6, 3, 1000), 3)
@@ -406,5 +416,6 @@ def test_amortized_distance_work_budget():
             victim = sorted(live)[int(rng.integers(0, len(live)))]
             state.delete(victim)
             live.discard(victim)
-    budget = 6.0 * m * state.effective_k * state.t * math.log2(len(live))
+    k_prime = max(params.k, math.ceil(math.log2(len(live) + 2)))
+    budget = 6.0 * m * k_prime * state.t * math.log2(len(live))
     assert state.oracle.evals <= budget
