@@ -50,8 +50,9 @@ class PointStore:
     """Live points of one space plus a contiguous coordinate matrix.
 
     The matrix lets callers gather coordinates for many ids with one fancy
-    index instead of stacking per-point arrays. Rows of removed points go
-    stale and are never reused; ids are never reused while a point is live.
+    index instead of stacking per-point arrays. Rows of removed points are
+    reused by later inserts, so the matrix grows with the live count, not
+    with the number of inserts; ids are never reused while a point is live.
     """
 
     def __init__(self) -> None:
@@ -60,6 +61,7 @@ class PointStore:
         self._rows: dict[PointId, int] = {}
         self._matrix: Optional[np.ndarray] = None
         self._used = 0
+        self._free: list[int] = []
 
     def __len__(self) -> int:
         return len(self._points)
@@ -78,18 +80,22 @@ class PointStore:
                 f"point {point.id} has dimension {point.dim}, space has {self.dim}"
             )
         assert self._matrix is not None
-        if self._used == self._matrix.shape[0]:
-            grown = np.empty((2 * self._used, self.dim), dtype=np.float64)
-            grown[: self._used] = self._matrix
-            self._matrix = grown
-        self._matrix[self._used] = point.coords
-        self._rows[point.id] = self._used
-        self._used += 1
+        if self._free:
+            row = self._free.pop()
+        else:
+            if self._used == self._matrix.shape[0]:
+                grown = np.empty((2 * self._used, self.dim), dtype=np.float64)
+                grown[: self._used] = self._matrix
+                self._matrix = grown
+            row = self._used
+            self._used += 1
+        self._matrix[row] = point.coords
+        self._rows[point.id] = row
         self._points[point.id] = point
 
     def remove(self, pid: PointId) -> None:
         del self._points[pid]
-        del self._rows[pid]
+        self._free.append(self._rows.pop(pid))
 
     def get(self, pid: PointId) -> Point:
         return self._points[pid]
@@ -100,12 +106,13 @@ class PointStore:
     def points_sorted(self) -> list[Point]:
         return [self._points[i] for i in self.ids_sorted()]
 
-    def coords_for(self, ids: Sequence[PointId]) -> np.ndarray:
+    def coords_for(self, ids: Sequence[PointId] | np.ndarray) -> np.ndarray:
         """Gather coordinates for the given ids as an (len(ids), dim) matrix."""
         if self._matrix is None:
             return np.empty((0, 0), dtype=np.float64)
+        keys = ids.tolist() if isinstance(ids, np.ndarray) else ids
         rows = np.fromiter(
-            (self._rows[i] for i in ids), dtype=np.int64, count=len(ids)
+            map(self._rows.__getitem__, keys), dtype=np.int64, count=len(ids)
         )
         return self._matrix[rows]
 

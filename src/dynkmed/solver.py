@@ -152,24 +152,17 @@ def _seed_indices(
     return chosen
 
 
-def _solution_stats(
-    powered: np.ndarray, weights: np.ndarray, chosen: Sequence[int]
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    cols = powered[:, chosen]
+def _nearest_two(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of an (m, k) block: the position of the first minimum, the
+    minimum, and the second-smallest value (``inf`` when k == 1)."""
+    rows = np.arange(cols.shape[0])
+    c1 = np.argmin(cols, axis=1)
+    d1 = cols[rows, c1]
     if cols.shape[1] == 1:
-        d1 = cols[:, 0]
-        c1 = np.zeros(cols.shape[0], dtype=np.int64)
-        d2 = np.full(cols.shape[0], np.inf)
-    else:
-        order = np.argpartition(cols, 1, axis=1)
-        rows = np.arange(cols.shape[0])
-        c1 = order[:, 0]
-        d1 = cols[rows, c1]
-        d2 = cols[rows, order[:, 1]]
-        # argpartition does not promise the first-minimum tie rule; it is not
-        # needed here, c1 only groups points by their current center
-    cost = float(np.sum(weights * d1))
-    return cost, d1, c1, d2
+        return c1, d1, np.full(cols.shape[0], np.inf)
+    rest = cols.copy()
+    rest[rows, c1] = np.inf
+    return c1, d1, rest.min(axis=1)
 
 
 def _local_search(
@@ -184,13 +177,27 @@ def _local_search(
 
     For each candidate the best center to retire is chosen by the standard
     decomposition: points keeping their center can only gain from the
-    candidate; points losing theirs fall back to the second-nearest. The scan
-    order and first-minimum tie rule make the descent deterministic.
+    candidate; points losing theirs fall back to the second-nearest. A
+    center retired during a pass is scanned as a candidate later in that
+    pass if its column comes after the current one.
+
+    Each row keeps its nearest center position ``c1``, its distance ``d1``
+    and its second-nearest distance ``d2``. After a swap only the rows where
+    these can change are recomputed: rows whose nearest center was retired,
+    rows whose second-nearest may have been the retired center, and rows
+    the new center comes within ``d2`` of. Every other row keeps its
+    nearest center and both distances, so they stay the exact minima. Ties
+    in ``c1`` go to the first minimum, and which tied center a row names
+    does not matter: a row with ``d1 == d2`` adds exactly 0.0 to the removal
+    loss of its center, so no swap decision depends on the tie rule.
     """
     n, k = powered.shape[0], len(chosen)
-    cost, d1, c1, d2 = _solution_stats(powered, weights, chosen)
+    c1, d1, d2 = _nearest_two(powered[:, chosen])
+    cost = float(np.sum(weights * d1))
     in_solution = np.zeros(n, dtype=bool)
     in_solution[chosen] = True
+    gain_keep = np.empty(n)
+    lose = np.empty(n)
     improved = True
     while improved and cost > 0.0:
         improved = False
@@ -198,26 +205,44 @@ def _local_search(
             if in_solution[j]:
                 continue
             column = powered[:, j]
-            gain_keep = np.minimum(column, d1)
+            np.minimum(column, d1, out=gain_keep)
             gain_keep -= d1
             gain_keep *= weights                      # <= 0 everywhere
             shared = gain_keep.sum()
-            lose = np.minimum(column, d2)
+            np.minimum(column, d2, out=lose)
             lose -= d1
             lose *= weights
             lose -= gain_keep                         # extra cost if center lost
             per_center = np.bincount(c1, weights=lose, minlength=k)
-            c_pos = int(np.argmin(per_center))
+            c_pos = int(per_center.argmin())
             new_cost = cost + shared + per_center[c_pos]
             if new_cost <= cutoff * cost:
+                retired = powered[:, chosen[c_pos]]
                 in_solution[chosen[c_pos]] = False
                 in_solution[j] = True
                 chosen[c_pos] = j
-                cost, d1, c1, d2 = _solution_stats(powered, weights, chosen)
+                stale = np.flatnonzero((c1 == c_pos) | (column <= d2) | (retired == d2))
+                c1[stale], d1[stale], d2[stale] = _nearest_two(
+                    powered[np.ix_(stale, chosen)]
+                )
+                cost = float(np.sum(weights * d1))
                 improved = True
                 if cost <= 0.0:
                     return cost
     return cost
+
+
+def _instance_gram(points: Sequence[Point], p: float, oracle: DistanceOracle) -> np.ndarray:
+    """Powered distance matrix of instance points against themselves, equal
+    to ``oracle.pairwise(points, points) ** p``. Instance ids are distinct,
+    so the same-id pairs to zero are exactly the diagonal."""
+    coords = np.stack([q.coords for q in points])
+    # a separate copy as the second block: numpy takes ``x @ x.T`` of one
+    # buffer through a symmetric kernel that rounds differently from the
+    # two-buffer product of the general path
+    dist = oracle.matrix_between(coords, None, coords.copy(), None)
+    np.fill_diagonal(dist, 0.0)
+    return dist if p == 1.0 else dist ** p
 
 
 def weighted_solve(
@@ -248,7 +273,7 @@ def weighted_solve(
         return Solution(frozenset(ids), 0.0)
     points = [q for q, _ in entries]
     weights = np.array([w for _, w in entries], dtype=np.float64)
-    powered = oracle.pairwise(points, points) ** p
+    powered = _instance_gram(points, p, oracle)
     rng = np.random.default_rng(seed)
 
     chosen = _seed_indices(powered, weights, k, rng)

@@ -419,3 +419,21 @@ def test_amortized_distance_work_budget():
     k_prime = max(params.k, math.ceil(math.log2(len(live) + 2)))
     budget = 6.0 * m * k_prime * state.t * math.log2(len(live))
     assert state.oracle.evals <= budget
+
+
+def test_store_memory_tracks_the_live_count_over_a_long_slide():
+    window = 60
+    pts = gaussian_points(10 * window, seed=4)
+    state = preprocess(pts[:window], DynamicParams(k=3, phi=10, seed=4))
+    max_live = state.live_count
+    for step, point in enumerate(pts[window:]):
+        state.insert(point)
+        max_live = max(max_live, state.live_count)
+        state.delete(pts[step].id)
+    assert state.store._matrix.shape[0] <= 2 * max_live
+    live = state.live_points()
+    assert [p.id for p in live] == [p.id for p in pts[-window:]]
+    np.testing.assert_array_equal(
+        state.store.coords_for([p.id for p in live]), np.stack([p.coords for p in live])
+    )
+    assert state.integrity_check() == []

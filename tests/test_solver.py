@@ -16,7 +16,7 @@ from dynkmed import (
     query,
     weighted_solve,
 )
-from dynkmed.solver import _seed_indices
+from dynkmed.solver import _instance_gram, _seed_indices
 
 
 def line_points(*coords):
@@ -141,6 +141,18 @@ def test_weighted_solve_never_worse_than_seeding():
         seed_cost = float(np.sum(w * powered[:, chosen].min(axis=1)))
         sol = weighted_solve(inst, 4, 1.0, seed, ORACLE)
         assert sol.cost <= seed_cost + 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_instance_gram_equals_the_general_pairwise_path(p, offset):
+    pts = random_points(40, dim=3, seed=31, scale=3.0)
+    pts += points_from_array(np.stack([q.coords for q in pts[:6]]), start_id=40)
+    general, fast = DistanceOracle(offset), DistanceOracle(offset)
+    expected = general.pairwise(pts, pts) ** p
+    got = _instance_gram(pts, p, fast)
+    assert np.array_equal(got, expected)
+    assert fast.evals == general.evals == 46 * 46
 
 
 def test_brute_force_opt_examples():
