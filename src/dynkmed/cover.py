@@ -112,15 +112,17 @@ def _cover_arrays(
             if s not in known:
                 raise ValueError(f"sampler returned id {s} outside the working set")
     else:
-        sample = ids[rng.integers(0, n, size=params.phi)].tolist()
-    center_ids = np.array(sorted(set(int(s) for s in sample)), dtype=np.int64)
+        sample = ids[rng.integers(0, n, size=params.phi)]
+    center_ids = np.unique(np.asarray(sample, dtype=np.int64))
     pos = np.searchsorted(ids, center_ids)
 
-    dist = oracle.matrix_between(coords, ids, coords[pos], center_ids)
-    dmin = dist.min(axis=1)
+    # ids are distinct, so the only same-id pair of center j is (pos[j], j)
+    dist = oracle.matrix_between(coords, None, coords[pos], None)
+    dist[pos, np.arange(pos.shape[0])] = 0.0
+    nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
+    dmin = dist[np.arange(n), nearest]
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
-    nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
     return center_ids, nearest, dmin <= radius, radius
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from typing import Iterable, Optional
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .solver import WeightedInstance
 
 # Absolute slop for comparing integer counters against fractional thresholds.
 _EPS = 1e-9
+
+# One cover round: working-set size, radius, clusters as (center, members).
+_Round = tuple[int, float, list[tuple[PointId, list[PointId]]]]
 
 
 @dataclass
@@ -118,57 +121,84 @@ class ClusteringState:
 
     def members(self, index: int) -> set[PointId]:
         """U_index (1-based): the points covered at depth index or deeper."""
-        return set().union(*(layer.covered for layer in self.layers[index - 1 :]))
+        return set(self._member_ids(index))
+
+    def _member_ids(self, index: int) -> Iterator[PointId]:
+        """The ids of U_index, each once, read off the records of layers
+        index..t."""
+        records = chain.from_iterable(layer.clusters for layer in self.layers[index - 1 :])
+        return chain.from_iterable(record.members for record in records)
 
     # -- construction --------------------------------------------------------
 
-    def _peel(self, ids: np.ndarray) -> None:
-        """Append layers built from the sorted ids: cover rounds peel the
-        covered points off until at most ``threshold`` remain, which become
-        a last layer of singleton clusters at radius zero."""
+    def _cover_rounds(self, ids: np.ndarray) -> tuple[list[_Round], list[PointId]]:
+        """Peel cover rounds off the sorted ids until at most ``threshold``
+        remain; touches nothing but the sample stream.
+
+        Returns one round per layer, each with the size of its working set,
+        its radius and its clusters as (center, members) in center order,
+        plus the remainder, which becomes a last layer of singletons.
+        """
         coords = self.store.coords_for(ids)
-        while True:
-            layer = Layer(base_size=ids.shape[0])
-            self.layers.append(layer)
-            depth = self.t
-            if ids.shape[0] <= self.params.threshold:
-                pids = ids.tolist()
-                records = [ClusterRecord(pid, {pid}, depth) for pid in pids]
-                layer.clusters = dict.fromkeys(records)
-                self.cluster_of.update(zip(pids, records))
-                return
-            center_ids, nearest, mask, layer.radius = _cover_arrays(
+        rounds: list[_Round] = []
+        while ids.shape[0] > self.params.threshold:
+            center_ids, nearest, mask, radius = _cover_arrays(
                 ids, coords, self.params, self.rng, self.oracle
             )
             # group the covered points by nearest center, in center order; a
             # sampled center whose same-coord twin with a smaller id absorbed
-            # it gets no members and no record
+            # it gets no members and no cluster
             order = np.argsort(nearest[mask], kind="stable")
             near = nearest[mask][order]
             pids = ids[mask][order].tolist()
-            lo = 0
-            for hi in [*(np.flatnonzero(np.diff(near)) + 1).tolist(), len(pids)]:
-                group = pids[lo:hi]
-                record = ClusterRecord(int(center_ids[near[lo]]), set(group), depth)
-                layer.clusters[record] = None
-                self.cluster_of.update(dict.fromkeys(group, record))
-                lo = hi
+            bounds = [0, *(np.flatnonzero(np.diff(near)) + 1).tolist(), len(pids)]
+            centers = center_ids[near[bounds[:-1]]].tolist()
+            groups = [
+                (center, pids[lo:hi])
+                for center, lo, hi in zip(centers, bounds, bounds[1:])
+            ]
+            rounds.append((ids.shape[0], radius, groups))
             keep = ~mask
             ids = ids[keep]
             coords = coords[keep]
+        return rounds, ids.tolist()
+
+    def _append_layers(self, rounds: list[_Round], rest: list[PointId]) -> None:
+        """Append the layers of :meth:`_cover_rounds` and map their points."""
+        for base_size, radius, groups in rounds:
+            layer = Layer(radius=radius, base_size=base_size)
+            self.layers.append(layer)
+            depth = self.t
+            for center, group in groups:
+                record = ClusterRecord(center, set(group), depth)
+                layer.clusters[record] = None
+                self.cluster_of.update(zip(group, repeat(record)))
+        depth = self.t + 1
+        records = [ClusterRecord(pid, {pid}, depth) for pid in rest]
+        self.layers.append(Layer(dict.fromkeys(records), base_size=len(rest)))
+        self.cluster_of.update(zip(rest, records))
 
     def rebuild_from_layer(self, index: int) -> None:
         """Discard layers index..t and rebuild them from the current U_index.
 
         ``index`` is 1-based. Rebuilding from layer 1 is exactly a fresh
-        preprocess of the current point set on the same sample stream.
+        preprocess of the current point set on the same sample stream. The
+        rebuild is atomic: every cover round runs before any layer changes,
+        so if one raises (say, a custom metric fails) the layers, the point
+        map and the sample stream are left as they were.
         """
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
-        ids = np.fromiter(self.members(index), dtype=np.int64)
+        ids = np.fromiter(self._member_ids(index), dtype=np.int64)
         ids.sort()
+        stream = self.rng.bit_generator.state
+        try:
+            rounds, rest = self._cover_rounds(ids)
+        except BaseException:
+            self.rng.bit_generator.state = stream
+            raise
         del self.layers[index - 1 :]
-        self._peel(ids)
+        self._append_layers(rounds, rest)
 
     # -- updates -------------------------------------------------------------
 
@@ -206,7 +236,9 @@ class ClusteringState:
 
         No-op when every layer is within budget. At most one rebuild per
         update; rebuilding layer i resets the counters of all deeper layers,
-        so a single pass restores the slack invariant everywhere.
+        so a single pass restores the slack invariant everywhere. If the
+        rebuild raises, the update that triggered it stays applied and the
+        layer stays due, so the next update retries the rebuild.
         """
         slack = self.params.slack
         for i, layer in enumerate(self.layers, start=1):
@@ -365,8 +397,9 @@ def preprocess(
     state = ClusteringState(params, oracle)
     for p in pts:
         state.store.add(p)
+    rounds, rest = state._cover_rounds(np.array(state.store.ids_sorted(), dtype=np.int64))
     del state.layers[:]
-    state._peel(np.array(state.store.ids_sorted(), dtype=np.int64))
+    state._append_layers(rounds, rest)
     return state
 
 

@@ -7,6 +7,7 @@ number of pairs they touch; diagnostics may opt out with ``count=False``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -152,6 +153,10 @@ class DistanceOracle:
             d = float(np.linalg.norm(x.coords - y.coords))
         else:
             d = float(self.base(x.coords, y.coords))
+            if not 0.0 <= d < math.inf:
+                raise ValueError(
+                    f"custom metric returned {d!r} for points {x.id} and {y.id}"
+                )
         return d + self.offset
 
     def powered_distance(self, x: Point, y: Point, p: float) -> float:
@@ -173,36 +178,63 @@ class DistanceOracle:
 
         Counts ``len(a) * len(b)`` evaluations unless ``count=False`` (used by
         read-only diagnostics so they do not distort cost measurements).
+
+        Euclidean entries are pinned to this sequence of float64 operations,
+        with ``a2[i] = einsum("ij,ij->i")`` over rows of ``a``, ``b2[j]``
+        likewise over ``b``, and ``g = a[lo:hi] @ b.T`` taken in row chunks
+        of ``_CHUNK_ROWS``::
+
+            sqrt(max((a2[i] + b2[j]) - 2 * g[i, j], 0)) + offset
+
+        (the offset add is skipped when it is zero). The kernel adds
+        ``b2[j] + a2[i]``, which is the same float because addition
+        commutes, and applies each step in place. The row chunking is part
+        of the contract, because BLAS may round a product of another shape
+        differently. When ``a`` and ``b`` share memory, ``b`` is copied
+        first, so the result does not depend on buffer identity (numpy
+        computes ``x @ x.T`` of one buffer with a symmetric kernel that
+        rounds differently). Pairs whose ids are equal are then set to
+        exactly 0; without both id sequences no pair is zeroed.
+
+        A custom ``base`` must return a finite value >= 0 for every pair;
+        anything else raises ``ValueError`` naming the pair (by id when ids
+        are given, else by row positions).
         """
         a = np.asarray(a_coords, dtype=np.float64)
         b = np.asarray(b_coords, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
             raise ValueError("coordinate blocks must be 2-D with equal dimension")
+        n, c = a.shape[0], b.shape[0]
         if count:
-            self.evals += a.shape[0] * b.shape[0]
+            self.evals += n * c
+        out = np.empty((n, c), dtype=np.float64)
         if self.base is None:
-            out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+            if np.may_share_memory(a, b):
+                b = b.copy()
             b_sq = np.einsum("ij,ij->i", b, b)
-            for lo in range(0, a.shape[0], _CHUNK_ROWS):
-                hi = min(lo + _CHUNK_ROWS, a.shape[0])
+            for lo in range(0, n, _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, n)
                 blk = a[lo:hi]
-                sq = np.einsum("ij,ij->i", blk, blk)[:, None] + b_sq[None, :]
-                sq -= 2.0 * (blk @ b.T)
+                sq = out[lo:hi]
+                sq[...] = b_sq
+                sq += np.einsum("ij,ij->i", blk, blk)[:, None]
+                twice = blk @ b.T
+                twice *= 2.0
+                sq -= twice
                 np.clip(sq, 0.0, None, out=sq)
-                out[lo:hi] = np.sqrt(sq, out=sq)
+                np.sqrt(sq, out=sq)
+                if self.offset:
+                    sq += self.offset
         else:
-            out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-            for i in range(a.shape[0]):
-                for j in range(b.shape[0]):
+            for i in range(n):
+                for j in range(c):
                     out[i, j] = self.base(a[i], b[j])
-        if self.offset:
-            out += self.offset
+            _check_custom(out, a_ids, b_ids)
+            if self.offset:
+                out += self.offset
         if a_ids is not None and b_ids is not None:
-            ia = np.asarray(a_ids, dtype=np.int64)
-            ib = np.asarray(b_ids, dtype=np.int64)
-            same = ia[:, None] == ib[None, :]
-            if same.any():
-                out[same] = 0.0
+            rows, cols = _same_id_pairs(a_ids, b_ids, n, c)
+            out[rows, cols] = 0.0
         return out
 
     def pairwise(
@@ -236,7 +268,8 @@ class DistanceOracle:
         if self.base is None:
             d = np.linalg.norm(a - b, axis=1)
         else:
-            d = np.array([self.base(a[i], b[i]) for i in range(len(xs))])
+            d = np.array([self.base(a[i], b[i]) for i in range(len(xs))], dtype=np.float64)
+            _check_custom(d, [x.id for x in xs], [y.id for y in ys])
         if self.offset:
             d = d + self.offset
         same = np.fromiter(
@@ -273,6 +306,45 @@ class DistanceOracle:
             return set()
         dmin = self.pairwise(members, centers).min(axis=1)
         return {members[i].id for i in np.nonzero(dmin <= r)[0]}
+
+
+def _check_custom(
+    values: np.ndarray,
+    a_ids: Optional[Sequence[PointId]],
+    b_ids: Optional[Sequence[PointId]],
+) -> None:
+    """Raise when a custom metric returned a non-finite or negative value;
+    ``values`` is a matrix, or a vector of aligned pairs."""
+    bad = ~(np.isfinite(values) & (values >= 0.0))
+    if not bad.any():
+        return
+    where = np.argwhere(bad)[0]
+    i, j = int(where[0]), int(where[-1])
+    if a_ids is not None and b_ids is not None:
+        pair = f"points {a_ids[i]} and {b_ids[j]}"
+    else:
+        pair = f"rows {i} and {j}"
+    raise ValueError(f"custom metric returned {float(values[tuple(where)])!r} for {pair}")
+
+
+def _same_id_pairs(
+    a_ids: Sequence[PointId], b_ids: Sequence[PointId], n: int, c: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column positions of every pair with equal ids, found by
+    binary search in the sorted column ids instead of an n x c comparison;
+    ids may repeat within either sequence."""
+    ia = np.asarray(a_ids, dtype=np.int64)
+    ib = np.asarray(b_ids, dtype=np.int64)
+    if ia.shape != (n,) or ib.shape != (c,):
+        raise ValueError("id sequences must match the coordinate blocks")
+    order = np.argsort(ib, kind="stable")
+    sorted_ids = ib[order]
+    first = np.searchsorted(sorted_ids, ia, side="left")
+    counts = np.searchsorted(sorted_ids, ia, side="right") - first
+    rows = np.repeat(np.arange(n), counts)
+    # the matches of row i are order[first[i] : first[i] + counts[i]]
+    starts = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return rows, order[starts + np.arange(rows.shape[0])]
 
 
 def relaxed_triangle_ok(

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .metric import DistanceOracle, Point, PointId
+from .metric import DistanceOracle, Point, PointId, PointStore
 
 # Default relative-improvement cutoff for the local search.
 LOCAL_SEARCH_DELTA = 0.01
@@ -63,21 +63,34 @@ class Solution:
 
 def cost_set(
     centers: Sequence[Point],
-    universe: Sequence[Point],
+    universe: Sequence[Point] | PointStore,
     p: float,
     oracle: DistanceOracle,
 ) -> float:
     """Sum over the universe of the p-th power of the distance to the nearest
-    center."""
+    center.
+
+    The universe may be a :class:`PointStore`: its live points are then read
+    as sorted ids and one gathered coordinate block, with no Point list.
+    Either way the rows are in id order, so the cost is the same float.
+    """
     if p < 1.0:
         raise ValueError("power must be at least 1")
-    members = sorted(universe, key=lambda q: q.id)
-    if not members:
+    if isinstance(universe, PointStore):
+        ids = universe.ids_sorted()
+        coords = universe.coords_for(ids)
+    else:
+        members = sorted(universe, key=lambda q: q.id)
+        ids = [q.id for q in members]
+        coords = np.stack([q.coords for q in members]) if members else None
+    if not ids:
         return 0.0
     ctrs = sorted(centers, key=lambda q: q.id)
     if not ctrs:
         raise ValueError("center set must be nonempty")
-    dmin = oracle.pairwise(members, ctrs).min(axis=1)
+    dmin = oracle.matrix_between(
+        coords, ids, np.stack([q.coords for q in ctrs]), [q.id for q in ctrs]
+    ).min(axis=1)
     return float(np.sum(dmin**p))
 
 
@@ -237,10 +250,7 @@ def _instance_gram(points: Sequence[Point], p: float, oracle: DistanceOracle) ->
     to ``oracle.pairwise(points, points) ** p``. Instance ids are distinct,
     so the same-id pairs to zero are exactly the diagonal."""
     coords = np.stack([q.coords for q in points])
-    # a separate copy as the second block: numpy takes ``x @ x.T`` of one
-    # buffer through a symmetric kernel that rounds differently from the
-    # two-buffer product of the general path
-    dist = oracle.matrix_between(coords, None, coords.copy(), None)
+    dist = oracle.matrix_between(coords, None, coords, None)
     np.fill_diagonal(dist, 0.0)
     return dist if p == 1.0 else dist ** p
 
@@ -300,7 +310,7 @@ def query(
     instance = state.weighted_instance()
     picked = weighted_solve(instance, k, p, seed, oracle, delta)
     centers = [state.store.get(c) for c in sorted(picked.centers)]
-    full_cost = cost_set(centers, state.live_points(), p, oracle)
+    full_cost = cost_set(centers, state.store, p, oracle)
     return Solution(picked.centers, full_cost)
 
 

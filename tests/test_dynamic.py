@@ -437,3 +437,60 @@ def test_store_memory_tracks_the_live_count_over_a_long_slide():
         state.store.coords_for([p.id for p in live]), np.stack([p.coords for p in live])
     )
     assert state.integrity_check() == []
+
+
+class FlakyEuclidean:
+    """A custom metric that raises once ``budget`` more calls have been made;
+    ``budget=None`` means it never fails."""
+
+    def __init__(self):
+        self.budget = None
+
+    def __call__(self, a, b):
+        if self.budget is not None:
+            if self.budget == 0:
+                raise RuntimeError("metric unavailable")
+            self.budget -= 1
+        return float(np.linalg.norm(a - b))
+
+
+def test_failed_rebuild_leaves_the_state_unchanged():
+    params = DynamicParams(k=2, phi=4, last_layer_threshold=8, seed=6)
+    pts = gaussian_points(90, seed=6)
+    metric = FlakyEuclidean()
+    state = preprocess(pts, params, DistanceOracle(0.01, base=metric))
+    twin = preprocess(pts, params, DistanceOracle(0.01, base=FlakyEuclidean()))
+    assert state.t >= 3
+    before = (state.snapshot(), state.assignment())
+    # the first round of a rebuild from layer 1 makes 90 * |sample| calls,
+    # so the metric fails in a later round
+    metric.budget = 90 * 4 + 10
+    with pytest.raises(RuntimeError):
+        state.rebuild_from_layer(1)
+    assert (state.snapshot(), state.assignment()) == before
+    metric.budget = None
+    assert state.integrity_check() == []
+    # the sample stream is restored too: a retry rebuilds what a state that
+    # never failed builds
+    state.rebuild_from_layer(1)
+    twin.rebuild_from_layer(1)
+    assert (state.snapshot(), state.assignment()) == (twin.snapshot(), twin.assignment())
+
+
+def test_update_whose_rebuild_fails_is_kept_and_the_next_update_rebuilds():
+    params = DynamicParams(k=2, phi=4, last_layer_threshold=8, seed=6)
+    metric = FlakyEuclidean()
+    state = preprocess(gaussian_points(90, seed=6), params, DistanceOracle(0.01, base=metric))
+    t = state.t
+    metric.budget = 0
+    fresh = iter(gaussian_points(40, seed=7, start_id=1000))
+    with pytest.raises(RuntimeError):
+        while True:
+            state.insert(next(fresh))
+    assert state.t == t
+    metric.budget = None
+    problems = state.integrity_check()
+    assert problems and all("slack invariant broken" in p for p in problems)
+    state.insert(next(fresh))
+    assert state.integrity_check() == []
+    assert state.live_count == len(state.assignment())

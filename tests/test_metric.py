@@ -193,3 +193,22 @@ def test_point_store_gather_and_dimension_guard():
         store.add(pt(3, 0.0, 0.0))  # duplicate id
     store.remove(3)
     assert 3 not in store and len(store) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_custom_base_metric_rejects_non_finite_and_negative_values(bad):
+    def broken(a, b):
+        return bad if a[0] + b[0] == 3.0 else float(np.abs(a - b).sum())
+
+    oracle = DistanceOracle(offset=0.5, base=broken)
+    pts = [pt(10, 0.0), pt(11, 1.0), pt(12, 2.0)]
+    assert oracle.distance(pts[0], pts[1]) == 1.5
+    with pytest.raises(ValueError, match=r"points 11 and 12"):
+        oracle.distance(pts[1], pts[2])
+    with pytest.raises(ValueError, match=r"points 11 and 12"):
+        oracle.pairwise(pts, pts)
+    with pytest.raises(ValueError, match=r"points 11 and 12"):
+        oracle.elementwise(pts[:2], pts[1:])
+    coords = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"rows 1 and 2"):
+        oracle.matrix_between(coords, None, coords, None)

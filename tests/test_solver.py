@@ -4,6 +4,7 @@ import pytest
 from dynkmed import (
     DistanceOracle,
     DynamicParams,
+    Point,
     WeightedInstance,
     brute_force_coverage_radius,
     brute_force_opt,
@@ -255,3 +256,19 @@ def test_solution_cost_matches_cost_set_on_full_set():
     sol = query(state, 3, 1.0, seed=4)
     centers = [p for p in pts if p.id in sol.centers]
     assert sol.cost == cost_set(centers, pts, 1.0, state.oracle)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_cost_set_over_a_point_store_equals_the_point_list(p):
+    pts = random_points(80, dim=3, seed=12, scale=2.0)
+    state = preprocess(pts, DynamicParams(k=3, phi=8, seed=2), DistanceOracle(0.05))
+    for pid, fresh in zip((5, 17, 40), random_points(3, dim=3, seed=13)):
+        state.delete(pid)
+        # the new point takes the freed store row, out of id order
+        state.insert(Point(100 + pid, fresh.coords))
+    live = state.live_points()
+    centers = [live[i] for i in (3, 30, 60)]
+    by_store, by_list = DistanceOracle(0.05), DistanceOracle(0.05)
+    got = cost_set(centers, state.store, p, by_store)
+    assert repr(got) == repr(cost_set(centers, live, p, by_list))
+    assert by_store.evals == by_list.evals == 80 * 3
