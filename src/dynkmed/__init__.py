@@ -11,31 +11,18 @@ from .metric import (
     PointId,
     PointStore,
     points_from_array,
-    relaxed_triangle_ok,
-)
-from .cover import (
-    CoverParams,
-    CoverResult,
-    almost_cover,
-    coverage_radius,
 )
 from .dynamic import (
     ClusterRecord,
     ClusteringState,
     DynamicParams,
     Layer,
-    empty_state,
     preprocess,
 )
 from .solver import (
     Solution,
     WeightedInstance,
-    brute_force_coverage_radius,
-    brute_force_opt,
-    brute_force_opt_weighted,
-    cost_assignment,
     cost_set,
-    cost_weighted,
     query,
     weighted_solve,
 )
@@ -57,8 +44,6 @@ __all__ = [
     "ClusterRecord",
     "ClusteringState",
     "ConfigError",
-    "CoverParams",
-    "CoverResult",
     "DatasetError",
     "DistanceOracle",
     "DynamicParams",
@@ -72,21 +57,12 @@ __all__ = [
     "Solution",
     "SyntheticSpec",
     "WeightedInstance",
-    "almost_cover",
-    "brute_force_coverage_radius",
-    "brute_force_opt",
-    "brute_force_opt_weighted",
-    "cost_assignment",
     "cost_set",
-    "cost_weighted",
-    "coverage_radius",
     "emit_metrics",
-    "empty_state",
     "load_dataset",
     "points_from_array",
     "preprocess",
     "query",
-    "relaxed_triangle_ok",
     "run_experiment",
     "sliding_window_stream",
     "synthetic_points",

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dynamic import ClusteringState, DynamicParams, empty_state, preprocess
+from .dynamic import ClusteringState, DynamicParams, preprocess
 from .metric import DistanceOracle, Point, points_from_array
 from .solver import cost_set, query, weighted_solve
 
@@ -220,7 +220,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         epsilon=config.epsilon,
         seed=state_ss,
     )
-    state = empty_state(params, oracle)
+    state = ClusteringState(params, oracle)
 
     updates = sliding_window_stream(len(points), config.window)
     m = len(updates)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .cover import CoverParams, _cover_arrays
+from .cover import Sampler, _cover_arrays
 from .metric import DistanceOracle, Point, PointId, PointStore
 from .solver import WeightedInstance
 
@@ -35,16 +35,41 @@ _Round = tuple[int, float, list[tuple[PointId, list[PointId]]]]
 
 
 @dataclass
-class DynamicParams(CoverParams):
-    """Cover knobs plus the rebuild slack ``epsilon``; the slack threshold
-    tau is ``epsilon * beta``."""
+class DynamicParams:
+    """Knobs of the cover rounds and the rebuild slack.
 
+    ``phi`` is the per-round sample size and ``beta`` the fraction of the
+    working set each round covers; ``last_layer_threshold`` (default
+    ``phi``) is the residual size at which peeling stops. ``epsilon`` sets
+    the rebuild slack tau = ``epsilon * beta``. ``sampler`` lets tests
+    inject a deterministic sample in place of uniform-with-replacement
+    draws. ``k``, the center count of later queries, is validated here but
+    not read by the state.
+    """
+
+    k: int
+    phi: int
+    beta: float = 0.5
+    last_layer_threshold: Optional[int] = None
+    seed: int | np.random.SeedSequence = 0
+    sampler: Optional[Sampler] = None
     epsilon: float = 0.2
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        if self.phi < 1:
+            raise ValueError("phi must be at least 1")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie strictly between 0 and 1")
+        if self.last_layer_threshold is not None and self.last_layer_threshold < self.phi:
+            raise ValueError("last_layer_threshold must be at least phi")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
+
+    @property
+    def threshold(self) -> int:
+        return self.phi if self.last_layer_threshold is None else self.last_layer_threshold
 
     @property
     def slack(self) -> float:
@@ -345,7 +370,9 @@ class ClusteringState:
 
     def _check_radii(self) -> list[str]:
         """Every live point lies within twice its layer's radius of its
-        cluster's center (singletons are at distance zero by identity)."""
+        cluster's center (singletons are at distance zero by identity).
+        Distances come from the oracle's aligned-pair kernel, uncounted; a
+        custom metric that fails its check there is reported, not raised."""
         pairs = [
             (pid, record.center, record.depth)
             for pid, record in self.cluster_of.items()
@@ -357,12 +384,10 @@ class ClusteringState:
         pids, centers, depths = (list(column) for column in zip(*pairs))
         a = self.store.coords_for(pids)
         b = self.store.coords_for(centers)
-        if self.oracle.base is None:
-            d = np.linalg.norm(a - b, axis=1)
-        else:
-            d = np.array([self.oracle.base(a[j], b[j]) for j in range(len(pids))])
-        if self.oracle.offset:
-            d = d + self.oracle.offset
+        try:
+            d = self.oracle.elementwise(a, pids, b, centers, count=False)
+        except ValueError as exc:
+            return [f"2*radius check: {exc}"]
         limit = 2.0 * np.array([self.layers[i - 1].radius for i in depths])
         tol = 1e-6 + 1e-9 * np.maximum(1.0, limit)
         bad = np.nonzero(d > limit + tol)[0]
@@ -402,9 +427,3 @@ def preprocess(
     state._append_layers(rounds, rest)
     return state
 
-
-def empty_state(
-    params: DynamicParams, oracle: Optional[DistanceOracle] = None
-) -> ClusteringState:
-    """A valid empty state (t = 1, no points); the first insert populates it."""
-    return ClusteringState(params, oracle)

@@ -1,15 +1,21 @@
-"""Metric-space primitives: points, instrumented distance evaluation, balls.
+"""Metric-space primitives: points, the point store and the instrumented
+distance oracle.
 
 All distance computation in the package funnels through :class:`DistanceOracle`
 so that the evaluation counter is an exact, hardware-independent cost proxy.
-Batched evaluations (matrices, elementwise vectors) bump the counter by the
-number of pairs they touch; diagnostics may opt out with ``count=False``.
+The oracle has one kernel per shape: :meth:`DistanceOracle.matrix_between`
+for blocks and :meth:`DistanceOracle.elementwise` for aligned pairs. Each
+applies the custom-metric check, the offset and the same-id zeroing for its
+shape, and every other distance (``distance``, ``pairwise``, the 2*radius
+check of ``integrity_check``) is a call to one of them. Each bumps the
+counter by the number of pairs it touches; diagnostics may opt out with
+``count=False``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -141,30 +147,9 @@ class DistanceOracle:
         self.base = base
         self.evals = 0
 
-    # -- scalar ops ---------------------------------------------------------
-
     def distance(self, x: Point, y: Point) -> float:
-        if x.dim != y.dim:
-            raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-        self.evals += 1
-        if x.id == y.id:
-            return 0.0
-        if self.base is None:
-            d = float(np.linalg.norm(x.coords - y.coords))
-        else:
-            d = float(self.base(x.coords, y.coords))
-            if not 0.0 <= d < math.inf:
-                raise ValueError(
-                    f"custom metric returned {d!r} for points {x.id} and {y.id}"
-                )
-        return d + self.offset
-
-    def powered_distance(self, x: Point, y: Point, p: float) -> float:
-        if p < 1.0:
-            raise ValueError("power must be at least 1")
-        return self.distance(x, y) ** p
-
-    # -- batched ops --------------------------------------------------------
+        """d(x, y): a one-pair call to :meth:`elementwise`."""
+        return float(self.elementwise(x.coords[None], [x.id], y.coords[None], [y.id])[0])
 
     def matrix_between(
         self,
@@ -196,6 +181,10 @@ class DistanceOracle:
         rounds differently). Pairs whose ids are equal are then set to
         exactly 0; without both id sequences no pair is zeroed.
 
+        Before any product is formed, ``ValueError`` is raised when
+        ``2 * (max a2 + max b2)`` is not finite: every term of the expansion
+        is bounded by it, so below that no step overflows.
+
         A custom ``base`` must return a finite value >= 0 for every pair;
         anything else raises ``ValueError`` naming the pair (by id when ids
         are given, else by row positions).
@@ -211,13 +200,19 @@ class DistanceOracle:
         if self.base is None:
             if np.may_share_memory(a, b):
                 b = b.copy()
+            a_sq = np.einsum("ij,ij->i", a, a)
             b_sq = np.einsum("ij,ij->i", b, b)
+            if n and c and not math.isfinite(2.0 * (a_sq.max() + b_sq.max())):
+                raise ValueError(
+                    "coordinates overflow float64 in the Euclidean kernel: "
+                    "2 * (max|a|^2 + max|b|^2) is not finite"
+                )
             for lo in range(0, n, _CHUNK_ROWS):
                 hi = min(lo + _CHUNK_ROWS, n)
                 blk = a[lo:hi]
                 sq = out[lo:hi]
                 sq[...] = b_sq
-                sq += np.einsum("ij,ij->i", blk, blk)[:, None]
+                sq += a_sq[lo:hi, None]
                 twice = blk @ b.T
                 twice *= 2.0
                 sq -= twice
@@ -237,6 +232,46 @@ class DistanceOracle:
             out[rows, cols] = 0.0
         return out
 
+    def elementwise(
+        self,
+        a_coords: np.ndarray,
+        a_ids: Optional[Sequence[PointId]],
+        b_coords: np.ndarray,
+        b_ids: Optional[Sequence[PointId]],
+        count: bool = True,
+    ) -> np.ndarray:
+        """Vector of d(a[i], b[i]) over two aligned coordinate blocks: the
+        aligned-pair twin of :meth:`matrix_between`.
+
+        Counts ``len(a)`` evaluations unless ``count=False``. Euclidean
+        entries are the direct-difference norm
+        ``np.linalg.norm(a - b, axis=1)``, plus the offset when it is
+        nonzero. A custom ``base`` is checked as in :meth:`matrix_between`.
+        Pairs whose ids are equal are then set to exactly 0; without both id
+        sequences no pair is zeroed.
+        """
+        a = np.asarray(a_coords, dtype=np.float64)
+        b = np.asarray(b_coords, dtype=np.float64)
+        if a.ndim != 2 or a.shape != b.shape:
+            raise ValueError("coordinate blocks must be 2-D with equal shape")
+        n = a.shape[0]
+        if count:
+            self.evals += n
+        if self.base is None:
+            d = np.linalg.norm(a - b, axis=1)
+        else:
+            d = np.array([self.base(a[i], b[i]) for i in range(n)], dtype=np.float64)
+            _check_custom(d, a_ids, b_ids)
+        if self.offset:
+            d += self.offset
+        if a_ids is not None and b_ids is not None:
+            ia = np.asarray(a_ids, dtype=np.int64)
+            ib = np.asarray(b_ids, dtype=np.int64)
+            if ia.shape != (n,) or ib.shape != (n,):
+                raise ValueError("id sequences must match the coordinate blocks")
+            d[ia == ib] = 0.0
+        return d
+
     def pairwise(
         self, xs: Sequence[Point], ys: Sequence[Point], count: bool = True
     ) -> np.ndarray:
@@ -250,62 +285,6 @@ class DistanceOracle:
         return self.matrix_between(
             a, [p.id for p in xs], b, [p.id for p in ys], count=count
         )
-
-    def elementwise(
-        self, xs: Sequence[Point], ys: Sequence[Point], count: bool = True
-    ) -> np.ndarray:
-        """Vector of d(xs[i], ys[i]); sequences must have equal length."""
-        if len(xs) != len(ys):
-            raise ValueError("sequences must have equal length")
-        if len(xs) == 0:
-            return np.empty(0, dtype=np.float64)
-        a = np.stack([p.coords for p in xs])
-        b = np.stack([p.coords for p in ys])
-        if a.shape[1] != b.shape[1]:
-            raise ValueError("dimension mismatch")
-        if count:
-            self.evals += len(xs)
-        if self.base is None:
-            d = np.linalg.norm(a - b, axis=1)
-        else:
-            d = np.array([self.base(a[i], b[i]) for i in range(len(xs))], dtype=np.float64)
-            _check_custom(d, [x.id for x in xs], [y.id for y in ys])
-        if self.offset:
-            d = d + self.offset
-        same = np.fromiter(
-            (x.id == y.id for x, y in zip(xs, ys)), dtype=bool, count=len(xs)
-        )
-        d[same] = 0.0
-        return d
-
-    # -- set ops ------------------------------------------------------------
-
-    def dist_to_set(
-        self, x: Point, candidates: Iterable[Point]
-    ) -> tuple[float, PointId]:
-        """Minimum distance from x to a nonempty set, with the nearest id.
-
-        Ties break toward the smallest id.
-        """
-        pts = sorted(candidates, key=lambda p: p.id)
-        if not pts:
-            raise ValueError("candidate set must be nonempty")
-        row = self.pairwise([x], pts)[0]
-        j = int(np.argmin(row))
-        return float(row[j]), pts[j].id
-
-    def ball(
-        self, around: Iterable[Point], r: float, universe: Iterable[Point]
-    ) -> set[PointId]:
-        """Ids of universe points within distance r of the set ``around``."""
-        if r < 0.0:
-            raise ValueError("radius must be nonnegative")
-        centers = sorted(around, key=lambda p: p.id)
-        members = list(universe)
-        if not centers or not members:
-            return set()
-        dmin = self.pairwise(members, centers).min(axis=1)
-        return {members[i].id for i in np.nonzero(dmin <= r)[0]}
 
 
 def _check_custom(
@@ -345,27 +324,3 @@ def _same_id_pairs(
     # the matches of row i are order[first[i] : first[i] + counts[i]]
     starts = np.repeat(first - (np.cumsum(counts) - counts), counts)
     return rows, order[starts + np.arange(rows.shape[0])]
-
-
-def relaxed_triangle_ok(
-    oracle: DistanceOracle,
-    triples: Iterable[tuple[Point, Point, Point]],
-    p: float,
-    rel_tol: float = 1e-9,
-) -> bool:
-    """Check d^p(x,y) <= 2^(p-1) * (d^p(x,z) + d^p(z,y)) on every triple.
-
-    A powered metric is only a relaxed metric, so the factor 2^(p-1) is the
-    exact inflation to verify. ``rel_tol`` absorbs floating-point roundoff.
-    """
-    if p < 1.0:
-        raise ValueError("power must be at least 1")
-    rho = 2.0 ** (p - 1.0)
-    for x, y, z in triples:
-        dxy = oracle.distance(x, y) ** p
-        dxz = oracle.distance(x, z) ** p
-        dzy = oracle.distance(z, y) ** p
-        bound = rho * (dxz + dzy)
-        if dxy > bound * (1.0 + rel_tol) + 1e-12:
-            return False
-    return True

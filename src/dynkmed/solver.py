@@ -2,28 +2,23 @@
 
 The static weighted solver seeds k centers by weighted distance-power
 sampling and then runs single-swap local search: a swap is accepted only when
-it shrinks the weighted cost by at least a ``delta/k`` relative margin, so the
-search terminates and never returns anything worse than its seeding.
-
-Brute-force enumerations over all k-subsets back the tests; they carry hard
-size guards and evaluate distances without touching the oracle counter.
+it shrinks the weighted cost by at least a ``LOCAL_SEARCH_DELTA/k`` relative
+margin, so the search terminates and never returns anything worse than its
+seeding. A query extracts the weighted instance of a dynamic state, solves
+it, and costs the answer over the full live set with :func:`cost_set`.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .metric import DistanceOracle, Point, PointId, PointStore
 
-# Default relative-improvement cutoff for the local search.
+# Relative-improvement cutoff of the local search: a swap must cut the cost
+# to at most (1 - LOCAL_SEARCH_DELTA/k) times its current value.
 LOCAL_SEARCH_DELTA = 0.01
-
-_BRUTE_FORCE_MAX_POINTS = 16
-_BRUTE_FORCE_MAX_SUBSETS = 100_000
 
 
 @dataclass
@@ -92,52 +87,6 @@ def cost_set(
         coords, ids, np.stack([q.coords for q in ctrs]), [q.id for q in ctrs]
     ).min(axis=1)
     return float(np.sum(dmin**p))
-
-
-def cost_assignment(
-    assignment: Mapping[PointId, PointId],
-    points: Iterable[Point],
-    p: float,
-    oracle: DistanceOracle,
-) -> float:
-    """Cost of a point -> center map: sum of d(x, assignment[x])^p."""
-    if p < 1.0:
-        raise ValueError("power must be at least 1")
-    by_id = {q.id: q for q in points}
-    xs: list[Point] = []
-    ys: list[Point] = []
-    for pid in sorted(by_id):
-        target = assignment.get(pid)
-        if target is None:
-            raise ValueError(f"point {pid} has no assigned center")
-        xs.append(by_id[pid])
-        ys.append(by_id[target])
-    d = oracle.elementwise(xs, ys)
-    return float(np.sum(d**p))
-
-
-def cost_weighted(
-    centers: Iterable[PointId],
-    instance: WeightedInstance,
-    p: float,
-    oracle: DistanceOracle,
-) -> float:
-    """Weighted nearest-center cost over an instance; centers must be
-    instance points."""
-    if p < 1.0:
-        raise ValueError("power must be at least 1")
-    center_ids = sorted(set(centers))
-    known = {q.id: q for q, _ in instance.entries}
-    missing = [c for c in center_ids if c not in known]
-    if missing:
-        raise ValueError(f"centers {missing} are not instance points")
-    if not center_ids:
-        raise ValueError("center set must be nonempty")
-    entries = instance.sorted_entries()
-    members = [q for q, _ in entries]
-    weights = np.array([w for _, w in entries], dtype=np.float64)
-    dmin = oracle.pairwise(members, [known[c] for c in center_ids]).min(axis=1)
-    return float(np.sum(weights * dmin**p))
 
 
 # -- weighted solver ---------------------------------------------------------
@@ -261,12 +210,11 @@ def weighted_solve(
     p: float,
     seed: int | np.random.SeedSequence = 0,
     oracle: Optional[DistanceOracle] = None,
-    delta: float = LOCAL_SEARCH_DELTA,
 ) -> Solution:
     """Solve the weighted instance: seeding plus single-swap local search.
 
     Instances with at most k points are returned whole at cost zero. A swap
-    is accepted only when the new cost is at most ``(1 - delta/k)`` times the
+    is accepted only when the new cost is at most ``(1 - LOCAL_SEARCH_DELTA/k)`` times the
     current one; the loop runs until no such swap exists. Deterministic given
     the seed.
     """
@@ -287,7 +235,7 @@ def weighted_solve(
     rng = np.random.default_rng(seed)
 
     chosen = _seed_indices(powered, weights, k, rng)
-    cost = _local_search(powered, weights, chosen, 1.0 - delta / k)
+    cost = _local_search(powered, weights, chosen, 1.0 - LOCAL_SEARCH_DELTA / k)
     return Solution(frozenset(ids[i] for i in chosen), cost)
 
 
@@ -296,7 +244,6 @@ def query(
     k: int,
     p: float,
     seed: int | np.random.SeedSequence = 0,
-    delta: float = LOCAL_SEARCH_DELTA,
 ) -> Solution:
     """Extract the weighted instance from a dynamic state, solve it, and
     report the chosen centers with their cost over the full live point set."""
@@ -308,101 +255,8 @@ def query(
         return Solution(frozenset(p.id for p in state.live_points()), 0.0)
     oracle = state.oracle
     instance = state.weighted_instance()
-    picked = weighted_solve(instance, k, p, seed, oracle, delta)
+    picked = weighted_solve(instance, k, p, seed, oracle)
     centers = [state.store.get(c) for c in sorted(picked.centers)]
     full_cost = cost_set(centers, state.store, p, oracle)
     return Solution(picked.centers, full_cost)
 
-
-# -- brute-force oracles (tests and calibration only) -------------------------
-
-
-def _guard_subsets(n: int, k: int, max_points: int = _BRUTE_FORCE_MAX_POINTS) -> int:
-    if n > max_points:
-        raise ValueError(f"brute force limited to {max_points} points, got {n}")
-    k_eff = min(k, n)
-    if math.comb(n, k_eff) > _BRUTE_FORCE_MAX_SUBSETS:
-        raise ValueError("brute force subset count over budget")
-    return k_eff
-
-
-def _powered_matrix(
-    points: Sequence[Point], p: float, oracle: DistanceOracle
-) -> np.ndarray:
-    return oracle.pairwise(points, points, count=False) ** p
-
-
-def brute_force_opt(
-    universe: Sequence[Point], k: int, p: float, oracle: DistanceOracle
-) -> Solution:
-    """Exact optimum by enumerating every k-subset of center candidates.
-
-    Ties go to the lexicographically smallest id tuple. Guarded to at most 16
-    points and 1e5 subsets.
-    """
-    pts = sorted(universe, key=lambda q: q.id)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("universe must be nonempty")
-    k_eff = _guard_subsets(n, k)
-    if k_eff == n:
-        return Solution(frozenset(q.id for q in pts), 0.0)
-    powered = _powered_matrix(pts, p, oracle)
-    best_cost = math.inf
-    best: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(n), k_eff):
-        c = float(powered[:, subset].min(axis=1).sum())
-        if c < best_cost:
-            best_cost = c
-            best = subset
-    return Solution(frozenset(pts[i].id for i in best), best_cost)
-
-
-def brute_force_opt_weighted(
-    instance: WeightedInstance, k: int, p: float, oracle: DistanceOracle
-) -> Solution:
-    """Exact weighted optimum over instance points; subset-count guarded."""
-    entries = instance.sorted_entries()
-    n = len(entries)
-    if n == 0:
-        raise ValueError("instance must be nonempty")
-    k_eff = _guard_subsets(n, k, max_points=24)
-    pts = [q for q, _ in entries]
-    if k_eff == n:
-        return Solution(frozenset(q.id for q in pts), 0.0)
-    weights = np.array([w for _, w in entries], dtype=np.float64)
-    powered = _powered_matrix(pts, p, oracle)
-    best_cost = math.inf
-    best: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(n), k_eff):
-        c = float(np.sum(weights * powered[:, subset].min(axis=1)))
-        if c < best_cost:
-            best_cost = c
-            best = subset
-    return Solution(frozenset(pts[i].id for i in best), best_cost)
-
-
-def brute_force_coverage_radius(
-    universe: Sequence[Point],
-    k: int,
-    fraction: float,
-    oracle: DistanceOracle,
-) -> float:
-    """Smallest coverage radius achievable with k centers: minimum over all
-    k-subsets of the ceil(fraction*n)-th smallest distance to the subset."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    pts = sorted(universe, key=lambda q: q.id)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("universe must be nonempty")
-    k_eff = _guard_subsets(n, k)
-    dist = oracle.pairwise(pts, pts, count=False)
-    m = max(1, math.ceil(fraction * n - 1e-9))
-    best = math.inf
-    for subset in itertools.combinations(range(n), k_eff):
-        dmin = dist[:, subset].min(axis=1)
-        r = float(np.partition(dmin, m - 1)[m - 1])
-        if r < best:
-            best = r
-    return best

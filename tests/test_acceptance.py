@@ -16,18 +16,20 @@ from dynkmed import (
     DynamicParams,
     ExperimentConfig,
     SyntheticSpec,
-    brute_force_coverage_radius,
-    brute_force_opt,
-    brute_force_opt_weighted,
-    cost_assignment,
-    cost_weighted,
     points_from_array,
     preprocess,
     query,
-    relaxed_triangle_ok,
     run_experiment,
     sliding_window_stream,
     synthetic_points,
+)
+from oracles import (
+    brute_force_coverage_radius,
+    brute_force_opt_weighted,
+    cost_assignment,
+    cost_weighted,
+    relaxed_triangle_ok,
+    unit_instance,
 )
 
 BETA = 0.5
@@ -66,7 +68,7 @@ def test_criterion_1_invariant_suite():
         for k, phi in [(5, 50), (5, 200), (25, 50), (25, 200)]:
             pts = synthetic_points(SyntheticSpec(8, 3, n), seed * 37)
             oracle = DistanceOracle(offset=1.0 / n)
-            state = dk.empty_state(DynamicParams(k=k, phi=phi, seed=seed * 37 + 1), oracle)
+            state = dk.ClusteringState(DynamicParams(k=k, phi=phi, seed=seed * 37 + 1), oracle)
             for op, pos in sliding_window_stream(n, window):
                 if op == "insert":
                     state.insert(pts[pos])
@@ -92,7 +94,7 @@ def test_criterion_2_oracle_approximation():
     over_theory = 0
     for seed in range(100):
         pts, k, state = micro_instance(seed)
-        opt = brute_force_opt(pts, k, 1.0, state.oracle).cost
+        opt = brute_force_opt_weighted(unit_instance(pts), k, 1.0, state.oracle).cost
         assert opt > 0.0
         ratio = cost_assignment(state.assignment(), pts, 1.0, state.oracle) / opt
         ratios.append(ratio)
@@ -115,7 +117,7 @@ def test_criterion_3_extraction_bound():
     for seed in range(100):
         pts, k, state = micro_instance(seed)
         oracle = state.oracle
-        opt = brute_force_opt(pts, k, 1.0, oracle).cost
+        opt = brute_force_opt_weighted(unit_instance(pts), k, 1.0, oracle).cost
         phi_hat = cost_assignment(state.assignment(), pts, 1.0, oracle) / opt
         instance = state.weighted_instance()
         answer = query(state, k, 1.0, seed=seed)
@@ -210,7 +212,7 @@ def test_criterion_6_powered_distance_generalization():
     for seed in range(100):
         pts2, k, state = micro_instance(seed)
         oracle2 = state.oracle
-        opt2 = brute_force_opt(pts2, k, 2.0, oracle2).cost
+        opt2 = brute_force_opt_weighted(unit_instance(pts2), k, 2.0, oracle2).cost
         assert opt2 > 0.0
         cassign = cost_assignment(state.assignment(), pts2, 2.0, oracle2)
         if cassign > assign_const * opt2 * (1.0 + 1e-9):

@@ -296,7 +296,7 @@ def test_amortization_visible_across_window_doublings(tmp_path):
 
 
 def test_baseline_sanity_against_brute_force(tmp_path):
-    from dynkmed import brute_force_opt
+    from oracles import brute_force_opt_weighted, unit_instance
 
     config = ExperimentConfig(
         window=12,
@@ -332,7 +332,7 @@ def test_baseline_sanity_against_brute_force(tmp_path):
         members = [points[i] for i in sorted(live_at[row.update_index])]
         if len(members) <= config.k:
             continue
-        opt = brute_force_opt(members, config.k, config.p, oracle).cost
+        opt = brute_force_opt_weighted(unit_instance(members), config.k, config.p, oracle).cost
         assert row.solution_cost >= opt - 1e-9
         # generous calibrated band: the static pipeline plus the local-search
         # guarantee keeps the baseline within a small multiple of optimal
@@ -376,6 +376,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 1
+    for extra, message in (
+        (["--baseline", "static:0"], "baseline period must be at least 1"),
+        (["--k", "0"], "k and phi must be positive"),
+    ):
+        capsys.readouterr()
+        code = cli_main(
+            ["--synthetic", "g:1:1:50", "--window", "5", "--k", "1", "--phi", "1",
+             "--out", str(tmp_path / "x.csv"), *extra]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize(

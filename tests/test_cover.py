@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from dynkmed import (
-    CoverParams,
     DistanceOracle,
     DynamicParams,
-    almost_cover,
-    coverage_radius,
     points_from_array,
     preprocess,
 )
+from oracles import cover_round
 
 
 def line_points(*coords):
@@ -22,101 +20,104 @@ def first_id_sampler(ids, count, rng):
     return [ids[0]] * count
 
 
+def round_radius(centers, universe, fraction):
+    """The radius of a cover round whose sample is forced to ``centers``."""
+    picked = sorted(p.id for p in centers)
+    params = DynamicParams(k=1, phi=len(picked), beta=fraction,
+                           sampler=lambda ids, count, rng: picked)
+    return cover_round(universe, params)[2]
+
+
 def test_coverage_radius_centers_equal_universe():
     pts = line_points(0, 5, 9)
-    assert coverage_radius(pts, pts, 0.7, DistanceOracle()) == 0.0
+    assert round_radius(pts, pts, 0.7) == 0.0
 
 
 def test_coverage_radius_full_fraction_is_max_distance():
     pts = line_points(0, 1, 2, 100)
     center = [pts[0]]
-    # fraction 1 with one center: the largest distance to it
+    # a fraction that takes the last of 4 with one center: the largest
+    # distance to it
     expected = max(abs(p.coords[0]) for p in pts)
-    assert coverage_radius(center, pts, 1.0, DistanceOracle()) == expected
+    assert round_radius(center, pts, 0.99) == expected
 
 
 def test_coverage_radius_selection():
     pts = line_points(0, 1, 2, 100)
     # distances to {0} are {0,1,2,100}; ceil(0.5*4)=2nd smallest is 1
     sorted_d = sorted(abs(p.coords[0]) for p in pts)
-    assert coverage_radius([pts[0]], pts, 0.5, DistanceOracle()) == sorted_d[1] == 1.0
-
-
-def test_coverage_radius_validation():
-    pts = line_points(0, 1)
-    with pytest.raises(ValueError):
-        coverage_radius([], pts, 0.5, DistanceOracle())
-    with pytest.raises(ValueError):
-        coverage_radius(pts, pts, 0.0, DistanceOracle())
+    assert round_radius([pts[0]], pts, 0.5) == sorted_d[1] == 1.0
 
 
 def test_almost_cover_forced_single_center():
     pts = line_points(0, 1, 2, 100)
-    params = CoverParams(k=1, phi=1, beta=0.5, sampler=first_id_sampler)
-    cover = almost_cover(pts, params)
-    assert cover.centers == {0}
-    assert cover.radius == 1.0
-    assert cover.covered == {0, 1}
-    assert cover.assignment == {0: 0, 1: 0}
+    params = DynamicParams(k=1, phi=1, beta=0.5, sampler=first_id_sampler)
+    centers, assignment, radius = cover_round(pts, params)
+    assert centers == {0}
+    assert radius == 1.0
+    assert set(assignment) == {0, 1}
+    assert assignment == {0: 0, 1: 0}
 
 
 def test_almost_cover_sampling_all_points():
     pts = line_points(3, 8, 20)
-    params = CoverParams(k=1, phi=5, beta=0.5, sampler=lambda ids, n, rng: list(ids))
-    cover = almost_cover(pts, params)
-    assert cover.centers == {0, 1, 2}
-    assert cover.radius == 0.0
-    assert cover.covered == {0, 1, 2}
-    assert cover.assignment == {0: 0, 1: 1, 2: 2}
+    params = DynamicParams(k=1, phi=5, beta=0.5, sampler=lambda ids, n, rng: list(ids))
+    centers, assignment, radius = cover_round(pts, params)
+    assert centers == {0, 1, 2}
+    assert radius == 0.0
+    assert set(assignment) == {0, 1, 2}
+    assert assignment == {0: 0, 1: 1, 2: 2}
 
 
 def test_almost_cover_coverage_fraction_holds():
     rng = np.random.default_rng(2)
     for seed in range(20):
         pts = points_from_array(rng.normal(size=(37, 2)))
-        params = CoverParams(k=3, phi=4, beta=0.62, seed=seed)
-        cover = almost_cover(pts, params)
-        assert len(cover.covered) >= math.ceil(0.62 * 37)
-        for pid, center in cover.assignment.items():
-            assert center in cover.centers
-        assert cover.centers <= cover.covered
+        params = DynamicParams(k=3, phi=4, beta=0.62, seed=seed)
+        centers, assignment, _ = cover_round(pts, params)
+        assert len(assignment) >= math.ceil(0.62 * 37)
+        for pid, center in assignment.items():
+            assert center in centers
+        assert centers <= set(assignment)
 
 
 def test_almost_cover_assignment_within_radius():
     rng = np.random.default_rng(9)
     pts = points_from_array(rng.uniform(0, 10, size=(40, 3)))
     oracle = DistanceOracle(offset=0.05)
-    params = CoverParams(k=2, phi=6, beta=0.5, seed=4)
-    cover = almost_cover(pts, params, oracle=oracle)
+    params = DynamicParams(k=2, phi=6, beta=0.5, seed=4)
+    centers, assignment, radius = cover_round(pts, params, oracle=oracle)
     by_id = {p.id: p for p in pts}
-    for pid, center in cover.assignment.items():
+    ordered = [by_id[c] for c in sorted(centers)]
+    for pid, center in assignment.items():
         d = oracle.distance(by_id[pid], by_id[center])
-        assert d <= cover.radius + 1e-9
-        # nearest-center with ties toward the smallest id
-        best, best_id = oracle.dist_to_set(by_id[pid], [by_id[c] for c in cover.centers])
-        assert center == best_id
+        assert d <= radius + 1e-9
+        # nearest-center with ties toward the smallest id: the first minimum
+        # of the point's row against the centers in id order
+        row = oracle.pairwise([by_id[pid]], ordered)[0]
+        assert center == ordered[int(np.argmin(row))].id
 
 
 def test_almost_cover_rejects_empty_and_bad_sampler():
-    with pytest.raises(ValueError):
-        almost_cover([], CoverParams(k=1, phi=1))
     pts = line_points(0, 1)
-    params = CoverParams(k=1, phi=1, sampler=lambda ids, n, rng: [99])
+    params = DynamicParams(k=1, phi=1, sampler=lambda ids, n, rng: [99])
     with pytest.raises(ValueError):
-        almost_cover(pts, params)
+        cover_round(pts, params)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        CoverParams(k=0, phi=1)
+        DynamicParams(k=0, phi=1)
     with pytest.raises(ValueError):
-        CoverParams(k=1, phi=0)
+        DynamicParams(k=1, phi=0)
     with pytest.raises(ValueError):
-        CoverParams(k=1, phi=1, beta=1.0)
+        DynamicParams(k=1, phi=1, beta=1.0)
     with pytest.raises(ValueError):
-        CoverParams(k=1, phi=4, last_layer_threshold=2)
-    assert CoverParams(k=1, phi=4).threshold == 4
-    assert CoverParams(k=1, phi=4, last_layer_threshold=9).threshold == 9
+        DynamicParams(k=1, phi=4, last_layer_threshold=2)
+    with pytest.raises(ValueError):
+        DynamicParams(k=1, phi=4, epsilon=1.0)
+    assert DynamicParams(k=1, phi=4).threshold == 4
+    assert DynamicParams(k=1, phi=4, last_layer_threshold=9).threshold == 9
 
 
 def test_build_layers_small_input_single_layer():

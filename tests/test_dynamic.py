@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dynkmed import (
+    ClusteringState,
     DistanceOracle,
     DynamicParams,
-    almost_cover,
-    empty_state,
     points_from_array,
     preprocess,
 )
+from oracles import cover_round
 
 
 def gaussian_points(n, dim=2, seed=0, start_id=0):
@@ -73,11 +73,13 @@ def test_rebuild_from_layer_one_matches_static_pipeline():
     remaining = state.live_points()
     fresh_oracle = DistanceOracle()
     for layer in state.layers[:-1]:
-        cover = almost_cover(remaining, params, oracle=fresh_oracle, rng=rng_clone)
-        assert cover.covered == layer.covered
-        assert cover.radius == layer.radius
-        assert cover.centers == layer.centers
-        remaining = [p for p in remaining if p.id not in cover.covered]
+        centers, assignment, radius = cover_round(
+            remaining, params, oracle=fresh_oracle, rng=rng_clone
+        )
+        assert set(assignment) == layer.covered
+        assert radius == layer.radius
+        assert centers == layer.centers
+        remaining = [p for p in remaining if p.id not in assignment]
     assert {p.id for p in remaining} == state.members(state.t)
     for layer in state.layers:
         assert layer.updates == 0
@@ -287,7 +289,7 @@ def test_weighted_instance_trivial_and_sum():
 
 
 def test_weighted_instance_empty_state_rejected():
-    state = empty_state(DynamicParams(k=1, phi=1))
+    state = ClusteringState(DynamicParams(k=1, phi=1))
     with pytest.raises(ValueError):
         state.weighted_instance()
 
@@ -366,7 +368,7 @@ def test_delete_to_empty_and_repopulate():
 
 
 def test_empty_state_constructor():
-    state = empty_state(DynamicParams(k=2, phi=3))
+    state = ClusteringState(DynamicParams(k=2, phi=3))
     assert state.live_count == 0 and state.t == 1
     assert state.integrity_check() == []
     state.insert(line_points(1)[0])
@@ -494,3 +496,22 @@ def test_update_whose_rebuild_fails_is_kept_and_the_next_update_rebuilds():
     state.insert(next(fresh))
     assert state.integrity_check() == []
     assert state.live_count == len(state.assignment())
+
+
+def test_integrity_check_reports_a_custom_metric_that_returns_nan():
+    params = DynamicParams(k=2, phi=4, last_layer_threshold=8, seed=6)
+    metric = FlakyEuclidean()
+    state = preprocess(gaussian_points(90, seed=6), params, DistanceOracle(0.01, base=metric))
+    assert state.integrity_check() == []
+    # the 2*radius check reads the metric through the oracle's aligned-pair
+    # kernel, so a NaN is rejected there and reported, never compared
+    state.oracle.base = lambda a, b: float("nan")
+    problems = state.integrity_check()
+    assert problems and all("custom metric returned nan" in p for p in problems)
+
+
+def test_preprocess_of_overflowing_coordinates_names_the_overflow():
+    # finite coordinates whose squared norms overflow float64
+    pts = points_from_array(np.random.default_rng(5).normal(size=(60, 2)) * 1e200)
+    with pytest.raises(ValueError, match="overflow"):
+        preprocess(pts, DynamicParams(k=2, phi=5, seed=1))

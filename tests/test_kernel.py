@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from dynkmed import CoverParams, DistanceOracle
+from dynkmed import DistanceOracle, DynamicParams
 from dynkmed.cover import _cover_arrays, _quantile_index
 from dynkmed.metric import _CHUNK_ROWS, PointId
 
@@ -63,7 +63,7 @@ def _reference_matrix_between(
 def _reference_cover_arrays(
     ids: np.ndarray,
     coords: np.ndarray,
-    params: CoverParams,
+    params: DynamicParams,
     rng: np.random.Generator,
     oracle: DistanceOracle,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -165,7 +165,7 @@ def test_cover_round_matches_the_reference(n, c, dim, scale, shift, offset):
     x = coordinates(n, dim, seed=n - dim, scale=scale, shift=shift)
     ids = np.arange(3, 3 + 2 * n, 2)          # sorted, distinct, not positions
     for phi, beta in ((c, 0.5), (7, 0.8)):
-        params = CoverParams(k=3, phi=phi, beta=beta)
+        params = DynamicParams(k=3, phi=phi, beta=beta)
         new_rng, old_rng = np.random.default_rng(n), np.random.default_rng(n)
         new, old = DistanceOracle(offset), DistanceOracle(offset)
         got = _cover_arrays(ids, x, params, new_rng, new)
@@ -184,7 +184,7 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
     # collapses to one center
     x = coordinates(50, 2, seed=8)
     ids = np.arange(50)
-    params = CoverParams(k=2, phi=4, sampler=lambda pool, count, rng: [1, 0, 0, 30])
+    params = DynamicParams(k=2, phi=4, sampler=lambda pool, count, rng: [1, 0, 0, 30])
     for offset in (0.0, 0.3):
         got = _cover_arrays(ids, x, params, None, DistanceOracle(offset))
         want = _reference_cover_arrays(ids, x, params, None, DistanceOracle(offset))

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dynkmed import DistanceOracle, Point, PointStore, points_from_array, relaxed_triangle_ok
+from dynkmed import DistanceOracle, Point, PointStore, points_from_array
+from oracles import relaxed_triangle_ok
 
 
 def pt(pid, *coords):
@@ -49,41 +50,27 @@ def test_symmetry_and_nonnegativity_seeded():
         assert d >= 0.1
 
 
-def test_powered_distance():
-    oracle = DistanceOracle()
-    a, b = pt(0, 0.0), pt(1, 3.0)
-    assert oracle.powered_distance(a, b, 1.0) == 3.0
-    assert oracle.powered_distance(a, b, 2.0) == 9.0
-    assert oracle.powered_distance(a, a, 7.0) == 0.0
-    with pytest.raises(ValueError):
-        oracle.powered_distance(a, b, 0.5)
+def nearest(oracle, x, candidates):
+    """Distance from x to a candidate set and the nearest id: the first
+    minimum of a ``pairwise`` row over the candidates in id order."""
+    pts = sorted(candidates, key=lambda q: q.id)
+    row = oracle.pairwise([x], pts)[0]
+    j = int(np.argmin(row))
+    return float(row[j]), pts[j].id
 
 
 def test_dist_to_set_tie_breaks_to_smallest_id():
     oracle = DistanceOracle()
     x = pt(5, 5.0)
     near, far = pt(0, 0.0), pt(1, 10.0)
-    assert oracle.dist_to_set(x, [far, near]) == (5.0, 0)
+    assert nearest(oracle, x, [far, near]) == (5.0, 0)
 
 
 def test_dist_to_set_member_and_singleton():
     oracle = DistanceOracle()
     x = pt(3, 4.0)
-    assert oracle.dist_to_set(x, [pt(9, 0.0), x]) == (0.0, 3)
-    assert oracle.dist_to_set(pt(0, 0.0), [pt(1, 7.0)]) == (7.0, 1)
-    with pytest.raises(ValueError):
-        oracle.dist_to_set(x, [])
-
-
-def test_ball_examples():
-    oracle = DistanceOracle()
-    universe = [pt(i, float(c)) for i, c in enumerate([0, 1, 2, 100])]
-    assert oracle.ball([universe[0]], 1000.0, universe) == {0, 1, 2, 3}
-    assert oracle.ball(universe, 0.0, universe) == {0, 1, 2, 3}
-    # 1-D {0,1,2,100}, around {0}, r=1 -> the points at coordinates 0 and 1
-    assert oracle.ball([universe[0]], 1.0, universe) == {0, 1}
-    with pytest.raises(ValueError):
-        oracle.ball([universe[0]], -1.0, universe)
+    assert nearest(oracle, x, [pt(9, 0.0), x]) == (0.0, 3)
+    assert nearest(oracle, pt(0, 0.0), [pt(1, 7.0)]) == (7.0, 1)
 
 
 def test_relaxed_triangle_plain_metric():
@@ -135,7 +122,10 @@ def test_eval_counter_scalar_and_batch():
     assert oracle.evals == 2 + 15
     oracle.pairwise(pts, pts[:2], count=False)
     assert oracle.evals == 17
-    oracle.elementwise(pts[:4], pts[1:5])
+    coords = np.stack([p.coords for p in pts])
+    oracle.elementwise(coords[:4], None, coords[1:5], None)
+    assert oracle.evals == 21
+    oracle.elementwise(coords[:4], None, coords[1:5], None, count=False)
     assert oracle.evals == 21
 
 
@@ -146,7 +136,7 @@ def test_eval_counter_deterministic_over_batch():
     for _ in range(2):
         oracle = DistanceOracle()
         oracle.pairwise(pts[:12], pts[12:])
-        oracle.dist_to_set(pts[0], pts[5:11])
+        oracle.pairwise([pts[0]], pts[5:11])
         counts.append(oracle.evals)
     assert counts[0] == counts[1] == 12 * 8 + 6
 
@@ -159,6 +149,28 @@ def test_pairwise_matches_scalar_distance():
     for i in range(15):
         for j in range(15):
             assert mat[i, j] == pytest.approx(oracle.distance(pts[i], pts[j]), abs=1e-9)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_distance_is_the_one_pair_elementwise_kernel(offset):
+    rng = np.random.default_rng(29)
+    for dim in (1, 2, 7, 64):
+        xs = points_from_array(rng.normal(scale=3.0, size=(200, dim)))
+        rows = rng.normal(scale=3.0, size=(200, dim))
+        ys = [Point(i if i >= 150 else 1000 + i, rows[i]) for i in range(200)]
+        oracle = DistanceOracle(offset)
+        d = oracle.elementwise(
+            np.stack([p.coords for p in xs]), [p.id for p in xs],
+            np.stack([p.coords for p in ys]), [p.id for p in ys],
+        )
+        assert oracle.evals == 200
+        # pairs 150..199 share an id: exactly zero, whatever the coordinates
+        assert np.all(d[150:] == 0.0) and np.all(d[:150] >= offset)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            assert repr(oracle.distance(x, y)) == repr(float(d[i]))
+        assert oracle.evals == 400
+    with pytest.raises(ValueError):
+        oracle.elementwise(np.zeros((2, 3)), None, np.zeros((3, 3)), None)
 
 
 def test_custom_base_metric():
@@ -207,8 +219,10 @@ def test_custom_base_metric_rejects_non_finite_and_negative_values(bad):
         oracle.distance(pts[1], pts[2])
     with pytest.raises(ValueError, match=r"points 11 and 12"):
         oracle.pairwise(pts, pts)
-    with pytest.raises(ValueError, match=r"points 11 and 12"):
-        oracle.elementwise(pts[:2], pts[1:])
     coords = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"points 11 and 12"):
+        oracle.elementwise(coords[:2], [10, 11], coords[1:], [11, 12])
     with pytest.raises(ValueError, match=r"rows 1 and 2"):
         oracle.matrix_between(coords, None, coords, None)
+    with pytest.raises(ValueError, match=r"rows 1 and 1"):
+        oracle.elementwise(coords[:2], None, coords[1:], None)

@@ -1,0 +1,13 @@
+"""README's library quick start runs as written against the package."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_quick_start_runs(capsys):
+    text = README.read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -6,18 +6,20 @@ from dynkmed import (
     DynamicParams,
     Point,
     WeightedInstance,
-    brute_force_coverage_radius,
-    brute_force_opt,
-    brute_force_opt_weighted,
-    cost_assignment,
     cost_set,
-    cost_weighted,
     points_from_array,
     preprocess,
     query,
     weighted_solve,
 )
 from dynkmed.solver import _instance_gram, _seed_indices
+from oracles import (
+    brute_force_coverage_radius,
+    brute_force_opt_weighted,
+    cost_assignment,
+    cost_weighted,
+    unit_instance,
+)
 
 
 def line_points(*coords):
@@ -157,9 +159,10 @@ def test_instance_gram_equals_the_general_pairwise_path(p, offset):
 
 
 def test_brute_force_opt_examples():
+    # the plain optimum is the weighted one over unit weights
     pts = line_points(0, 1, 10)
-    assert brute_force_opt(pts, 5, 1.0, ORACLE).cost == 0.0
-    sol = brute_force_opt(pts, 2, 1.0, ORACLE)
+    assert brute_force_opt_weighted(unit_instance(pts), 5, 1.0, ORACLE).cost == 0.0
+    sol = brute_force_opt_weighted(unit_instance(pts), 2, 1.0, ORACLE)
     assert sol.cost == 1.0
     assert sol.centers == {0, 2}  # lexicographically first optimal subset
 
@@ -168,14 +171,20 @@ def test_brute_force_opt_examples():
     direct = min(
         sum(ORACLE.distance(x, c) for x in pts) for c in pts
     )
-    assert brute_force_opt(pts, 1, 1.0, ORACLE).cost == pytest.approx(direct)
+    assert brute_force_opt_weighted(unit_instance(pts), 1, 1.0, ORACLE).cost == pytest.approx(
+        direct
+    )
 
 
 def test_brute_force_guards():
     with pytest.raises(ValueError):
-        brute_force_opt(random_points(17, seed=0), 2, 1.0, ORACLE)
+        brute_force_opt_weighted(unit_instance(random_points(25, seed=0)), 2, 1.0, ORACLE)
     with pytest.raises(ValueError):
-        brute_force_opt([], 1, 1.0, ORACLE)
+        brute_force_opt_weighted(unit_instance(random_points(24, seed=0)), 12, 1.0, ORACLE)
+    with pytest.raises(ValueError):
+        brute_force_opt_weighted(unit_instance([]), 1, 1.0, ORACLE)
+    with pytest.raises(ValueError):
+        brute_force_coverage_radius(random_points(17, seed=0), 2, 0.5, ORACLE)
 
 
 def test_brute_force_coverage_radius_examples():
@@ -236,7 +245,7 @@ def test_query_measured_extraction_bound():
         state = preprocess(pts, params)
         oracle = state.oracle
 
-        opt = brute_force_opt(pts, k, 1.0, oracle).cost
+        opt = brute_force_opt_weighted(unit_instance(pts), k, 1.0, oracle).cost
         assert opt > 0.0
         phi_hat = cost_assignment(state.assignment(), pts, 1.0, oracle) / opt
 
