@@ -13,7 +13,6 @@ from .metric import (
     points_from_array,
 )
 from .dynamic import (
-    ClusterRecord,
     ClusteringState,
     DynamicParams,
     Layer,
@@ -41,7 +40,6 @@ from .bench import (
 )
 
 __all__ = [
-    "ClusterRecord",
     "ClusteringState",
     "ConfigError",
     "DatasetError",

@@ -39,7 +39,8 @@ def _cover_arrays(
 
     Returns the sorted distinct sampled center ids, each point's nearest
     center as an index into them (ties toward the smallest id), the boolean
-    covered mask aligned with ``ids``, and the radius.
+    covered mask aligned with ``ids``, and the radius. Every center that is
+    some point's nearest is its own nearest.
     """
     n = ids.shape[0]
     if params.sampler is not None:
@@ -55,8 +56,16 @@ def _cover_arrays(
 
     # ids are distinct, so the only same-id pair of center j is (pos[j], j)
     dist = oracle.matrix_between(coords, None, coords[pos], None)
-    dist[pos, np.arange(pos.shape[0])] = 0.0
+    columns = np.arange(pos.shape[0])
+    dist[pos, columns] = 0.0
     nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
+    # a center whose own row went to another center (a computed distance of
+    # 0, which rounding far from the origin can give) must keep no members;
+    # an exact twin's column equals the kept twin's, so no row picked it
+    absorbed = nearest[pos] != columns
+    if absorbed.any():
+        dist[:, absorbed] = np.inf
+        nearest = np.argmin(dist, axis=1)
     dmin = dist[np.arange(n), nearest]
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])

@@ -1,25 +1,25 @@
 """Fully dynamic layered clustering structure.
 
 The state keeps a stack of layers, each one round of the static sampling
-cover, and one map from every live point id to its cluster record. A record
-holds its current center, its members and the depth of its layer; a layer
-holds its records, its radius and two counters. Centers and covered sets are
-read off the records, and U_i, the points covered at depth i or deeper, is
-the union of the records of layers i..t, so the U_i nest by construction.
+cover, over one cluster table of centers and sizes ordered layer by layer:
+layer i owns the slots from its ``start`` up to the next layer's, so a
+cluster's depth is its position in the table. Each live point stores only
+its slot, indexed by its store row. U_i, the points covered at depth i or
+deeper, is the rows with slot >= ``start_i``, so the U_i nest by construction.
 
-Updates touch only the map, the counters and one record, and evaluate no
-distances. Each layer counts the updates it absorbed since it was built; once
-that reaches a ``tau`` fraction of its size at build time, layers i..t are
-rebuilt, which keeps them close to what a fresh static run would produce.
-Deleting a center promotes the smallest-id surviving member, which keeps all
-members within twice the layer radius of their center.
+Updates touch the counters, one slot and one table entry, and evaluate no
+distances: an insert appends a singleton slot to the last layer, a delete
+decrements a size (an emptied cluster keeps size 0 until its layer is
+rebuilt), and deleting a center promotes the smallest-id surviving member,
+which keeps all members within twice the layer radius of their center. Once
+a layer has absorbed updates a ``tau`` fraction of its size at build time,
+layers i..t are rebuilt from U_i and the table is truncated at ``start_i``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .solver import WeightedInstance
 # Absolute slop for comparing integer counters against fractional thresholds.
 _EPS = 1e-9
 
-# One cover round: working-set size, radius, clusters as (center, members).
-_Round = tuple[int, float, list[tuple[PointId, list[PointId]]]]
+# One layer to append: working-set size, radius, its points' rows with each
+# one's cluster index in the layer, and the clusters' centers and sizes.
+_Round = tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -81,37 +82,12 @@ class DynamicParams:
         return 1.0 - self.beta * (1.0 - self.epsilon)
 
 
-@dataclass(eq=False)
-class ClusterRecord:
-    """One cluster: current center, member ids, and the 1-based depth of the
-    layer that holds it. Records compare and hash by identity."""
-
-    center: PointId
-    members: set[PointId]
-    depth: int
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 @dataclass
 class Layer:
-    # insertion-ordered set of the layer's records (values unused)
-    clusters: dict[ClusterRecord, None] = field(default_factory=dict)
+    start: int                          # first slot of the layer in the table
     radius: float = 0.0
     base_size: int = 0                  # |U_i| when the layer was last built
     updates: int = 0                    # updates absorbed since that build
-
-    @property
-    def centers(self) -> set[PointId]:
-        """S_i: the current cluster centers."""
-        return {record.center for record in self.clusters}
-
-    @property
-    def covered(self) -> set[PointId]:
-        """C_i: the union of the cluster members."""
-        return set(chain.from_iterable(record.members for record in self.clusters))
 
 
 class ClusteringState:
@@ -128,8 +104,11 @@ class ClusteringState:
         self.oracle = oracle or DistanceOracle()
         self.store = PointStore()
         self.rng = np.random.default_rng(params.seed)
-        self.cluster_of: dict[PointId, ClusterRecord] = {}
-        self.layers: list[Layer] = [Layer()]  # empty: one terminal layer
+        # the cluster table, and each store row's slot in it (-1: no point)
+        self.center: list[PointId] = []
+        self.size: list[int] = []
+        self.slot = np.empty(0, dtype=np.int64)
+        self.layers: list[Layer] = [Layer(0)]  # empty: one terminal layer
 
     # -- basic views ---------------------------------------------------------
 
@@ -144,115 +123,124 @@ class ClusteringState:
     def live_points(self) -> list[Point]:
         return self.store.points_sorted()
 
+    def _bounds(self) -> list[tuple[int, int]]:
+        """Each layer's slots as (first, end), top to bottom."""
+        starts = [layer.start for layer in self.layers] + [len(self.center)]
+        return list(zip(starts, starts[1:]))
+
     def members(self, index: int) -> set[PointId]:
         """U_index (1-based): the points covered at depth index or deeper."""
-        return set(self._member_ids(index))
+        return set(self.store.row_ids[self.slot >= self.layers[index - 1].start].tolist())
 
-    def _member_ids(self, index: int) -> Iterator[PointId]:
-        """The ids of U_index, each once, read off the records of layers
-        index..t."""
-        records = chain.from_iterable(layer.clusters for layer in self.layers[index - 1 :])
-        return chain.from_iterable(record.members for record in records)
+    def clusters(self, index: int) -> dict[PointId, set[PointId]]:
+        """The clusters of layer index (1-based) as center -> member ids."""
+        lo, hi = self._bounds()[index - 1]
+        out = {self.center[s]: set() for s in range(lo, hi) if self.size[s]}
+        rows = np.flatnonzero((self.slot >= lo) & (self.slot < hi))
+        for pid, s in zip(self.store.row_ids[rows].tolist(), self.slot[rows].tolist()):
+            out[self.center[s]].add(pid)
+        return out
 
     # -- construction --------------------------------------------------------
 
-    def _cover_rounds(self, ids: np.ndarray) -> tuple[list[_Round], list[PointId]]:
-        """Peel cover rounds off the sorted ids until at most ``threshold``
-        remain; touches nothing but the sample stream.
+    def _track_rows(self) -> None:
+        """Give every row the store has grown by an empty slot."""
+        grow = self.store.row_ids.shape[0] - self.slot.shape[0]
+        if grow > 0:
+            self.slot = np.concatenate([self.slot, np.full(grow, -1, dtype=np.int64)])
 
-        Returns one round per layer, each with the size of its working set,
-        its radius and its clusters as (center, members) in center order,
-        plus the remainder, which becomes a last layer of singletons.
+    def _cover_rounds(self, rows: np.ndarray, ids: np.ndarray) -> list[_Round]:
+        """Peel cover rounds off the points (store rows and their sorted
+        ids) until at most ``threshold`` remain; touches nothing but the
+        sample stream.
+
+        Returns one round per layer, the last being the remainder as
+        singletons. A round's clusters are in center order.
         """
-        coords = self.store.coords_for(ids)
+        coords = self.store.matrix[rows]
         rounds: list[_Round] = []
         while ids.shape[0] > self.params.threshold:
             center_ids, nearest, mask, radius = _cover_arrays(
                 ids, coords, self.params, self.rng, self.oracle
             )
-            # group the covered points by nearest center, in center order; a
-            # sampled center whose same-coord twin with a smaller id absorbed
-            # it gets no members and no cluster
-            order = np.argsort(nearest[mask], kind="stable")
-            near = nearest[mask][order]
-            pids = ids[mask][order].tolist()
-            bounds = [0, *(np.flatnonzero(np.diff(near)) + 1).tolist(), len(pids)]
-            centers = center_ids[near[bounds[:-1]]].tolist()
-            groups = [
-                (center, pids[lo:hi])
-                for center, lo, hi in zip(centers, bounds, bounds[1:])
-            ]
-            rounds.append((ids.shape[0], radius, groups))
+            # a sampled center that no point has as its nearest (it lost its
+            # own row to another center) gets no cluster
+            near = nearest[mask]
+            counts = np.bincount(near, minlength=center_ids.shape[0])
+            kept = counts > 0
+            group = (np.cumsum(kept) - 1)[near]
+            rounds.append((ids.shape[0], radius, rows[mask], group, center_ids[kept], counts[kept]))
             keep = ~mask
-            ids = ids[keep]
-            coords = coords[keep]
-        return rounds, ids.tolist()
+            rows, ids, coords = rows[keep], ids[keep], coords[keep]
+        rest = ids.shape[0]
+        rounds.append((rest, 0.0, rows, np.arange(rest), ids, np.ones(rest, dtype=np.int64)))
+        return rounds
 
-    def _append_layers(self, rounds: list[_Round], rest: list[PointId]) -> None:
-        """Append the layers of :meth:`_cover_rounds` and map their points."""
-        for base_size, radius, groups in rounds:
-            layer = Layer(radius=radius, base_size=base_size)
-            self.layers.append(layer)
-            depth = self.t
-            for center, group in groups:
-                record = ClusterRecord(center, set(group), depth)
-                layer.clusters[record] = None
-                self.cluster_of.update(zip(group, repeat(record)))
-        depth = self.t + 1
-        records = [ClusterRecord(pid, {pid}, depth) for pid in rest]
-        self.layers.append(Layer(dict.fromkeys(records), base_size=len(rest)))
-        self.cluster_of.update(zip(rest, records))
+    def _rebuild(self, index: int, rows: np.ndarray) -> None:
+        """Replace layers index..t by the cover rounds of the given rows.
+
+        Atomic: every round runs before any layer changes, so if one raises
+        (say, a custom metric fails) the layers, the table, the slots and
+        the sample stream are left as they were.
+        """
+        ids = self.store.row_ids[rows]
+        order = np.argsort(ids)
+        stream = self.rng.bit_generator.state
+        try:
+            rounds = self._cover_rounds(rows[order], ids[order])
+        except BaseException:
+            self.rng.bit_generator.state = stream
+            raise
+        start = self.layers[index - 1].start
+        del self.layers[index - 1 :], self.center[start:], self.size[start:]
+        for base_size, radius, layer_rows, group, centers, sizes in rounds:
+            start = len(self.center)
+            self.layers.append(Layer(start, radius, base_size))
+            self.slot[layer_rows] = start + group
+            self.center += centers.tolist()
+            self.size += sizes.tolist()
 
     def rebuild_from_layer(self, index: int) -> None:
         """Discard layers index..t and rebuild them from the current U_index.
 
         ``index`` is 1-based. Rebuilding from layer 1 is exactly a fresh
         preprocess of the current point set on the same sample stream. The
-        rebuild is atomic: every cover round runs before any layer changes,
-        so if one raises (say, a custom metric fails) the layers, the point
-        map and the sample stream are left as they were.
+        rebuild is atomic (see :meth:`_rebuild`).
         """
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
-        ids = np.fromiter(self._member_ids(index), dtype=np.int64)
-        ids.sort()
-        stream = self.rng.bit_generator.state
-        try:
-            rounds, rest = self._cover_rounds(ids)
-        except BaseException:
-            self.rng.bit_generator.state = stream
-            raise
-        del self.layers[index - 1 :]
-        self._append_layers(rounds, rest)
+        self._rebuild(index, np.flatnonzero(self.slot >= self.layers[index - 1].start))
 
     # -- updates -------------------------------------------------------------
 
     def insert(self, point: Point) -> None:
         """Add a new point: counts as an update in every layer, becomes its
         own center in the last one, then the slack check runs."""
-        self.store.add(point)  # raises on a duplicate id before any change
+        row = self.store.add(point)  # raises on a duplicate id before any change
+        self._track_rows()
         for layer in self.layers:
             layer.updates += 1
-        record = ClusterRecord(point.id, {point.id}, self.t)
-        self.layers[-1].clusters[record] = None
-        self.cluster_of[point.id] = record
+        self.slot[row] = len(self.center)
+        self.center.append(point.id)
+        self.size.append(1)
         self.rebuild()
 
     def delete(self, pid: PointId) -> None:
         """Remove a live point; counts as an update in layers 1..depth.
 
         If it centered a cluster with surviving members, the smallest-id
-        member takes over as center; an emptied cluster is dropped.
+        member takes over as center.
         """
-        record = self.cluster_of.pop(pid)  # KeyError for an unknown id
-        for layer in self.layers[: record.depth]:
+        row = self.store.row(pid)  # KeyError for an unknown id
+        s = int(self.slot[row])
+        for layer in self.layers:
+            if layer.start > s:
+                break
             layer.updates += 1
-        record.members.discard(pid)
-        if record.center == pid:
-            if record.members:
-                record.center = min(record.members)
-            else:
-                del self.layers[record.depth - 1].clusters[record]
+        self.slot[row] = -1
+        self.size[s] -= 1
+        if self.center[s] == pid and self.size[s]:
+            self.center[s] = int(self.store.row_ids[self.slot == s].min())
         self.store.remove(pid)
         self.rebuild()
 
@@ -275,11 +263,13 @@ class ClusteringState:
 
     def assignment_of(self, pid: PointId) -> PointId:
         """Current center of the unique cluster containing ``pid``."""
-        return self.cluster_of[pid].center
+        return self.center[self.slot[self.store.row(pid)]]
 
     def assignment(self) -> dict[PointId, PointId]:
         """Full point -> center map across all layers."""
-        return {pid: record.center for pid, record in self.cluster_of.items()}
+        rows = np.flatnonzero(self.slot >= 0)
+        centers = np.array(self.center, dtype=np.int64)[self.slot[rows]]
+        return dict(zip(self.store.row_ids[rows].tolist(), centers.tolist()))
 
     def weighted_instance(self) -> WeightedInstance:
         """All current centers, weighted by their cluster sizes.
@@ -289,25 +279,24 @@ class ClusteringState:
         if len(self.store) == 0:
             raise ValueError("state is empty")
         entries: list[tuple[Point, int]] = []
-        for layer in self.layers:
-            for record in sorted(layer.clusters, key=lambda r: r.center):
-                entries.append((self.store.get(record.center), record.size))
+        for lo, hi in self._bounds():
+            live = sorted((c, w) for c, w in zip(self.center[lo:hi], self.size[lo:hi]) if w)
+            entries += [(self.store.get(c), w) for c, w in live]
         return WeightedInstance(entries)
 
     # -- diagnostics ---------------------------------------------------------
 
     def _sizes(self) -> list[int]:
-        """|U_i| for i = 1..t, summed from the covered counts of layers i..t."""
-        counts = [sum(r.size for r in layer.clusters) for layer in reversed(self.layers)]
-        return list(accumulate(counts))[::-1]
+        """|U_i| for i = 1..t, summed from the table."""
+        return [sum(self.size[layer.start :]) for layer in self.layers]
 
     def integrity_check(self) -> list[str]:
         """Verify the structural invariants; returns violations (empty = ok).
 
-        Checks the point map against the live set and the cluster records,
-        the records themselves, the slack invariant, the per-layer shrink
+        Checks each size against the points holding its slot and each center
+        against its own slot, then the slack invariant, the per-layer shrink
         bound, the 2*radius cluster bound, and the layer-count bound. Nesting
-        of the U_i holds by construction. Distance work here is uncounted so
+        and depths hold by construction. Distance work here is uncounted so
         diagnostics never distort evaluation-cost measurements.
         """
         violations: list[str] = []
@@ -315,28 +304,25 @@ class ClusteringState:
         n = len(self.store)
         slack = params.slack
 
-        if self.cluster_of.keys() != set(self.store.ids_sorted()):
-            violations.append("point map keys differ from the live point set")
-        for pid, record in self.cluster_of.items():
-            if pid not in record.members:
-                violations.append(f"point {pid} is not a member of its cluster")
-            if not (
-                1 <= record.depth <= self.t
-                and record in self.layers[record.depth - 1].clusters
-            ):
-                violations.append(f"point {pid}: cluster not in layer {record.depth}")
-
-        sizes = self._sizes()
-        if sizes[0] != n:
-            # with every point in its own record, an excess means a point
-            # sits in two records or a record holds a dead point
-            violations.append("cluster members do not partition the live point set")
-        for i, layer in enumerate(self.layers, start=1):
+        rows = np.flatnonzero(self.slot >= 0)
+        slots = self.slot[rows]
+        held = np.bincount(slots, minlength=len(self.size))[: len(self.size)]
+        for s in np.flatnonzero(held != np.array(self.size, dtype=np.int64))[:5]:
+            violations.append(f"cluster slot {s}: size {self.size[s]}, but {held[s]} points hold it")
+        totals = self._sizes()
+        if totals[0] != n:
+            violations.append("cluster sizes do not add up to the live point count")
+        # the row of each cluster's center among the points that hold its slot
+        rows, slots = rows[slots < len(self.center)], slots[slots < len(self.center)]
+        own = self.store.row_ids[rows] == np.array(self.center, dtype=np.int64)[slots]
+        center_row = np.full(len(self.center), -1)
+        center_row[slots[own]] = rows[own]
+        for i, (layer, (lo, hi)) in enumerate(zip(self.layers, self._bounds()), start=1):
             if i > 1:
-                bound = params.shrink_factor * sizes[i - 2]
-                if sizes[i - 1] > bound + _EPS:
+                bound = params.shrink_factor * totals[i - 2]
+                if totals[i - 1] > bound + _EPS:
                     violations.append(
-                        f"layer {i}: size {sizes[i - 1]} exceeds shrink bound "
+                        f"layer {i}: size {totals[i - 1]} exceeds shrink bound "
                         f"{bound:.3f} from layer {i-1}"
                     )
             if layer.updates > slack * layer.base_size + _EPS:
@@ -344,12 +330,10 @@ class ClusteringState:
                     f"layer {i}: slack invariant broken "
                     f"({layer.updates} updates > {slack} * {layer.base_size})"
                 )
-            for record in layer.clusters:
-                if record.center not in record.members:
-                    violations.append(
-                        f"layer {i}: cluster center {record.center} is not a member"
-                    )
-        violations.extend(self._check_radii())
+            for s in range(lo, hi):
+                if self.size[s] and center_row[s] < 0:
+                    violations.append(f"layer {i}: cluster center {self.center[s]} is not a member")
+        violations.extend(self._check_radii(rows[~own], slots[~own], center_row))
 
         if n > 0:
             # The next-to-last layer was bigger than the threshold when built
@@ -368,32 +352,30 @@ class ClusteringState:
                 )
         return violations
 
-    def _check_radii(self) -> list[str]:
-        """Every live point lies within twice its layer's radius of its
-        cluster's center (singletons are at distance zero by identity).
-        Distances come from the oracle's aligned-pair kernel, uncounted; a
-        custom metric that fails its check there is reported, not raised."""
-        pairs = [
-            (pid, record.center, record.depth)
-            for pid, record in self.cluster_of.items()
-            if pid != record.center and 1 <= record.depth <= self.t
-            and pid in self.store and record.center in self.store
-        ]
-        if not pairs:
+    def _check_radii(
+        self, rows: np.ndarray, slots: np.ndarray, center_row: np.ndarray
+    ) -> list[str]:
+        """Each given point lies within twice its layer's radius of its
+        cluster's center, if that is present. Distances come from the
+        oracle's aligned-pair kernel, uncounted; a custom metric that fails
+        its check there is reported, not raised."""
+        keep = center_row[slots] >= 0
+        rows, centers = rows[keep], center_row[slots[keep]]
+        if not rows.size:
             return []
-        pids, centers, depths = (list(column) for column in zip(*pairs))
-        a = self.store.coords_for(pids)
-        b = self.store.coords_for(centers)
+        pids, cids = self.store.row_ids[rows], self.store.row_ids[centers]
+        a, b = self.store.matrix[rows], self.store.matrix[centers]
         try:
-            d = self.oracle.elementwise(a, pids, b, centers, count=False)
+            d = self.oracle.elementwise(a, pids, b, cids, count=False)
         except ValueError as exc:
             return [f"2*radius check: {exc}"]
-        limit = 2.0 * np.array([self.layers[i - 1].radius for i in depths])
+        depths = np.searchsorted([layer.start for layer in self.layers], slots[keep], side="right")
+        limit = 2.0 * np.array([layer.radius for layer in self.layers])[depths - 1]
         tol = 1e-6 + 1e-9 * np.maximum(1.0, limit)
         bad = np.nonzero(d > limit + tol)[0]
         return [
             f"layer {depths[j]}: point {pids[j]} at distance {d[j]:.6g} from center "
-            f"{centers[j]} exceeds 2*radius={limit[j]:.6g}"
+            f"{cids[j]} exceeds 2*radius={limit[j]:.6g}"
             for j in bad[:5]
         ]
 
@@ -402,9 +384,10 @@ class ClusteringState:
         i, |U_i|, |S_i|, |C_i|, radius, base size, update counter."""
         sizes = self._sizes() + [0]
         lines = []
-        for i, layer in enumerate(self.layers, start=1):
+        for i, (layer, (lo, hi)) in enumerate(zip(self.layers, self._bounds()), start=1):
+            clusters = sum(1 for w in self.size[lo:hi] if w)
             lines.append(
-                f"{i}\t{sizes[i - 1]}\t{len(layer.clusters)}\t{sizes[i - 1] - sizes[i]}\t"
+                f"{i}\t{sizes[i - 1]}\t{clusters}\t{sizes[i - 1] - sizes[i]}\t"
                 f"{layer.radius!r}\t{layer.base_size}\t{layer.updates}"
             )
         return "\n".join(lines) + "\n"
@@ -420,10 +403,7 @@ def preprocess(
     if not pts:
         raise ValueError("initial point set must be nonempty")
     state = ClusteringState(params, oracle)
-    for p in pts:
-        state.store.add(p)
-    rounds, rest = state._cover_rounds(np.array(state.store.ids_sorted(), dtype=np.int64))
-    del state.layers[:]
-    state._append_layers(rounds, rest)
+    rows = np.array([state.store.add(p) for p in pts], dtype=np.int64)
+    state._track_rows()
+    state._rebuild(1, rows)
     return state
-

@@ -56,17 +56,19 @@ def points_from_array(rows: np.ndarray, start_id: int = 0) -> list[Point]:
 class PointStore:
     """Live points of one space plus a contiguous coordinate matrix.
 
-    The matrix lets callers gather coordinates for many ids with one fancy
-    index instead of stacking per-point arrays. Rows of removed points are
-    reused by later inserts, so the matrix grows with the live count, not
-    with the number of inserts; ids are never reused while a point is live.
+    The ``matrix`` lets callers gather coordinates for many points with one
+    fancy index instead of stacking per-point arrays; ``row_ids`` maps each
+    row in use back to its point id. Rows of removed points are reused by
+    later inserts, so both grow with the live count, not with the number of
+    inserts; ids are never reused while a point is live.
     """
 
     def __init__(self) -> None:
         self.dim: Optional[int] = None
         self._points: dict[PointId, Point] = {}
         self._rows: dict[PointId, int] = {}
-        self._matrix: Optional[np.ndarray] = None
+        self.matrix = np.empty((0, 0), dtype=np.float64)
+        self.row_ids = np.empty(0, dtype=np.int64)
         self._used = 0
         self._free: list[int] = []
 
@@ -76,29 +78,33 @@ class PointStore:
     def __contains__(self, pid: PointId) -> bool:
         return pid in self._points
 
-    def add(self, point: Point) -> None:
+    def add(self, point: Point) -> int:
+        """Store a point and return its row."""
         if point.id in self._points:
             raise ValueError(f"point id {point.id} already present")
         if self.dim is None:
             self.dim = point.dim
-            self._matrix = np.empty((16, self.dim), dtype=np.float64)
+            self.matrix = np.empty((16, self.dim), dtype=np.float64)
+            self.row_ids = np.empty(16, dtype=np.int64)
         elif point.dim != self.dim:
             raise ValueError(
                 f"point {point.id} has dimension {point.dim}, space has {self.dim}"
             )
-        assert self._matrix is not None
         if self._free:
             row = self._free.pop()
         else:
-            if self._used == self._matrix.shape[0]:
+            if self._used == self.matrix.shape[0]:
                 grown = np.empty((2 * self._used, self.dim), dtype=np.float64)
-                grown[: self._used] = self._matrix
-                self._matrix = grown
+                grown[: self._used] = self.matrix
+                self.matrix = grown
+                self.row_ids = np.concatenate([self.row_ids, np.empty_like(self.row_ids)])
             row = self._used
             self._used += 1
-        self._matrix[row] = point.coords
+        self.matrix[row] = point.coords
+        self.row_ids[row] = point.id
         self._rows[point.id] = row
         self._points[point.id] = point
+        return row
 
     def remove(self, pid: PointId) -> None:
         del self._points[pid]
@@ -106,6 +112,9 @@ class PointStore:
 
     def get(self, pid: PointId) -> Point:
         return self._points[pid]
+
+    def row(self, pid: PointId) -> int:
+        return self._rows[pid]
 
     def ids_sorted(self) -> list[PointId]:
         return sorted(self._points)
@@ -115,13 +124,11 @@ class PointStore:
 
     def coords_for(self, ids: Sequence[PointId] | np.ndarray) -> np.ndarray:
         """Gather coordinates for the given ids as an (len(ids), dim) matrix."""
-        if self._matrix is None:
-            return np.empty((0, 0), dtype=np.float64)
         keys = ids.tolist() if isinstance(ids, np.ndarray) else ids
         rows = np.fromiter(
             map(self._rows.__getitem__, keys), dtype=np.int64, count=len(ids)
         )
-        return self._matrix[rows]
+        return self.matrix[rows]
 
 
 class DistanceOracle:
@@ -246,9 +253,10 @@ class DistanceOracle:
         Counts ``len(a)`` evaluations unless ``count=False``. Euclidean
         entries are the direct-difference norm
         ``np.linalg.norm(a - b, axis=1)``, plus the offset when it is
-        nonzero. A custom ``base`` is checked as in :meth:`matrix_between`.
-        Pairs whose ids are equal are then set to exactly 0; without both id
-        sequences no pair is zeroed.
+        nonzero; ``ValueError`` is raised, as in :meth:`matrix_between`,
+        when an entry overflows. A custom ``base`` is checked as in
+        :meth:`matrix_between`. Pairs whose ids are equal are then set to
+        exactly 0; without both id sequences no pair is zeroed.
         """
         a = np.asarray(a_coords, dtype=np.float64)
         b = np.asarray(b_coords, dtype=np.float64)
@@ -258,7 +266,10 @@ class DistanceOracle:
         if count:
             self.evals += n
         if self.base is None:
-            d = np.linalg.norm(a - b, axis=1)
+            with np.errstate(over="ignore"):
+                d = np.linalg.norm(a - b, axis=1)
+            if not np.isfinite(d).all():
+                raise ValueError("coordinates overflow float64 in the Euclidean kernel")
         else:
             d = np.array([self.base(a[i], b[i]) for i in range(n)], dtype=np.float64)
             _check_custom(d, a_ids, b_ids)

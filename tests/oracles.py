@@ -1,5 +1,6 @@
 """Reference oracles for the tests: brute-force optima, reference costs, the
-relaxed triangle check and one cover round over points.
+relaxed triangle check, one cover round over points and the covered set of
+a layer.
 
 None of these is on an engine path. The brute-force enumerations carry hard
 size guards and evaluate distances without touching the oracle counter.
@@ -13,7 +14,15 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from dynkmed import DistanceOracle, DynamicParams, Point, PointId, Solution, WeightedInstance
+from dynkmed import (
+    ClusteringState,
+    DistanceOracle,
+    DynamicParams,
+    Point,
+    PointId,
+    Solution,
+    WeightedInstance,
+)
 from dynkmed.cover import _cover_arrays
 
 _BRUTE_FORCE_MAX_POINTS = 16
@@ -115,6 +124,11 @@ def cover_round(
     )
     assignment = {int(u): int(center_ids[j]) for u, j in zip(ids[mask], nearest[mask])}
     return set(center_ids.tolist()), assignment, radius
+
+
+def covered(state: ClusteringState, index: int) -> set[PointId]:
+    """C_index: the union of the members of layer index's clusters."""
+    return set().union(*state.clusters(index).values())
 
 
 # -- brute-force optima --------------------------------------------------------

@@ -9,7 +9,8 @@ from dynkmed import (
     points_from_array,
     preprocess,
 )
-from oracles import cover_round
+from dynkmed.cover import _cover_arrays
+from oracles import cover_round, covered
 
 
 def line_points(*coords):
@@ -125,7 +126,7 @@ def test_build_layers_small_input_single_layer():
     params = DynamicParams(k=2, phi=3)
     state = preprocess(pts, params)
     assert state.t == 1
-    assert state.layers[0].centers == {0, 1, 2}
+    assert state.clusters(1) == {0: {0}, 1: {1}, 2: {2}}
     assert state.layers[0].radius == 0.0
     assert state.assignment() == {0: 0, 1: 1, 2: 2}
 
@@ -139,13 +140,13 @@ def test_build_layers_partition_and_shrink():
     seen = set()
     sizes = []
     remaining = set(range(200))
-    for layer in state.layers:
-        covered = layer.covered
-        assert covered <= remaining
-        assert not (covered & seen)
-        seen |= covered
+    for i in range(1, state.t + 1):
+        layer_covered = covered(state, i)
+        assert layer_covered <= remaining
+        assert not (layer_covered & seen)
+        seen |= layer_covered
         sizes.append(len(remaining))
-        remaining -= covered
+        remaining -= layer_covered
     assert seen == set(range(200))
     assert not remaining
     # per-iteration shrink: at least beta of the working set is peeled
@@ -168,10 +169,10 @@ def test_build_layers_assignment_radius():
     params = DynamicParams(k=3, phi=12, beta=0.4, seed=3)
     state = preprocess(pts, params, oracle)
     by_id = {p.id: p for p in pts}
-    for layer in state.layers:
-        for record in layer.clusters:
-            for pid in record.members:
-                d = oracle.distance(by_id[pid], by_id[record.center])
+    for i, layer in enumerate(state.layers, start=1):
+        for center, members in state.clusters(i).items():
+            for pid in members:
+                d = oracle.distance(by_id[pid], by_id[center])
                 assert d <= layer.radius + 1e-9
 
 
@@ -182,5 +183,22 @@ def test_build_layers_deterministic():
     a = preprocess(pts, params)
     b = preprocess(pts, params)
     assert a.assignment() == b.assignment() and a.t == b.t
-    for la, lb in zip(a.layers, b.layers):
-        assert (la.centers, la.covered, la.radius) == (lb.centers, lb.covered, lb.radius)
+    for i, (la, lb) in enumerate(zip(a.layers, b.layers), start=1):
+        assert (a.clusters(i), la.radius) == (b.clusters(i), lb.radius)
+
+
+def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():
+    # 1e8 from the origin the kernel's rounding gives many distinct pairs a
+    # distance of exactly 0, so a sampled center's own row can go to another
+    x = np.random.default_rng(0).normal(size=(300, 3)) + 1e8
+    ids = np.arange(300)
+    for seed in range(3):
+        params = DynamicParams(k=5, phi=40, seed=seed)
+        center_ids, nearest, mask, _ = _cover_arrays(
+            ids, x, params, np.random.default_rng(seed), DistanceOracle(0.0)
+        )
+        pos = np.searchsorted(ids, center_ids)
+        for j in np.unique(nearest[mask]):
+            assert nearest[pos[j]] == j
+        state = preprocess(points_from_array(x), params)
+        assert not [v for v in state.integrity_check() if "is not a member" in v]

@@ -10,7 +10,7 @@ from dynkmed import (
     points_from_array,
     preprocess,
 )
-from oracles import cover_round
+from oracles import cover_round, covered
 
 
 def gaussian_points(n, dim=2, seed=0, start_id=0):
@@ -38,8 +38,7 @@ def test_preprocess_small_input_trivial():
     pts = line_points(1, 2, 3)
     state = preprocess(pts, DynamicParams(k=2, phi=5))
     assert state.t == 1
-    layer = state.layers[0]
-    assert state.members(1) == layer.centers == layer.covered == {0, 1, 2}
+    assert state.members(1) == set(state.clusters(1)) == covered(state, 1) == {0, 1, 2}
     for pid in (0, 1, 2):
         assert state.assignment_of(pid) == pid
     assert state.integrity_check() == []
@@ -72,13 +71,13 @@ def test_rebuild_from_layer_one_matches_static_pipeline():
 
     remaining = state.live_points()
     fresh_oracle = DistanceOracle()
-    for layer in state.layers[:-1]:
+    for i, layer in enumerate(state.layers[:-1], start=1):
         centers, assignment, radius = cover_round(
             remaining, params, oracle=fresh_oracle, rng=rng_clone
         )
-        assert set(assignment) == layer.covered
+        assert set(assignment) == covered(state, i)
         assert radius == layer.radius
-        assert centers == layer.centers
+        assert centers == set(state.clusters(i))
         remaining = [p for p in remaining if p.id not in assignment]
     assert {p.id for p in remaining} == state.members(state.t)
     for layer in state.layers:
@@ -101,9 +100,9 @@ def test_forced_sampler_hand_trace():
     state = preprocess(pts, params)
     assert state.t == 3
     assert [layer.radius for layer in state.layers] == [2.0, 1.0, 0.0]
-    assert state.layers[0].covered == {0, 1, 2}
-    assert state.layers[1].covered == {3, 4}
-    assert state.layers[2].covered == {5}
+    assert state.clusters(1) == {0: {0, 1, 2}}
+    assert state.clusters(2) == {3: {3, 4}}
+    assert state.clusters(3) == {5: {5}}
     assert state.assignment() == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 5}
     weights = {p.id: w for p, w in state.weighted_instance().entries}
     assert weights == {0: 3, 3: 2, 5: 1}
@@ -115,7 +114,7 @@ def test_insert_self_assigns_in_last_layer():
     new = points_from_array(np.array([[100.0, 100.0]]), start_id=9000)[0]
     state.insert(new)
     assert state.assignment_of(9000) == 9000
-    assert 9000 in state.layers[-1].centers
+    assert state.clusters(state.t)[9000] == {9000}
     assert state.oracle.evals == evals_before  # no rebuild, no distance work
     assert state.integrity_check() == []
 
@@ -163,14 +162,13 @@ def test_tenth_consecutive_update_rebuilds_top_layer():
 
 def test_delete_non_center_member():
     state = big_state(seed=9)
-    layer = state.layers[0]
-    record = next(r for r in layer.clusters if r.size >= 2)
-    victim = max(pid for pid in record.members if pid != record.center)
-    centers_before = set(layer.centers)
-    size_before = record.size
+    before = state.clusters(1)
+    center, members = next((c, m) for c, m in before.items() if len(m) >= 2)
+    victim = max(members - {center})
     state.delete(victim)
-    assert layer.centers == centers_before
-    assert record.size == size_before - 1
+    after = state.clusters(1)
+    assert after.keys() == before.keys()
+    assert after[center] == members - {victim}
     assert victim not in state.members(1)
     assert state.integrity_check() == []
 
@@ -178,29 +176,27 @@ def test_delete_non_center_member():
 def test_delete_center_promotes_smallest_member():
     state = big_state(seed=21)
     layer = state.layers[0]
-    record = next(r for r in layer.clusters if r.size >= 3)
-    old_center = record.center
-    expected = min(pid for pid in record.members if pid != old_center)
+    old_center, members = next((c, m) for c, m in state.clusters(1).items() if len(m) >= 3)
+    expected = min(members - {old_center})
     state.delete(old_center)
-    assert record.center == expected
-    assert expected in layer.centers and old_center not in layer.centers
+    after = state.clusters(1)
+    assert after[expected] == members - {old_center} and old_center not in after
     # every survivor sits within twice the layer radius of the new center
     oracle, store = state.oracle, state.store
-    for pid in record.members:
-        d = oracle.distance(store.get(pid), store.get(record.center))
+    for pid in after[expected]:
+        d = oracle.distance(store.get(pid), store.get(expected))
         assert d <= 2 * layer.radius + 1e-9
     assert state.integrity_check() == []
 
 
 def test_delete_last_layer_singleton_drops_cluster():
     state = big_state(seed=13)
-    last = state.layers[-1]
     victim = sorted(state.members(state.t))[0]
-    clusters_before = len(last.clusters)
+    clusters_before = len(state.clusters(state.t))
     evals_before = state.oracle.evals
     state.delete(victim)
-    assert len(last.clusters) == clusters_before - 1
-    assert victim not in last.centers
+    assert len(state.clusters(state.t)) == clusters_before - 1
+    assert victim not in state.clusters(state.t)
     assert state.oracle.evals == evals_before
     assert state.integrity_check() == []
 
@@ -258,11 +254,10 @@ def test_invariants_hold_over_seeded_stream():
 def test_assignment_of_center_and_covered():
     state = big_state(seed=33)
     layer = state.layers[0]
-    record = next(r for r in layer.clusters if r.size >= 2)
-    assert state.assignment_of(record.center) == record.center
-    member = next(pid for pid in record.members if pid != record.center)
-    center = state.assignment_of(member)
-    assert center == record.center
+    center, members = next((c, m) for c, m in state.clusters(1).items() if len(m) >= 2)
+    assert state.assignment_of(center) == center
+    member = min(members - {center})
+    assert state.assignment_of(member) == center
     d = state.oracle.distance(state.store.get(member), state.store.get(center))
     assert d <= 2 * layer.radius + 1e-9
     with pytest.raises(KeyError):
@@ -296,34 +291,31 @@ def test_weighted_instance_empty_state_rejected():
 
 def test_integrity_check_flags_corruption():
     state = big_state(seed=55)
-    layer = state.layers[0]
-    record = next(iter(layer.clusters))
-    record.center = 10**8  # corrupt: center no longer a member
+    state.center[0] = 10**8  # corrupt: center no longer a member
     report = state.integrity_check()
     assert report
-    assert any("center" in line for line in report)
+    assert any("layer 1: cluster center 100000000 is not a member" in line for line in report)
+
+    state = big_state(seed=55)
+    state.center[0] = state.center[-1]  # a live point, but one in another cluster
+    assert any(f"center {state.center[0]} is not a member" in line for line in state.integrity_check())
 
 
 def test_integrity_check_flags_point_map_corruption():
     state = big_state(seed=55)
-    top, last = next(iter(state.layers[0].clusters)), next(iter(state.layers[-1].clusters))
-    last.members.add(top.center)  # one point in two records
-    assert any("partition" in line for line in state.integrity_check())
+    center, members = next((c, m) for c, m in state.clusters(1).items() if len(m) >= 2)
+    moved = max(members - {center})
+    source, target = state.slot[state.store.row(moved)], len(state.center) - 1
+    state.slot[state.store.row(moved)] = target  # the point's slot names another cluster
+    report = state.integrity_check()
+    assert any(f"cluster slot {source}: size" in line for line in report)
+    assert any(f"cluster slot {target}: size" in line for line in report)
 
     state = big_state(seed=55)
-    pid = next(iter(state.cluster_of))
-    state.cluster_of[pid] = next(iter(state.layers[-1].clusters))  # wrong record
-    assert any(f"point {pid} is not a member" in line for line in state.integrity_check())
-
-    state = big_state(seed=55)
-    record = next(iter(state.layers[0].clusters))
-    del state.layers[0].clusters[record]
-    state.layers[1].clusters[record] = None  # record outside its depth
-    assert any("not in layer 1" in line for line in state.integrity_check())
-
-    state = big_state(seed=55)
-    state.cluster_of[10**7] = next(iter(state.layers[-1].clusters))  # dead key
-    assert any("live point set" in line for line in state.integrity_check())
+    state.size[0] += 1  # a wrong size count
+    report = state.integrity_check()
+    assert any("cluster slot 0: size" in line for line in report)
+    assert any("do not add up to the live point count" in line for line in report)
 
 
 def test_update_locality_no_rebuild_means_no_distance_work():
@@ -346,8 +338,8 @@ def test_snapshot_schema():
         layer = state.layers[i - 1]
         assert [int(fields[1]), int(fields[2]), int(fields[3])] == [
             len(state.members(i)),
-            len(layer.centers),
-            len(layer.covered),
+            len(state.clusters(i)),
+            len(covered(state, i)),
         ]
         assert float(fields[4]) == layer.radius
         assert [int(fields[5]), int(fields[6])] == [layer.base_size, layer.updates]
@@ -384,9 +376,9 @@ def test_cluster_members_pairwise_within_twice_radius():
             state.insert(p)
         else:
             state.delete(state.store.ids_sorted()[int(rng.integers(0, state.live_count))])
-    for layer in state.layers:
-        for record in layer.clusters:
-            members = [state.store.get(m) for m in sorted(record.members)]
+    for i, layer in enumerate(state.layers, start=1):
+        for ids in state.clusters(i).values():
+            members = [state.store.get(m) for m in sorted(ids)]
             dist = state.oracle.pairwise(members, members, count=False)
             assert dist.max() <= 2 * layer.radius + 1e-9
 
@@ -427,12 +419,15 @@ def test_store_memory_tracks_the_live_count_over_a_long_slide():
     window = 60
     pts = gaussian_points(10 * window, seed=4)
     state = preprocess(pts[:window], DynamicParams(k=3, phi=10, seed=4))
-    max_live = state.live_count
+    max_live, max_table = state.live_count, len(state.center)
     for step, point in enumerate(pts[window:]):
         state.insert(point)
         max_live = max(max_live, state.live_count)
+        max_table = max(max_table, len(state.center))
         state.delete(pts[step].id)
-    assert state.store._matrix.shape[0] <= 2 * max_live
+        max_table = max(max_table, len(state.center))
+    assert state.store.matrix.shape[0] <= 2 * max_live
+    assert max_table <= 2 * max_live
     live = state.live_points()
     assert [p.id for p in live] == [p.id for p in pts[-window:]]
     np.testing.assert_array_equal(

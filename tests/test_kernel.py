@@ -7,6 +7,13 @@ id mask as separate temporaries, and the cover round passed ids to it and
 took the minimum in a second reduction. The present code makes fewer passes
 over memory; every matrix entry, nearest center, covered flag and radius it
 returns must be bit-identical to the reference.
+
+The one rule added since is written into the cover reference as a plain
+loop: a sampled center whose own row's first minimum is another center has
+its column masked before the assignment, so it keeps no members. Of the
+pinned cases only ``shift-1e6-0.0`` has such a center (a computed distance
+of 0 between distinct points), so only its expectation differs from the
+earlier code's.
 """
 from __future__ import annotations
 
@@ -66,6 +73,7 @@ def _reference_cover_arrays(
     params: DynamicParams,
     rng: np.random.Generator,
     oracle: DistanceOracle,
+    mask_absorbed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     n = ids.shape[0]
     if params.sampler is not None:
@@ -80,6 +88,9 @@ def _reference_cover_arrays(
     pos = np.searchsorted(ids, center_ids)
 
     dist = _reference_matrix_between(oracle, coords, ids, coords[pos], center_ids)
+    if mask_absorbed:
+        absorbed = [j for j, row in enumerate(pos) if np.argmin(dist[row]) != j]
+        dist[:, absorbed] = np.inf
     dmin = dist.min(axis=1)
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
@@ -164,12 +175,17 @@ def test_matrix_between_does_not_depend_on_buffer_identity():
 def test_cover_round_matches_the_reference(n, c, dim, scale, shift, offset):
     x = coordinates(n, dim, seed=n - dim, scale=scale, shift=shift)
     ids = np.arange(3, 3 + 2 * n, 2)          # sorted, distinct, not positions
+    changed = False
     for phi, beta in ((c, 0.5), (7, 0.8)):
         params = DynamicParams(k=3, phi=phi, beta=beta)
         new_rng, old_rng = np.random.default_rng(n), np.random.default_rng(n)
         new, old = DistanceOracle(offset), DistanceOracle(offset)
         got = _cover_arrays(ids, x, params, new_rng, new)
         want = _reference_cover_arrays(ids, x, params, old_rng, old)
+        unmasked = _reference_cover_arrays(
+            ids, x, params, np.random.default_rng(n), DistanceOracle(offset), mask_absorbed=False
+        )
+        changed |= not all(np.array_equal(w, u) for w, u in zip(want, unmasked))
         assert np.array_equal(got[0], want[0])
         assert got[0].dtype == want[0].dtype == np.int64
         assert np.array_equal(got[1], want[1])
@@ -177,6 +193,7 @@ def test_cover_round_matches_the_reference(n, c, dim, scale, shift, offset):
         assert repr(got[3]) == repr(want[3])
         assert new.evals == old.evals
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert changed == (shift == 1e6 and offset == 0.0)
 
 
 def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():

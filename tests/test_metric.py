@@ -203,8 +203,11 @@ def test_point_store_gather_and_dimension_guard():
         store.add(pt(9, 1.0))  # wrong dimension
     with pytest.raises(ValueError):
         store.add(pt(3, 0.0, 0.0))  # duplicate id
+    assert [store.row_ids[store.row(i)] for i in (1, 3, 7)] == [1, 3, 7]
+    freed = store.row(3)
     store.remove(3)
     assert 3 not in store and len(store) == 2
+    assert store.add(pt(8, 4.0, 4.0)) == freed and store.row_ids[freed] == 8
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
@@ -226,3 +229,14 @@ def test_custom_base_metric_rejects_non_finite_and_negative_values(bad):
         oracle.matrix_between(coords, None, coords, None)
     with pytest.raises(ValueError, match=r"rows 1 and 1"):
         oracle.elementwise(coords[:2], None, coords[1:], None)
+
+
+def test_elementwise_names_an_overflowing_distance():
+    # finite coordinates whose difference overflows float64
+    x, y = pt(0, 1e200, 0.0), pt(1, -1e200, 0.0)
+    oracle = DistanceOracle()
+    with pytest.raises(ValueError, match="overflow"):
+        oracle.distance(x, y)
+    with pytest.raises(ValueError, match="overflow"):
+        oracle.elementwise(np.array([[0.0], [1e308]]), None, np.array([[1.0], [-1e308]]), None)
+    assert oracle.distance(x, pt(2, 1e200, 1.0)) == 1.0
