@@ -59,9 +59,9 @@ def _cover_arrays(
     columns = np.arange(pos.shape[0])
     dist[pos, columns] = 0.0
     nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
-    # a center whose own row went to another center (a computed distance of
-    # 0, which rounding far from the origin can give) must keep no members;
-    # an exact twin's column equals the kept twin's, so no row picked it
+    # a center whose own row went to another center (a computed 0 between
+    # points far closer than their spread) must keep no members; an exact
+    # twin's column equals the kept twin's, so no row picked it
     absorbed = nearest[pos] != columns
     if absorbed.any():
         dist[:, absorbed] = np.inf

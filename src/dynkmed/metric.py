@@ -21,9 +21,6 @@ import numpy as np
 
 PointId = int
 
-# Chunk size (rows) for batched distance matrices, bounds transient memory.
-_CHUNK_ROWS = 4096
-
 
 @dataclass(frozen=True, eq=False)
 class Point:
@@ -171,26 +168,25 @@ class DistanceOracle:
         Counts ``len(a) * len(b)`` evaluations unless ``count=False`` (used by
         read-only diagnostics so they do not distort cost measurements).
 
-        Euclidean entries are pinned to this sequence of float64 operations,
-        with ``a2[i] = einsum("ij,ij->i")`` over rows of ``a``, ``b2[j]``
-        likewise over ``b``, and ``g = a[lo:hi] @ b.T`` taken in row chunks
-        of ``_CHUNK_ROWS``::
+        Euclidean entries come from one matrix product on blocks centered
+        on ``mu = b.mean(axis=0)``. With ``u = a - mu``, ``v = b - mu`` and
+        their squared row norms ``u2``, ``v2`` by ``einsum("ij,ij->i")``::
 
-            sqrt(max((a2[i] + b2[j]) - 2 * g[i, j], 0)) + offset
+            out = matmul([u, 1, u2], [-2.0 * v, v2, 1].T)
 
-        (the offset add is skipped when it is zero). The kernel adds
-        ``b2[j] + a2[i]``, which is the same float because addition
-        commutes, and applies each step in place. The row chunking is part
-        of the contract, because BLAS may round a product of another shape
-        differently. When ``a`` and ``b`` share memory, ``b`` is copied
-        first, so the result does not depend on buffer identity (numpy
-        computes ``x @ x.T`` of one buffer with a symmetric kernel that
-        rounds differently). Pairs whose ids are equal are then set to
-        exactly 0; without both id sequences no pair is zeroed.
+        then, in place, ``maximum(out, 0)``, ``sqrt`` and a nonzero offset.
+        Pairs with equal ids are then set to exactly 0 (only when both id
+        sequences are given).
 
-        Before any product is formed, ``ValueError`` is raised when
-        ``2 * (max a2 + max b2)`` is not finite: every term of the expansion
-        is bounded by it, so below that no step overflows.
+        Centering makes the rounding error scale with the squared distance
+        of the rows from ``mu``, not from the origin. One call over whole
+        blocks needs no row chunking: the operands add only
+        ``(n + c) * (d + 2)`` values to the output. They are new arrays, so
+        the result does not depend on whether ``a`` and ``b`` share memory.
+
+        Before the product, ``ValueError`` is raised when
+        ``2 * (max u2 + max v2)`` is not finite: every term of the product is
+        bounded by it, so below that no step overflows.
 
         A custom ``base`` must return a finite value >= 0 for every pair;
         anything else raises ``ValueError`` naming the pair (by id when ids
@@ -204,36 +200,34 @@ class DistanceOracle:
         if count:
             self.evals += n * c
         out = np.empty((n, c), dtype=np.float64)
-        if self.base is None:
-            if np.may_share_memory(a, b):
-                b = b.copy()
-            a_sq = np.einsum("ij,ij->i", a, a)
-            b_sq = np.einsum("ij,ij->i", b, b)
-            if n and c and not math.isfinite(2.0 * (a_sq.max() + b_sq.max())):
-                raise ValueError(
-                    "coordinates overflow float64 in the Euclidean kernel: "
-                    "2 * (max|a|^2 + max|b|^2) is not finite"
-                )
-            for lo in range(0, n, _CHUNK_ROWS):
-                hi = min(lo + _CHUNK_ROWS, n)
-                blk = a[lo:hi]
-                sq = out[lo:hi]
-                sq[...] = b_sq
-                sq += a_sq[lo:hi, None]
-                twice = blk @ b.T
-                twice *= 2.0
-                sq -= twice
-                np.clip(sq, 0.0, None, out=sq)
-                np.sqrt(sq, out=sq)
-                if self.offset:
-                    sq += self.offset
-        else:
+        if self.base is not None:
             for i in range(n):
                 for j in range(c):
                     out[i, j] = self.base(a[i], b[j])
             _check_custom(out, a_ids, b_ids)
-            if self.offset:
-                out += self.offset
+        elif n and c:
+            d = a.shape[1]
+            left = np.empty((n, d + 2))
+            right = np.empty((c, d + 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu = b.mean(axis=0)
+                u = np.subtract(a, mu, out=left[:, :d])
+                v = np.subtract(b, mu, out=right[:, :d])
+                left[:, d + 1] = np.einsum("ij,ij->i", u, u)
+                right[:, d] = np.einsum("ij,ij->i", v, v)
+                if not math.isfinite(2.0 * (left[:, d + 1].max() + right[:, d].max())):
+                    raise ValueError(
+                        "coordinates overflow float64 in the Euclidean kernel: "
+                        "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite"
+                    )
+            v *= -2.0
+            left[:, d] = 1.0
+            right[:, d + 1] = 1.0
+            np.matmul(left, right.T, out=out)
+            np.maximum(out, 0.0, out=out)
+            np.sqrt(out, out=out)
+        if self.offset:
+            out += self.offset
         if a_ids is not None and b_ids is not None:
             rows, cols = _same_id_pairs(a_ids, b_ids, n, c)
             out[rows, cols] = 0.0

@@ -196,12 +196,16 @@ def _local_search(
 
 def _instance_gram(points: Sequence[Point], p: float, oracle: DistanceOracle) -> np.ndarray:
     """Powered distance matrix of instance points against themselves, equal
-    to ``oracle.pairwise(points, points) ** p``. Instance ids are distinct,
-    so the same-id pairs to zero are exactly the diagonal."""
+    to ``oracle.pairwise(points, points).T ** p``. Instance ids are distinct,
+    so the same-id pairs to zero are exactly the diagonal. The transpose is
+    F-contiguous, so the column that seeding and local search read per pick
+    or candidate is one contiguous row of the kernel's output."""
     coords = np.stack([q.coords for q in points])
-    dist = oracle.matrix_between(coords, None, coords, None)
-    np.fill_diagonal(dist, 0.0)
-    return dist if p == 1.0 else dist ** p
+    gram = oracle.matrix_between(coords, None, coords, None).T
+    np.fill_diagonal(gram, 0.0)
+    if p != 1.0:
+        gram **= p
+    return gram
 
 
 def weighted_solve(

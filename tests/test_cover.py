@@ -188,9 +188,12 @@ def test_build_layers_deterministic():
 
 
 def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():
-    # 1e8 from the origin the kernel's rounding gives many distinct pairs a
-    # distance of exactly 0, so a sampled center's own row can go to another
-    x = np.random.default_rng(0).normal(size=(300, 3)) + 1e8
+    # every other row sits 1e-11 from its predecessor in each coordinate, far
+    # closer than the kernel's rounding error at unit spread, so such a pair
+    # can get a distance of exactly 0 and a sampled center's own row can go
+    # to its twin
+    x = np.random.default_rng(0).normal(size=(300, 3)) + 1e4
+    x[1::2] = x[0::2] + 1e-11
     ids = np.arange(300)
     for seed in range(3):
         params = DynamicParams(k=5, phi=40, seed=seed)

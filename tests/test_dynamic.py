@@ -9,6 +9,7 @@ from dynkmed import (
     DynamicParams,
     points_from_array,
     preprocess,
+    sliding_window_stream,
 )
 from oracles import cover_round, covered
 
@@ -510,3 +511,18 @@ def test_preprocess_of_overflowing_coordinates_names_the_overflow():
     pts = points_from_array(np.random.default_rng(5).normal(size=(60, 2)) * 1e200)
     with pytest.raises(ValueError, match="overflow"):
         preprocess(pts, DynamicParams(k=2, phi=5, seed=1))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e6, 1e8])
+def test_sliding_window_keeps_every_invariant_far_from_the_origin(shift):
+    # unit spread at offset 0: far from the origin, a kernel whose rounding
+    # error grows with the coordinates' magnitude returns radii of 0 and
+    # breaks the 2*radius check
+    pts = points_from_array(np.random.default_rng(0).normal(size=(1500, 3)) + shift)
+    state = ClusteringState(DynamicParams(k=5, phi=40, seed=1), DistanceOracle(0.0))
+    for step, (op, pid) in enumerate(sliding_window_stream(1500, 300)):
+        if op == "insert":
+            state.insert(pts[pid])
+        else:
+            state.delete(pid)
+        assert state.integrity_check() == [], step

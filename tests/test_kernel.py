@@ -1,19 +1,23 @@
-"""The distance kernel and the cover round against the versions they replaced.
+"""The distance kernel and the cover round against plain-numpy references.
 
-``_reference_matrix_between`` and ``_reference_cover_arrays`` are the
-package's earlier code, kept verbatim (apart from taking the oracle as an
-argument): the kernel built a broadcast sum, a doubled product and an n x c
-id mask as separate temporaries, and the cover round passed ids to it and
-took the minimum in a second reduction. The present code makes fewer passes
-over memory; every matrix entry, nearest center, covered flag and radius it
+``_reference_matrix_between`` states the kernel's formula in plain numpy:
+center both blocks on the mean of ``b``, multiply ``[u, 1, |u|^2]`` by
+``[-2v, |v|^2, 1]`` transposed, clip at 0, take the sqrt, add the offset, and
+zero same-id pairs through an n x c id mask. ``_reference_cover_arrays`` is
+the package's earlier cover round, kept verbatim apart from taking the
+oracle as an argument: it passed ids to the kernel and took the minimum in a
+second reduction. The package works in place and in fewer passes over
+memory; every matrix entry, nearest center, covered flag and radius it
 returns must be bit-identical to the reference.
 
-The one rule added since is written into the cover reference as a plain
+The absorbed-center rule is written into the cover reference as a plain
 loop: a sampled center whose own row's first minimum is another center has
 its column masked before the assignment, so it keeps no members. Of the
-pinned cases only ``shift-1e6-0.0`` has such a center (a computed distance
-of 0 between distinct points), so only its expectation differs from the
-earlier code's.
+pinned cases only ``near-twins-0.0`` has such a center (twins 1e-10 apart,
+far below the kernel's rounding error at unit spread), so only its
+expectation differs from an unmasked cover round; at offset 0.25 the
+twins' distances round to ties, which the first minimum already breaks
+toward the kept twin.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import pytest
 
 from dynkmed import DistanceOracle, DynamicParams
 from dynkmed.cover import _cover_arrays, _quantile_index
-from dynkmed.metric import _CHUNK_ROWS, PointId
+from dynkmed.metric import PointId
 
 
 def _reference_matrix_between(
@@ -39,22 +43,22 @@ def _reference_matrix_between(
     b = np.asarray(b_coords, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("coordinate blocks must be 2-D with equal dimension")
+    n, c = a.shape[0], b.shape[0]
     if count:
-        self.evals += a.shape[0] * b.shape[0]
+        self.evals += n * c
     if self.base is None:
-        out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-        b_sq = np.einsum("ij,ij->i", b, b)
-        for lo in range(0, a.shape[0], _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, a.shape[0])
-            blk = a[lo:hi]
-            sq = np.einsum("ij,ij->i", blk, blk)[:, None] + b_sq[None, :]
-            sq -= 2.0 * (blk @ b.T)
-            np.clip(sq, 0.0, None, out=sq)
-            out[lo:hi] = np.sqrt(sq, out=sq)
+        mu = b.mean(axis=0)
+        u = a - mu
+        v = b - mu
+        u2 = np.einsum("ij,ij->i", u, u)
+        v2 = np.einsum("ij,ij->i", v, v)
+        left = np.hstack([u, np.ones((n, 1)), u2[:, None]])
+        right = np.hstack([-2.0 * v, v2[:, None], np.ones((c, 1))])
+        out = np.sqrt(np.maximum(left @ right.T, 0.0))
     else:
-        out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
+        out = np.empty((n, c), dtype=np.float64)
+        for i in range(n):
+            for j in range(c):
                 out[i, j] = self.base(a[i], b[j])
     if self.offset:
         out += self.offset
@@ -107,28 +111,33 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(bits(got), bits(want))
 
 
-def coordinates(n: int, dim: int, seed: int, scale: float = 1.0, shift: float = 0.0):
-    """Gaussian rows with every seventh row an exact twin of its predecessor."""
+def coordinates(
+    n: int, dim: int, seed: int, scale: float = 1.0, shift: float = 0.0, gap: float = 0.0
+):
+    """Gaussian rows with every seventh row a twin of its predecessor: exact,
+    or ``gap`` away in every coordinate."""
     x = np.random.default_rng(seed).normal(0.0, scale, size=(n, dim)) + shift
-    x[1::7] = x[0:-1:7][: x[1::7].shape[0]]
+    x[1::7] = x[0:-1:7][: x[1::7].shape[0]] + gap
     return x
 
 
-# (rows, columns, dim, scale, shift): a chunk boundary, three dimensions, far
-# from the origin, and coordinates whose products are subnormal
+# (rows, columns, dim, scale, shift, gap): blocks past 4096 rows, three
+# dimensions, far from the origin, coordinates whose products are subnormal,
+# and twins far closer than the kernel's rounding error at their spread
 SHAPES = [
-    pytest.param(_CHUNK_ROWS + 37, 60, 5, 1.0, 0.0, id="past-chunk-d5"),
-    pytest.param(300, 45, 1, 3.0, 0.0, id="d1"),
-    pytest.param(_CHUNK_ROWS + 5, 24, 64, 1.0, 0.0, id="past-chunk-d64"),
-    pytest.param(400, 50, 5, 0.01, 1e6, id="shift-1e6"),
-    pytest.param(400, 50, 5, 1e-160, 0.0, id="subnormal-products"),
+    pytest.param(4096 + 37, 60, 5, 1.0, 0.0, 0.0, id="past-chunk-d5"),
+    pytest.param(300, 45, 1, 3.0, 0.0, 0.0, id="d1"),
+    pytest.param(4096 + 5, 24, 64, 1.0, 0.0, 0.0, id="past-chunk-d64"),
+    pytest.param(400, 50, 5, 0.01, 1e6, 0.0, id="shift-1e6"),
+    pytest.param(400, 50, 5, 1e-160, 0.0, 0.0, id="subnormal-products"),
+    pytest.param(400, 50, 5, 1.0, 0.0, 1e-10, id="near-twins"),
 ]
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
-@pytest.mark.parametrize("n, c, dim, scale, shift", SHAPES)
-def test_matrix_between_matches_the_reference_bitwise(n, c, dim, scale, shift, offset):
-    x = coordinates(n, dim, seed=n + dim, scale=scale, shift=shift)
+@pytest.mark.parametrize("n, c, dim, scale, shift, gap", SHAPES)
+def test_matrix_between_matches_the_reference_bitwise(n, c, dim, scale, shift, gap, offset):
+    x = coordinates(n, dim, seed=n + dim, scale=scale, shift=shift, gap=gap)
     rng = np.random.default_rng(dim)
     picked = np.sort(rng.choice(n, size=c, replace=False))
     ids = np.arange(1000, 1000 + n)
@@ -171,9 +180,9 @@ def test_matrix_between_does_not_depend_on_buffer_identity():
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
-@pytest.mark.parametrize("n, c, dim, scale, shift", SHAPES)
-def test_cover_round_matches_the_reference(n, c, dim, scale, shift, offset):
-    x = coordinates(n, dim, seed=n - dim, scale=scale, shift=shift)
+@pytest.mark.parametrize("n, c, dim, scale, shift, gap", SHAPES)
+def test_cover_round_matches_the_reference(n, c, dim, scale, shift, gap, offset):
+    x = coordinates(n, dim, seed=n - dim, scale=scale, shift=shift, gap=gap)
     ids = np.arange(3, 3 + 2 * n, 2)          # sorted, distinct, not positions
     changed = False
     for phi, beta in ((c, 0.5), (7, 0.8)):
@@ -193,7 +202,7 @@ def test_cover_round_matches_the_reference(n, c, dim, scale, shift, offset):
         assert repr(got[3]) == repr(want[3])
         assert new.evals == old.evals
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
-    assert changed == (shift == 1e6 and offset == 0.0)
+    assert changed == (gap > 0.0 and offset == 0.0)
 
 
 def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
@@ -209,3 +218,21 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
             assert np.array_equal(g, w)
         assert repr(got[3]) == repr(want[3])
         assert got[0].tolist() == [0, 1, 30]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+@pytest.mark.parametrize("dim", [1, 5, 64])
+def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offset):
+    # the bound of a (dim + 2)-term dot product whose terms are at most 4 R^2
+    # in size, with R the largest distance of a row from the center block's
+    # mean: it does not grow with the distance of the blocks from the origin
+    eps = np.finfo(np.float64).eps
+    for shift in (0.0, 1e2, 1e4, 1e6, 1e8):
+        x = np.random.default_rng(dim).normal(size=(260, dim)) + shift
+        a, b = x[:200], x[200:]
+        got = DistanceOracle(offset).matrix_between(a, None, b, None) - offset
+        diff = a[:, None, :] - b[None, :, :]
+        want_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        spread = x - b.mean(axis=0)
+        r_sq = np.einsum("ij,ij->i", spread, spread).max()
+        assert np.abs(got**2 - want_sq).max() <= 4 * (dim + 2) * eps * r_sq, shift

@@ -108,7 +108,7 @@ def test_local_search_matches_full_recompute(p, k, offset):
         entries = inst.sorted_entries()
         points = [q for q, _ in entries]
         weights = np.array([w for _, w in entries], dtype=np.float64)
-        powered = oracle.pairwise(points, points) ** p
+        powered = oracle.pairwise(points, points).T ** p
         cutoff = 1.0 - LOCAL_SEARCH_DELTA / k
         start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
         if k > 1:

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynkmed
 from dynkmed import DistanceOracle, Point, PointStore, points_from_array
 from oracles import relaxed_triangle_ok
 
@@ -240,3 +245,24 @@ def test_elementwise_names_an_overflowing_distance():
     with pytest.raises(ValueError, match="overflow"):
         oracle.elementwise(np.array([[0.0], [1e308]]), None, np.array([[1.0], [-1e308]]), None)
     assert oracle.distance(x, pt(2, 1e200, 1.0)) == 1.0
+
+
+def test_matrix_between_is_exact_for_large_coordinates_with_a_small_spread():
+    # |a|^2 overflows float64 here, but the kernel squares only the
+    # coordinates' distances from the column block's mean
+    a, b = np.array([[1e160, 0.0]]), np.array([[1e160, 1.0]])
+    oracle = DistanceOracle()
+    got = oracle.matrix_between(a, None, b, None)[0, 0]
+    assert got == 1.0 == oracle.elementwise(a, None, b, None)[0]
+
+
+def test_importing_the_package_loads_no_scipy():
+    # importing scipy.spatial alone raises a process's resident memory from
+    # about 27 to 65 MB
+    paths = [str(Path(dynkmed.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, dynkmed; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

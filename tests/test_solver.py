@@ -152,9 +152,10 @@ def test_instance_gram_equals_the_general_pairwise_path(p, offset):
     pts = random_points(40, dim=3, seed=31, scale=3.0)
     pts += points_from_array(np.stack([q.coords for q in pts[:6]]), start_id=40)
     general, fast = DistanceOracle(offset), DistanceOracle(offset)
-    expected = general.pairwise(pts, pts) ** p
+    expected = general.pairwise(pts, pts).T ** p
     got = _instance_gram(pts, p, fast)
     assert np.array_equal(got, expected)
+    assert got.flags.f_contiguous
     assert fast.evals == general.evals == 46 * 46
 
 
