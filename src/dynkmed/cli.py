@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .bench import (
     ConfigError,
@@ -42,11 +42,19 @@ def _parse_baseline(text: str) -> Optional[int]:
     raise ConfigError("baseline must be 'none' or 'static:<q>'")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports every usage error (a bad value, a missing required option, an
+    unknown option) as a :class:`ConfigError`, so it exits 1, not with
+    argparse's status 2, which is the ingestion code here."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynkmed",
         description="Sliding-window benchmark for dynamic k-median clustering",
-        exit_on_error=False,
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--dataset", help="path to a numeric text dataset")
@@ -108,7 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shuffle_seed=args.shuffle_seed,
             check_every=args.check_every,
         )
-    except (ConfigError, argparse.ArgumentError, argparse.ArgumentTypeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

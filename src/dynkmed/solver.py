@@ -127,6 +127,53 @@ def _nearest_two(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c1, d1, rest.min(axis=1)
 
 
+# Candidate block sizes of the local-search screen (see _local_search).
+_BLOCK_MIN = 16
+_BLOCK_MAX = 256
+
+
+def _screen_estimate(
+    slab: np.ndarray,
+    below: np.ndarray,
+    weights: np.ndarray,
+    c1: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
+    base: np.ndarray,
+    cost: float,
+) -> np.ndarray:
+    """Estimated new cost of each candidate in ``slab``, a block of candidate
+    columns stored as rows, from its entries below ``d2`` alone.
+
+    A row whose entry is at least its ``d2`` adds nothing to the shared gain
+    and exactly its removal loss ``w*(d2-d1)`` to its center; ``base`` holds
+    those losses summed per center. An entry ``v`` below ``d2`` adds
+    ``w*(min(v,d1)-d1)`` to the shared gain and changes its row's removal
+    loss by ``w*(max(v,d1)-d2)``. The estimate is
+    ``cost + shared + min_c(base[c] + delta[c])``. ``below`` is a
+    preallocated bool buffer with at least as many rows as ``slab``.
+    """
+    b, m = slab.shape
+    k = base.shape[0]
+    mask = below[:b]
+    np.less(slab, d2, out=mask)
+    flat = np.flatnonzero(mask)
+    cand, rows = np.divmod(flat, m)
+    v = np.ravel(slab).take(flat)
+    w, lo = weights.take(rows), d1.take(rows)
+    shared = np.bincount(cand, weights=(np.minimum(v, lo) - lo) * w, minlength=b)
+    delta = np.bincount(
+        cand * k + c1.take(rows),
+        weights=(np.maximum(v, lo) - d2.take(rows)) * w,
+        minlength=b * k,
+    ).reshape(b, k)
+    delta += base
+    estimate = delta.min(axis=1)
+    estimate += shared
+    estimate += cost
+    return estimate
+
+
 def _local_search(
     powered: np.ndarray,
     weights: np.ndarray,
@@ -152,6 +199,36 @@ def _local_search(
     in ``c1`` go to the first minimum, and which tied center a row names
     does not matter: a row with ``d1 == d2`` adds exactly 0.0 to the removal
     loss of its center, so no swap decision depends on the tie rule.
+
+    Screen. A row whose entry in a candidate's column is at least its
+    ``d2`` adds only its fixed removal loss ``w*(d2-d1)`` to its center, so
+    :func:`_screen_estimate` estimates the new cost of a block of upcoming
+    candidates (rows of ``powered.T``, contiguous because the Gram is
+    F-contiguous) from the entries below ``d2`` alone. A candidate is
+    skipped only when ``estimate - err > cutoff * cost``; every other one is
+    evaluated by the exact code below, in the same scan order. Every accept,
+    retired center and cost comes from that code, and after a swap the rest
+    of the block is dropped and screening resumes at the next column against
+    the new state, so the search makes exactly the swaps it makes
+    unscreened. Blocks start at ``_BLOCK_MIN`` candidates and double up to
+    ``_BLOCK_MAX`` while no swap happens.
+
+    The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
+    and the estimate round the same real value, ``cost + shared +
+    min_c per_center[c]``, and a minimum moves by at most the largest error
+    of its terms. Distances and weights are nonnegative, so in either
+    computation each per-row term is at most ``w*(d1+d2)`` in magnitude and
+    takes at most three roundings, the terms total at most ``2*S``, each sum
+    over rows (``sum``, ``bincount``) adds at most m rounding errors of
+    relative size u, and at most three more additions of values below
+    ``2*S`` follow. Each computation is thus within ``4*(m+8)*u*S`` of the
+    real value, plus at most ``3*m`` half subnormals where products
+    underflow. ``err = 64*(m+8)*(eps*S + smallest_subnormal)`` is 16 times
+    the sum of both errors, which also absorbs the rounding of
+    ``estimate - err``. So a skipped candidate's exact new cost is above
+    ``cutoff * cost``, and the exact code would have rejected it. When
+    ``err`` is not finite (k = 1, where ``d2`` is ``inf``, or an overflow)
+    the screen is off and every candidate is evaluated exactly.
     """
     n, k = powered.shape[0], len(chosen)
     c1, d1, d2 = _nearest_two(powered[:, chosen])
@@ -160,37 +237,61 @@ def _local_search(
     in_solution[chosen] = True
     gain_keep = np.empty(n)
     lose = np.empty(n)
+    below = np.empty((_BLOCK_MAX, n), dtype=bool)
+    columns = powered.T
+    fp = np.finfo(np.float64)
+    err = None                                        # screen bound of the current state
     improved = True
     while improved and cost > 0.0:
         improved = False
-        for j in range(n):
-            if in_solution[j]:
-                continue
-            column = powered[:, j]
-            np.minimum(column, d1, out=gain_keep)
-            gain_keep -= d1
-            gain_keep *= weights                      # <= 0 everywhere
-            shared = gain_keep.sum()
-            np.minimum(column, d2, out=lose)
-            lose -= d1
-            lose *= weights
-            lose -= gain_keep                         # extra cost if center lost
-            per_center = np.bincount(c1, weights=lose, minlength=k)
-            c_pos = int(per_center.argmin())
-            new_cost = cost + shared + per_center[c_pos]
-            if new_cost <= cutoff * cost:
-                retired = powered[:, chosen[c_pos]]
-                in_solution[chosen[c_pos]] = False
-                in_solution[j] = True
-                chosen[c_pos] = j
-                stale = np.flatnonzero((c1 == c_pos) | (column <= d2) | (retired == d2))
-                c1[stale], d1[stale], d2[stale] = _nearest_two(
-                    powered[np.ix_(stale, chosen)]
+        start, block = 0, _BLOCK_MIN
+        while start < n:
+            if err is None:
+                with np.errstate(over="ignore"):
+                    spread = cost + float(np.sum(weights * d2))
+                    err = 64.0 * (n + 8) * (fp.eps * spread + fp.smallest_subnormal)
+                if np.isfinite(err):
+                    base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
+            hi = min(start + block, n)
+            if np.isfinite(err):
+                estimate = _screen_estimate(
+                    columns[start:hi], below, weights, c1, d1, d2, base, cost
                 )
-                cost = float(np.sum(weights * d1))
-                improved = True
-                if cost <= 0.0:
-                    return cost
+                candidates = (start + np.flatnonzero(estimate - err <= cutoff * cost)).tolist()
+            else:
+                candidates = range(start, hi)
+            start, block = hi, min(2 * block, _BLOCK_MAX)
+            for j in candidates:
+                if in_solution[j]:
+                    continue
+                column = powered[:, j]
+                np.minimum(column, d1, out=gain_keep)
+                gain_keep -= d1
+                gain_keep *= weights                      # <= 0 everywhere
+                shared = gain_keep.sum()
+                np.minimum(column, d2, out=lose)
+                lose -= d1
+                lose *= weights
+                lose -= gain_keep                         # extra cost if center lost
+                per_center = np.bincount(c1, weights=lose, minlength=k)
+                c_pos = int(per_center.argmin())
+                new_cost = cost + shared + per_center[c_pos]
+                if new_cost <= cutoff * cost:
+                    retired = powered[:, chosen[c_pos]]
+                    in_solution[chosen[c_pos]] = False
+                    in_solution[j] = True
+                    chosen[c_pos] = j
+                    stale = np.flatnonzero((c1 == c_pos) | (column <= d2) | (retired == d2))
+                    c1[stale], d1[stale], d2[stale] = _nearest_two(
+                        powered[np.ix_(stale, chosen)]
+                    )
+                    cost = float(np.sum(weights * d1))
+                    improved = True
+                    if cost <= 0.0:
+                        return cost
+                    err = None
+                    start, block = j + 1, _BLOCK_MIN
+                    break
     return cost
 
 

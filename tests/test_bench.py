@@ -387,6 +387,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         )
         assert code == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+    # argparse's own usage errors exit 1 too, not with its status 2
+    valid = ["--synthetic", "g:1:1:50", "--window", "5", "--k", "1", "--phi", "1",
+             "--out", str(tmp_path / "x.csv")]
+    for argv, message in (
+        (["--k", "3"], "the following arguments are required: --window, --phi, --out"),
+        ([*valid, "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([*valid, "--k", "x"], "argument --k: invalid int value: 'x'"),
+    ):
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from dynkmed import DistanceOracle, WeightedInstance, points_from_array, weighted_solve
+from dynkmed import DistanceOracle, WeightedInstance, points_from_array, solver, weighted_solve
 from dynkmed.solver import (
     LOCAL_SEARCH_DELTA,
     _local_search,
@@ -158,3 +158,130 @@ def test_nearest_two_takes_the_first_minimum():
     assert c1.tolist() == [0, 0, 0, 0]
     assert d1.tolist() == cols[:, 0].tolist()
     assert np.all(np.isinf(d2))
+
+
+# -- the candidate screen ------------------------------------------------------
+
+
+def _instance_arrays(seed: int, n: int, p: float, offset: float = 0.0):
+    inst, oracle = _instance(seed, n, offset)
+    entries = inst.sorted_entries()
+    points = [q for q, _ in entries]
+    weights = np.array([w for _, w in entries], dtype=np.float64)
+    return oracle.pairwise(points, points).T ** p, weights
+
+
+def _exact_new_costs(powered, weights, chosen):
+    """Each column's new cost under the best single swap, computed with the
+    search's exact formula from the search's own per-row state; ``inf`` for
+    the centers."""
+    n, k = powered.shape[0], len(chosen)
+    c1, d1, d2 = _nearest_two(powered[:, chosen])
+    cost = float(np.sum(weights * d1))
+    new_costs = np.full(n, np.inf)
+    for j in sorted(set(range(n)) - set(chosen)):
+        column = powered[:, j]
+        gain_keep = np.minimum(column, d1)
+        gain_keep -= d1
+        gain_keep *= weights
+        shared = gain_keep.sum()
+        lose = np.minimum(column, d2)
+        lose -= d1
+        lose *= weights
+        lose -= gain_keep
+        per_center = np.bincount(c1, weights=lose, minlength=k)
+        new_costs[j] = cost + shared + per_center[int(per_center.argmin())]
+    return cost, new_costs
+
+
+def _record_blocks(monkeypatch):
+    sizes: list[int] = []
+    screen = solver._screen_estimate
+
+    def recording(slab, *args):
+        sizes.append(slab.shape[0])
+        return screen(slab, *args)
+
+    monkeypatch.setattr(solver, "_screen_estimate", recording)
+    return sizes
+
+
+def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff():
+    # The cutoff is set so that cutoff * cost is exactly the smallest new
+    # cost any candidate reaches: the first swap is accepted at equality, so
+    # a screen that skipped on a rounded estimate alone would drop it.
+    hit = 0
+    for seed in range(60):
+        p = (1.0, 2.0)[seed % 2]
+        powered, weights = _instance_arrays(2 * seed + 1, 90, p, 0.05 * (seed % 3))
+        k = 2 + seed % 6
+        start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
+        cost, new_costs = _exact_new_costs(powered, weights, start)
+        target = float(new_costs.min())
+        ratio = target / cost
+        cutoffs = [c for c in (ratio, np.nextafter(ratio, 0.0), np.nextafter(ratio, 2.0))
+                   if c * cost == target]
+        if not cutoffs:
+            continue
+        hit += 1
+        expected, got = list(start), list(start)
+        expected_cost = _reference_local_search(powered, weights, expected, cutoffs[0])
+        got_cost = _local_search(powered, weights, got, cutoffs[0])
+        assert got == expected, seed
+        assert repr(got_cost) == repr(expected_cost)
+        assert got != start
+    assert hit >= 40
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
+    # A Gaussian mixture of the size a query solves: the blocks grow to their
+    # largest size in swap-free stretches and start small again after swaps.
+    rng = np.random.default_rng(int(p))
+    means = rng.normal(0.0, 8.0, size=(25, 5))
+    coords = means[rng.integers(0, 25, size=640)] + rng.normal(size=(640, 5))
+    weights = rng.integers(1, 9, size=640).astype(np.float64)
+    oracle = DistanceOracle(1.0 / 640)
+    points = points_from_array(coords)
+    powered = oracle.pairwise(points, points).T ** p
+    k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
+    start = _seed_indices(powered, weights, k, np.random.default_rng(3))
+    sizes = _record_blocks(monkeypatch)
+    expected, got = list(start), list(start)
+    expected_cost = _reference_local_search(powered, weights, expected, cutoff)
+    got_cost = _local_search(powered, weights, got, cutoff)
+    assert got == expected
+    assert repr(got_cost) == repr(expected_cost)
+    assert max(sizes) == solver._BLOCK_MAX
+    assert sizes.count(solver._BLOCK_MIN) > 1  # the first block and restarts after swaps
+
+
+def test_screen_is_off_for_a_single_center(monkeypatch):
+    powered, weights = _instance_arrays(7, 60, 1.0)
+    sizes = _record_blocks(monkeypatch)
+    expected, got = [3], [3]
+    expected_cost = _reference_local_search(powered, weights, expected, 0.99)
+    assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+    assert got == expected != [3]
+    assert sizes == []  # d2 is inf for every row, so the bound is not finite
+
+
+def test_screen_is_off_while_its_bound_overflows(monkeypatch):
+    # Scaled so that the cost stays finite but cost + sum(w*d2) does not:
+    # every candidate goes to the exact code, which still finds the swaps.
+    powered, weights = _instance_arrays(9, 60, 2.0)
+    start = _seed_indices(powered, weights, 4, np.random.default_rng(9))
+    _, d1, _ = _nearest_two(powered[:, start])
+    powered *= 0.6 * np.finfo(np.float64).max / float(np.sum(weights * d1))
+    _, d1, d2 = _nearest_two(powered[:, start])
+    assert np.isfinite(np.sum(weights * d1))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(weights * d1) + np.sum(weights * d2))
+    sizes = _record_blocks(monkeypatch)
+    expected, got = list(start), list(start)
+    with np.errstate(over="ignore"):
+        expected_cost = _reference_local_search(powered, weights, expected, 0.99)
+        got_cost = _local_search(powered, weights, got, 0.99)
+    assert got == expected != start
+    assert repr(got_cost) == repr(expected_cost)
+    assert sizes == []
