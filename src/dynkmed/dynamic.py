@@ -272,17 +272,19 @@ class ClusteringState:
         return dict(zip(self.store.row_ids[rows].tolist(), centers.tolist()))
 
     def weighted_instance(self) -> WeightedInstance:
-        """All current centers, weighted by their cluster sizes.
+        """All current centers in id order, weighted by their cluster sizes:
+        the rows whose point is the center of its own slot's cluster.
 
         Weights sum to the live point count; last-layer points carry weight 1.
         """
         if len(self.store) == 0:
             raise ValueError("state is empty")
-        entries: list[tuple[Point, int]] = []
-        for lo, hi in self._bounds():
-            live = sorted((c, w) for c, w in zip(self.center[lo:hi], self.size[lo:hi]) if w)
-            entries += [(self.store.get(c), w) for c, w in live]
-        return WeightedInstance(entries)
+        ids = self.store.row_ids
+        rows = np.flatnonzero(self.slot >= 0)
+        rows = rows[ids[rows] == np.array(self.center)[self.slot[rows]]]
+        rows = rows[np.argsort(ids[rows])]
+        weights = np.array(self.size, dtype=np.int64)[self.slot[rows]]
+        return WeightedInstance.from_arrays(ids[rows], self.store.matrix[rows], weights)
 
     # -- diagnostics ---------------------------------------------------------
 

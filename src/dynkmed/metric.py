@@ -116,16 +116,13 @@ class PointStore:
     def ids_sorted(self) -> list[PointId]:
         return sorted(self._points)
 
+    def rows_by_id(self) -> np.ndarray:
+        """Rows of the live points, in ascending id order."""
+        rows = np.delete(np.arange(self._used), self._free)
+        return rows[np.argsort(self.row_ids[rows])]
+
     def points_sorted(self) -> list[Point]:
         return [self._points[i] for i in self.ids_sorted()]
-
-    def coords_for(self, ids: Sequence[PointId] | np.ndarray) -> np.ndarray:
-        """Gather coordinates for the given ids as an (len(ids), dim) matrix."""
-        keys = ids.tolist() if isinstance(ids, np.ndarray) else ids
-        rows = np.fromiter(
-            map(self._rows.__getitem__, keys), dtype=np.int64, count=len(ids)
-        )
-        return self.matrix[rows]
 
 
 class DistanceOracle:

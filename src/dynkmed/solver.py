@@ -10,7 +10,7 @@ it, and costs the answer over the full live set with :func:`cost_set`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,30 +21,43 @@ from .metric import DistanceOracle, Point, PointId, PointStore
 LOCAL_SEARCH_DELTA = 0.01
 
 
-@dataclass
 class WeightedInstance:
-    """Distinct points with positive integer weights."""
+    """Distinct points with positive integer weights, held as three arrays
+    in ascending id order: ``ids``, ``coords`` (one row per id) and
+    ``weights``. Built from ``(Point, weight)`` pairs in any order, or from
+    the arrays by :meth:`from_arrays`; :attr:`entries` is the pairs view."""
 
-    entries: list[tuple[Point, int]]
+    def __init__(self, entries: Iterable[tuple[Point, int]]) -> None:
+        pairs = sorted(entries, key=lambda e: e[0].id)
+        ids = np.array([q.id for q, _ in pairs], dtype=np.int64)
+        self._fill(ids, np.array([q.coords for q, _ in pairs]), np.array([w for _, w in pairs]))
 
-    def __post_init__(self) -> None:
-        seen: set[PointId] = set()
-        for point, weight in self.entries:
-            if weight < 1:
-                raise ValueError(f"weight of point {point.id} must be at least 1")
-            if point.id in seen:
-                raise ValueError(f"duplicate point id {point.id} in instance")
-            seen.add(point.id)
+    @classmethod
+    def from_arrays(cls, ids: np.ndarray, coords: np.ndarray, weights: np.ndarray) -> WeightedInstance:
+        instance = cls.__new__(cls)
+        instance._fill(ids, coords, weights)
+        return instance
+
+    def _fill(self, ids: np.ndarray, coords: np.ndarray, weights: np.ndarray) -> None:
+        light = np.flatnonzero(weights < 1)
+        if light.size:
+            raise ValueError(f"weight of point {ids[light[0]]} must be at least 1")
+        unordered = np.flatnonzero(np.diff(ids) <= 0)
+        if unordered.size:
+            raise ValueError(f"duplicate or unordered point id {ids[unordered[0] + 1]}")
+        self.ids, self.coords, self.weights = ids, coords, weights
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.ids.shape[0]
 
     @property
     def total_weight(self) -> int:
-        return sum(w for _, w in self.entries)
+        return self.weights.sum().item()
 
-    def sorted_entries(self) -> list[tuple[Point, int]]:
-        return sorted(self.entries, key=lambda e: e[0].id)
+    @property
+    def entries(self) -> list[tuple[Point, int]]:
+        ids, weights = self.ids.tolist(), self.weights.tolist()
+        return [(Point(pid, row), w) for pid, row, w in zip(ids, self.coords, weights)]
 
 
 @dataclass(frozen=True)
@@ -65,27 +78,31 @@ def cost_set(
     """Sum over the universe of the p-th power of the distance to the nearest
     center.
 
-    The universe may be a :class:`PointStore`: its live points are then read
-    as sorted ids and one gathered coordinate block, with no Point list.
-    Either way the rows are in id order, so the cost is the same float.
+    The universe may be a :class:`PointStore`: its live ids and rows are
+    then read as arrays in id order. Either way the rows are in id order,
+    so the cost is the same float. The exact row minimum is taken column by
+    column, which beats ``min(axis=1)`` over short rows.
     """
     if p < 1.0:
         raise ValueError("power must be at least 1")
     if isinstance(universe, PointStore):
-        ids = universe.ids_sorted()
-        coords = universe.coords_for(ids)
+        rows = universe.rows_by_id()
+        ids, coords = universe.row_ids[rows], universe.matrix[rows]
     else:
         members = sorted(universe, key=lambda q: q.id)
         ids = [q.id for q in members]
         coords = np.stack([q.coords for q in members]) if members else None
-    if not ids:
+    if len(ids) == 0:
         return 0.0
     ctrs = sorted(centers, key=lambda q: q.id)
     if not ctrs:
         raise ValueError("center set must be nonempty")
-    dmin = oracle.matrix_between(
+    dist = oracle.matrix_between(
         coords, ids, np.stack([q.coords for q in ctrs]), [q.id for q in ctrs]
-    ).min(axis=1)
+    )
+    dmin = dist[:, 0].copy()
+    for j in range(1, dist.shape[1]):
+        np.minimum(dmin, dist[:, j], out=dmin)
     return float(np.sum(dmin**p))
 
 
@@ -180,21 +197,25 @@ def _local_search(
     chosen: list[int],
     cutoff: float,
 ) -> float:
-    """Single-swap descent: scan candidates in column order and apply any
-    swap that shrinks the cost to at most ``cutoff`` times the current value,
-    until a full scan finds none.
+    """Single-swap descent: scan candidates cyclically in column order from
+    column 0, apply any swap that shrinks the cost to at most ``cutoff``
+    times the current value, and stop when the scan is back at the last
+    swap's column (or at column 0). Full passes until one without a swap
+    make the same swaps: after the last swap, their last pass only rereads
+    columns already rejected against the same state.
 
     For each candidate the best center to retire is chosen by the standard
     decomposition: points keeping their center can only gain from the
     candidate; points losing theirs fall back to the second-nearest. A
-    center retired during a pass is scanned as a candidate later in that
-    pass if its column comes after the current one.
+    retired center is scanned again as a candidate when the scan reaches
+    its column.
 
     Each row keeps its nearest center position ``c1``, its distance ``d1``
-    and its second-nearest distance ``d2``. After a swap only the rows where
-    these can change are recomputed: rows whose nearest center was retired,
-    rows whose second-nearest may have been the retired center, and rows
-    the new center comes within ``d2`` of. Every other row keeps its
+    and its second-nearest distance ``d2``, and ``near`` holds the columns
+    of the current centers. After a swap only the rows where these can
+    change are recomputed from ``near``: rows whose nearest center was
+    retired, rows whose second-nearest may have been the retired center, and
+    rows the new center comes within ``d2`` of. Every other row keeps its
     nearest center and both distances, so they stay the exact minima. Ties
     in ``c1`` go to the first minimum, and which tied center a row names
     does not matter: a row with ``d1 == d2`` adds exactly 0.0 to the removal
@@ -231,7 +252,8 @@ def _local_search(
     the screen is off and every candidate is evaluated exactly.
     """
     n, k = powered.shape[0], len(chosen)
-    c1, d1, d2 = _nearest_two(powered[:, chosen])
+    near = powered[:, chosen]
+    c1, d1, d2 = _nearest_two(near)
     cost = float(np.sum(weights * d1))
     in_solution = np.zeros(n, dtype=bool)
     in_solution[chosen] = True
@@ -241,67 +263,61 @@ def _local_search(
     columns = powered.T
     fp = np.finfo(np.float64)
     err = None                                        # screen bound of the current state
-    improved = True
-    while improved and cost > 0.0:
-        improved = False
-        start, block = 0, _BLOCK_MIN
-        while start < n:
-            if err is None:
-                with np.errstate(over="ignore"):
-                    spread = cost + float(np.sum(weights * d2))
-                    err = 64.0 * (n + 8) * (fp.eps * spread + fp.smallest_subnormal)
-                if np.isfinite(err):
-                    base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
-            hi = min(start + block, n)
+    start, block = 0, _BLOCK_MIN
+    left = n if cost > 0.0 else 0                     # columns to scan before stopping
+    while left:
+        if err is None:
+            with np.errstate(over="ignore"):
+                spread = cost + float(np.sum(weights * d2))
+                err = 64.0 * (n + 8) * (fp.eps * spread + fp.smallest_subnormal)
             if np.isfinite(err):
-                estimate = _screen_estimate(
-                    columns[start:hi], below, weights, c1, d1, d2, base, cost
-                )
-                candidates = (start + np.flatnonzero(estimate - err <= cutoff * cost)).tolist()
-            else:
-                candidates = range(start, hi)
-            start, block = hi, min(2 * block, _BLOCK_MAX)
-            for j in candidates:
-                if in_solution[j]:
-                    continue
-                column = powered[:, j]
-                np.minimum(column, d1, out=gain_keep)
-                gain_keep -= d1
-                gain_keep *= weights                      # <= 0 everywhere
-                shared = gain_keep.sum()
-                np.minimum(column, d2, out=lose)
-                lose -= d1
-                lose *= weights
-                lose -= gain_keep                         # extra cost if center lost
-                per_center = np.bincount(c1, weights=lose, minlength=k)
-                c_pos = int(per_center.argmin())
-                new_cost = cost + shared + per_center[c_pos]
-                if new_cost <= cutoff * cost:
-                    retired = powered[:, chosen[c_pos]]
-                    in_solution[chosen[c_pos]] = False
-                    in_solution[j] = True
-                    chosen[c_pos] = j
-                    stale = np.flatnonzero((c1 == c_pos) | (column <= d2) | (retired == d2))
-                    c1[stale], d1[stale], d2[stale] = _nearest_two(
-                        powered[np.ix_(stale, chosen)]
-                    )
-                    cost = float(np.sum(weights * d1))
-                    improved = True
-                    if cost <= 0.0:
-                        return cost
-                    err = None
-                    start, block = j + 1, _BLOCK_MIN
-                    break
+                base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
+        hi = min(start + block, n, start + left)
+        if np.isfinite(err):
+            estimate = _screen_estimate(columns[start:hi], below, weights, c1, d1, d2, base, cost)
+            candidates = (start + np.flatnonzero(estimate - err <= cutoff * cost)).tolist()
+        else:
+            candidates = range(start, hi)
+        left -= hi - start
+        start, block = hi % n, min(2 * block, _BLOCK_MAX)
+        for j in candidates:
+            if in_solution[j]:
+                continue
+            column = powered[:, j]
+            np.minimum(column, d1, out=gain_keep)
+            gain_keep -= d1
+            gain_keep *= weights                      # <= 0 everywhere
+            shared = gain_keep.sum()
+            np.minimum(column, d2, out=lose)
+            lose -= d1
+            lose *= weights
+            lose -= gain_keep                         # extra cost if center lost
+            per_center = np.bincount(c1, weights=lose, minlength=k)
+            c_pos = int(per_center.argmin())
+            new_cost = cost + shared + per_center[c_pos]
+            if new_cost <= cutoff * cost:
+                retired = powered[:, chosen[c_pos]]
+                in_solution[chosen[c_pos]] = False
+                in_solution[j] = True
+                chosen[c_pos] = j
+                near[:, c_pos] = column
+                stale = np.flatnonzero((c1 == c_pos) | (column <= d2) | (retired == d2))
+                c1[stale], d1[stale], d2[stale] = _nearest_two(near[stale])
+                cost = float(np.sum(weights * d1))
+                if cost <= 0.0:
+                    return cost
+                err = None
+                start, block, left = (j + 1) % n, _BLOCK_MIN, n - 1
+                break
     return cost
 
 
-def _instance_gram(points: Sequence[Point], p: float, oracle: DistanceOracle) -> np.ndarray:
-    """Powered distance matrix of instance points against themselves, equal
-    to ``oracle.pairwise(points, points).T ** p``. Instance ids are distinct,
-    so the same-id pairs to zero are exactly the diagonal. The transpose is
-    F-contiguous, so the column that seeding and local search read per pick
-    or candidate is one contiguous row of the kernel's output."""
-    coords = np.stack([q.coords for q in points])
+def _instance_gram(coords: np.ndarray, p: float, oracle: DistanceOracle) -> np.ndarray:
+    """Powered distance matrix of instance coordinates against themselves,
+    equal to ``oracle.pairwise(points, points).T ** p`` of their points.
+    Instance ids are distinct, so the same-id pairs to zero are exactly the
+    diagonal. The transpose is F-contiguous, so the column that seeding and
+    local search read per pick or candidate is one contiguous row."""
     gram = oracle.matrix_between(coords, None, coords, None).T
     np.fill_diagonal(gram, 0.0)
     if p != 1.0:
@@ -330,16 +346,12 @@ def weighted_solve(
     if len(instance) == 0:
         raise ValueError("instance must be nonempty")
     oracle = oracle or DistanceOracle()
-    entries = instance.sorted_entries()
-    ids = [q.id for q, _ in entries]
-    if len(entries) <= k:
+    ids = instance.ids.tolist()
+    if len(ids) <= k:
         return Solution(frozenset(ids), 0.0)
-    points = [q for q, _ in entries]
-    weights = np.array([w for _, w in entries], dtype=np.float64)
-    powered = _instance_gram(points, p, oracle)
-    rng = np.random.default_rng(seed)
-
-    chosen = _seed_indices(powered, weights, k, rng)
+    weights = instance.weights.astype(np.float64)
+    powered = _instance_gram(instance.coords, p, oracle)
+    chosen = _seed_indices(powered, weights, k, np.random.default_rng(seed))
     cost = _local_search(powered, weights, chosen, 1.0 - LOCAL_SEARCH_DELTA / k)
     return Solution(frozenset(ids[i] for i in chosen), cost)
 
@@ -358,10 +370,8 @@ def query(
         raise ValueError("k must be at least 1")
     if state.live_count <= k:
         return Solution(frozenset(p.id for p in state.live_points()), 0.0)
-    oracle = state.oracle
-    instance = state.weighted_instance()
-    picked = weighted_solve(instance, k, p, seed, oracle)
+    picked = weighted_solve(state.weighted_instance(), k, p, seed, state.oracle)
     centers = [state.store.get(c) for c in sorted(picked.centers)]
-    full_cost = cost_set(centers, state.store, p, oracle)
+    full_cost = cost_set(centers, state.store, p, state.oracle)
     return Solution(picked.centers, full_cost)
 

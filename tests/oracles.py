@@ -1,6 +1,6 @@
 """Reference oracles for the tests: brute-force optima, reference costs, the
-relaxed triangle check, one cover round over points and the covered set of
-a layer.
+relaxed triangle check, one cover round over points, the covered set of a
+layer and the checks of a state's weighted instance.
 
 None of these is on an engine path. The brute-force enumerations carry hard
 size guards and evaluate distances without touching the oracle counter.
@@ -73,7 +73,7 @@ def cost_weighted(
         raise ValueError(f"centers {missing} are not instance points")
     if not center_ids:
         raise ValueError("center set must be nonempty")
-    entries = instance.sorted_entries()
+    entries = instance.entries
     members = [q for q, _ in entries]
     weights = np.array([w for _, w in entries], dtype=np.float64)
     dmin = oracle.pairwise(members, [known[c] for c in center_ids]).min(axis=1)
@@ -131,6 +131,24 @@ def covered(state: ClusteringState, index: int) -> set[PointId]:
     return set().union(*state.clusters(index).values())
 
 
+def checked_instance(state: ClusteringState) -> WeightedInstance:
+    """The weighted instance of a nonempty state, after checking it: ids
+    strictly ascending and exactly the centers of the nonempty clusters,
+    each weighted by its cluster's size (so weights are at least 1 and sum
+    to the live count), and coordinates bit for bit the store rows of those
+    ids."""
+    inst = state.weighted_instance()
+    ids = inst.ids.tolist()
+    assert np.all(np.diff(inst.ids) > 0)
+    assert np.all(inst.weights >= 1) and inst.total_weight == state.live_count
+    assert dict(zip(ids, inst.weights.tolist())) == {
+        c: w for c, w in zip(state.center, state.size) if w
+    }
+    rows = [state.store.row(pid) for pid in ids]
+    assert inst.coords.tobytes() == state.store.matrix[rows].tobytes()
+    return inst
+
+
 # -- brute-force optima --------------------------------------------------------
 
 
@@ -163,7 +181,7 @@ def brute_force_opt_weighted(
     Ties go to the lexicographically smallest id tuple. Guarded to at most 24
     points and 1e5 subsets.
     """
-    entries = instance.sorted_entries()
+    entries = instance.entries
     n = len(entries)
     if n == 0:
         raise ValueError("instance must be nonempty")

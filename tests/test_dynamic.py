@@ -269,7 +269,7 @@ def test_weighted_instance_trivial_and_sum():
     pts = line_points(5, 6, 7)
     state = preprocess(pts, DynamicParams(k=2, phi=4))
     inst = state.weighted_instance()
-    assert [(p.id, w) for p, w in inst.sorted_entries()] == [(0, 1), (1, 1), (2, 1)]
+    assert [(p.id, w) for p, w in inst.entries] == [(0, 1), (1, 1), (2, 1)]
 
     state = big_state(seed=41)
     rng = np.random.default_rng(4)
@@ -432,7 +432,7 @@ def test_store_memory_tracks_the_live_count_over_a_long_slide():
     live = state.live_points()
     assert [p.id for p in live] == [p.id for p in pts[-window:]]
     np.testing.assert_array_equal(
-        state.store.coords_for([p.id for p in live]), np.stack([p.coords for p in live])
+        state.store.matrix[state.store.rows_by_id()], np.stack([p.coords for p in live])
     )
     assert state.integrity_check() == []
 

@@ -105,7 +105,7 @@ def test_local_search_matches_full_recompute(p, k, offset):
     ties = 0
     for seed in range(8):
         inst, oracle = _instance(100 * k + seed, 60, offset)
-        entries = inst.sorted_entries()
+        entries = inst.entries
         points = [q for q, _ in entries]
         weights = np.array([w for _, w in entries], dtype=np.float64)
         powered = oracle.pairwise(points, points).T ** p
@@ -128,7 +128,7 @@ def test_local_search_matches_full_recompute(p, k, offset):
         assert ties > 0  # the instances exercise the d1 == d2 case
 
 
-def test_center_retired_ahead_of_the_scan_is_rescanned_in_the_same_pass():
+def test_center_retired_ahead_of_the_scan_is_rescanned_in_the_same_pass(monkeypatch):
     # Centers at 15 and 18 (indices 4, 5). Pass one: candidate 0 retires
     # index 5 (cost 66 -> 57), candidate 1 retires index 0 (-> 55), and
     # index 5, retired earlier in this pass, comes back for index 4 (-> 52).
@@ -140,6 +140,8 @@ def test_center_retired_ahead_of_the_scan_is_rescanned_in_the_same_pass():
     expected_cost = _reference_local_search(powered, weights, expected, 0.99)
     assert _local_search(powered, weights, got, 0.99) == expected_cost == 52.0
     assert got == expected == [5, 1]
+    # the swaps bring in columns 0, 1 and then 5, retired by the first one
+    assert _check_cyclic_scan(powered, weights, [4, 5], 0.99, monkeypatch) == [0, 1, 5]
 
 
 def test_nearest_two_takes_the_first_minimum():
@@ -165,7 +167,7 @@ def test_nearest_two_takes_the_first_minimum():
 
 def _instance_arrays(seed: int, n: int, p: float, offset: float = 0.0):
     inst, oracle = _instance(seed, n, offset)
-    entries = inst.sorted_entries()
+    entries = inst.entries
     points = [q for q, _ in entries]
     weights = np.array([w for _, w in entries], dtype=np.float64)
     return oracle.pairwise(points, points).T ** p, weights
@@ -194,16 +196,82 @@ def _exact_new_costs(powered, weights, chosen):
     return cost, new_costs
 
 
-def _record_blocks(monkeypatch):
-    sizes: list[int] = []
+def _record_blocks(monkeypatch, powered):
+    """Record the columns ``(first, end)`` of every block the screen reads.
+    A block is a view of columns of ``powered``, so its first column is its
+    offset from ``powered``'s data over the column stride."""
+    blocks: list[tuple[int, int]] = []
     screen = solver._screen_estimate
 
     def recording(slab, *args):
-        sizes.append(slab.shape[0])
+        first = (slab.ctypes.data - powered.ctypes.data) // powered.strides[1]
+        blocks.append((first, first + slab.shape[0]))
         return screen(slab, *args)
 
     monkeypatch.setattr(solver, "_screen_estimate", recording)
-    return sizes
+    return blocks
+
+
+def _reference_swaps(powered, weights, chosen, cutoff, monkeypatch):
+    """Run the reference search on ``chosen``; return its cost and the column
+    each of its swaps brought in, in order."""
+    snapshots: list[list[int]] = []               # the start, then after each swap
+    stats = _reference_solution_stats
+
+    def recording(powered, weights, chosen):
+        snapshots.append(list(chosen))
+        return stats(powered, weights, chosen)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(globals(), "_reference_solution_stats", recording)
+        cost = _reference_local_search(powered, weights, chosen, cutoff)
+    swaps = [
+        next(c for c in after if c not in before)
+        for before, after in zip(snapshots, snapshots[1:])
+    ]
+    return cost, swaps
+
+
+def _check_cyclic_scan(powered, weights, start, cutoff, monkeypatch):
+    """Check that the search makes the reference's swaps and that, after the
+    last one at column j, it screens every other column once, from j + 1
+    round to j - 1, and stops there; returns the swapped-in columns."""
+    n = powered.shape[0]
+    expected, got = list(start), list(start)
+    expected_cost, swaps = _reference_swaps(powered, weights, expected, cutoff, monkeypatch)
+    with monkeypatch.context() as patch:
+        blocks = _record_blocks(patch, powered)
+        got_cost = _local_search(powered, weights, got, cutoff)
+    assert got == expected
+    assert repr(got_cost) == repr(expected_cost)
+    assert swaps
+    last = swaps[-1]
+    screened = [j for first, end in blocks for j in range(first, end)]
+    assert screened[-(n - 1):] == [(last + 1 + i) % n for i in range(n - 1)]
+    assert blocks[-1][1] % n == last
+    return swaps
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_scan_stops_when_it_comes_back_to_the_last_swap(p, monkeypatch):
+    # The reference rescans from column 0 until a pass makes no swap, so its
+    # last pass rereads the columns after the last swap, which were already
+    # rejected against the same state; the search stops short of them.
+    for seed in range(12):
+        powered, weights = _instance_arrays(2 * seed + 1, 70, p, 0.05 * (seed % 2))
+        k = 2 + seed % 5
+        start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
+        _check_cyclic_scan(powered, weights, start, 1.0 - LOCAL_SEARCH_DELTA / k, monkeypatch)
+
+
+def test_scan_after_a_swap_at_the_last_column_wraps_to_column_zero(monkeypatch):
+    # The far point x = 100 is the last column; bringing it in for x = 0 is
+    # the only swap that halves the cost, and the scan after it reads
+    # columns 0, 1 and 2 once.
+    x = np.array([0.0, 1.0, 2.0, 100.0])
+    weights = np.array([1.0, 5.0, 1.0, 10.0])
+    powered = np.abs(x[:, None] - x[None, :])
+    assert _check_cyclic_scan(powered, weights, [1, 0], 0.5, monkeypatch) == [3]
 
 
 def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff():
@@ -237,33 +305,39 @@ def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff():
 def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
     # A Gaussian mixture of the size a query solves: the blocks grow to their
     # largest size in swap-free stretches and start small again after swaps.
+    # The scan after the last swap reads m - 1 columns: blocks of 16, 32, 64
+    # and 128, then 256s, one of which may be cut short at column m. With
+    # m - 1 >= 240 + 255 + 256, that stretch holds a whole 256-block wherever
+    # the last swap falls.
+    m = 760
     rng = np.random.default_rng(int(p))
     means = rng.normal(0.0, 8.0, size=(25, 5))
-    coords = means[rng.integers(0, 25, size=640)] + rng.normal(size=(640, 5))
-    weights = rng.integers(1, 9, size=640).astype(np.float64)
-    oracle = DistanceOracle(1.0 / 640)
+    coords = means[rng.integers(0, 25, size=m)] + rng.normal(size=(m, 5))
+    weights = rng.integers(1, 9, size=m).astype(np.float64)
+    oracle = DistanceOracle(1.0 / m)
     points = points_from_array(coords)
     powered = oracle.pairwise(points, points).T ** p
     k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
     start = _seed_indices(powered, weights, k, np.random.default_rng(3))
-    sizes = _record_blocks(monkeypatch)
+    blocks = _record_blocks(monkeypatch, powered)
     expected, got = list(start), list(start)
     expected_cost = _reference_local_search(powered, weights, expected, cutoff)
     got_cost = _local_search(powered, weights, got, cutoff)
     assert got == expected
     assert repr(got_cost) == repr(expected_cost)
+    sizes = [end - first for first, end in blocks]
     assert max(sizes) == solver._BLOCK_MAX
     assert sizes.count(solver._BLOCK_MIN) > 1  # the first block and restarts after swaps
 
 
 def test_screen_is_off_for_a_single_center(monkeypatch):
     powered, weights = _instance_arrays(7, 60, 1.0)
-    sizes = _record_blocks(monkeypatch)
+    blocks = _record_blocks(monkeypatch, powered)
     expected, got = [3], [3]
     expected_cost = _reference_local_search(powered, weights, expected, 0.99)
     assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
     assert got == expected != [3]
-    assert sizes == []  # d2 is inf for every row, so the bound is not finite
+    assert blocks == []  # d2 is inf for every row, so the bound is not finite
 
 
 def test_screen_is_off_while_its_bound_overflows(monkeypatch):
@@ -277,11 +351,11 @@ def test_screen_is_off_while_its_bound_overflows(monkeypatch):
     assert np.isfinite(np.sum(weights * d1))
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(weights * d1) + np.sum(weights * d2))
-    sizes = _record_blocks(monkeypatch)
+    blocks = _record_blocks(monkeypatch, powered)
     expected, got = list(start), list(start)
     with np.errstate(over="ignore"):
         expected_cost = _reference_local_search(powered, weights, expected, 0.99)
         got_cost = _local_search(powered, weights, got, 0.99)
     assert got == expected != start
     assert repr(got_cost) == repr(expected_cost)
-    assert sizes == []
+    assert blocks == []

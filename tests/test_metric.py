@@ -202,7 +202,7 @@ def test_point_store_gather_and_dimension_guard():
         store.add(p)
     assert store.ids_sorted() == [1, 3, 7]
     np.testing.assert_array_equal(
-        store.coords_for([7, 1]), np.array([[2.0, 5.0], [0.0, -1.0]])
+        store.matrix[store.rows_by_id()], np.array([[0.0, -1.0], [1.0, 1.0], [2.0, 5.0]])
     )
     with pytest.raises(ValueError):
         store.add(pt(9, 1.0))  # wrong dimension
@@ -212,7 +212,10 @@ def test_point_store_gather_and_dimension_guard():
     freed = store.row(3)
     store.remove(3)
     assert 3 not in store and len(store) == 2
+    assert store.row_ids[store.rows_by_id()].tolist() == [1, 7]
     assert store.add(pt(8, 4.0, 4.0)) == freed and store.row_ids[freed] == 8
+    assert store.add(pt(2, 0.0, 0.0)) == 3  # a new row, while the freed one is in use
+    assert store.row_ids[store.rows_by_id()].tolist() == [1, 2, 7, 8]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])

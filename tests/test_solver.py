@@ -16,6 +16,7 @@ from dynkmed.solver import _instance_gram, _seed_indices
 from oracles import (
     brute_force_coverage_radius,
     brute_force_opt_weighted,
+    checked_instance,
     cost_assignment,
     cost_weighted,
     unit_instance,
@@ -137,7 +138,7 @@ def test_weighted_solve_never_worse_than_seeding():
         pts = points_from_array(rng.normal(size=(18, 2)))
         weights = rng.integers(1, 4, size=18)
         inst = WeightedInstance([(p, int(w)) for p, w in zip(pts, weights)])
-        entries = inst.sorted_entries()
+        entries = inst.entries
         w = np.array([wt for _, wt in entries], dtype=float)
         powered = ORACLE.pairwise([q for q, _ in entries], [q for q, _ in entries])
         chosen = _seed_indices(powered, w, 4, np.random.default_rng(seed))
@@ -153,7 +154,7 @@ def test_instance_gram_equals_the_general_pairwise_path(p, offset):
     pts += points_from_array(np.stack([q.coords for q in pts[:6]]), start_id=40)
     general, fast = DistanceOracle(offset), DistanceOracle(offset)
     expected = general.pairwise(pts, pts).T ** p
-    got = _instance_gram(pts, p, fast)
+    got = _instance_gram(np.stack([q.coords for q in pts]), p, fast)
     assert np.array_equal(got, expected)
     assert got.flags.f_contiguous
     assert fast.evals == general.evals == 46 * 46
@@ -268,6 +269,22 @@ def test_solution_cost_matches_cost_set_on_full_set():
     assert sol.cost == cost_set(centers, pts, 1.0, state.oracle)
 
 
+def shuffled_state(seed, offset=0.0):
+    """A state whose store has freed and reused rows, and whose ids were
+    inserted out of order, some of them ids of deleted points."""
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(0.0, 2.0, size=(140, 3))
+    ids = (3 * rng.permutation(80)).tolist()
+    pts = [Point(pid, c) for pid, c in zip(ids, coords)]
+    state = preprocess(pts, DynamicParams(k=3, phi=8, seed=seed), DistanceOracle(offset))
+    fresh = iter(coords[80:])
+    for victim in ids[:30:2]:                      # 15 deletes
+        state.delete(victim)
+    for pid in (1000, 500, 7, ids[0], 2, ids[4], 301, 1):   # 8 inserts
+        state.insert(Point(pid, next(fresh)))
+    return state
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_cost_set_over_a_point_store_equals_the_point_list(p):
     pts = random_points(80, dim=3, seed=12, scale=2.0)
@@ -282,3 +299,37 @@ def test_cost_set_over_a_point_store_equals_the_point_list(p):
     got = cost_set(centers, state.store, p, by_store)
     assert repr(got) == repr(cost_set(centers, live, p, by_list))
     assert by_store.evals == by_list.evals == 80 * 3
+
+    state = shuffled_state(5, 0.05)
+    assert state.live_count == 73 and len(state.store._free) == 7
+    live = state.live_points()
+    for picks in ((0, 36, 72), (5,), tuple(range(0, 73, 4))):
+        centers = [live[i] for i in picks]
+        by_store, by_list = DistanceOracle(0.05), DistanceOracle(0.05)
+        got = cost_set(centers, state.store, p, by_store)
+        assert repr(got) == repr(cost_set(centers, live, p, by_list))
+        assert by_store.evals == by_list.evals == 73 * len(picks)
+
+
+def test_weighted_instance_is_the_center_rows_in_id_order():
+    for seed in range(6):
+        state = shuffled_state(seed)
+        inst = checked_instance(state)
+        assert len(inst) == len(inst.entries) < state.live_count
+        assert [q.id for q, _ in inst.entries] == inst.ids.tolist()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_weighted_solve_is_the_same_for_an_array_and_an_entries_instance(p):
+    for seed in range(6):
+        state = shuffled_state(seed, 0.01)
+        arrays = state.weighted_instance()
+        # the pairs in table order, layer by layer, not in id order
+        entries = WeightedInstance(
+            [(state.store.get(c), w) for c, w in zip(state.center, state.size) if w]
+        )
+        by_arrays, by_entries = DistanceOracle(0.01), DistanceOracle(0.01)
+        got = weighted_solve(arrays, 3, p, seed, by_arrays)
+        expected = weighted_solve(entries, 3, p, seed, by_entries)
+        assert got == expected and repr(got.cost) == repr(expected.cost)
+        assert by_arrays.evals == by_entries.evals == len(arrays) ** 2

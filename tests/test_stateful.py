@@ -4,7 +4,8 @@ Hypothesis drives one state through inserts, deletes, queries and rebuilds
 from a drawn layer. Coordinates lie on a small grid, so exact duplicates are
 common, and are shifted up to 1e6 from the origin; the offset is 0 or 1/n and
 the power p is 1 or 2. After every step the state must pass its own
-integrity check and its weighted instance must weigh the live count; every
+integrity check and its weighted instance must pass ``checked_instance``
+(the centers' store rows in id order, weighing the live count); every
 query must return live centers at the cost that ``cost_set`` gives on a
 separate oracle. The run is derandomized, so it is the same on every run.
 """
@@ -15,6 +16,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dynkmed import DistanceOracle, DynamicParams, Point, cost_set, preprocess, query
+from oracles import checked_instance
 
 grid_point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
@@ -66,7 +68,7 @@ class DynamicStateMachine(RuleBasedStateMachine):
     def structure_holds(self):
         assert self.state.integrity_check() == []
         if self.state.live_count > 0:
-            assert self.state.weighted_instance().total_weight == self.state.live_count
+            checked_instance(self.state)
 
 
 DynamicStateMachine.TestCase.settings = settings(
