@@ -298,9 +298,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         state, config.k, config.p, next(baseline_seeds), next(baseline_seeds)
                     )
                     updates_since_baseline = 0
-                base_cost = cost_set(
-                    baseline_centers, state.live_points(), config.p, oracle
-                )
+                base_cost = cost_set(baseline_centers, state.store, config.p, oracle)
                 emit(
                     index,
                     "baseline",

@@ -54,19 +54,19 @@ def _cover_arrays(
     center_ids = np.unique(np.asarray(sample, dtype=np.int64))
     pos = np.searchsorted(ids, center_ids)
 
-    # ids are distinct, so the only same-id pair of center j is (pos[j], j)
-    dist = oracle.matrix_between(coords, None, coords[pos], None)
+    # ids are distinct, so the only same-id pair of center j is (pos[j], j);
+    # it is marked -inf, as matrix_between marks same-id pairs when squared
+    dist = oracle.matrix_between(coords, None, coords[pos], None, squared=True)
     columns = np.arange(pos.shape[0])
-    dist[pos, columns] = 0.0
-    nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
+    dist[pos, columns] = -np.inf
+    nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
     # a center whose own row went to another center (a computed 0 between
     # points far closer than their spread) must keep no members; an exact
     # twin's column equals the kept twin's, so no row picked it
     absorbed = nearest[pos] != columns
     if absorbed.any():
         dist[:, absorbed] = np.inf
-        nearest = np.argmin(dist, axis=1)
-    dmin = dist[np.arange(n), nearest]
+        nearest, dmin = oracle.nearest(dist)
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
     return center_ids, nearest, dmin <= radius, radius

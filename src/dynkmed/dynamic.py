@@ -405,7 +405,7 @@ def preprocess(
     if not pts:
         raise ValueError("initial point set must be nonempty")
     state = ClusteringState(params, oracle)
-    rows = np.array([state.store.add(p) for p in pts], dtype=np.int64)
+    rows = state.store.add_many(pts)
     state._track_rows()
     state._rebuild(1, rows)
     return state

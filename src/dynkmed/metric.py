@@ -9,7 +9,9 @@ applies the custom-metric check, the offset and the same-id zeroing for its
 shape, and every other distance (``distance``, ``pairwise``, the 2*radius
 check of ``integrity_check``) is a call to one of them. Each bumps the
 counter by the number of pairs it touches; diagnostics may opt out with
-``count=False``.
+``count=False``. Callers that need only row minima (cover rounds, the
+live-set cost) take ``matrix_between(..., squared=True)`` and reduce it with
+``nearest`` or ``row_min``, which take square roots of n row minima only.
 """
 from __future__ import annotations
 
@@ -77,31 +79,56 @@ class PointStore:
 
     def add(self, point: Point) -> int:
         """Store a point and return its row."""
-        if point.id in self._points:
-            raise ValueError(f"point id {point.id} already present")
-        if self.dim is None:
-            self.dim = point.dim
-            self.matrix = np.empty((16, self.dim), dtype=np.float64)
-            self.row_ids = np.empty(16, dtype=np.int64)
-        elif point.dim != self.dim:
-            raise ValueError(
-                f"point {point.id} has dimension {point.dim}, space has {self.dim}"
-            )
-        if self._free:
-            row = self._free.pop()
-        else:
-            if self._used == self.matrix.shape[0]:
-                grown = np.empty((2 * self._used, self.dim), dtype=np.float64)
-                grown[: self._used] = self.matrix
-                self.matrix = grown
-                self.row_ids = np.concatenate([self.row_ids, np.empty_like(self.row_ids)])
-            row = self._used
-            self._used += 1
+        self._check(point, (), self.dim)
+        row = self._free.pop() if self._free else self._fresh_rows(point.dim, 1)[0]
         self.matrix[row] = point.coords
         self.row_ids[row] = point.id
         self._rows[point.id] = row
         self._points[point.id] = point
         return row
+
+    def add_many(self, points: Sequence[Point]) -> np.ndarray:
+        """Store points as one :meth:`add` each would (same rows, ``row_ids``
+        and matrix), raising any error before the first is stored."""
+        if not points:
+            return np.empty(0, dtype=np.int64)
+        ids = [q.id for q in points]
+        dim = points[0].dim if self.dim is None else self.dim
+        if (len(set(ids)) < len(ids) or not self._points.keys().isdisjoint(ids)
+                or {q.coords.shape[0] for q in points} != {dim}):
+            seen: set[PointId] = set()
+            for point in points:  # raise what the first failing add would
+                self._check(point, seen, dim)
+                seen.add(point.id)
+        reused = [self._free.pop() for _ in range(min(len(points), len(self._free)))]
+        fresh = self._fresh_rows(dim, len(points) - len(reused))
+        rows = np.array(reused + list(fresh), dtype=np.int64)
+        self.matrix[rows] = np.array([q.coords for q in points])
+        self.row_ids[rows] = ids
+        self._rows.update(zip(ids, rows.tolist()))
+        self._points.update(zip(ids, points))
+        return rows
+
+    def _check(self, point: Point, seen, dim: Optional[int]) -> None:
+        if point.id in self._points or point.id in seen:
+            raise ValueError(f"point id {point.id} already present")
+        if dim is not None and point.dim != dim:
+            raise ValueError(f"point {point.id} has dimension {point.dim}, space has {dim}")
+
+    def _fresh_rows(self, dim: int, count: int) -> range:
+        """Take ``count`` never-used rows, doubling the capacity from 16 until
+        they fit; the first call sets the dimension."""
+        if self.dim is None:
+            self.dim, self.matrix = dim, np.empty((0, dim))
+        start, size = self._used, max(16, self.matrix.shape[0])
+        self._used += count
+        while size < self._used:
+            size *= 2
+        grow = size - self.matrix.shape[0]
+        if grow:
+            self.matrix = np.concatenate([self.matrix, np.empty((grow, dim))])
+            self.row_ids = np.concatenate([self.row_ids, np.empty(grow, dtype=np.int64)])
+        return range(start, self._used)
 
     def remove(self, pid: PointId) -> None:
         del self._points[pid]
@@ -159,6 +186,7 @@ class DistanceOracle:
         b_coords: np.ndarray,
         b_ids: Optional[Sequence[PointId]],
         count: bool = True,
+        squared: bool = False,
     ) -> np.ndarray:
         """Full distance matrix between two coordinate blocks.
 
@@ -188,6 +216,10 @@ class DistanceOracle:
         A custom ``base`` must return a finite value >= 0 for every pair;
         anything else raises ``ValueError`` naming the pair (by id when ids
         are given, else by row positions).
+
+        ``squared=True`` returns the input of :meth:`nearest` and
+        :meth:`row_min`, with the same count: Euclidean entries stop at the
+        product, custom ones are distances, and same-id pairs are ``-inf``.
         """
         a = np.asarray(a_coords, dtype=np.float64)
         b = np.asarray(b_coords, dtype=np.float64)
@@ -202,6 +234,8 @@ class DistanceOracle:
                 for j in range(c):
                     out[i, j] = self.base(a[i], b[j])
             _check_custom(out, a_ids, b_ids)
+            if self.offset:
+                out += self.offset
         elif n and c:
             d = a.shape[1]
             left = np.empty((n, d + 2))
@@ -221,14 +255,49 @@ class DistanceOracle:
             left[:, d] = 1.0
             right[:, d + 1] = 1.0
             np.matmul(left, right.T, out=out)
-            np.maximum(out, 0.0, out=out)
-            np.sqrt(out, out=out)
-        if self.offset:
-            out += self.offset
+            if not squared:
+                self._root(out, out=out)
         if a_ids is not None and b_ids is not None:
             rows, cols = _same_id_pairs(a_ids, b_ids, n, c)
-            out[rows, cols] = 0.0
+            out[rows, cols] = -np.inf if squared else 0.0
         return out
+
+    def _root(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Euclidean distances of product entries: sqrt(max(x, 0)) + offset."""
+        out = np.maximum(x, 0.0, out=out)
+        np.sqrt(out, out=out)
+        if self.offset:
+            out += self.offset
+        return out
+
+    def _distances(self, x: np.ndarray) -> np.ndarray:
+        """Distances of ``squared=True`` entries; -inf (same ids) is 0."""
+        d = self._root(x) if self.base is None else x.copy()
+        d[x == -np.inf] = 0.0
+        return d
+
+    def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's first-minimum column and its distance, bit for bit as
+        over the distances, from a ``squared=True`` result ``x``. The distance
+        is monotone in ``x``, so it is only reduced again over the rows whose
+        second-smallest entry of ``x`` rounds to the same distance as the
+        smallest (distinct entries can)."""
+        if self.base is not None:
+            return _nearest_two(self._distances(x))[:2]
+        cols, low, second = _nearest_two(x)
+        dmin = self._distances(low)
+        tied = np.flatnonzero(self._distances(second) <= dmin)
+        if tied.shape[0]:
+            cols[tied], dmin[tied] = _nearest_two(self._distances(x[tied]))[:2]
+        return cols, dmin
+
+    def row_min(self, x: np.ndarray) -> np.ndarray:
+        """Each row's minimum distance from a ``squared=True`` result: the
+        distance of the row minimum of ``x``, taken column by column."""
+        low = x[:, 0].copy()
+        for j in range(1, x.shape[1]):
+            np.minimum(low, x[:, j], out=low)
+        return self._distances(low)
 
     def elementwise(
         self,
@@ -287,6 +356,18 @@ class DistanceOracle:
         return self.matrix_between(
             a, [p.id for p in xs], b, [p.id for p in ys], count=count
         )
+
+
+def _nearest_two(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a block (restored on return): the first minimum's column,
+    the minimum, and the second-smallest entry (``inf`` with one column)."""
+    rows = np.arange(x.shape[0])
+    cols = np.argmin(x, axis=1)
+    low = x[rows, cols]
+    x[rows, cols] = np.inf
+    second = x[rows, np.argmin(x, axis=1)]  # argmin beats min(axis=1) on short rows
+    x[rows, cols] = low
+    return cols, low, second
 
 
 def _check_custom(

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metric import DistanceOracle, Point, PointId, PointStore
+from .metric import DistanceOracle, Point, PointId, PointStore, _nearest_two
 
 # Relative-improvement cutoff of the local search: a swap must cut the cost
 # to at most (1 - LOCAL_SEARCH_DELTA/k) times its current value.
@@ -80,8 +80,7 @@ def cost_set(
 
     The universe may be a :class:`PointStore`: its live ids and rows are
     then read as arrays in id order. Either way the rows are in id order,
-    so the cost is the same float. The exact row minimum is taken column by
-    column, which beats ``min(axis=1)`` over short rows.
+    so the cost is the same float.
     """
     if p < 1.0:
         raise ValueError("power must be at least 1")
@@ -98,12 +97,9 @@ def cost_set(
     if not ctrs:
         raise ValueError("center set must be nonempty")
     dist = oracle.matrix_between(
-        coords, ids, np.stack([q.coords for q in ctrs]), [q.id for q in ctrs]
+        coords, ids, np.stack([q.coords for q in ctrs]), [q.id for q in ctrs], squared=True
     )
-    dmin = dist[:, 0].copy()
-    for j in range(1, dist.shape[1]):
-        np.minimum(dmin, dist[:, j], out=dmin)
-    return float(np.sum(dmin**p))
+    return float(np.sum(oracle.row_min(dist) ** p))
 
 
 # -- weighted solver ---------------------------------------------------------
@@ -129,19 +125,6 @@ def _seed_indices(
         chosen.append(nxt)
         np.minimum(dmin, powered[:, nxt], out=dmin)
     return chosen
-
-
-def _nearest_two(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of an (m, k) block: the position of the first minimum, the
-    minimum, and the second-smallest value (``inf`` when k == 1)."""
-    rows = np.arange(cols.shape[0])
-    c1 = np.argmin(cols, axis=1)
-    d1 = cols[rows, c1]
-    if cols.shape[1] == 1:
-        return c1, d1, np.full(cols.shape[0], np.inf)
-    rest = cols.copy()
-    rest[rows, c1] = np.inf
-    return c1, d1, rest.min(axis=1)
 
 
 # Candidate block sizes of the local-search screen (see _local_search).

@@ -18,6 +18,13 @@ far below the kernel's rounding error at unit spread), so only its
 expectation differs from an unmasked cover round; at offset 0.25 the
 twins' distances round to ties, which the first minimum already breaks
 toward the kept twin.
+
+``nearest`` and ``row_min`` reduce the squared product that
+``matrix_between(..., squared=True)`` returns. ``_reference_nearest``
+finishes that product into distances as the kernel does and takes the first
+argmin and the minimum; the reductions must match it bit for bit, and the
+finished product must match ``matrix_between`` itself, on cases where
+distinct products round to one distance.
 """
 from __future__ import annotations
 
@@ -26,7 +33,16 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from dynkmed import DistanceOracle, DynamicParams
+from dynkmed import (
+    DistanceOracle,
+    DynamicParams,
+    SyntheticSpec,
+    cost_set,
+    points_from_array,
+    preprocess,
+    query,
+    synthetic_points,
+)
 from dynkmed.cover import _cover_arrays, _quantile_index
 from dynkmed.metric import PointId
 
@@ -236,3 +252,179 @@ def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offse
         spread = x - b.mean(axis=0)
         r_sq = np.einsum("ij,ij->i", spread, spread).max()
         assert np.abs(got**2 - want_sq).max() <= 4 * (dim + 2) * eps * r_sq, shift
+
+
+# -- row-minimum reductions ----------------------------------------------------
+
+
+def _reference_nearest(oracle: DistanceOracle, x: np.ndarray):
+    """The distances ``matrix_between`` finishes a squared product ``x``
+    into (-inf marks a same-id pair), with their first argmin and minimum."""
+    d = x.copy()
+    if oracle.base is None:
+        d = np.sqrt(np.maximum(x, 0.0))
+        if oracle.offset:
+            d += oracle.offset
+    d[x == -np.inf] = 0.0
+    cols = np.argmin(d, axis=1)
+    return d, cols, d[np.arange(d.shape[0]), cols]
+
+
+def assert_reductions_match(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
+    """``nearest`` and ``row_min`` of ``x`` equal the reference bit for bit
+    and leave ``x`` as it was; returns the reference distances."""
+    before = x.copy()
+    d, want_cols, want_min = _reference_nearest(oracle, x)
+    cols, dmin = oracle.nearest(x)
+    assert_same_bits(x, before)
+    assert np.array_equal(cols, want_cols)
+    assert_same_bits(dmin, want_min)
+    assert_same_bits(oracle.row_min(x), want_min)
+    assert_same_bits(x, before)
+    return d
+
+
+def assert_blocks_match(oracle, a, a_ids, b, b_ids):
+    """The reductions of the squared product equal ``matrix_between`` plus
+    its first argmin, with the same evaluation count."""
+    plain = DistanceOracle(oracle.offset, oracle.base)
+    x = oracle.matrix_between(a, a_ids, b, b_ids, squared=True)
+    d = assert_reductions_match(oracle, x)
+    assert_same_bits(d, plain.matrix_between(a, a_ids, b, b_ids))
+    assert oracle.evals == plain.evals == a.shape[0] * b.shape[0]
+    return x, d
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-4, 0.25])
+@pytest.mark.parametrize("n, c, dim, scale, shift, gap", SHAPES)
+def test_reductions_match_the_distance_matrix(n, c, dim, scale, shift, gap, offset):
+    x = coordinates(n, dim, seed=n * dim, scale=scale, shift=shift, gap=gap)
+    picked = np.sort(np.random.default_rng(dim).choice(n, size=c, replace=False))
+    ids = np.arange(5, 5 + n)
+    for a_ids, b_ids in ((ids, ids[picked]), (None, None)):
+        assert_blocks_match(DistanceOracle(offset), x, a_ids, x[picked], b_ids)
+
+
+def test_reductions_break_offset_dominated_ties_toward_the_first_column():
+    # spread 1e-17 under offset 1: distinct products, every distance 1.0
+    x = np.random.default_rng(0).normal(scale=1e-17, size=(500, 3))
+    oracle = DistanceOracle(1.0)
+    squared, d = assert_blocks_match(oracle, x, None, x[:40], None)
+    assert np.all(d == 1.0)
+    assert np.count_nonzero(np.argmin(squared, axis=1) != 0) > 400
+
+
+def test_nearest_takes_the_first_column_of_a_one_ulp_sqrt_merge():
+    # entries one ulp apart whose square roots round to one value, the
+    # larger in the earlier column
+    rng = np.random.default_rng(4)
+    hi = rng.uniform(1.0, 1e6, size=4000)
+    lo = np.nextafter(hi, 0.0)
+    merged = np.sqrt(hi) == np.sqrt(lo)
+    assert merged.sum() > 1000
+    x = np.stack([hi[merged], lo[merged], hi[merged] * 2.0], axis=1)
+    for offset in (0.0, 0.5):
+        oracle = DistanceOracle(offset)
+        assert_reductions_match(oracle, x)
+        assert np.all(oracle.nearest(x)[0] == 0)
+
+
+def test_reductions_with_exact_twins_at_offset_0():
+    # rows 0 and 1, 7 and 8, ... are exact twins; both twins are centers,
+    # so a twin's own pair (-inf) ties with its twin's computed 0
+    x = coordinates(300, 4, seed=11)
+    ids = np.arange(300)
+    picked = np.arange(0, 300, 7)
+    picked = np.sort(np.concatenate([picked, picked[:-1] + 1]))
+    oracle = DistanceOracle(0.0)
+    _, d = assert_blocks_match(oracle, x, ids, x[picked], ids[picked])
+    assert np.count_nonzero(d == 0.0) > picked.shape[0]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_reductions_after_masking_absorbed_centers(offset):
+    # near twins 1e-10 apart, own pairs marked as the cover round marks them
+    x = coordinates(400, 5, seed=2, gap=1e-10)
+    pos = np.unique(np.concatenate([np.arange(0, 400, 7), np.arange(1, 400, 7), np.arange(3, 400, 11)]))
+    columns = np.arange(pos.shape[0])
+    oracle = DistanceOracle(offset)
+    squared = oracle.matrix_between(x, None, x[pos], None, squared=True)
+    squared[pos, columns] = -np.inf
+    _, cols, _ = _reference_nearest(oracle, squared)
+    absorbed = cols[pos] != columns
+    assert absorbed.any() == (offset == 0.0)
+    squared[:, absorbed | (columns % 5 == 0)] = np.inf
+    assert_reductions_match(oracle, squared)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_reductions_far_from_the_origin(offset):
+    x = np.random.default_rng(9).normal(size=(300, 3)) + 1e8
+    ids = np.arange(300)
+    picked = np.arange(0, 300, 6)
+    assert_blocks_match(DistanceOracle(offset), x, ids, x[picked], ids[picked])
+
+
+def test_reductions_with_a_custom_metric():
+    # an L1 metric over rounded coordinates: distinct points at distance 0,
+    # so a row's first zero may come before its own pair
+    def l1(u, v):
+        return float(np.abs(np.round(u) - np.round(v)).sum())
+
+    x = coordinates(60, 2, seed=3, scale=0.6)
+    ids = np.arange(60)
+    picked = np.arange(0, 60, 4)
+    for offset in (0.0, 0.3):
+        oracle = DistanceOracle(offset, base=l1)
+        _, d = assert_blocks_match(oracle, x, ids, x[picked], ids[picked])
+        own_first = np.argmin(d[picked], axis=1) == np.arange(picked.shape[0])
+        assert own_first.all() == (offset > 0.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25, 1.0])
+def test_cost_set_equals_the_minimum_of_the_distance_matrix(offset):
+    def l1(u, v):
+        return float(np.abs(u - v).sum())
+
+    for shift, scale, base in ((0.0, 1.0, None), (1e8, 1.0, None), (0.0, 1e-17, None), (0.0, 1.0, l1)):
+        pts = points_from_array(coordinates(150, 3, seed=7, scale=scale, shift=shift))
+        centers = pts[3::29]
+        coords = np.stack([q.coords for q in pts])
+        ctr = np.stack([q.coords for q in centers])
+        for p in (1.0, 2.0):
+            oracle = DistanceOracle(offset, base)
+            d = oracle.matrix_between(coords, [q.id for q in pts], ctr, [q.id for q in centers])
+            want = float(np.sum(d.min(axis=1) ** p))
+            got = cost_set(centers, pts, p, oracle)
+            assert repr(got) == repr(want)
+            assert oracle.evals == 2 * len(pts) * len(centers)
+
+
+def test_evaluation_count_equals_the_pairs_the_kernels_return(monkeypatch):
+    # what a tracer that wraps the two kernels attributes must add up to the
+    # counter over preprocess, a slide and queries
+    seen = []
+
+    def wrap(kernel, pairs):
+        def traced(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            if kwargs.get("count", True):
+                seen.append(pairs(out))
+            return out
+
+        return traced
+
+    monkeypatch.setattr(
+        DistanceOracle, "matrix_between",
+        wrap(DistanceOracle.matrix_between, lambda out: out.shape[0] * out.shape[1]),
+    )
+    monkeypatch.setattr(DistanceOracle, "elementwise", wrap(DistanceOracle.elementwise, len))
+    pts = synthetic_points(SyntheticSpec(5, 3, 700), 1)
+    oracle = DistanceOracle(1.0 / 700)
+    state = preprocess(pts[:400], DynamicParams(k=4, phi=25, seed=2), oracle)
+    for i in range(400, 700):
+        state.insert(pts[i])
+        state.delete(pts[i - 400].id)
+        if i % 60 == 0:
+            query(state, 4, 1.0, seed=i)
+    assert oracle.evals > 0 and sum(seen) == oracle.evals

@@ -218,6 +218,65 @@ def test_point_store_gather_and_dimension_guard():
     assert store.row_ids[store.rows_by_id()].tolist() == [1, 2, 7, 8]
 
 
+def _store_state(store):
+    used = store._used
+    return (
+        store.dim, store.matrix.shape, store.matrix[:used].tobytes(),
+        store.row_ids.shape, store.row_ids[:used].tolist(), dict(store._rows),
+        list(store._free), len(store),
+    )
+
+
+@pytest.mark.parametrize("first, removed", [(0, []), (5, [2]), (40, [3, 17, 9, 30]), (40, range(40))])
+def test_add_many_equals_one_add_per_point(first, removed):
+    # a fresh store, free rows fewer than the batch, and every row free
+    rows = np.random.default_rng(first).normal(size=(first + 70, 3))
+    pts = points_from_array(rows)
+    one, bulk = PointStore(), PointStore()
+    for store in (one, bulk):
+        for q in pts[:first]:
+            store.add(q)
+        for pid in removed:
+            store.remove(pid)
+    batch = pts[first:][::-1]                  # ids need not ascend
+    want = [one.add(q) for q in batch]
+    got = bulk.add_many(batch)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert _store_state(bulk) == _store_state(one)
+    assert [bulk.get(q.id) is q for q in batch] == [True] * len(batch)
+    assert bulk.add_many([]).tolist() == [] and _store_state(bulk) == _store_state(one)
+
+
+def test_add_many_raises_what_add_would_before_any_change():
+    base = [pt(1, 0.0, 0.0), pt(2, 1.0, 1.0)]
+    cases = [
+        ([pt(5, 1.0, 2.0), pt(2, 3.0, 3.0)], "point id 2 already present"),
+        ([pt(5, 1.0, 2.0), pt(5, 3.0, 3.0)], "point id 5 already present"),
+        ([pt(5, 1.0, 2.0), pt(6, 3.0)], "point 6 has dimension 1, space has 2"),
+        # the first failing point decides, as with one add per point
+        ([pt(6, 3.0), pt(1, 0.0, 0.0)], "point 6 has dimension 1, space has 2"),
+    ]
+    for batch, message in cases:
+        store = PointStore()
+        store.add_many(base)
+        store.remove(1)
+        before = _store_state(store)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            store.add_many(batch)
+        assert _store_state(store) == before
+        one = PointStore()
+        one.add_many(base)
+        one.remove(1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            for q in batch:
+                one.add(q)
+    # on an empty store the first point sets the dimension
+    store = PointStore()
+    with pytest.raises(ValueError, match="^point 4 has dimension 3, space has 2$"):
+        store.add_many([pt(3, 0.0, 0.0), pt(4, 1.0, 1.0, 1.0)])
+    assert store.dim is None and len(store) == 0
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_custom_base_metric_rejects_non_finite_and_negative_values(bad):
     def broken(a, b):
