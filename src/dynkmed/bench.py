@@ -103,8 +103,8 @@ class ExperimentConfig:
             raise ConfigError("k and phi must be positive")
         if not 0.0 < self.beta < 1.0 or not 0.0 < self.epsilon < 1.0:
             raise ConfigError("beta and epsilon must lie strictly in (0, 1)")
-        if self.p < 1.0:
-            raise ConfigError("p must be at least 1")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ConfigError("p must be finite and at least 1")
         if self.check_every < 0:
             raise ConfigError("check_every must be nonnegative")
 

@@ -121,25 +121,10 @@ class ClusteringState:
         return len(self.store)
 
     def live_points(self) -> list[Point]:
-        return self.store.points_sorted()
-
-    def _bounds(self) -> list[tuple[int, int]]:
-        """Each layer's slots as (first, end), top to bottom."""
-        starts = [layer.start for layer in self.layers] + [len(self.center)]
-        return list(zip(starts, starts[1:]))
-
-    def members(self, index: int) -> set[PointId]:
-        """U_index (1-based): the points covered at depth index or deeper."""
-        return set(self.store.row_ids[self.slot >= self.layers[index - 1].start].tolist())
-
-    def clusters(self, index: int) -> dict[PointId, set[PointId]]:
-        """The clusters of layer index (1-based) as center -> member ids."""
-        lo, hi = self._bounds()[index - 1]
-        out = {self.center[s]: set() for s in range(lo, hi) if self.size[s]}
-        rows = np.flatnonzero((self.slot >= lo) & (self.slot < hi))
-        for pid, s in zip(self.store.row_ids[rows].tolist(), self.slot[rows].tolist()):
-            out[self.center[s]].add(pid)
-        return out
+        """The live points in id order, built from one gathered copy of their rows."""
+        rows = self.store.rows_by_id()
+        block = self.store.matrix[rows]
+        return [Point(pid, row) for pid, row in zip(self.store.row_ids[rows].tolist(), block)]
 
     # -- construction --------------------------------------------------------
 
@@ -261,10 +246,6 @@ class ClusteringState:
 
     # -- queries over the maintained assignment ------------------------------
 
-    def assignment_of(self, pid: PointId) -> PointId:
-        """Current center of the unique cluster containing ``pid``."""
-        return self.center[self.slot[self.store.row(pid)]]
-
     def assignment(self) -> dict[PointId, PointId]:
         """Full point -> center map across all layers."""
         rows = np.flatnonzero(self.slot >= 0)
@@ -284,13 +265,9 @@ class ClusteringState:
         rows = rows[ids[rows] == np.array(self.center)[self.slot[rows]]]
         rows = rows[np.argsort(ids[rows])]
         weights = np.array(self.size, dtype=np.int64)[self.slot[rows]]
-        return WeightedInstance.from_arrays(ids[rows], self.store.matrix[rows], weights)
+        return WeightedInstance(ids[rows], self.store.matrix[rows], weights)
 
     # -- diagnostics ---------------------------------------------------------
-
-    def _sizes(self) -> list[int]:
-        """|U_i| for i = 1..t, summed from the table."""
-        return [sum(self.size[layer.start :]) for layer in self.layers]
 
     def integrity_check(self) -> list[str]:
         """Verify the structural invariants; returns violations (empty = ok).
@@ -311,7 +288,7 @@ class ClusteringState:
         held = np.bincount(slots, minlength=len(self.size))[: len(self.size)]
         for s in np.flatnonzero(held != np.array(self.size, dtype=np.int64))[:5]:
             violations.append(f"cluster slot {s}: size {self.size[s]}, but {held[s]} points hold it")
-        totals = self._sizes()
+        totals = [sum(self.size[layer.start :]) for layer in self.layers]  # |U_i|
         if totals[0] != n:
             violations.append("cluster sizes do not add up to the live point count")
         # the row of each cluster's center among the points that hold its slot
@@ -319,7 +296,8 @@ class ClusteringState:
         own = self.store.row_ids[rows] == np.array(self.center, dtype=np.int64)[slots]
         center_row = np.full(len(self.center), -1)
         center_row[slots[own]] = rows[own]
-        for i, (layer, (lo, hi)) in enumerate(zip(self.layers, self._bounds()), start=1):
+        ends = [layer.start for layer in self.layers[1:]] + [len(self.center)]
+        for i, (layer, end) in enumerate(zip(self.layers, ends), start=1):
             if i > 1:
                 bound = params.shrink_factor * totals[i - 2]
                 if totals[i - 1] > bound + _EPS:
@@ -332,7 +310,7 @@ class ClusteringState:
                     f"layer {i}: slack invariant broken "
                     f"({layer.updates} updates > {slack} * {layer.base_size})"
                 )
-            for s in range(lo, hi):
+            for s in range(layer.start, end):
                 if self.size[s] and center_row[s] < 0:
                     violations.append(f"layer {i}: cluster center {self.center[s]} is not a member")
         violations.extend(self._check_radii(rows[~own], slots[~own], center_row))
@@ -380,19 +358,6 @@ class ClusteringState:
             f"{cids[j]} exceeds 2*radius={limit[j]:.6g}"
             for j in bad[:5]
         ]
-
-    def snapshot(self) -> str:
-        """Tab-separated debug dump: one line per layer with
-        i, |U_i|, |S_i|, |C_i|, radius, base size, update counter."""
-        sizes = self._sizes() + [0]
-        lines = []
-        for i, (layer, (lo, hi)) in enumerate(zip(self.layers, self._bounds()), start=1):
-            clusters = sum(1 for w in self.size[lo:hi] if w)
-            lines.append(
-                f"{i}\t{sizes[i - 1]}\t{clusters}\t{sizes[i - 1] - sizes[i]}\t"
-                f"{layer.radius!r}\t{layer.base_size}\t{layer.updates}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def preprocess(

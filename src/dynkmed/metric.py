@@ -5,13 +5,13 @@ All distance computation in the package funnels through :class:`DistanceOracle`
 so that the evaluation counter is an exact, hardware-independent cost proxy.
 The oracle has one kernel per shape: :meth:`DistanceOracle.matrix_between`
 for blocks and :meth:`DistanceOracle.elementwise` for aligned pairs. Each
-applies the custom-metric check, the offset and the same-id zeroing for its
-shape, and every other distance (``distance``, ``pairwise``, the 2*radius
-check of ``integrity_check``) is a call to one of them. Each bumps the
-counter by the number of pairs it touches; diagnostics may opt out with
-``count=False``. Callers that need only row minima (cover rounds, the
-live-set cost) take ``matrix_between(..., squared=True)`` and reduce it with
-``nearest`` or ``row_min``, which take square roots of n row minima only.
+takes coordinate arrays and optional ids, applies the custom-metric check,
+the offset and the same-id zeroing for its shape, and bumps the counter by
+the number of pairs it touches; diagnostics (the 2*radius check of
+``integrity_check``) may opt out with ``count=False``. Callers that need
+only row minima (cover rounds, the live-set cost) take
+``matrix_between(..., squared=True)`` and reduce it with ``nearest`` or
+``row_min``, which take square roots of n row minima only.
 """
 from __future__ import annotations
 
@@ -53,18 +53,18 @@ def points_from_array(rows: np.ndarray, start_id: int = 0) -> list[Point]:
 
 
 class PointStore:
-    """Live points of one space plus a contiguous coordinate matrix.
+    """Live points of one space as rows of a contiguous coordinate matrix.
 
-    The ``matrix`` lets callers gather coordinates for many points with one
-    fancy index instead of stacking per-point arrays; ``row_ids`` maps each
-    row in use back to its point id. Rows of removed points are reused by
-    later inserts, so both grow with the live count, not with the number of
-    inserts; ids are never reused while a point is live.
+    Each live point is one row of ``matrix``, and nothing else: callers
+    gather coordinates for many points with one fancy index, ``row_ids``
+    maps each row in use back to its point id, and :meth:`get` builds a
+    :class:`Point` from a copy of its row. Rows of removed points are reused
+    by later inserts, so both grow with the live count, not with the number
+    of inserts; ids are never reused while a point is live.
     """
 
     def __init__(self) -> None:
         self.dim: Optional[int] = None
-        self._points: dict[PointId, Point] = {}
         self._rows: dict[PointId, int] = {}
         self.matrix = np.empty((0, 0), dtype=np.float64)
         self.row_ids = np.empty(0, dtype=np.int64)
@@ -72,10 +72,10 @@ class PointStore:
         self._free: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._rows)
 
     def __contains__(self, pid: PointId) -> bool:
-        return pid in self._points
+        return pid in self._rows
 
     def add(self, point: Point) -> int:
         """Store a point and return its row."""
@@ -84,7 +84,6 @@ class PointStore:
         self.matrix[row] = point.coords
         self.row_ids[row] = point.id
         self._rows[point.id] = row
-        self._points[point.id] = point
         return row
 
     def add_many(self, points: Sequence[Point]) -> np.ndarray:
@@ -94,7 +93,7 @@ class PointStore:
             return np.empty(0, dtype=np.int64)
         ids = [q.id for q in points]
         dim = points[0].dim if self.dim is None else self.dim
-        if (len(set(ids)) < len(ids) or not self._points.keys().isdisjoint(ids)
+        if (len(set(ids)) < len(ids) or not self._rows.keys().isdisjoint(ids)
                 or {q.coords.shape[0] for q in points} != {dim}):
             seen: set[PointId] = set()
             for point in points:  # raise what the first failing add would
@@ -106,11 +105,10 @@ class PointStore:
         self.matrix[rows] = np.array([q.coords for q in points])
         self.row_ids[rows] = ids
         self._rows.update(zip(ids, rows.tolist()))
-        self._points.update(zip(ids, points))
         return rows
 
     def _check(self, point: Point, seen, dim: Optional[int]) -> None:
-        if point.id in self._points or point.id in seen:
+        if point.id in self._rows or point.id in seen:
             raise ValueError(f"point id {point.id} already present")
         if dim is not None and point.dim != dim:
             raise ValueError(f"point {point.id} has dimension {point.dim}, space has {dim}")
@@ -131,25 +129,18 @@ class PointStore:
         return range(start, self._used)
 
     def remove(self, pid: PointId) -> None:
-        del self._points[pid]
         self._free.append(self._rows.pop(pid))
 
     def get(self, pid: PointId) -> Point:
-        return self._points[pid]
+        return Point(pid, self.matrix[self._rows[pid]].copy())
 
     def row(self, pid: PointId) -> int:
         return self._rows[pid]
-
-    def ids_sorted(self) -> list[PointId]:
-        return sorted(self._points)
 
     def rows_by_id(self) -> np.ndarray:
         """Rows of the live points, in ascending id order."""
         rows = np.delete(np.arange(self._used), self._free)
         return rows[np.argsort(self.row_ids[rows])]
-
-    def points_sorted(self) -> list[Point]:
-        return [self._points[i] for i in self.ids_sorted()]
 
 
 class DistanceOracle:
@@ -174,10 +165,6 @@ class DistanceOracle:
         self.offset = float(offset)
         self.base = base
         self.evals = 0
-
-    def distance(self, x: Point, y: Point) -> float:
-        """d(x, y): a one-pair call to :meth:`elementwise`."""
-        return float(self.elementwise(x.coords[None], [x.id], y.coords[None], [y.id])[0])
 
     def matrix_between(
         self,
@@ -342,20 +329,6 @@ class DistanceOracle:
                 raise ValueError("id sequences must match the coordinate blocks")
             d[ia == ib] = 0.0
         return d
-
-    def pairwise(
-        self, xs: Sequence[Point], ys: Sequence[Point], count: bool = True
-    ) -> np.ndarray:
-        """Distance matrix between two point sequences, in the given order."""
-        if len(xs) == 0 or len(ys) == 0:
-            if count:
-                self.evals += len(xs) * len(ys)
-            return np.empty((len(xs), len(ys)), dtype=np.float64)
-        a = np.stack([p.coords for p in xs])
-        b = np.stack([p.coords for p in ys])
-        return self.matrix_between(
-            a, [p.id for p in xs], b, [p.id for p in ys], count=count
-        )
 
 
 def _nearest_two(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

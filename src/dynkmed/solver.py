@@ -9,6 +9,7 @@ it, and costs the answer over the full live set with :func:`cost_set`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -24,21 +25,15 @@ LOCAL_SEARCH_DELTA = 0.01
 class WeightedInstance:
     """Distinct points with positive integer weights, held as three arrays
     in ascending id order: ``ids``, ``coords`` (one row per id) and
-    ``weights``. Built from ``(Point, weight)`` pairs in any order, or from
-    the arrays by :meth:`from_arrays`; :attr:`entries` is the pairs view."""
+    ``weights``."""
 
-    def __init__(self, entries: Iterable[tuple[Point, int]]) -> None:
-        pairs = sorted(entries, key=lambda e: e[0].id)
-        ids = np.array([q.id for q, _ in pairs], dtype=np.int64)
-        self._fill(ids, np.array([q.coords for q, _ in pairs]), np.array([w for _, w in pairs]))
-
-    @classmethod
-    def from_arrays(cls, ids: np.ndarray, coords: np.ndarray, weights: np.ndarray) -> WeightedInstance:
-        instance = cls.__new__(cls)
-        instance._fill(ids, coords, weights)
-        return instance
-
-    def _fill(self, ids: np.ndarray, coords: np.ndarray, weights: np.ndarray) -> None:
+    def __init__(self, ids: np.ndarray, coords: np.ndarray, weights: np.ndarray) -> None:
+        ids, coords, weights = np.asarray(ids), np.asarray(coords), np.asarray(weights)
+        if (ids.ndim, coords.ndim, weights.ndim) != (1, 2, 1) or not (
+                len(ids) == len(coords) == len(weights)):
+            raise ValueError("an instance needs one id, one coordinate row and one weight per point")
+        if weights.dtype.kind not in "iu":
+            raise ValueError("weights must be integers")
         light = np.flatnonzero(weights < 1)
         if light.size:
             raise ValueError(f"weight of point {ids[light[0]]} must be at least 1")
@@ -54,11 +49,6 @@ class WeightedInstance:
     def total_weight(self) -> int:
         return self.weights.sum().item()
 
-    @property
-    def entries(self) -> list[tuple[Point, int]]:
-        ids, weights = self.ids.tolist(), self.weights.tolist()
-        return [(Point(pid, row), w) for pid, row, w in zip(ids, self.coords, weights)]
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -69,8 +59,14 @@ class Solution:
 # -- cost evaluators ---------------------------------------------------------
 
 
+def _check_power(p: float) -> None:
+    """Raise unless the exponent of d^p is finite and at least 1."""
+    if not (math.isfinite(p) and p >= 1.0):  # a NaN fails both
+        raise ValueError(f"power must be finite and at least 1, got {p!r}")
+
+
 def cost_set(
-    centers: Sequence[Point],
+    centers: Iterable[Point] | Iterable[PointId],
     universe: Sequence[Point] | PointStore,
     p: float,
     oracle: DistanceOracle,
@@ -79,27 +75,34 @@ def cost_set(
     center.
 
     The universe may be a :class:`PointStore`: its live ids and rows are
-    then read as arrays in id order. Either way the rows are in id order,
-    so the cost is the same float.
+    then read as arrays in id order, and the centers may be given as ids of
+    its points, whose rows are read the same way. Either way the rows are in
+    id order, so the cost is the same float.
     """
-    if p < 1.0:
-        raise ValueError("power must be at least 1")
+    _check_power(p)
     if isinstance(universe, PointStore):
         rows = universe.rows_by_id()
         ids, coords = universe.row_ids[rows], universe.matrix[rows]
     else:
-        members = sorted(universe, key=lambda q: q.id)
-        ids = [q.id for q in members]
-        coords = np.stack([q.coords for q in members]) if members else None
+        ids, coords = _id_rows(universe)
     if len(ids) == 0:
         return 0.0
-    ctrs = sorted(centers, key=lambda q: q.id)
-    if not ctrs:
+    centers = list(centers)
+    if not centers:
         raise ValueError("center set must be nonempty")
-    dist = oracle.matrix_between(
-        coords, ids, np.stack([q.coords for q in ctrs]), [q.id for q in ctrs], squared=True
-    )
+    if isinstance(centers[0], Point):
+        center_ids, center_coords = _id_rows(centers)
+    else:
+        center_ids = sorted(centers)
+        center_coords = universe.matrix[[universe.row(c) for c in center_ids]]
+    dist = oracle.matrix_between(coords, ids, center_coords, center_ids, squared=True)
     return float(np.sum(oracle.row_min(dist) ** p))
+
+
+def _id_rows(points: Iterable[Point]) -> tuple[list[PointId], np.ndarray]:
+    """Ids and coordinate rows of points, in id order."""
+    ordered = sorted(points, key=lambda q: q.id)
+    return [q.id for q in ordered], np.array([q.coords for q in ordered])
 
 
 # -- weighted solver ---------------------------------------------------------
@@ -297,7 +300,7 @@ def _local_search(
 
 def _instance_gram(coords: np.ndarray, p: float, oracle: DistanceOracle) -> np.ndarray:
     """Powered distance matrix of instance coordinates against themselves,
-    equal to ``oracle.pairwise(points, points).T ** p`` of their points.
+    equal to ``oracle.matrix_between(coords, ids, coords, ids).T ** p``.
     Instance ids are distinct, so the same-id pairs to zero are exactly the
     diagonal. The transpose is F-contiguous, so the column that seeding and
     local search read per pick or candidate is one contiguous row."""
@@ -324,8 +327,7 @@ def weighted_solve(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if p < 1.0:
-        raise ValueError("power must be at least 1")
+    _check_power(p)
     if len(instance) == 0:
         raise ValueError("instance must be nonempty")
     oracle = oracle or DistanceOracle()
@@ -351,10 +353,10 @@ def query(
         raise ValueError("state is empty")
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_power(p)
     if state.live_count <= k:
-        return Solution(frozenset(p.id for p in state.live_points()), 0.0)
+        return Solution(frozenset(state.assignment()), 0.0)
     picked = weighted_solve(state.weighted_instance(), k, p, seed, state.oracle)
-    centers = [state.store.get(c) for c in sorted(picked.centers)]
-    full_cost = cost_set(centers, state.store, p, state.oracle)
+    full_cost = cost_set(sorted(picked.centers), state.store, p, state.oracle)
     return Solution(picked.centers, full_cost)
 

@@ -1,6 +1,9 @@
 """Reference oracles for the tests: brute-force optima, reference costs, the
 relaxed triangle check, one cover round over points, the covered set of a
-layer and the checks of a state's weighted instance.
+layer and the checks of a state's weighted instance; and the views of the
+engine that only tests read: distances between points, a layer's members and
+clusters, a point's center, a state's layer table, the live ids of a store,
+and weighted instances built from or read back as ``(Point, weight)`` pairs.
 
 None of these is on an engine path. The brute-force enumerations carry hard
 size guards and evaluate distances without touching the oracle counter.
@@ -20,6 +23,7 @@ from dynkmed import (
     DynamicParams,
     Point,
     PointId,
+    PointStore,
     Solution,
     WeightedInstance,
 )
@@ -27,6 +31,91 @@ from dynkmed.cover import _cover_arrays
 
 _BRUTE_FORCE_MAX_POINTS = 16
 _BRUTE_FORCE_MAX_SUBSETS = 100_000
+
+
+# -- views of points, instances, stores and states -----------------------------
+
+
+def distance(oracle: DistanceOracle, x: Point, y: Point) -> float:
+    """d(x, y): a one-pair call to the oracle's aligned-pair kernel."""
+    return float(oracle.elementwise(x.coords[None], [x.id], y.coords[None], [y.id])[0])
+
+
+def pairwise(
+    oracle: DistanceOracle, xs: Sequence[Point], ys: Sequence[Point], count: bool = True
+) -> np.ndarray:
+    """Distance matrix between two point sequences, in the given order."""
+    if len(xs) == 0 or len(ys) == 0:
+        if count:
+            oracle.evals += len(xs) * len(ys)
+        return np.empty((len(xs), len(ys)), dtype=np.float64)
+    a = np.stack([p.coords for p in xs])
+    b = np.stack([p.coords for p in ys])
+    return oracle.matrix_between(a, [p.id for p in xs], b, [p.id for p in ys], count=count)
+
+
+def instance_of(pairs: Iterable[tuple[Point, int]]) -> WeightedInstance:
+    """The instance of ``(Point, weight)`` pairs given in any order."""
+    ordered = sorted(pairs, key=lambda e: e[0].id)
+    return WeightedInstance(
+        np.array([q.id for q, _ in ordered], dtype=np.int64),
+        np.array([q.coords for q, _ in ordered]) if ordered else np.empty((0, 0)),
+        np.array([w for _, w in ordered], dtype=np.int64),
+    )
+
+
+def entries(instance: WeightedInstance) -> list[tuple[Point, int]]:
+    """The instance as ``(Point, weight)`` pairs in id order."""
+    ids, weights = instance.ids.tolist(), instance.weights.tolist()
+    return [(Point(pid, row), w) for pid, row, w in zip(ids, instance.coords, weights)]
+
+
+def live_ids(store: PointStore) -> list[PointId]:
+    """The ids of a store's live points, ascending."""
+    return store.row_ids[store.rows_by_id()].tolist()
+
+
+def _slots(state: ClusteringState, index: int) -> tuple[int, int]:
+    """The first and the end slot of layer index (1-based) in the table."""
+    starts = [layer.start for layer in state.layers] + [len(state.center)]
+    return starts[index - 1], starts[index]
+
+
+def members(state: ClusteringState, index: int) -> set[PointId]:
+    """U_index (1-based): the points covered at depth index or deeper."""
+    start = state.layers[index - 1].start
+    return set(state.store.row_ids[state.slot >= start].tolist())
+
+
+def clusters(state: ClusteringState, index: int) -> dict[PointId, set[PointId]]:
+    """The clusters of layer index (1-based) as center -> member ids."""
+    lo, hi = _slots(state, index)
+    out = {state.center[s]: set() for s in range(lo, hi) if state.size[s]}
+    rows = np.flatnonzero((state.slot >= lo) & (state.slot < hi))
+    for pid, s in zip(state.store.row_ids[rows].tolist(), state.slot[rows].tolist()):
+        out[state.center[s]].add(pid)
+    return out
+
+
+def assignment_of(state: ClusteringState, pid: PointId) -> PointId:
+    """Current center of the unique cluster containing ``pid`` (KeyError
+    for an id that is not live)."""
+    return state.center[state.slot[state.store.row(pid)]]
+
+
+def snapshot(state: ClusteringState) -> str:
+    """Tab-separated dump: one line per layer with
+    i, |U_i|, |S_i|, |C_i|, radius, base size, update counter."""
+    sizes = [sum(state.size[layer.start :]) for layer in state.layers] + [0]
+    lines = []
+    for i, layer in enumerate(state.layers, start=1):
+        lo, hi = _slots(state, i)
+        kept = sum(1 for w in state.size[lo:hi] if w)
+        lines.append(
+            f"{i}\t{sizes[i - 1]}\t{kept}\t{sizes[i - 1] - sizes[i]}\t"
+            f"{layer.radius!r}\t{layer.base_size}\t{layer.updates}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- reference costs -----------------------------------------------------------
@@ -67,16 +156,16 @@ def cost_weighted(
     if p < 1.0:
         raise ValueError("power must be at least 1")
     center_ids = sorted(set(centers))
-    known = {q.id: q for q, _ in instance.entries}
+    known = {q.id: q for q, _ in entries(instance)}
     missing = [c for c in center_ids if c not in known]
     if missing:
         raise ValueError(f"centers {missing} are not instance points")
     if not center_ids:
         raise ValueError("center set must be nonempty")
-    entries = instance.entries
-    members = [q for q, _ in entries]
-    weights = np.array([w for _, w in entries], dtype=np.float64)
-    dmin = oracle.pairwise(members, [known[c] for c in center_ids]).min(axis=1)
+    pairs = entries(instance)
+    points = [q for q, _ in pairs]
+    weights = np.array([w for _, w in pairs], dtype=np.float64)
+    dmin = pairwise(oracle, points, [known[c] for c in center_ids]).min(axis=1)
     return float(np.sum(weights * dmin**p))
 
 
@@ -95,9 +184,9 @@ def relaxed_triangle_ok(
         raise ValueError("power must be at least 1")
     rho = 2.0 ** (p - 1.0)
     for x, y, z in triples:
-        dxy = oracle.distance(x, y) ** p
-        dxz = oracle.distance(x, z) ** p
-        dzy = oracle.distance(z, y) ** p
+        dxy = distance(oracle, x, y) ** p
+        dxz = distance(oracle, x, z) ** p
+        dzy = distance(oracle, z, y) ** p
         bound = rho * (dxz + dzy)
         if dxy > bound * (1.0 + rel_tol) + 1e-12:
             return False
@@ -128,7 +217,7 @@ def cover_round(
 
 def covered(state: ClusteringState, index: int) -> set[PointId]:
     """C_index: the union of the members of layer index's clusters."""
-    return set().union(*state.clusters(index).values())
+    return set().union(*clusters(state, index).values())
 
 
 def checked_instance(state: ClusteringState) -> WeightedInstance:
@@ -155,7 +244,7 @@ def checked_instance(state: ClusteringState) -> WeightedInstance:
 def unit_instance(points: Iterable[Point]) -> WeightedInstance:
     """The points as an instance of unit weights: its weighted optimum is the
     plain optimum over the points."""
-    return WeightedInstance([(q, 1) for q in points])
+    return instance_of((q, 1) for q in points)
 
 
 def _guard_subsets(n: int, k: int, max_points: int = _BRUTE_FORCE_MAX_POINTS) -> int:
@@ -170,7 +259,7 @@ def _guard_subsets(n: int, k: int, max_points: int = _BRUTE_FORCE_MAX_POINTS) ->
 def _powered_matrix(
     points: Sequence[Point], p: float, oracle: DistanceOracle
 ) -> np.ndarray:
-    return oracle.pairwise(points, points, count=False) ** p
+    return pairwise(oracle, points, points, count=False) ** p
 
 
 def brute_force_opt_weighted(
@@ -181,15 +270,15 @@ def brute_force_opt_weighted(
     Ties go to the lexicographically smallest id tuple. Guarded to at most 24
     points and 1e5 subsets.
     """
-    entries = instance.entries
-    n = len(entries)
+    pairs = entries(instance)
+    n = len(pairs)
     if n == 0:
         raise ValueError("instance must be nonempty")
     k_eff = _guard_subsets(n, k, max_points=24)
-    pts = [q for q, _ in entries]
+    pts = [q for q, _ in pairs]
     if k_eff == n:
         return Solution(frozenset(q.id for q in pts), 0.0)
-    weights = np.array([w for _, w in entries], dtype=np.float64)
+    weights = np.array([w for _, w in pairs], dtype=np.float64)
     powered = _powered_matrix(pts, p, oracle)
     best_cost = math.inf
     best: tuple[int, ...] = ()
@@ -216,7 +305,7 @@ def brute_force_coverage_radius(
     if n == 0:
         raise ValueError("universe must be nonempty")
     k_eff = _guard_subsets(n, k)
-    dist = oracle.pairwise(pts, pts, count=False)
+    dist = pairwise(oracle, pts, pts, count=False)
     m = max(1, math.ceil(fraction * n - 1e-9))
     best = math.inf
     for subset in itertools.combinations(range(n), k_eff):

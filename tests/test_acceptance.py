@@ -28,6 +28,7 @@ from oracles import (
     brute_force_opt_weighted,
     cost_assignment,
     cost_weighted,
+    members,
     relaxed_triangle_ok,
     unit_instance,
 )
@@ -150,8 +151,8 @@ def test_criterion_4_radius_vs_best_coverage():
         state = preprocess(pts, params)
         good = True
         for i, layer in enumerate(state.layers[:-1], start=1):
-            members = [state.store.get(pid) for pid in sorted(state.members(i))]
-            best = brute_force_coverage_radius(members, 2, GAMMA_STAR, state.oracle)
+            covered_pts = [state.store.get(pid) for pid in sorted(members(state, i))]
+            best = brute_force_coverage_radius(covered_pts, 2, GAMMA_STAR, state.oracle)
             if layer.radius > 4.0 * best + 1e-9:
                 good = False
         holds += good

@@ -379,6 +379,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     for extra, message in (
         (["--baseline", "static:0"], "baseline period must be at least 1"),
         (["--k", "0"], "k and phi must be positive"),
+        (["--p", "nan"], "p must be finite and at least 1"),
+        (["--p", "inf"], "p must be finite and at least 1"),
     ):
         capsys.readouterr()
         code = cli_main(

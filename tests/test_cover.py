@@ -10,7 +10,7 @@ from dynkmed import (
     preprocess,
 )
 from dynkmed.cover import _cover_arrays
-from oracles import cover_round, covered
+from oracles import clusters, cover_round, covered, distance, pairwise
 
 
 def line_points(*coords):
@@ -91,11 +91,11 @@ def test_almost_cover_assignment_within_radius():
     by_id = {p.id: p for p in pts}
     ordered = [by_id[c] for c in sorted(centers)]
     for pid, center in assignment.items():
-        d = oracle.distance(by_id[pid], by_id[center])
+        d = distance(oracle, by_id[pid], by_id[center])
         assert d <= radius + 1e-9
         # nearest-center with ties toward the smallest id: the first minimum
         # of the point's row against the centers in id order
-        row = oracle.pairwise([by_id[pid]], ordered)[0]
+        row = pairwise(oracle, [by_id[pid]], ordered)[0]
         assert center == ordered[int(np.argmin(row))].id
 
 
@@ -126,7 +126,7 @@ def test_build_layers_small_input_single_layer():
     params = DynamicParams(k=2, phi=3)
     state = preprocess(pts, params)
     assert state.t == 1
-    assert state.clusters(1) == {0: {0}, 1: {1}, 2: {2}}
+    assert clusters(state, 1) == {0: {0}, 1: {1}, 2: {2}}
     assert state.layers[0].radius == 0.0
     assert state.assignment() == {0: 0, 1: 1, 2: 2}
 
@@ -170,9 +170,9 @@ def test_build_layers_assignment_radius():
     state = preprocess(pts, params, oracle)
     by_id = {p.id: p for p in pts}
     for i, layer in enumerate(state.layers, start=1):
-        for center, members in state.clusters(i).items():
+        for center, members in clusters(state, i).items():
             for pid in members:
-                d = oracle.distance(by_id[pid], by_id[center])
+                d = distance(oracle, by_id[pid], by_id[center])
                 assert d <= layer.radius + 1e-9
 
 
@@ -184,7 +184,7 @@ def test_build_layers_deterministic():
     b = preprocess(pts, params)
     assert a.assignment() == b.assignment() and a.t == b.t
     for i, (la, lb) in enumerate(zip(a.layers, b.layers), start=1):
-        assert (a.clusters(i), la.radius) == (b.clusters(i), lb.radius)
+        assert (clusters(a, i), la.radius) == (clusters(b, i), lb.radius)
 
 
 def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():

@@ -11,7 +11,18 @@ from dynkmed import (
     preprocess,
     sliding_window_stream,
 )
-from oracles import cover_round, covered
+from oracles import (
+    assignment_of,
+    clusters,
+    cover_round,
+    covered,
+    distance,
+    entries,
+    live_ids,
+    members,
+    pairwise,
+    snapshot,
+)
 
 
 def gaussian_points(n, dim=2, seed=0, start_id=0):
@@ -39,9 +50,9 @@ def test_preprocess_small_input_trivial():
     pts = line_points(1, 2, 3)
     state = preprocess(pts, DynamicParams(k=2, phi=5))
     assert state.t == 1
-    assert state.members(1) == set(state.clusters(1)) == covered(state, 1) == {0, 1, 2}
+    assert members(state, 1) == set(clusters(state, 1)) == covered(state, 1) == {0, 1, 2}
     for pid in (0, 1, 2):
-        assert state.assignment_of(pid) == pid
+        assert assignment_of(state, pid) == pid
     assert state.integrity_check() == []
 
 
@@ -57,7 +68,7 @@ def test_preprocess_invariants_and_layer_bound():
     assert state.t <= math.ceil(math.log(500 / 50) / math.log(1 / params.shrink_factor)) + 1
     assert state.t <= 5
     for i in range(1, state.t):
-        above, below = state.members(i), state.members(i + 1)
+        above, below = members(state, i), members(state, i + 1)
         assert below <= above
         assert len(below) <= params.shrink_factor * len(above) + 1e-9
 
@@ -78,9 +89,9 @@ def test_rebuild_from_layer_one_matches_static_pipeline():
         )
         assert set(assignment) == covered(state, i)
         assert radius == layer.radius
-        assert centers == set(state.clusters(i))
+        assert centers == set(clusters(state, i))
         remaining = [p for p in remaining if p.id not in assignment]
-    assert {p.id for p in remaining} == state.members(state.t)
+    assert {p.id for p in remaining} == members(state, state.t)
     for layer in state.layers:
         assert layer.updates == 0
 
@@ -101,11 +112,11 @@ def test_forced_sampler_hand_trace():
     state = preprocess(pts, params)
     assert state.t == 3
     assert [layer.radius for layer in state.layers] == [2.0, 1.0, 0.0]
-    assert state.clusters(1) == {0: {0, 1, 2}}
-    assert state.clusters(2) == {3: {3, 4}}
-    assert state.clusters(3) == {5: {5}}
+    assert clusters(state, 1) == {0: {0, 1, 2}}
+    assert clusters(state, 2) == {3: {3, 4}}
+    assert clusters(state, 3) == {5: {5}}
     assert state.assignment() == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 5}
-    weights = {p.id: w for p, w in state.weighted_instance().entries}
+    weights = {p.id: w for p, w in entries(state.weighted_instance())}
     assert weights == {0: 3, 3: 2, 5: 1}
 
 
@@ -114,8 +125,8 @@ def test_insert_self_assigns_in_last_layer():
     evals_before = state.oracle.evals
     new = points_from_array(np.array([[100.0, 100.0]]), start_id=9000)[0]
     state.insert(new)
-    assert state.assignment_of(9000) == 9000
-    assert state.clusters(state.t)[9000] == {9000}
+    assert assignment_of(state, 9000) == 9000
+    assert clusters(state, state.t)[9000] == {9000}
     assert state.oracle.evals == evals_before  # no rebuild, no distance work
     assert state.integrity_check() == []
 
@@ -137,7 +148,7 @@ def test_insert_bumps_every_layer_counter_pre_rebuild():
 
 def test_insert_duplicate_id_rejected():
     state = big_state()
-    pid = state.store.ids_sorted()[0]
+    pid = live_ids(state.store)[0]
     clone = points_from_array(np.array([[0.0, 0.0]]), start_id=pid)[0]
     with pytest.raises(ValueError):
         state.insert(clone)
@@ -163,41 +174,41 @@ def test_tenth_consecutive_update_rebuilds_top_layer():
 
 def test_delete_non_center_member():
     state = big_state(seed=9)
-    before = state.clusters(1)
-    center, members = next((c, m) for c, m in before.items() if len(m) >= 2)
-    victim = max(members - {center})
+    before = clusters(state, 1)
+    center, group = next((c, m) for c, m in before.items() if len(m) >= 2)
+    victim = max(group - {center})
     state.delete(victim)
-    after = state.clusters(1)
+    after = clusters(state, 1)
     assert after.keys() == before.keys()
-    assert after[center] == members - {victim}
-    assert victim not in state.members(1)
+    assert after[center] == group - {victim}
+    assert victim not in members(state, 1)
     assert state.integrity_check() == []
 
 
 def test_delete_center_promotes_smallest_member():
     state = big_state(seed=21)
     layer = state.layers[0]
-    old_center, members = next((c, m) for c, m in state.clusters(1).items() if len(m) >= 3)
-    expected = min(members - {old_center})
+    old_center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 3)
+    expected = min(group - {old_center})
     state.delete(old_center)
-    after = state.clusters(1)
-    assert after[expected] == members - {old_center} and old_center not in after
+    after = clusters(state, 1)
+    assert after[expected] == group - {old_center} and old_center not in after
     # every survivor sits within twice the layer radius of the new center
     oracle, store = state.oracle, state.store
     for pid in after[expected]:
-        d = oracle.distance(store.get(pid), store.get(expected))
+        d = distance(oracle, store.get(pid), store.get(expected))
         assert d <= 2 * layer.radius + 1e-9
     assert state.integrity_check() == []
 
 
 def test_delete_last_layer_singleton_drops_cluster():
     state = big_state(seed=13)
-    victim = sorted(state.members(state.t))[0]
-    clusters_before = len(state.clusters(state.t))
+    victim = sorted(members(state, state.t))[0]
+    clusters_before = len(clusters(state, state.t))
     evals_before = state.oracle.evals
     state.delete(victim)
-    assert len(state.clusters(state.t)) == clusters_before - 1
-    assert victim not in state.clusters(state.t)
+    assert len(clusters(state, state.t)) == clusters_before - 1
+    assert victim not in clusters(state, state.t)
     assert state.oracle.evals == evals_before
     assert state.integrity_check() == []
 
@@ -210,9 +221,9 @@ def test_delete_unknown_id_rejected():
 
 def test_rebuild_noop_when_within_slack():
     state = big_state(seed=2)
-    before = state.snapshot()
+    before = snapshot(state)
     state.rebuild()
-    assert state.snapshot() == before
+    assert snapshot(state) == before
 
 
 def test_rebuild_from_exact_violating_layer():
@@ -226,7 +237,7 @@ def test_rebuild_from_exact_violating_layer():
     assert [id(state.layers[0]), id(state.layers[1])] == top_two
     assert [state.layers[0].updates, state.layers[1].updates] == counters
     assert state.layers[2].updates == 0
-    assert state.layers[2].base_size == len(state.members(3))
+    assert state.layers[2].base_size == len(members(state, 3))
     assert state.integrity_check() == []
 
 
@@ -236,7 +247,7 @@ def test_invariants_hold_over_seeded_stream():
     rng = np.random.default_rng(100)
     pool = gaussian_points(400, seed=101, start_id=10_000)
     next_new = 0
-    live = set(state.store.ids_sorted())
+    live = set(live_ids(state.store))
     for step in range(1000):
         if (rng.random() < 0.55 and next_new < len(pool)) or len(live) < 5:
             state.insert(pool[next_new])
@@ -255,21 +266,21 @@ def test_invariants_hold_over_seeded_stream():
 def test_assignment_of_center_and_covered():
     state = big_state(seed=33)
     layer = state.layers[0]
-    center, members = next((c, m) for c, m in state.clusters(1).items() if len(m) >= 2)
-    assert state.assignment_of(center) == center
-    member = min(members - {center})
-    assert state.assignment_of(member) == center
-    d = state.oracle.distance(state.store.get(member), state.store.get(center))
+    center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 2)
+    assert assignment_of(state, center) == center
+    member = min(group - {center})
+    assert assignment_of(state, member) == center
+    d = distance(state.oracle, state.store.get(member), state.store.get(center))
     assert d <= 2 * layer.radius + 1e-9
     with pytest.raises(KeyError):
-        state.assignment_of(10**9)
+        assignment_of(state, 10**9)
 
 
 def test_weighted_instance_trivial_and_sum():
     pts = line_points(5, 6, 7)
     state = preprocess(pts, DynamicParams(k=2, phi=4))
     inst = state.weighted_instance()
-    assert [(p.id, w) for p, w in inst.entries] == [(0, 1), (1, 1), (2, 1)]
+    assert [(p.id, w) for p, w in entries(inst)] == [(0, 1), (1, 1), (2, 1)]
 
     state = big_state(seed=41)
     rng = np.random.default_rng(4)
@@ -278,7 +289,7 @@ def test_weighted_instance_trivial_and_sum():
         if rng.random() < 0.6:
             state.insert(p)
         else:
-            victim = state.store.ids_sorted()[0]
+            victim = live_ids(state.store)[0]
             state.delete(victim)
         inst = state.weighted_instance()
         assert inst.total_weight == state.live_count
@@ -304,8 +315,8 @@ def test_integrity_check_flags_corruption():
 
 def test_integrity_check_flags_point_map_corruption():
     state = big_state(seed=55)
-    center, members = next((c, m) for c, m in state.clusters(1).items() if len(m) >= 2)
-    moved = max(members - {center})
+    center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 2)
+    moved = max(group - {center})
     source, target = state.slot[state.store.row(moved)], len(state.center) - 1
     state.slot[state.store.row(moved)] = target  # the point's slot names another cluster
     report = state.integrity_check()
@@ -330,7 +341,7 @@ def test_update_locality_no_rebuild_means_no_distance_work():
 
 def test_snapshot_schema():
     state = big_state(seed=8)
-    lines = state.snapshot().strip().split("\n")
+    lines = snapshot(state).strip().split("\n")
     assert len(lines) == state.t
     for i, line in enumerate(lines, start=1):
         fields = line.split("\t")
@@ -338,8 +349,8 @@ def test_snapshot_schema():
         assert int(fields[0]) == i
         layer = state.layers[i - 1]
         assert [int(fields[1]), int(fields[2]), int(fields[3])] == [
-            len(state.members(i)),
-            len(state.clusters(i)),
+            len(members(state, i)),
+            len(clusters(state, i)),
             len(covered(state, i)),
         ]
         assert float(fields[4]) == layer.radius
@@ -356,7 +367,7 @@ def test_delete_to_empty_and_repopulate():
     assert state.integrity_check() == []
     state.insert(line_points(9)[0])
     assert state.live_count == 1
-    assert state.assignment_of(0) == 0
+    assert assignment_of(state, 0) == 0
     assert state.integrity_check() == []
 
 
@@ -376,11 +387,11 @@ def test_cluster_members_pairwise_within_twice_radius():
         if rng.random() < 0.5:
             state.insert(p)
         else:
-            state.delete(state.store.ids_sorted()[int(rng.integers(0, state.live_count))])
+            state.delete(live_ids(state.store)[int(rng.integers(0, state.live_count))])
     for i, layer in enumerate(state.layers, start=1):
-        for ids in state.clusters(i).values():
-            members = [state.store.get(m) for m in sorted(ids)]
-            dist = state.oracle.pairwise(members, members, count=False)
+        for ids in clusters(state, i).values():
+            group = [state.store.get(m) for m in sorted(ids)]
+            dist = pairwise(state.oracle, group, group, count=False)
             assert dist.max() <= 2 * layer.radius + 1e-9
 
 
@@ -399,7 +410,7 @@ def test_amortized_distance_work_budget():
         for p in synthetic_points(SyntheticSpec(6, 3, 1200), 5)
     ]
     rng = np.random.default_rng(8)
-    live = set(state.store.ids_sorted())
+    live = set(live_ids(state.store))
     nxt = 0
     m = 1200
     for _ in range(m):
@@ -459,20 +470,20 @@ def test_failed_rebuild_leaves_the_state_unchanged():
     state = preprocess(pts, params, DistanceOracle(0.01, base=metric))
     twin = preprocess(pts, params, DistanceOracle(0.01, base=FlakyEuclidean()))
     assert state.t >= 3
-    before = (state.snapshot(), state.assignment())
+    before = (snapshot(state), state.assignment())
     # the first round of a rebuild from layer 1 makes 90 * |sample| calls,
     # so the metric fails in a later round
     metric.budget = 90 * 4 + 10
     with pytest.raises(RuntimeError):
         state.rebuild_from_layer(1)
-    assert (state.snapshot(), state.assignment()) == before
+    assert (snapshot(state), state.assignment()) == before
     metric.budget = None
     assert state.integrity_check() == []
     # the sample stream is restored too: a retry rebuilds what a state that
     # never failed builds
     state.rebuild_from_layer(1)
     twin.rebuild_from_layer(1)
-    assert (state.snapshot(), state.assignment()) == (twin.snapshot(), twin.assignment())
+    assert (snapshot(state), state.assignment()) == (snapshot(twin), twin.assignment())
 
 
 def test_update_whose_rebuild_fails_is_kept_and_the_next_update_rebuilds():

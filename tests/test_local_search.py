@@ -14,13 +14,14 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from dynkmed import DistanceOracle, WeightedInstance, points_from_array, solver, weighted_solve
+from dynkmed import DistanceOracle, points_from_array, solver, weighted_solve
 from dynkmed.solver import (
     LOCAL_SEARCH_DELTA,
     _local_search,
     _nearest_two,
     _seed_indices,
 )
+from oracles import entries, instance_of, pairwise
 
 
 def _reference_solution_stats(
@@ -95,7 +96,7 @@ def _instance(seed: int, n: int, offset: float):
     coords[twins] = coords[rng.integers(0, n, size=twins.shape[0])]
     weights = rng.integers(1, 5, size=n)
     pts = points_from_array(coords)
-    return WeightedInstance([(q, int(w)) for q, w in zip(pts, weights)]), DistanceOracle(offset)
+    return instance_of([(q, int(w)) for q, w in zip(pts, weights)]), DistanceOracle(offset)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -105,10 +106,10 @@ def test_local_search_matches_full_recompute(p, k, offset):
     ties = 0
     for seed in range(8):
         inst, oracle = _instance(100 * k + seed, 60, offset)
-        entries = inst.entries
-        points = [q for q, _ in entries]
-        weights = np.array([w for _, w in entries], dtype=np.float64)
-        powered = oracle.pairwise(points, points).T ** p
+        pairs = entries(inst)
+        points = [q for q, _ in pairs]
+        weights = np.array([w for _, w in pairs], dtype=np.float64)
+        powered = pairwise(oracle, points, points).T ** p
         cutoff = 1.0 - LOCAL_SEARCH_DELTA / k
         start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
         if k > 1:
@@ -167,10 +168,10 @@ def test_nearest_two_takes_the_first_minimum():
 
 def _instance_arrays(seed: int, n: int, p: float, offset: float = 0.0):
     inst, oracle = _instance(seed, n, offset)
-    entries = inst.entries
-    points = [q for q, _ in entries]
-    weights = np.array([w for _, w in entries], dtype=np.float64)
-    return oracle.pairwise(points, points).T ** p, weights
+    pairs = entries(inst)
+    points = [q for q, _ in pairs]
+    weights = np.array([w for _, w in pairs], dtype=np.float64)
+    return pairwise(oracle, points, points).T ** p, weights
 
 
 def _exact_new_costs(powered, weights, chosen):
@@ -316,7 +317,7 @@ def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
     weights = rng.integers(1, 9, size=m).astype(np.float64)
     oracle = DistanceOracle(1.0 / m)
     points = points_from_array(coords)
-    powered = oracle.pairwise(points, points).T ** p
+    powered = pairwise(oracle, points, points).T ** p
     k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
     start = _seed_indices(powered, weights, k, np.random.default_rng(3))
     blocks = _record_blocks(monkeypatch, powered)

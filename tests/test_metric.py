@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 import dynkmed
-from dynkmed import DistanceOracle, Point, PointStore, points_from_array
-from oracles import relaxed_triangle_ok
+from dynkmed import (
+    ClusteringState,
+    DistanceOracle,
+    DynamicParams,
+    Point,
+    PointStore,
+    points_from_array,
+)
+from oracles import distance, live_ids, pairwise, relaxed_triangle_ok
 
 
 def pt(pid, *coords):
@@ -19,30 +26,30 @@ def pt(pid, *coords):
 def test_distance_same_id_is_zero():
     oracle = DistanceOracle()
     x = pt(4, 1.5, 2.5)
-    assert oracle.distance(x, x) == 0.0
+    assert distance(oracle, x, x) == 0.0
 
 
 def test_distance_one_dimensional():
     oracle = DistanceOracle()
-    assert oracle.distance(pt(0, 0.0), pt(1, 3.0)) == 3.0
+    assert distance(oracle, pt(0, 0.0), pt(1, 3.0)) == 3.0
 
 
 def test_distance_offset_applied_to_distinct_pairs():
     oracle = DistanceOracle(offset=0.25)
-    assert oracle.distance(pt(0, 0.0), pt(1, 3.0)) == 3.25
-    assert oracle.distance(pt(0, 0.0), pt(0, 0.0)) == 0.0
+    assert distance(oracle, pt(0, 0.0), pt(1, 3.0)) == 3.25
+    assert distance(oracle, pt(0, 0.0), pt(0, 0.0)) == 0.0
 
 
 def test_identical_coords_distinct_ids():
     x, y = pt(1, 2.0, 3.0), pt(2, 2.0, 3.0)
-    assert DistanceOracle().distance(x, y) == 0.0
-    assert DistanceOracle(offset=0.5).distance(x, y) == 0.5
+    assert distance(DistanceOracle(), x, y) == 0.0
+    assert distance(DistanceOracle(offset=0.5), x, y) == 0.5
 
 
 def test_dimension_mismatch_rejected():
     oracle = DistanceOracle()
     with pytest.raises(ValueError):
-        oracle.distance(pt(0, 0.0), pt(1, 0.0, 1.0))
+        distance(oracle, pt(0, 0.0), pt(1, 0.0, 1.0))
 
 
 def test_symmetry_and_nonnegativity_seeded():
@@ -50,8 +57,8 @@ def test_symmetry_and_nonnegativity_seeded():
     rng = np.random.default_rng(11)
     pts = points_from_array(rng.normal(size=(30, 4)))
     for x, y in itertools.combinations(pts, 2):
-        d = oracle.distance(x, y)
-        assert d == oracle.distance(y, x)
+        d = distance(oracle, x, y)
+        assert d == distance(oracle, y, x)
         assert d >= 0.1
 
 
@@ -59,7 +66,7 @@ def nearest(oracle, x, candidates):
     """Distance from x to a candidate set and the nearest id: the first
     minimum of a ``pairwise`` row over the candidates in id order."""
     pts = sorted(candidates, key=lambda q: q.id)
-    row = oracle.pairwise([x], pts)[0]
+    row = pairwise(oracle, [x], pts)[0]
     j = int(np.argmin(row))
     return float(row[j]), pts[j].id
 
@@ -112,20 +119,20 @@ def test_relaxed_triangle_detects_violation():
 
     oracle = DistanceOracle()
     x, y, z = pt(0, 0.0), pt(1, 2.0), pt(2, 1.0)
-    dxy = oracle.distance(x, y) ** 2
-    assert dxy > oracle.distance(x, z) ** 2 + oracle.distance(z, y) ** 2
+    dxy = distance(oracle, x, y) ** 2
+    assert dxy > distance(oracle, x, z) ** 2 + distance(oracle, z, y) ** 2
 
 
 def test_eval_counter_scalar_and_batch():
     oracle = DistanceOracle()
     a, b = pt(0, 0.0), pt(1, 3.0)
-    oracle.distance(a, b)
-    oracle.distance(a, a)
+    distance(oracle, a, b)
+    distance(oracle, a, a)
     assert oracle.evals == 2
     pts = [pt(i, float(i)) for i in range(5)]
-    oracle.pairwise(pts, pts[:3])
+    pairwise(oracle, pts, pts[:3])
     assert oracle.evals == 2 + 15
-    oracle.pairwise(pts, pts[:2], count=False)
+    pairwise(oracle, pts, pts[:2], count=False)
     assert oracle.evals == 17
     coords = np.stack([p.coords for p in pts])
     oracle.elementwise(coords[:4], None, coords[1:5], None)
@@ -140,8 +147,8 @@ def test_eval_counter_deterministic_over_batch():
     counts = []
     for _ in range(2):
         oracle = DistanceOracle()
-        oracle.pairwise(pts[:12], pts[12:])
-        oracle.pairwise([pts[0]], pts[5:11])
+        pairwise(oracle, pts[:12], pts[12:])
+        pairwise(oracle, [pts[0]], pts[5:11])
         counts.append(oracle.evals)
     assert counts[0] == counts[1] == 12 * 8 + 6
 
@@ -150,10 +157,10 @@ def test_pairwise_matches_scalar_distance():
     rng = np.random.default_rng(23)
     pts = points_from_array(rng.normal(scale=4.0, size=(15, 6)))
     oracle = DistanceOracle(offset=0.2)
-    mat = oracle.pairwise(pts, pts)
+    mat = pairwise(oracle, pts, pts)
     for i in range(15):
         for j in range(15):
-            assert mat[i, j] == pytest.approx(oracle.distance(pts[i], pts[j]), abs=1e-9)
+            assert mat[i, j] == pytest.approx(distance(oracle, pts[i], pts[j]), abs=1e-9)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.3])
@@ -172,7 +179,7 @@ def test_distance_is_the_one_pair_elementwise_kernel(offset):
         # pairs 150..199 share an id: exactly zero, whatever the coordinates
         assert np.all(d[150:] == 0.0) and np.all(d[:150] >= offset)
         for i, (x, y) in enumerate(zip(xs, ys)):
-            assert repr(oracle.distance(x, y)) == repr(float(d[i]))
+            assert repr(distance(oracle, x, y)) == repr(float(d[i]))
         assert oracle.evals == 400
     with pytest.raises(ValueError):
         oracle.elementwise(np.zeros((2, 3)), None, np.zeros((3, 3)), None)
@@ -183,8 +190,8 @@ def test_custom_base_metric():
         return float(np.abs(a - b).sum())
 
     oracle = DistanceOracle(base=manhattan)
-    assert oracle.distance(pt(0, 0.0, 0.0), pt(1, 1.0, 2.0)) == 3.0
-    mat = oracle.pairwise([pt(0, 0.0, 0.0)], [pt(1, 1.0, 2.0), pt(2, 2.0, 2.0)])
+    assert distance(oracle, pt(0, 0.0, 0.0), pt(1, 1.0, 2.0)) == 3.0
+    mat = pairwise(oracle, [pt(0, 0.0, 0.0)], [pt(1, 1.0, 2.0), pt(2, 2.0, 2.0)])
     assert mat.tolist() == [[3.0, 4.0]]
 
 
@@ -200,7 +207,7 @@ def test_point_store_gather_and_dimension_guard():
     pts = [pt(3, 1.0, 1.0), pt(7, 2.0, 5.0), pt(1, 0.0, -1.0)]
     for p in pts:
         store.add(p)
-    assert store.ids_sorted() == [1, 3, 7]
+    assert live_ids(store) == [1, 3, 7]
     np.testing.assert_array_equal(
         store.matrix[store.rows_by_id()], np.array([[0.0, -1.0], [1.0, 1.0], [2.0, 5.0]])
     )
@@ -243,8 +250,34 @@ def test_add_many_equals_one_add_per_point(first, removed):
     got = bulk.add_many(batch)
     assert got.dtype == np.int64 and got.tolist() == want
     assert _store_state(bulk) == _store_state(one)
-    assert [bulk.get(q.id) is q for q in batch] == [True] * len(batch)
+    for q in batch:
+        got_point = bulk.get(q.id)
+        assert got_point.id == q.id and got_point.coords.tobytes() == q.coords.tobytes()
     assert bulk.add_many([]).tolist() == [] and _store_state(bulk) == _store_state(one)
+
+
+def test_store_reads_are_copies_of_the_inserted_points():
+    state = ClusteringState(DynamicParams(k=2, phi=4))
+    pts = points_from_array(np.random.default_rng(3).normal(size=(20, 3)))
+    for q in pts[::-1]:
+        state.insert(q)
+    live = state.live_points()
+    assert [q.id for q in live] == [q.id for q in pts]
+    assert [q.coords.tobytes() for q in live] == [q.coords.tobytes() for q in pts]
+    store = state.store
+    kept = store.get(7)
+    assert kept is not pts[7] and kept.coords.tobytes() == pts[7].coords.tobytes()
+    assert not np.shares_memory(kept.coords, store.matrix)
+    row = store.row(7)
+    state.delete(7)
+    state.insert(Point(100, np.full(3, 9.0)))   # takes the freed row
+    assert store.row(100) == row
+    capacity, pid = store.matrix.shape[0], 101
+    while store.matrix.shape[0] == capacity:     # until the matrix grows
+        state.insert(Point(pid, np.zeros(3)))
+        pid += 1
+    assert kept.id == 7 and kept.coords.tobytes() == pts[7].coords.tobytes()
+    assert [q.coords.tobytes() for q in live] == [q.coords.tobytes() for q in pts]
 
 
 def test_add_many_raises_what_add_would_before_any_change():
@@ -284,11 +317,11 @@ def test_custom_base_metric_rejects_non_finite_and_negative_values(bad):
 
     oracle = DistanceOracle(offset=0.5, base=broken)
     pts = [pt(10, 0.0), pt(11, 1.0), pt(12, 2.0)]
-    assert oracle.distance(pts[0], pts[1]) == 1.5
+    assert distance(oracle, pts[0], pts[1]) == 1.5
     with pytest.raises(ValueError, match=r"points 11 and 12"):
-        oracle.distance(pts[1], pts[2])
+        distance(oracle, pts[1], pts[2])
     with pytest.raises(ValueError, match=r"points 11 and 12"):
-        oracle.pairwise(pts, pts)
+        pairwise(oracle, pts, pts)
     coords = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError, match=r"points 11 and 12"):
         oracle.elementwise(coords[:2], [10, 11], coords[1:], [11, 12])
@@ -303,10 +336,10 @@ def test_elementwise_names_an_overflowing_distance():
     x, y = pt(0, 1e200, 0.0), pt(1, -1e200, 0.0)
     oracle = DistanceOracle()
     with pytest.raises(ValueError, match="overflow"):
-        oracle.distance(x, y)
+        distance(oracle, x, y)
     with pytest.raises(ValueError, match="overflow"):
         oracle.elementwise(np.array([[0.0], [1e308]]), None, np.array([[1.0], [-1e308]]), None)
-    assert oracle.distance(x, pt(2, 1e200, 1.0)) == 1.0
+    assert distance(oracle, x, pt(2, 1e200, 1.0)) == 1.0
 
 
 def test_matrix_between_is_exact_for_large_coordinates_with_a_small_spread():

@@ -19,6 +19,10 @@ from oracles import (
     checked_instance,
     cost_assignment,
     cost_weighted,
+    distance,
+    entries,
+    instance_of,
+    pairwise,
     unit_instance,
 )
 
@@ -68,7 +72,7 @@ def test_cost_assignment_identity_and_trace():
 
 def test_cost_weighted_examples():
     pts = line_points(0, 2)
-    inst = WeightedInstance([(pts[0], 3), (pts[1], 1)])
+    inst = instance_of([(pts[0], 3), (pts[1], 1)])
     assert cost_weighted({0, 1}, inst, 1.0, ORACLE) == 0.0
     assert cost_weighted({0}, inst, 1.0, ORACLE) == 2.0
     with pytest.raises(ValueError):
@@ -77,7 +81,7 @@ def test_cost_weighted_examples():
 
 def test_cost_weighted_unit_weights_bitwise_equal_cost_set():
     pts = random_points(23, dim=3, seed=8, scale=4.0)
-    inst = WeightedInstance([(p, 1) for p in pts])
+    inst = instance_of([(p, 1) for p in pts])
     centers = {pts[4].id, pts[11].id, pts[19].id}
     center_pts = [p for p in pts if p.id in centers]
     for p in (1.0, 2.0):
@@ -89,19 +93,33 @@ def test_cost_weighted_unit_weights_bitwise_equal_cost_set():
 def test_weighted_instance_validation():
     pts = line_points(0, 1)
     with pytest.raises(ValueError):
-        WeightedInstance([(pts[0], 0)])
+        instance_of([(pts[0], 0)])
     with pytest.raises(ValueError):
-        WeightedInstance([(pts[0], 1), (pts[0], 2)])
+        instance_of([(pts[0], 1), (pts[0], 2)])
+    ids, coords = np.array([1, 2, 3]), np.zeros((3, 2))
+    with pytest.raises(ValueError, match="one id, one coordinate row and one weight"):
+        WeightedInstance([1, 2], coords, [1, 1])
+    with pytest.raises(ValueError, match="one id, one coordinate row and one weight"):
+        WeightedInstance(ids, coords, [1, 1])
+    with pytest.raises(ValueError, match="one id, one coordinate row and one weight"):
+        WeightedInstance(ids, np.zeros(3), [1, 1, 1])
+    with pytest.raises(ValueError, match="one id, one coordinate row and one weight"):
+        WeightedInstance(ids[:1], coords[:1], 1)
+    with pytest.raises(ValueError, match="weights must be integers"):
+        WeightedInstance(ids, coords, [1.5, 1, 2.0])
+    with pytest.raises(ValueError, match="weights must be integers"):
+        WeightedInstance(ids, coords, np.ones(3))
+    assert WeightedInstance(ids, coords, [1, 1, 2]).total_weight == 4
 
 
 def test_weighted_solve_small_instance_returned_whole():
     pts = line_points(1, 5)
-    inst = WeightedInstance([(pts[0], 2), (pts[1], 7)])
+    inst = instance_of([(pts[0], 2), (pts[1], 7)])
     sol = weighted_solve(inst, k=3, p=1.0, seed=0, oracle=ORACLE)
     assert sol.centers == {0, 1}
     assert sol.cost == 0.0
     with pytest.raises(ValueError):
-        weighted_solve(WeightedInstance([]), 1, 1.0, 0, ORACLE)
+        weighted_solve(instance_of([]), 1, 1.0, 0, ORACLE)
     with pytest.raises(ValueError):
         weighted_solve(inst, 0, 1.0, 0, ORACLE)
 
@@ -111,7 +129,7 @@ def test_weighted_solve_two_separated_clusters():
     left = rng.normal(0.0, 0.2, size=(6, 2))
     right = rng.normal(50.0, 0.2, size=(6, 2))
     pts = points_from_array(np.vstack([left, right]))
-    inst = WeightedInstance([(p, 1) for p in pts])
+    inst = instance_of([(p, 1) for p in pts])
     best = brute_force_opt_weighted(inst, 2, 1.0, ORACLE)
     for seed in range(5):
         sol = weighted_solve(inst, 2, 1.0, seed, ORACLE)
@@ -125,7 +143,7 @@ def test_weighted_solve_against_brute_force_many_seeds():
         rng = np.random.default_rng(1000 + seed)
         pts = points_from_array(rng.uniform(0, 10, size=(20, 2)))
         weights = rng.integers(1, 6, size=20)
-        inst = WeightedInstance([(p, int(w)) for p, w in zip(pts, weights)])
+        inst = instance_of([(p, int(w)) for p, w in zip(pts, weights)])
         sol = weighted_solve(inst, 3, 1.0, seed, ORACLE)
         best = brute_force_opt_weighted(inst, 3, 1.0, ORACLE)
         assert sol.cost <= 5.5 * best.cost + 1e-12
@@ -137,10 +155,10 @@ def test_weighted_solve_never_worse_than_seeding():
         rng = np.random.default_rng(2000 + seed)
         pts = points_from_array(rng.normal(size=(18, 2)))
         weights = rng.integers(1, 4, size=18)
-        inst = WeightedInstance([(p, int(w)) for p, w in zip(pts, weights)])
-        entries = inst.entries
-        w = np.array([wt for _, wt in entries], dtype=float)
-        powered = ORACLE.pairwise([q for q, _ in entries], [q for q, _ in entries])
+        inst = instance_of([(p, int(w)) for p, w in zip(pts, weights)])
+        pairs = entries(inst)
+        w = np.array([wt for _, wt in pairs], dtype=float)
+        powered = pairwise(ORACLE, [q for q, _ in pairs], [q for q, _ in pairs])
         chosen = _seed_indices(powered, w, 4, np.random.default_rng(seed))
         seed_cost = float(np.sum(w * powered[:, chosen].min(axis=1)))
         sol = weighted_solve(inst, 4, 1.0, seed, ORACLE)
@@ -153,7 +171,7 @@ def test_instance_gram_equals_the_general_pairwise_path(p, offset):
     pts = random_points(40, dim=3, seed=31, scale=3.0)
     pts += points_from_array(np.stack([q.coords for q in pts[:6]]), start_id=40)
     general, fast = DistanceOracle(offset), DistanceOracle(offset)
-    expected = general.pairwise(pts, pts).T ** p
+    expected = pairwise(general, pts, pts).T ** p
     got = _instance_gram(np.stack([q.coords for q in pts]), p, fast)
     assert np.array_equal(got, expected)
     assert got.flags.f_contiguous
@@ -171,7 +189,7 @@ def test_brute_force_opt_examples():
     # k = 1 equals a direct 1-median scan
     pts = random_points(9, seed=5)
     direct = min(
-        sum(ORACLE.distance(x, c) for x in pts) for c in pts
+        sum(distance(ORACLE, x, c) for x in pts) for c in pts
     )
     assert brute_force_opt_weighted(unit_instance(pts), 1, 1.0, ORACLE).cost == pytest.approx(
         direct
@@ -227,6 +245,20 @@ def test_query_cost_zero_after_drain_below_k():
     sol = query(state, 6, 1.0, seed=0)
     assert sol.cost == 0.0
     assert sol.centers == {p.id for p in state.live_points()}
+
+
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_cost_solve_and_query_reject_a_power_that_is_not_finite_and_at_least_1(p):
+    pts = line_points(0, 5, 9)
+    state = preprocess(pts, DynamicParams(k=2, phi=4))
+    with pytest.raises(ValueError, match="power"):
+        cost_set(pts[:1], pts, p, ORACLE)
+    with pytest.raises(ValueError, match="power"):
+        weighted_solve(instance_of([(q, 1) for q in pts]), 5, p, 0, ORACLE)
+    with pytest.raises(ValueError, match="power"):
+        query(state, 2, p)
+    with pytest.raises(ValueError, match="power"):
+        query(state, 10, p)  # n <= k: checked before the whole set is returned
 
 
 def test_query_repeatable_for_fixed_seed():
@@ -299,6 +331,8 @@ def test_cost_set_over_a_point_store_equals_the_point_list(p):
     got = cost_set(centers, state.store, p, by_store)
     assert repr(got) == repr(cost_set(centers, live, p, by_list))
     assert by_store.evals == by_list.evals == 80 * 3
+    # centers given by id are read from their store rows
+    assert repr(cost_set([c.id for c in centers[::-1]], state.store, p, by_store)) == repr(got)
 
     state = shuffled_state(5, 0.05)
     assert state.live_count == 73 and len(state.store._free) == 7
@@ -315,8 +349,8 @@ def test_weighted_instance_is_the_center_rows_in_id_order():
     for seed in range(6):
         state = shuffled_state(seed)
         inst = checked_instance(state)
-        assert len(inst) == len(inst.entries) < state.live_count
-        assert [q.id for q, _ in inst.entries] == inst.ids.tolist()
+        assert len(inst) == len(entries(inst)) < state.live_count
+        assert [q.id for q, _ in entries(inst)] == inst.ids.tolist()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -325,11 +359,11 @@ def test_weighted_solve_is_the_same_for_an_array_and_an_entries_instance(p):
         state = shuffled_state(seed, 0.01)
         arrays = state.weighted_instance()
         # the pairs in table order, layer by layer, not in id order
-        entries = WeightedInstance(
+        from_pairs = instance_of(
             [(state.store.get(c), w) for c, w in zip(state.center, state.size) if w]
         )
         by_arrays, by_entries = DistanceOracle(0.01), DistanceOracle(0.01)
         got = weighted_solve(arrays, 3, p, seed, by_arrays)
-        expected = weighted_solve(entries, 3, p, seed, by_entries)
+        expected = weighted_solve(from_pairs, 3, p, seed, by_entries)
         assert got == expected and repr(got.cost) == repr(expected.cost)
         assert by_arrays.evals == by_entries.evals == len(arrays) ** 2

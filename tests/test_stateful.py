@@ -16,7 +16,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dynkmed import DistanceOracle, DynamicParams, Point, cost_set, preprocess, query
-from oracles import checked_instance
+from oracles import checked_instance, live_ids
 
 grid_point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
@@ -48,7 +48,7 @@ class DynamicStateMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.state.live_count > 0)
     @rule(index=st.integers(0, 10**6))
     def delete(self, index):
-        live = self.state.store.ids_sorted()
+        live = live_ids(self.state.store)
         self.state.delete(live[index % len(live)])
 
     @rule(index=st.integers(0, 10**6))
