@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamic import ClusteringState, DynamicParams, preprocess
 from .metric import DistanceOracle, Point, points_from_array
-from .solver import cost_set, query, weighted_solve
+from .solver import _check_power, cost_set, query, weighted_solve
 
 CSV_HEADER = [
     "update_index",
@@ -99,12 +99,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown offset mode {self.offset_mode!r}")
         if self.baseline_every is not None and self.baseline_every < 1:
             raise ConfigError("baseline period must be at least 1")
-        if self.k < 1 or self.phi < 1:
-            raise ConfigError("k and phi must be positive")
-        if not 0.0 < self.beta < 1.0 or not 0.0 < self.epsilon < 1.0:
-            raise ConfigError("beta and epsilon must lie strictly in (0, 1)")
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise ConfigError("p must be finite and at least 1")
+        try:  # the state's and the solver's own rules, with their messages
+            DynamicParams(self.k, self.phi, self.beta, epsilon=self.epsilon)
+            _check_power(self.p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.check_every < 0:
             raise ConfigError("check_every must be nonnegative")
 
@@ -239,7 +238,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     baseline_centers: Optional[list[Point]] = None
     updates_since_baseline = 0
     eval_mark = oracle.evals
-    op_counts = {"insert": 0, "delete": 0, "query": 0, "baseline": 0}
 
     def emit(index: int, op: str, wall: int, cost=None, centers=None) -> None:
         nonlocal eval_mark
@@ -256,7 +254,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
         )
         eval_mark = oracle.evals
-        op_counts[op] += 1
 
     for index, (op, pos) in enumerate(updates, start=1):
         start = time.perf_counter_ns()
@@ -307,7 +304,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     centers=len(baseline_centers),
                 )
 
-    summary = _summarize(config, rows, m, skipped_queries, violations, oracle, op_counts)
+    summary = _summarize(config, rows, m, skipped_queries, violations, oracle)
     if config.out:
         out_path = Path(config.out)
         emit_metrics(rows, out_path)
@@ -336,10 +333,9 @@ def _summarize(
     skipped_queries: int,
     violations: Sequence[str],
     oracle: DistanceOracle,
-    op_counts: dict,
 ) -> dict:
     per_op: dict[str, dict] = {}
-    for op in sorted(op_counts):
+    for op in ("baseline", "delete", "insert", "query"):
         selected = [r for r in rows if r.op == op]
         per_op[op] = {
             "rows": len(selected),

@@ -2,7 +2,8 @@
 
 One round samples ``phi`` points uniformly with replacement, finds the
 smallest radius whose balls around the sample capture a ``beta`` fraction of
-the set, and assigns every captured point to its nearest sampled center.
+the set, and assigns every captured point to its nearest sampled center; a
+center whose own row goes to another center keeps no cluster.
 :func:`_cover_arrays` runs one round over sorted id and coordinate arrays;
 the layered state in :mod:`dynkmed.dynamic` peels rounds with it until the
 remainder fits under the last-layer threshold, and its
@@ -37,22 +38,21 @@ def _cover_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Cover round over (sorted ids, matching coords).
 
-    Returns the sorted distinct sampled center ids, each point's nearest
-    center as an index into them (ties toward the smallest id), the boolean
-    covered mask aligned with ``ids``, and the radius. Every center that is
-    some point's nearest is its own nearest.
+    Returns the ascending positions of the centers that keep a cluster, each
+    point's nearest center as an index into them (ties toward the smallest
+    id), the boolean covered mask aligned with ``ids``, and the radius.
+    Each returned center is its own nearest; a sampled center whose own row
+    went to another center is dropped before the assignment.
     """
     n = ids.shape[0]
-    if params.sampler is not None:
-        sample = list(params.sampler(list(int(i) for i in ids), params.phi, rng))
-        known = set(int(i) for i in ids)
-        for s in sample:
-            if s not in known:
-                raise ValueError(f"sampler returned id {s} outside the working set")
+    if params.sampler is None:
+        pos = np.unique(rng.integers(0, n, size=params.phi))
     else:
-        sample = ids[rng.integers(0, n, size=params.phi)]
-    center_ids = np.unique(np.asarray(sample, dtype=np.int64))
-    pos = np.searchsorted(ids, center_ids)
+        sample = np.asarray(params.sampler(ids.tolist(), params.phi, rng), dtype=np.int64)
+        outside = np.setdiff1d(sample, ids)
+        if outside.shape[0]:
+            raise ValueError(f"sampler returned id {outside[0]} outside the working set")
+        pos = np.searchsorted(ids, np.unique(sample))
 
     # ids are distinct, so the only same-id pair of center j is (pos[j], j);
     # it is marked -inf, as matrix_between marks same-id pairs when squared
@@ -60,13 +60,10 @@ def _cover_arrays(
     columns = np.arange(pos.shape[0])
     dist[pos, columns] = -np.inf
     nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
-    # a center whose own row went to another center (a computed 0 between
-    # points far closer than their spread) must keep no members; an exact
-    # twin's column equals the kept twin's, so no row picked it
-    absorbed = nearest[pos] != columns
-    if absorbed.any():
-        dist[:, absorbed] = np.inf
-        nearest, dmin = oracle.nearest(dist)
+    kept = nearest[pos] == columns
+    if not kept.all():
+        pos = pos[kept]
+        nearest, dmin = oracle.nearest(dist[:, kept])
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
-    return center_ids, nearest, dmin <= radius, radius
+    return pos, nearest, dmin <= radius, radius

@@ -1,10 +1,11 @@
 """Fully dynamic layered clustering structure.
 
 The state keeps a stack of layers, each one round of the static sampling
-cover, over one cluster table of centers and sizes ordered layer by layer:
-layer i owns the slots from its ``start`` up to the next layer's, so a
+cover, over one cluster table of center rows and sizes ordered layer by
+layer: layer i owns the slots from its ``start`` up to the next layer's, so a
 cluster's depth is its position in the table. Each live point stores only
-its slot, indexed by its store row. U_i, the points covered at depth i or
+its slot, indexed by its store row; ids are read through ``store.row_ids``
+only where the API returns them. U_i, the points covered at depth i or
 deeper, is the rows with slot >= ``start_i``, so the U_i nest by construction.
 
 Updates touch the counters, one slot and one table entry, and evaluate no
@@ -31,7 +32,7 @@ from .solver import WeightedInstance
 _EPS = 1e-9
 
 # One layer to append: working-set size, radius, its points' rows with each
-# one's cluster index in the layer, and the clusters' centers and sizes.
+# one's cluster index in the layer, and the clusters' center rows and sizes.
 _Round = tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -104,8 +105,8 @@ class ClusteringState:
         self.oracle = oracle or DistanceOracle()
         self.store = PointStore()
         self.rng = np.random.default_rng(params.seed)
-        # the cluster table, and each store row's slot in it (-1: no point)
-        self.center: list[PointId] = []
+        # the cluster table (center rows, sizes) and each row's slot (-1: no point)
+        self.center: list[int] = []
         self.size: list[int] = []
         self.slot = np.empty(0, dtype=np.int64)
         self.layers: list[Layer] = [Layer(0)]  # empty: one terminal layer
@@ -140,25 +141,20 @@ class ClusteringState:
         sample stream.
 
         Returns one round per layer, the last being the remainder as
-        singletons. A round's clusters are in center order.
+        singletons. A round's clusters are in center id order.
         """
         coords = self.store.matrix[rows]
         rounds: list[_Round] = []
         while ids.shape[0] > self.params.threshold:
-            center_ids, nearest, mask, radius = _cover_arrays(
+            pos, nearest, mask, radius = _cover_arrays(
                 ids, coords, self.params, self.rng, self.oracle
             )
-            # a sampled center that no point has as its nearest (it lost its
-            # own row to another center) gets no cluster
-            near = nearest[mask]
-            counts = np.bincount(near, minlength=center_ids.shape[0])
-            kept = counts > 0
-            group = (np.cumsum(kept) - 1)[near]
-            rounds.append((ids.shape[0], radius, rows[mask], group, center_ids[kept], counts[kept]))
+            group = nearest[mask]
+            rounds.append((ids.shape[0], radius, rows[mask], group, rows[pos], np.bincount(group)))
             keep = ~mask
             rows, ids, coords = rows[keep], ids[keep], coords[keep]
         rest = ids.shape[0]
-        rounds.append((rest, 0.0, rows, np.arange(rest), ids, np.ones(rest, dtype=np.int64)))
+        rounds.append((rest, 0.0, rows, np.arange(rest), rows, np.ones(rest, dtype=np.int64)))
         return rounds
 
     def _rebuild(self, index: int, rows: np.ndarray) -> None:
@@ -206,7 +202,7 @@ class ClusteringState:
         for layer in self.layers:
             layer.updates += 1
         self.slot[row] = len(self.center)
-        self.center.append(point.id)
+        self.center.append(row)
         self.size.append(1)
         self.rebuild()
 
@@ -224,8 +220,9 @@ class ClusteringState:
             layer.updates += 1
         self.slot[row] = -1
         self.size[s] -= 1
-        if self.center[s] == pid and self.size[s]:
-            self.center[s] = int(self.store.row_ids[self.slot == s].min())
+        if self.center[s] == row and self.size[s]:
+            rows = np.flatnonzero(self.slot == s)
+            self.center[s] = int(rows[np.argmin(self.store.row_ids[rows])])
         self.store.remove(pid)
         self.rebuild()
 
@@ -248,24 +245,25 @@ class ClusteringState:
 
     def assignment(self) -> dict[PointId, PointId]:
         """Full point -> center map across all layers."""
+        ids = self.store.row_ids
         rows = np.flatnonzero(self.slot >= 0)
-        centers = np.array(self.center, dtype=np.int64)[self.slot[rows]]
-        return dict(zip(self.store.row_ids[rows].tolist(), centers.tolist()))
+        centers = ids[np.array(self.center, dtype=np.int64)[self.slot[rows]]]
+        return dict(zip(ids[rows].tolist(), centers.tolist()))
 
     def weighted_instance(self) -> WeightedInstance:
-        """All current centers in id order, weighted by their cluster sizes:
-        the rows whose point is the center of its own slot's cluster.
+        """The centers of the nonempty clusters in id order, weighted by their
+        cluster sizes.
 
         Weights sum to the live point count; last-layer points carry weight 1.
         """
         if len(self.store) == 0:
             raise ValueError("state is empty")
-        ids = self.store.row_ids
-        rows = np.flatnonzero(self.slot >= 0)
-        rows = rows[ids[rows] == np.array(self.center)[self.slot[rows]]]
-        rows = rows[np.argsort(ids[rows])]
-        weights = np.array(self.size, dtype=np.int64)[self.slot[rows]]
-        return WeightedInstance(ids[rows], self.store.matrix[rows], weights)
+        sizes = np.array(self.size, dtype=np.int64)
+        nonempty = sizes > 0
+        rows, weights = np.array(self.center, dtype=np.int64)[nonempty], sizes[nonempty]
+        order = np.argsort(self.store.row_ids[rows])
+        rows = rows[order]
+        return WeightedInstance(self.store.row_ids[rows], self.store.matrix[rows], weights[order])
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -273,7 +271,7 @@ class ClusteringState:
         """Verify the structural invariants; returns violations (empty = ok).
 
         Checks each size against the points holding its slot and each center
-        against its own slot, then the slack invariant, the per-layer shrink
+        row against its own slot, then the slack invariant, the per-layer shrink
         bound, the 2*radius cluster bound, and the layer-count bound. Nesting
         and depths hold by construction. Distance work here is uncounted so
         diagnostics never distort evaluation-cost measurements.
@@ -291,11 +289,10 @@ class ClusteringState:
         totals = [sum(self.size[layer.start :]) for layer in self.layers]  # |U_i|
         if totals[0] != n:
             violations.append("cluster sizes do not add up to the live point count")
-        # the row of each cluster's center among the points that hold its slot
-        rows, slots = rows[slots < len(self.center)], slots[slots < len(self.center)]
-        own = self.store.row_ids[rows] == np.array(self.center, dtype=np.int64)[slots]
-        center_row = np.full(len(self.center), -1)
-        center_row[slots[own]] = rows[own]
+        # each center row is in range and holds its own slot (a freed row holds -1)
+        center = np.array(self.center, dtype=np.int64)
+        member = (center >= 0) & (center < self.slot.shape[0])
+        member[member] = self.slot[center[member]] == np.flatnonzero(member)
         ends = [layer.start for layer in self.layers[1:]] + [len(self.center)]
         for i, (layer, end) in enumerate(zip(self.layers, ends), start=1):
             if i > 1:
@@ -311,9 +308,13 @@ class ClusteringState:
                     f"({layer.updates} updates > {slack} * {layer.base_size})"
                 )
             for s in range(layer.start, end):
-                if self.size[s] and center_row[s] < 0:
-                    violations.append(f"layer {i}: cluster center {self.center[s]} is not a member")
-        violations.extend(self._check_radii(rows[~own], slots[~own], center_row))
+                if self.size[s] and not member[s]:
+                    violations.append(
+                        f"layer {i}: cluster slot {s}: center row {self.center[s]} is not a member"
+                    )
+        rows, slots = rows[slots < len(center)], slots[slots < len(center)]
+        keep = member[slots] & (rows != center[slots])
+        violations.extend(self._check_radii(rows[keep], slots[keep], center[slots[keep]]))
 
         if n > 0:
             # The next-to-last layer was bigger than the threshold when built
@@ -333,14 +334,12 @@ class ClusteringState:
         return violations
 
     def _check_radii(
-        self, rows: np.ndarray, slots: np.ndarray, center_row: np.ndarray
+        self, rows: np.ndarray, slots: np.ndarray, centers: np.ndarray
     ) -> list[str]:
         """Each given point lies within twice its layer's radius of its
-        cluster's center, if that is present. Distances come from the
-        oracle's aligned-pair kernel, uncounted; a custom metric that fails
-        its check there is reported, not raised."""
-        keep = center_row[slots] >= 0
-        rows, centers = rows[keep], center_row[slots[keep]]
+        cluster's center row. Distances come from the oracle's aligned-pair
+        kernel, uncounted; a custom metric that fails its check there is
+        reported, not raised."""
         if not rows.size:
             return []
         pids, cids = self.store.row_ids[rows], self.store.row_ids[centers]
@@ -349,7 +348,7 @@ class ClusteringState:
             d = self.oracle.elementwise(a, pids, b, cids, count=False)
         except ValueError as exc:
             return [f"2*radius check: {exc}"]
-        depths = np.searchsorted([layer.start for layer in self.layers], slots[keep], side="right")
+        depths = np.searchsorted([layer.start for layer in self.layers], slots, side="right")
         limit = 2.0 * np.array([layer.radius for layer in self.layers])[depths - 1]
         tol = 1e-6 + 1e-9 * np.maximum(1.0, limit)
         bad = np.nonzero(d > limit + tol)[0]

@@ -7,9 +7,9 @@ The oracle has one kernel per shape: :meth:`DistanceOracle.matrix_between`
 for blocks and :meth:`DistanceOracle.elementwise` for aligned pairs. Each
 takes coordinate arrays and optional ids, applies the custom-metric check,
 the offset and the same-id zeroing for its shape, and bumps the counter by
-the number of pairs it touches; diagnostics (the 2*radius check of
-``integrity_check``) may opt out with ``count=False``. Callers that need
-only row minima (cover rounds, the live-set cost) take
+the number of pairs it touches; the aligned-pair kernel of diagnostics (the
+2*radius check of ``integrity_check``) may opt out with ``count=False``.
+Callers that need only row minima (cover rounds, the live-set cost) take
 ``matrix_between(..., squared=True)`` and reduce it with ``nearest`` or
 ``row_min``, which take square roots of n row minima only.
 """
@@ -172,13 +172,10 @@ class DistanceOracle:
         a_ids: Optional[Sequence[PointId]],
         b_coords: np.ndarray,
         b_ids: Optional[Sequence[PointId]],
-        count: bool = True,
         squared: bool = False,
     ) -> np.ndarray:
-        """Full distance matrix between two coordinate blocks.
-
-        Counts ``len(a) * len(b)`` evaluations unless ``count=False`` (used by
-        read-only diagnostics so they do not distort cost measurements).
+        """Full distance matrix between two coordinate blocks; counts
+        ``len(a) * len(b)`` evaluations.
 
         Euclidean entries come from one matrix product on blocks centered
         on ``mu = b.mean(axis=0)``. With ``u = a - mu``, ``v = b - mu`` and
@@ -213,8 +210,7 @@ class DistanceOracle:
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
             raise ValueError("coordinate blocks must be 2-D with equal dimension")
         n, c = a.shape[0], b.shape[0]
-        if count:
-            self.evals += n * c
+        self.evals += n * c
         out = np.empty((n, c), dtype=np.float64)
         if self.base is not None:
             for i in range(n):
@@ -268,9 +264,7 @@ class DistanceOracle:
         over the distances, from a ``squared=True`` result ``x``. The distance
         is monotone in ``x``, so it is only reduced again over the rows whose
         second-smallest entry of ``x`` rounds to the same distance as the
-        smallest (distinct entries can)."""
-        if self.base is not None:
-            return _nearest_two(self._distances(x))[:2]
+        smallest (distinct entries can, and so can a same-id -inf and a 0)."""
         cols, low, second = _nearest_two(x)
         dmin = self._distances(low)
         tied = np.flatnonzero(self._distances(second) <= dmin)

@@ -44,14 +44,17 @@ def distance(oracle: DistanceOracle, x: Point, y: Point) -> float:
 def pairwise(
     oracle: DistanceOracle, xs: Sequence[Point], ys: Sequence[Point], count: bool = True
 ) -> np.ndarray:
-    """Distance matrix between two point sequences, in the given order."""
+    """Distance matrix between two point sequences, in the given order;
+    ``count=False`` leaves the oracle's counter as it was."""
     if len(xs) == 0 or len(ys) == 0:
-        if count:
-            oracle.evals += len(xs) * len(ys)
         return np.empty((len(xs), len(ys)), dtype=np.float64)
+    evals = oracle.evals
     a = np.stack([p.coords for p in xs])
     b = np.stack([p.coords for p in ys])
-    return oracle.matrix_between(a, [p.id for p in xs], b, [p.id for p in ys], count=count)
+    out = oracle.matrix_between(a, [p.id for p in xs], b, [p.id for p in ys])
+    if not count:
+        oracle.evals = evals
+    return out
 
 
 def instance_of(pairs: Iterable[tuple[Point, int]]) -> WeightedInstance:
@@ -90,17 +93,18 @@ def members(state: ClusteringState, index: int) -> set[PointId]:
 def clusters(state: ClusteringState, index: int) -> dict[PointId, set[PointId]]:
     """The clusters of layer index (1-based) as center -> member ids."""
     lo, hi = _slots(state, index)
-    out = {state.center[s]: set() for s in range(lo, hi) if state.size[s]}
+    ids = state.store.row_ids
+    out = {int(ids[state.center[s]]): set() for s in range(lo, hi) if state.size[s]}
     rows = np.flatnonzero((state.slot >= lo) & (state.slot < hi))
-    for pid, s in zip(state.store.row_ids[rows].tolist(), state.slot[rows].tolist()):
-        out[state.center[s]].add(pid)
+    for pid, s in zip(ids[rows].tolist(), state.slot[rows].tolist()):
+        out[int(ids[state.center[s]])].add(pid)
     return out
 
 
 def assignment_of(state: ClusteringState, pid: PointId) -> PointId:
     """Current center of the unique cluster containing ``pid`` (KeyError
     for an id that is not live)."""
-    return state.center[state.slot[state.store.row(pid)]]
+    return int(state.store.row_ids[state.center[state.slot[state.store.row(pid)]]])
 
 
 def snapshot(state: ClusteringState) -> str:
@@ -202,15 +206,16 @@ def cover_round(
     oracle: Optional[DistanceOracle] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[set[PointId], dict[PointId, PointId], float]:
-    """``_cover_arrays`` over points, read back as (distinct sampled centers,
-    covered point -> nearest center, radius)."""
+    """``_cover_arrays`` over points, read back as (the centers that keep a
+    cluster, covered point -> nearest center, radius)."""
     pts = sorted(points, key=lambda q: q.id)
     ids = np.array([q.id for q in pts], dtype=np.int64)
     coords = np.stack([q.coords for q in pts])
     rng = rng if rng is not None else np.random.default_rng(params.seed)
-    center_ids, nearest, mask, radius = _cover_arrays(
+    pos, nearest, mask, radius = _cover_arrays(
         ids, coords, params, rng, oracle or DistanceOracle()
     )
+    center_ids = ids[pos]
     assignment = {int(u): int(center_ids[j]) for u, j in zip(ids[mask], nearest[mask])}
     return set(center_ids.tolist()), assignment, radius
 
@@ -231,7 +236,7 @@ def checked_instance(state: ClusteringState) -> WeightedInstance:
     assert np.all(np.diff(inst.ids) > 0)
     assert np.all(inst.weights >= 1) and inst.total_weight == state.live_count
     assert dict(zip(ids, inst.weights.tolist())) == {
-        c: w for c, w in zip(state.center, state.size) if w
+        int(state.store.row_ids[c]): w for c, w in zip(state.center, state.size) if w
     }
     rows = [state.store.row(pid) for pid in ids]
     assert inst.coords.tobytes() == state.store.matrix[rows].tobytes()

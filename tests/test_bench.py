@@ -378,9 +378,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert code == 1
     for extra, message in (
         (["--baseline", "static:0"], "baseline period must be at least 1"),
-        (["--k", "0"], "k and phi must be positive"),
-        (["--p", "nan"], "p must be finite and at least 1"),
-        (["--p", "inf"], "p must be finite and at least 1"),
+        (["--k", "0"], "k must be at least 1"),
+        (["--p", "nan"], "power must be finite and at least 1, got nan"),
+        (["--p", "inf"], "power must be finite and at least 1, got inf"),
     ):
         capsys.readouterr()
         code = cli_main(

@@ -197,11 +197,11 @@ def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():
     ids = np.arange(300)
     for seed in range(3):
         params = DynamicParams(k=5, phi=40, seed=seed)
-        center_ids, nearest, mask, _ = _cover_arrays(
+        pos, nearest, mask, _ = _cover_arrays(
             ids, x, params, np.random.default_rng(seed), DistanceOracle(0.0)
         )
-        pos = np.searchsorted(ids, center_ids)
-        for j in np.unique(nearest[mask]):
-            assert nearest[pos[j]] == j
+        assert np.all(np.diff(pos) > 0)
+        assert np.array_equal(nearest[pos], np.arange(pos.shape[0]))
+        assert mask[pos].all()
         state = preprocess(points_from_array(x), params)
         assert not [v for v in state.integrity_check() if "is not a member" in v]

@@ -303,14 +303,22 @@ def test_weighted_instance_empty_state_rejected():
 
 def test_integrity_check_flags_corruption():
     state = big_state(seed=55)
-    state.center[0] = 10**8  # corrupt: center no longer a member
+    state.center[0] = 10**8  # corrupt: a center row out of range
     report = state.integrity_check()
     assert report
-    assert any("layer 1: cluster center 100000000 is not a member" in line for line in report)
+    assert any("layer 1: cluster slot 0: center row 100000000 is not a member" in line for line in report)
 
     state = big_state(seed=55)
-    state.center[0] = state.center[-1]  # a live point, but one in another cluster
-    assert any(f"center {state.center[0]} is not a member" in line for line in state.integrity_check())
+    state.center[0] = state.center[-1]  # a live point's row, but it holds another slot
+    report = state.integrity_check()
+    assert any(f"cluster slot 0: center row {state.center[0]} is not a member" in line for line in report)
+
+    state = big_state(seed=55)
+    row = next(r for r in np.flatnonzero(state.slot >= 0) if state.center[state.slot[r]] != r)
+    state.delete(int(state.store.row_ids[row]))
+    state.center[0] = int(row)  # a freed row
+    report = state.integrity_check()
+    assert any(f"cluster slot 0: center row {row} is not a member" in line for line in report)
 
 
 def test_integrity_check_flags_point_map_corruption():

@@ -7,12 +7,14 @@ zero same-id pairs through an n x c id mask. ``_reference_cover_arrays`` is
 the package's earlier cover round, kept verbatim apart from taking the
 oracle as an argument: it passed ids to the kernel and took the minimum in a
 second reduction. The package works in place and in fewer passes over
-memory; every matrix entry, nearest center, covered flag and radius it
-returns must be bit-identical to the reference.
+memory; every matrix entry, covered flag and radius it returns must be
+bit-identical to the reference, and so must each row's nearest center id.
 
 The absorbed-center rule is written into the cover reference as a plain
 loop: a sampled center whose own row's first minimum is another center has
-its column masked before the assignment, so it keeps no members. Of the
+its column masked before the assignment, so it keeps no members. The
+package drops such a center instead, so its centers are the reference
+centers that some row picks. Of the
 pinned cases only ``near-twins-0.0`` has such a center (twins 1e-10 apart,
 far below the kernel's rounding error at unit spread), so only its
 expectation differs from an unmasked cover round; at offset 0.25 the
@@ -127,6 +129,19 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(bits(got), bits(want))
 
 
+def assert_same_cover(ids: np.ndarray, got: tuple, want: tuple) -> None:
+    """A cover round (center positions, nearest, mask, radius) against the
+    reference's (sampled center ids, nearest, mask, radius): the same center
+    id for every row, the centers some row picks, mask and radius."""
+    pos, nearest, mask, radius = got
+    center_ids, want_nearest, want_mask, want_radius = want
+    assert pos.dtype == np.int64
+    assert np.array_equal(ids[pos][nearest], center_ids[want_nearest])
+    assert np.array_equal(ids[pos], center_ids[np.unique(want_nearest)])
+    assert np.array_equal(mask, want_mask)
+    assert repr(radius) == repr(want_radius)
+
+
 def coordinates(
     n: int, dim: int, seed: int, scale: float = 1.0, shift: float = 0.0, gap: float = 0.0
 ):
@@ -211,11 +226,7 @@ def test_cover_round_matches_the_reference(n, c, dim, scale, shift, gap, offset)
             ids, x, params, np.random.default_rng(n), DistanceOracle(offset), mask_absorbed=False
         )
         changed |= not all(np.array_equal(w, u) for w, u in zip(want, unmasked))
-        assert np.array_equal(got[0], want[0])
-        assert got[0].dtype == want[0].dtype == np.int64
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
-        assert repr(got[3]) == repr(want[3])
+        assert_same_cover(ids, got, want)
         assert new.evals == old.evals
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
     assert changed == (gap > 0.0 and offset == 0.0)
@@ -230,10 +241,9 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
     for offset in (0.0, 0.3):
         got = _cover_arrays(ids, x, params, None, DistanceOracle(offset))
         want = _reference_cover_arrays(ids, x, params, None, DistanceOracle(offset))
-        for g, w in zip(got[:3], want[:3]):
-            assert np.array_equal(g, w)
-        assert repr(got[3]) == repr(want[3])
-        assert got[0].tolist() == [0, 1, 30]
+        assert_same_cover(ids, got, want)
+        # at offset 0 twin 1's own row goes to twin 0, so it keeps no cluster
+        assert ids[got[0]].tolist() == ([0, 30] if offset == 0.0 else [0, 1, 30])
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])

@@ -132,8 +132,6 @@ def test_eval_counter_scalar_and_batch():
     pts = [pt(i, float(i)) for i in range(5)]
     pairwise(oracle, pts, pts[:3])
     assert oracle.evals == 2 + 15
-    pairwise(oracle, pts, pts[:2], count=False)
-    assert oracle.evals == 17
     coords = np.stack([p.coords for p in pts])
     oracle.elementwise(coords[:4], None, coords[1:5], None)
     assert oracle.evals == 21

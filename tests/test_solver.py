@@ -360,7 +360,8 @@ def test_weighted_solve_is_the_same_for_an_array_and_an_entries_instance(p):
         arrays = state.weighted_instance()
         # the pairs in table order, layer by layer, not in id order
         from_pairs = instance_of(
-            [(state.store.get(c), w) for c, w in zip(state.center, state.size) if w]
+            [(state.store.get(int(state.store.row_ids[c])), w)
+             for c, w in zip(state.center, state.size) if w]
         )
         by_arrays, by_entries = DistanceOracle(0.01), DistanceOracle(0.01)
         got = weighted_solve(arrays, 3, p, seed, by_arrays)
