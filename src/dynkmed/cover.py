@@ -46,7 +46,9 @@ def _cover_arrays(
     """
     n = ids.shape[0]
     if params.sampler is None:
-        pos = np.unique(rng.integers(0, n, size=params.phi))
+        mark = np.zeros(n, dtype=bool)
+        mark[rng.integers(0, n, size=params.phi)] = True
+        pos = np.flatnonzero(mark)
     else:
         sample = np.asarray(params.sampler(ids.tolist(), params.phi, rng), dtype=np.int64)
         outside = np.setdiff1d(sample, ids)
@@ -58,7 +60,7 @@ def _cover_arrays(
     # it is marked -inf, as matrix_between marks same-id pairs when squared
     dist = oracle.matrix_between(coords, None, coords[pos], None, squared=True)
     columns = np.arange(pos.shape[0])
-    dist[pos, columns] = -np.inf
+    dist.reshape(-1)[pos * dist.shape[1] + columns] = -np.inf  # flat: dist is C-ordered
     nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
     kept = nearest[pos] == columns
     if not kept.all():

@@ -19,6 +19,7 @@ layers i..t are rebuilt from U_i and the table is truncated at ``start_i``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -58,6 +59,9 @@ class DynamicParams:
     epsilon: float = 0.2
 
     def __post_init__(self) -> None:
+        for name, value in dict(k=self.k, phi=self.phi, last_layer_threshold=self.threshold).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.phi < 1:
@@ -89,6 +93,7 @@ class Layer:
     radius: float = 0.0
     base_size: int = 0                  # |U_i| when the layer was last built
     updates: int = 0                    # updates absorbed since that build
+    due: float = -_EPS                  # updates that exhaust the slack: slack*base_size - _EPS
 
 
 class ClusteringState:
@@ -147,12 +152,11 @@ class ClusteringState:
         rounds: list[_Round] = []
         while ids.shape[0] > self.params.threshold:
             pos, nearest, mask, radius = _cover_arrays(
-                ids, coords, self.params, self.rng, self.oracle
-            )
+                ids, coords, self.params, self.rng, self.oracle)
             group = nearest[mask]
             rounds.append((ids.shape[0], radius, rows[mask], group, rows[pos], np.bincount(group)))
-            keep = ~mask
-            rows, ids, coords = rows[keep], ids[keep], coords[keep]
+            keep = np.flatnonzero(~mask)
+            rows, ids, coords = rows.take(keep), ids.take(keep), coords.take(keep, 0)
         rest = ids.shape[0]
         rounds.append((rest, 0.0, rows, np.arange(rest), rows, np.ones(rest, dtype=np.int64)))
         return rounds
@@ -172,11 +176,11 @@ class ClusteringState:
         except BaseException:
             self.rng.bit_generator.state = stream
             raise
-        start = self.layers[index - 1].start
+        start, slack = self.layers[index - 1].start, self.params.slack
         del self.layers[index - 1 :], self.center[start:], self.size[start:]
         for base_size, radius, layer_rows, group, centers, sizes in rounds:
             start = len(self.center)
-            self.layers.append(Layer(start, radius, base_size))
+            self.layers.append(Layer(start, radius, base_size, due=slack * base_size - _EPS))
             self.slot[layer_rows] = start + group
             self.center += centers.tolist()
             self.size += sizes.tolist()
@@ -190,7 +194,8 @@ class ClusteringState:
         """
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
-        self._rebuild(index, np.flatnonzero(self.slot >= self.layers[index - 1].start))
+        slots = self.slot[: self.store.used]
+        self._rebuild(index, np.flatnonzero(slots >= self.layers[index - 1].start))
 
     # -- updates -------------------------------------------------------------
 
@@ -221,7 +226,7 @@ class ClusteringState:
         self.slot[row] = -1
         self.size[s] -= 1
         if self.center[s] == row and self.size[s]:
-            rows = np.flatnonzero(self.slot == s)
+            rows = np.flatnonzero(self.slot[: self.store.used] == s)
             self.center[s] = int(rows[np.argmin(self.store.row_ids[rows])])
         self.store.remove(pid)
         self.rebuild()
@@ -235,9 +240,8 @@ class ClusteringState:
         rebuild raises, the update that triggered it stays applied and the
         layer stays due, so the next update retries the rebuild.
         """
-        slack = self.params.slack
         for i, layer in enumerate(self.layers, start=1):
-            if layer.updates >= slack * layer.base_size - _EPS:
+            if layer.updates >= layer.due:
                 self.rebuild_from_layer(i)
                 return
 

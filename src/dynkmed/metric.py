@@ -74,6 +74,11 @@ class PointStore:
     def __len__(self) -> int:
         return len(self._rows)
 
+    @property
+    def used(self) -> int:
+        """Rows handed out so far, live or free: every row in use is below it."""
+        return self._used
+
     def __contains__(self, pid: PointId) -> bool:
         return pid in self._rows
 
@@ -177,8 +182,8 @@ class DistanceOracle:
         """Full distance matrix between two coordinate blocks; counts
         ``len(a) * len(b)`` evaluations.
 
-        Euclidean entries come from one matrix product on blocks centered
-        on ``mu = b.mean(axis=0)``. With ``u = a - mu``, ``v = b - mu`` and
+        Euclidean entries come from one matrix product on blocks centered on
+        ``mu = np.add.reduce(b, 0) / c``. With ``u = a - mu``, ``v = b - mu`` and
         their squared row norms ``u2``, ``v2`` by ``einsum("ij,ij->i")``::
 
             out = matmul([u, 1, u2], [-2.0 * v, v2, 1].T)
@@ -221,19 +226,16 @@ class DistanceOracle:
                 out += self.offset
         elif n and c:
             d = a.shape[1]
-            left = np.empty((n, d + 2))
-            right = np.empty((c, d + 2))
+            left, right = np.empty((n, d + 2)), np.empty((c, d + 2))
             with np.errstate(over="ignore", invalid="ignore"):
-                mu = b.mean(axis=0)
+                mu = np.add.reduce(b, 0) / c
                 u = np.subtract(a, mu, out=left[:, :d])
                 v = np.subtract(b, mu, out=right[:, :d])
                 left[:, d + 1] = np.einsum("ij,ij->i", u, u)
                 right[:, d] = np.einsum("ij,ij->i", v, v)
                 if not math.isfinite(2.0 * (left[:, d + 1].max() + right[:, d].max())):
-                    raise ValueError(
-                        "coordinates overflow float64 in the Euclidean kernel: "
-                        "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite"
-                    )
+                    raise ValueError("coordinates overflow float64 in the Euclidean kernel: "
+                                     "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite")
             v *= -2.0
             left[:, d] = 1.0
             right[:, d + 1] = 1.0
@@ -266,8 +268,8 @@ class DistanceOracle:
         second-smallest entry of ``x`` rounds to the same distance as the
         smallest (distinct entries can, and so can a same-id -inf and a 0)."""
         cols, low, second = _nearest_two(x)
-        dmin = self._distances(low)
-        tied = np.flatnonzero(self._distances(second) <= dmin)
+        dmin, second = self._distances(np.concatenate((low, second))).reshape(2, -1)
+        tied = np.flatnonzero(second <= dmin)
         if tied.shape[0]:
             cols[tied], dmin[tied] = _nearest_two(self._distances(x[tied]))[:2]
         return cols, dmin
@@ -326,14 +328,15 @@ class DistanceOracle:
 
 
 def _nearest_two(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of a block (restored on return): the first minimum's column,
-    the minimum, and the second-smallest entry (``inf`` with one column)."""
-    rows = np.arange(x.shape[0])
+    """Per row of a block of any layout, left as it was: the first minimum's
+    column, the minimum, and the second-smallest entry (``inf`` with one column)."""
+    x = np.ascontiguousarray(x)
     cols = np.argmin(x, axis=1)
-    low = x[rows, cols]
-    x[rows, cols] = np.inf
-    second = x[rows, np.argmin(x, axis=1)]  # argmin beats min(axis=1) on short rows
-    x[rows, cols] = low
+    flat, at = x.reshape(-1), np.arange(0, x.size, x.shape[1]) + cols
+    low = flat[at]
+    flat[at] = np.inf
+    second = flat[at + (np.argmin(x, axis=1) - cols)]  # argmin beats min(axis=1) on short rows
+    flat[at] = low
     return cols, low, second
 
 

@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dynkmed import (
+    ConfigError,
     DistanceOracle,
     DynamicParams,
+    ExperimentConfig,
+    SyntheticSpec,
     points_from_array,
     preprocess,
 )
@@ -119,6 +123,26 @@ def test_params_validation():
         DynamicParams(k=1, phi=4, epsilon=1.0)
     assert DynamicParams(k=1, phi=4).threshold == 4
     assert DynamicParams(k=1, phi=4, last_layer_threshold=9).threshold == 9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", True), ("k", 3.0), ("k", None), ("phi", 10.0), ("phi", False),
+    ("phi", np.float64(10.0)), ("last_layer_threshold", 20.0), ("last_layer_threshold", True),
+])
+def test_params_reject_counts_that_are_not_integers(field, value):
+    given = {"k": 3, "phi": 10} | {field: value}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        DynamicParams(**given)
+    if field != "last_layer_threshold":  # not an experiment setting
+        config = ExperimentConfig(window=5, synthetic=SyntheticSpec(2, 2, 10), **given)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            config.validate()
+
+
+def test_params_accept_numpy_integers():
+    params = DynamicParams(k=np.int64(2), phi=np.int32(3), last_layer_threshold=np.uint16(4))
+    assert params.threshold == 4
+    assert preprocess(line_points(*range(12)), params).integrity_check() == []
 
 
 def test_build_layers_small_input_single_layer():

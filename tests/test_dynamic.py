@@ -201,6 +201,37 @@ def test_delete_center_promotes_smallest_member():
     assert state.integrity_check() == []
 
 
+def test_slot_scans_see_exactly_the_used_rows_of_a_store_with_free_rows(monkeypatch):
+    # 300 rows handed out of a 512-row capacity, then 40 of them freed and
+    # 15 reused: U_i and a cluster's members are found among the used rows
+    state = big_state(seed=5)
+    store = state.store
+    for pid in range(0, 200, 5):
+        state.delete(pid)
+    for point in gaussian_points(15, seed=8, start_id=1000):
+        state.insert(point)
+    assert len(store) < store.used < store.row_ids.shape[0] == state.slot.shape[0]
+    assert np.all(state.slot[store.used :] == -1)
+    seen = []
+    rebuild = state._rebuild
+
+    def spy(index, rows):
+        seen.append(rows)
+        rebuild(index, rows)
+
+    monkeypatch.setattr(state, "_rebuild", spy)
+    for index in range(state.t, 0, -1):
+        want = members(state, index)
+        state.rebuild_from_layer(index)
+        assert np.all(seen[-1] < store.used)
+        assert sorted(store.row_ids[seen[-1]].tolist()) == sorted(want)
+        assert state.layers[index - 1].base_size == len(want)
+    old_center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 3)
+    state.delete(old_center)
+    assert clusters(state, 1)[min(group - {old_center})] == group - {old_center}
+    assert state.integrity_check() == []
+
+
 def test_delete_last_layer_singleton_drops_cluster():
     state = big_state(seed=13)
     victim = sorted(members(state, state.t))[0]

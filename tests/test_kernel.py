@@ -46,7 +46,7 @@ from dynkmed import (
     synthetic_points,
 )
 from dynkmed.cover import _cover_arrays, _quantile_index
-from dynkmed.metric import PointId
+from dynkmed.metric import PointId, _nearest_two
 
 
 def _reference_matrix_between(
@@ -282,7 +282,8 @@ def _reference_nearest(oracle: DistanceOracle, x: np.ndarray):
 
 def assert_reductions_match(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
     """``nearest`` and ``row_min`` of ``x`` equal the reference bit for bit
-    and leave ``x`` as it was; returns the reference distances."""
+    and leave ``x`` as it was, and ``nearest`` and ``_nearest_two`` give the
+    same on every layout of ``x``; returns the reference distances."""
     before = x.copy()
     d, want_cols, want_min = _reference_nearest(oracle, x)
     cols, dmin = oracle.nearest(x)
@@ -291,7 +292,31 @@ def assert_reductions_match(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray
     assert_same_bits(dmin, want_min)
     assert_same_bits(oracle.row_min(x), want_min)
     assert_same_bits(x, before)
+    assert_layouts_match(oracle, x)
     return d
+
+
+def assert_layouts_match(oracle: DistanceOracle, x: np.ndarray) -> None:
+    """``nearest`` and ``_nearest_two`` of an F-ordered copy of ``x`` and of
+    a strided view into a NaN-padded block return the columns and values,
+    bit for bit, that they return on a C-ordered copy, and write nothing:
+    neither the input nor the block around the view changes."""
+    c_order = np.ascontiguousarray(x)
+    want_nearest, want_two = oracle.nearest(c_order), _nearest_two(c_order)
+    padded = np.full((2 * x.shape[0], 2 * x.shape[1] + 1), np.nan)
+    strided = padded[::2, 1::2]
+    strided[...] = x
+    fortran = np.asfortranarray(x)
+    for y, owner in ((fortran, fortran), (strided, padded)):
+        before = owner.copy()
+        cols, dmin = oracle.nearest(y)
+        assert np.array_equal(cols, want_nearest[0])
+        assert_same_bits(dmin, want_nearest[1])
+        got_two = _nearest_two(y)
+        assert np.array_equal(got_two[0], want_two[0])
+        assert_same_bits(got_two[1], want_two[1])
+        assert_same_bits(got_two[2], want_two[2])
+        assert_same_bits(owner, before)
 
 
 def assert_blocks_match(oracle, a, a_ids, b, b_ids):
