@@ -47,8 +47,8 @@ def _cover_arrays(
     n = ids.shape[0]
     if params.sampler is None:
         mark = np.zeros(n, dtype=bool)
-        mark[rng.integers(0, n, size=params.phi)] = True
-        pos = np.flatnonzero(mark)
+        mark[rng.integers(0, n, params.phi)] = True
+        pos = mark.nonzero()[0]
     else:
         sample = np.asarray(params.sampler(ids.tolist(), params.phi, rng), dtype=np.int64)
         outside = np.setdiff1d(sample, ids)
@@ -58,14 +58,16 @@ def _cover_arrays(
 
     # ids are distinct, so the only same-id pair of center j is (pos[j], j);
     # it is marked -inf, as matrix_between marks same-id pairs when squared
-    dist = oracle.matrix_between(coords, None, coords[pos], None, squared=True)
+    dist = oracle.matrix_between(coords, None, coords.take(pos, 0), None, squared=True)
     columns = np.arange(pos.shape[0])
-    dist.reshape(-1)[pos * dist.shape[1] + columns] = -np.inf  # flat: dist is C-ordered
+    dist[pos, columns] = -np.inf
     nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
-    kept = nearest[pos] == columns
-    if not kept.all():
-        pos = pos[kept]
-        nearest, dmin = oracle.nearest(dist[:, kept])
+    # own pairs are at 0 and other pairs at least the offset: only offset 0 drops centers
+    if not oracle.offset:
+        kept = nearest[pos] == columns
+        if np.count_nonzero(kept) < kept.shape[0]:
+            pos = pos[kept]
+            nearest, dmin = oracle.nearest(dist[:, kept])
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
     return pos, nearest, dmin <= radius, radius

@@ -34,7 +34,7 @@ _EPS = 1e-9
 
 # One layer to append: working-set size, radius, its points' rows with each
 # one's cluster index in the layer, and the clusters' center rows and sizes.
-_Round = tuple[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_Round = tuple[int, float, np.ndarray, np.ndarray, list, list]
 
 
 @dataclass
@@ -93,7 +93,7 @@ class Layer:
     radius: float = 0.0
     base_size: int = 0                  # |U_i| when the layer was last built
     updates: int = 0                    # updates absorbed since that build
-    due: float = -_EPS                  # updates that exhaust the slack: slack*base_size - _EPS
+    due: int = 0                        # updates that exhaust the slack: ceil(slack*base_size - _EPS)
 
 
 class ClusteringState:
@@ -148,17 +148,18 @@ class ClusteringState:
         Returns one round per layer, the last being the remainder as
         singletons. A round's clusters are in center id order.
         """
-        coords = self.store.matrix[rows]
+        coords, threshold = self.store.matrix.take(rows, 0), self.params.threshold
         rounds: list[_Round] = []
-        while ids.shape[0] > self.params.threshold:
+        while ids.shape[0] > threshold:
             pos, nearest, mask, radius = _cover_arrays(
                 ids, coords, self.params, self.rng, self.oracle)
             group = nearest[mask]
-            rounds.append((ids.shape[0], radius, rows[mask], group, rows[pos], np.bincount(group)))
-            keep = np.flatnonzero(~mask)
+            rounds.append((ids.shape[0], radius, rows[mask], group, rows[pos].tolist(),
+                           np.bincount(group).tolist()))
+            keep = (~mask).nonzero()[0]
             rows, ids, coords = rows.take(keep), ids.take(keep), coords.take(keep, 0)
         rest = ids.shape[0]
-        rounds.append((rest, 0.0, rows, np.arange(rest), rows, np.ones(rest, dtype=np.int64)))
+        rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist(), [1] * rest))
         return rounds
 
     def _rebuild(self, index: int, rows: np.ndarray) -> None:
@@ -166,24 +167,26 @@ class ClusteringState:
 
         Atomic: every round runs before any layer changes, so if one raises
         (say, a custom metric fails) the layers, the table, the slots and
-        the sample stream are left as they were.
+        the sample stream, saved only when a round will draw from it, are
+        left as they were.
         """
-        ids = self.store.row_ids[rows]
-        order = np.argsort(ids)
-        stream = self.rng.bit_generator.state
+        ids = self.store.row_ids.take(rows)
+        order = ids.argsort(kind="stable")  # ids are distinct: the one ascending order
+        stream = self.rng.bit_generator.state if rows.shape[0] > self.params.threshold else None
         try:
-            rounds = self._cover_rounds(rows[order], ids[order])
+            rounds = self._cover_rounds(rows.take(order), ids.take(order))
         except BaseException:
-            self.rng.bit_generator.state = stream
+            if stream is not None:
+                self.rng.bit_generator.state = stream
             raise
         start, slack = self.layers[index - 1].start, self.params.slack
         del self.layers[index - 1 :], self.center[start:], self.size[start:]
         for base_size, radius, layer_rows, group, centers, sizes in rounds:
             start = len(self.center)
-            self.layers.append(Layer(start, radius, base_size, due=slack * base_size - _EPS))
-            self.slot[layer_rows] = start + group
-            self.center += centers.tolist()
-            self.size += sizes.tolist()
+            self.layers.append(Layer(start, radius, base_size, due=math.ceil(slack * base_size - _EPS)))
+            self.slot[layer_rows] = np.add(group, start, out=group)
+            self.center += centers
+            self.size += sizes
 
     def rebuild_from_layer(self, index: int) -> None:
         """Discard layers index..t and rebuild them from the current U_index.
@@ -194,8 +197,8 @@ class ClusteringState:
         """
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
-        slots = self.slot[: self.store.used]
-        self._rebuild(index, np.flatnonzero(slots >= self.layers[index - 1].start))
+        start = self.layers[index - 1].start
+        self._rebuild(index, (self.slot[: self.store.used] >= start).nonzero()[0])
 
     # -- updates -------------------------------------------------------------
 
@@ -218,7 +221,7 @@ class ClusteringState:
         member takes over as center.
         """
         row = self.store.row(pid)  # KeyError for an unknown id
-        s = int(self.slot[row])
+        s = self.slot.item(row)
         for layer in self.layers:
             if layer.start > s:
                 break
@@ -226,8 +229,8 @@ class ClusteringState:
         self.slot[row] = -1
         self.size[s] -= 1
         if self.center[s] == row and self.size[s]:
-            rows = np.flatnonzero(self.slot[: self.store.used] == s)
-            self.center[s] = int(rows[np.argmin(self.store.row_ids[rows])])
+            rows = (self.slot[: self.store.used] == s).nonzero()[0]
+            self.center[s] = rows.item(self.store.row_ids.take(rows).argmin())
         self.store.remove(pid)
         self.rebuild()
 

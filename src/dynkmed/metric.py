@@ -165,8 +165,8 @@ class DistanceOracle:
         offset: float = 0.0,
         base: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
     ) -> None:
-        if offset < 0.0:
-            raise ValueError("offset must be nonnegative")
+        if not 0.0 <= offset < math.inf:
+            raise ValueError(f"offset must be finite and nonnegative, got {offset!r}")
         self.offset = float(offset)
         self.base = base
         self.evals = 0
@@ -226,20 +226,20 @@ class DistanceOracle:
                 out += self.offset
         elif n and c:
             d = a.shape[1]
-            left, right = np.empty((n, d + 2)), np.empty((c, d + 2))
+            both = np.empty((n + c, d + 2))  # the rows of left, then those of right
+            uv = both[:, :d]
             with np.errstate(over="ignore", invalid="ignore"):
                 mu = np.add.reduce(b, 0) / c
-                u = np.subtract(a, mu, out=left[:, :d])
-                v = np.subtract(b, mu, out=right[:, :d])
-                left[:, d + 1] = np.einsum("ij,ij->i", u, u)
-                right[:, d] = np.einsum("ij,ij->i", v, v)
-                if not math.isfinite(2.0 * (left[:, d + 1].max() + right[:, d].max())):
+                np.subtract(a, mu, out=uv[:n])
+                np.subtract(b, mu, out=uv[n:])
+                sq = np.einsum("ij,ij->i", uv, uv)
+                if not math.isfinite(2.0 * (np.maximum.reduce(sq[:n]) + np.maximum.reduce(sq[n:]))):
                     raise ValueError("coordinates overflow float64 in the Euclidean kernel: "
                                      "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite")
-            v *= -2.0
-            left[:, d] = 1.0
-            right[:, d + 1] = 1.0
-            np.matmul(left, right.T, out=out)
+            uv[n:] *= -2.0
+            both[:n, d], both[:n, d + 1] = 1.0, sq[:n]
+            both[n:, d], both[n:, d + 1] = sq[n:], 1.0
+            np.matmul(both[:n], both[n:].T, out=out)
             if not squared:
                 self._root(out, out=out)
         if a_ids is not None and b_ids is not None:
@@ -269,7 +269,7 @@ class DistanceOracle:
         smallest (distinct entries can, and so can a same-id -inf and a 0)."""
         cols, low, second = _nearest_two(x)
         dmin, second = self._distances(np.concatenate((low, second))).reshape(2, -1)
-        tied = np.flatnonzero(second <= dmin)
+        tied = (second <= dmin).nonzero()[0]
         if tied.shape[0]:
             cols[tied], dmin[tied] = _nearest_two(self._distances(x[tied]))[:2]
         return cols, dmin
@@ -330,12 +330,12 @@ class DistanceOracle:
 def _nearest_two(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of a block of any layout, left as it was: the first minimum's
     column, the minimum, and the second-smallest entry (``inf`` with one column)."""
-    x = np.ascontiguousarray(x)
-    cols = np.argmin(x, axis=1)
-    flat, at = x.reshape(-1), np.arange(0, x.size, x.shape[1]) + cols
+    x = x if x.flags.c_contiguous else x.copy()
+    cols, base = x.argmin(1), np.arange(0, x.size, x.shape[1])
+    flat, at = x.reshape(-1), base + cols
     low = flat[at]
     flat[at] = np.inf
-    second = flat[at + (np.argmin(x, axis=1) - cols)]  # argmin beats min(axis=1) on short rows
+    second = flat[base + x.argmin(1)]  # argmin beats min(axis=1) on short rows
     flat[at] = low
     return cols, low, second
 

@@ -94,6 +94,10 @@ def cost_set(
         center_ids, center_coords = _id_rows(centers)
     else:
         center_ids = sorted(centers)
+        if not isinstance(universe, PointStore):
+            raise ValueError("centers given as ids need a PointStore universe, not a point sequence")
+        if not all(c in universe for c in center_ids):
+            raise ValueError(f"center ids {[c for c in center_ids if c not in universe]} are not in the store")
         center_coords = universe.matrix[[universe.row(c) for c in center_ids]]
     dist = oracle.matrix_between(coords, ids, center_coords, center_ids, squared=True)
     return float(np.sum(oracle.row_min(dist) ** p))

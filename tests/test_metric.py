@@ -193,6 +193,15 @@ def test_custom_base_metric():
     assert mat.tolist() == [[3.0, 4.0]]
 
 
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), -0.5])
+def test_offset_must_be_finite_and_nonnegative(offset):
+    # rejected at construction: a NaN offset makes every cover-round distance
+    # NaN, so no point is ever covered and preprocess would not return, and
+    # an infinite one makes the first query's seeding probabilities NaN
+    with pytest.raises(ValueError, match="offset must be finite and nonnegative"):
+        DistanceOracle(offset)
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         Point(0, np.array([np.inf, 1.0]))

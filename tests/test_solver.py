@@ -5,6 +5,7 @@ from dynkmed import (
     DistanceOracle,
     DynamicParams,
     Point,
+    PointStore,
     WeightedInstance,
     cost_set,
     points_from_array,
@@ -48,6 +49,17 @@ def test_cost_set_examples():
     assert cost_set(centers, [], 1.0, ORACLE) == 0.0
     with pytest.raises(ValueError):
         cost_set([], pts, 1.0, ORACLE)
+
+
+def test_cost_set_names_what_is_wrong_with_center_ids():
+    pts = line_points(0, 3, 10)
+    with pytest.raises(ValueError, match="centers given as ids need a PointStore universe"):
+        cost_set([0, 2], pts, 1.0, ORACLE)
+    store = PointStore()
+    store.add_many(pts)
+    assert cost_set([0, 2], store, 1.0, ORACLE) == 3.0
+    with pytest.raises(ValueError, match=r"center ids \[99\] are not in the store"):
+        cost_set([0, 99], store, 1.0, ORACLE)
 
 
 def test_cost_assignment_identity_and_trace():

@@ -11,7 +11,9 @@ each metric of the result line, each side's median and quartiles
 (``statistics.quantiles(values, n=4)``, as ``benchmark/spread.py``
 computes them), and how many pairs the change won on ``--metric``: better
 in the direction ``BENCHMARK.json`` gives for it, ties counting for
-neither side. It also prints each side's median ``reference_us`` (the
+neither side. The result line of ``--trace 0`` holds the end-to-end
+metrics and that of ``--trace 1`` the per-layer ones, so ``--metric`` must
+be one the chosen ``--trace`` reports. It also prints each side's median ``reference_us`` (the
 speed clock's reference time) and ``pass_raw_run_s`` (unscaled pass time),
 which a speed claim quotes next to the scaled metrics, and whether the
 digests and the per-pass evaluation counts agree across every run.
@@ -39,10 +41,12 @@ def run_once(checkout: Path, args: argparse.Namespace) -> dict:
     return {"record": record, "result": result}
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+def directions(checkout: Path) -> dict[str, tuple[str, int]]:
+    """Metric name -> ("higher" or "lower", the ``--trace`` value whose result
+    line reports it), from the checkout's BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: (m["better"], trace)
+            for trace, group in enumerate(("end_to_end", "per_layer")) for m in spec[group]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,9 +63,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
-    better = directions(args.parent).get(args.metric)
+    better, trace = directions(args.parent).get(args.metric, (None, None))
     if better is None:
         parser.error(f"--metric {args.metric} is not a metric of BENCHMARK.json")
+    if trace != args.trace:
+        parser.error(f"--metric {args.metric} is reported only with --trace {trace}")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
