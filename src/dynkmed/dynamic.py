@@ -268,7 +268,7 @@ class ClusteringState:
         sizes = np.array(self.size, dtype=np.int64)
         nonempty = sizes > 0
         rows, weights = np.array(self.center, dtype=np.int64)[nonempty], sizes[nonempty]
-        order = np.argsort(self.store.row_ids[rows])
+        order = self.store.row_ids[rows].argsort(kind="stable")  # ids are distinct
         rows = rows[order]
         return WeightedInstance(self.store.row_ids[rows], self.store.matrix[rows], weights[order])
 

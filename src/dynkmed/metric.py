@@ -145,7 +145,7 @@ class PointStore:
     def rows_by_id(self) -> np.ndarray:
         """Rows of the live points, in ascending id order."""
         rows = np.delete(np.arange(self._used), self._free)
-        return rows[np.argsort(self.row_ids[rows])]
+        return rows[self.row_ids[rows].argsort(kind="stable")]  # ids are distinct
 
 
 class DistanceOracle:

@@ -10,6 +10,7 @@ it, and costs the answer over the full live set with :func:`cost_set`.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -65,6 +66,16 @@ def _check_power(p: float) -> None:
         raise ValueError(f"power must be finite and at least 1, got {p!r}")
 
 
+@contextmanager
+def _power_overflow(p: float):
+    """Turn a float64 overflow inside the block into a ValueError naming d^p."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise ValueError(f"distances to the power {p!r} overflow float64") from None
+
+
 def cost_set(
     centers: Iterable[Point] | Iterable[PointId],
     universe: Sequence[Point] | PointStore,
@@ -100,7 +111,8 @@ def cost_set(
             raise ValueError(f"center ids {[c for c in center_ids if c not in universe]} are not in the store")
         center_coords = universe.matrix[[universe.row(c) for c in center_ids]]
     dist = oracle.matrix_between(coords, ids, center_coords, center_ids, squared=True)
-    return float(np.sum(oracle.row_min(dist) ** p))
+    with _power_overflow(p):
+        return float(np.sum(oracle.row_min(dist) ** p))
 
 
 def _id_rows(points: Iterable[Point]) -> tuple[list[PointId], np.ndarray]:
@@ -140,17 +152,12 @@ _BLOCK_MAX = 256
 
 
 def _screen_estimate(
-    slab: np.ndarray,
-    below: np.ndarray,
-    weights: np.ndarray,
-    c1: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    base: np.ndarray,
-    cost: float,
-) -> np.ndarray:
+    slab: np.ndarray, below: np.ndarray, weights: np.ndarray, c1: np.ndarray,
+    d1: np.ndarray, d2: np.ndarray, base: np.ndarray, cost: float,
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimated new cost of each candidate in ``slab``, a block of candidate
-    columns stored as rows, from its entries below ``d2`` alone.
+    columns stored as rows, from its entries below ``d2`` alone, and the
+    b-by-k matrix of its per-center values ``base + delta``.
 
     A row whose entry is at least its ``d2`` adds nothing to the shared gain
     and exactly its removal loss ``w*(d2-d1)`` to its center; ``base`` holds
@@ -162,30 +169,42 @@ def _screen_estimate(
     """
     b, m = slab.shape
     k = base.shape[0]
-    mask = below[:b]
-    np.less(slab, d2, out=mask)
-    flat = np.flatnonzero(mask)
-    cand, rows = np.divmod(flat, m)
-    v = np.ravel(slab).take(flat)
+    flat = np.less(slab, d2, out=below[:b]).reshape(-1).nonzero()[0]
+    cand = flat // m
+    rows = flat - cand * m
+    v = slab.take(flat)
     w, lo = weights.take(rows), d1.take(rows)
     shared = np.bincount(cand, weights=(np.minimum(v, lo) - lo) * w, minlength=b)
-    delta = np.bincount(
-        cand * k + c1.take(rows),
-        weights=(np.maximum(v, lo) - d2.take(rows)) * w,
-        minlength=b * k,
-    ).reshape(b, k)
+    delta = np.bincount(cand * k + c1.take(rows), weights=(np.maximum(v, lo) - d2.take(rows)) * w,
+                        minlength=b * k).reshape(b, k)
     delta += base
-    estimate = delta.min(axis=1)
+    estimate = np.minimum.reduce(delta, axis=1)
     estimate += shared
     estimate += cost
-    return estimate
+    return estimate, delta
+
+
+def _exact_swap(
+    column: np.ndarray, weights: np.ndarray, c1: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+    k: int, cost: float,
+) -> tuple[int, float]:
+    """Exact evaluation of one candidate column: the position of the center
+    whose swap for it costs least (the first minimum), and the new cost."""
+    gain_keep = np.minimum(column, d1)
+    gain_keep -= d1
+    gain_keep *= weights                              # <= 0 everywhere
+    shared = gain_keep.sum()
+    lose = np.minimum(column, d2)
+    lose -= d1
+    lose *= weights
+    lose -= gain_keep                                 # extra cost if center lost
+    per_center = np.bincount(c1, weights=lose, minlength=k)
+    c_pos = int(per_center.argmin())
+    return c_pos, cost + shared + per_center[c_pos]
 
 
 def _local_search(
-    powered: np.ndarray,
-    weights: np.ndarray,
-    chosen: list[int],
-    cutoff: float,
+    powered: np.ndarray, weights: np.ndarray, chosen: list[int], cutoff: float
 ) -> float:
     """Single-swap descent: scan candidates cyclically in column order from
     column 0, apply any swap that shrinks the cost to at most ``cutoff``
@@ -215,14 +234,15 @@ def _local_search(
     ``d2`` adds only its fixed removal loss ``w*(d2-d1)`` to its center, so
     :func:`_screen_estimate` estimates the new cost of a block of upcoming
     candidates (rows of ``powered.T``, contiguous because the Gram is
-    F-contiguous) from the entries below ``d2`` alone. A candidate is
-    skipped only when ``estimate - err > cutoff * cost``; every other one is
-    evaluated by the exact code below, in the same scan order. Every accept,
-    retired center and cost comes from that code, and after a swap the rest
-    of the block is dropped and screening resumes at the next column against
-    the new state, so the search makes exactly the swaps it makes
-    unscreened. Blocks start at ``_BLOCK_MIN`` candidates and double up to
-    ``_BLOCK_MAX`` while no swap happens.
+    F-contiguous), and its per-center values, from the entries below ``d2``
+    alone. A candidate is skipped when ``estimate - err > cutoff * cost``,
+    and accepted from the screen when ``estimate + err <= cutoff * cost``
+    and its best per-center value leads the next by more than ``err``; the
+    exact code, :func:`_exact_swap`, decides the rest in the same scan
+    order. After a swap the rest of the block is dropped and screening
+    resumes at the next column against the new state, so the search makes
+    exactly the swaps it makes unscreened. Blocks start at ``_BLOCK_MIN``
+    candidates and double up to ``_BLOCK_MAX`` while no swap happens.
 
     The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
     and the estimate round the same real value, ``cost + shared +
@@ -234,71 +254,67 @@ def _local_search(
     relative size u, and at most three more additions of values below
     ``2*S`` follow. Each computation is thus within ``4*(m+8)*u*S`` of the
     real value, plus at most ``3*m`` half subnormals where products
-    underflow. ``err = 64*(m+8)*(eps*S + smallest_subnormal)`` is 16 times
-    the sum of both errors, which also absorbs the rounding of
-    ``estimate - err``. So a skipped candidate's exact new cost is above
-    ``cutoff * cost``, and the exact code would have rejected it. When
-    ``err`` is not finite (k = 1, where ``d2`` is ``inf``, or an overflow)
-    the screen is off and every candidate is evaluated exactly.
+    underflow; so is each per-center value, a sum over a subset of the rows.
+    ``err = 64*(m+8)*(eps*S + smallest_subnormal)`` is 16 times the sum of
+    both errors, which also absorbs the rounding of ``estimate - err``,
+    ``estimate + err`` and the lead. So a skipped candidate's exact new
+    cost is above ``cutoff * cost``, and for one accepted from the screen it
+    is at most that, with the screen's best center as the exact code's first
+    minimum. When ``err`` is not finite (k = 1, where ``d2`` is ``inf``, or
+    an overflow) the screen is off and every candidate is evaluated exactly.
     """
     n, k = powered.shape[0], len(chosen)
     near = powered[:, chosen]
     c1, d1, d2 = _nearest_two(near)
-    cost = float(np.sum(weights * d1))
+    cost = float(np.add.reduce(weights * d1))
     in_solution = np.zeros(n, dtype=bool)
     in_solution[chosen] = True
-    gain_keep = np.empty(n)
-    lose = np.empty(n)
     below = np.empty((_BLOCK_MAX, n), dtype=bool)
-    columns = powered.T
-    fp = np.finfo(np.float64)
     err = None                                        # screen bound of the current state
     start, block = 0, _BLOCK_MIN
     left = n if cost > 0.0 else 0                     # columns to scan before stopping
     while left:
         if err is None:
             with np.errstate(over="ignore"):
-                spread = cost + float(np.sum(weights * d2))
-                err = 64.0 * (n + 8) * (fp.eps * spread + fp.smallest_subnormal)
-            if np.isfinite(err):
+                spread = cost + float(np.add.reduce(weights * d2))
+            err = 64.0 * (n + 8) * (math.ulp(1.0) * spread + math.ulp(0.0))
+            screened = math.isfinite(err)
+            if screened:
                 base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
-        hi = min(start + block, n, start + left)
-        if np.isfinite(err):
-            estimate = _screen_estimate(columns[start:hi], below, weights, c1, d1, d2, base, cost)
-            candidates = (start + np.flatnonzero(estimate - err <= cutoff * cost)).tolist()
+        lo, hi, limit = start, min(start + block, n, start + left), cutoff * cost
+        if screened:
+            estimate, per_center = _screen_estimate(powered.T[lo:hi], below, weights, c1, d1, d2, base, cost)
+            candidates = (lo + (estimate - err <= limit).nonzero()[0]).tolist()
         else:
-            candidates = range(start, hi)
-        left -= hi - start
+            candidates = range(lo, hi)
+        left -= hi - lo
         start, block = hi % n, min(2 * block, _BLOCK_MAX)
         for j in candidates:
             if in_solution[j]:
                 continue
-            column = powered[:, j]
-            np.minimum(column, d1, out=gain_keep)
-            gain_keep -= d1
-            gain_keep *= weights                      # <= 0 everywhere
-            shared = gain_keep.sum()
-            np.minimum(column, d2, out=lose)
-            lose -= d1
-            lose *= weights
-            lose -= gain_keep                         # extra cost if center lost
-            per_center = np.bincount(c1, weights=lose, minlength=k)
-            c_pos = int(per_center.argmin())
-            new_cost = cost + shared + per_center[c_pos]
-            if new_cost <= cutoff * cost:
-                retired = powered[:, chosen[c_pos]]
-                in_solution[chosen[c_pos]] = False
-                in_solution[j] = True
-                chosen[c_pos] = j
-                near[:, c_pos] = column
-                stale = np.flatnonzero((c1 == c_pos) | (column <= d2) | (retired == d2))
-                c1[stale], d1[stale], d2[stale] = _nearest_two(near[stale])
-                cost = float(np.sum(weights * d1))
-                if cost <= 0.0:
-                    return cost
-                err = None
-                start, block, left = (j + 1) % n, _BLOCK_MIN, n - 1
-                break
+            c_pos = -1
+            if screened and estimate[j - lo] + err <= limit:
+                row = per_center[j - lo]
+                best, runner_up = row.argpartition(1)[:2].tolist()
+                if row[runner_up] - row[best] > err:  # the screen proves the swap
+                    c_pos = best
+            if c_pos < 0:
+                c_pos, new_cost = _exact_swap(powered[:, j], weights, c1, d1, d2, k, cost)
+                if not new_cost <= limit:
+                    continue
+            column, retired = powered[:, j], powered[:, chosen[c_pos]]
+            in_solution[chosen[c_pos]] = False
+            in_solution[j] = True
+            chosen[c_pos] = j
+            near[:, c_pos] = column
+            stale = ((c1 == c_pos) | (column <= d2) | (retired == d2)).nonzero()[0]
+            c1[stale], d1[stale], d2[stale] = _nearest_two(near[stale])
+            cost = float(np.add.reduce(weights * d1))
+            if cost <= 0.0:
+                return cost
+            err = None
+            start, block, left = (j + 1) % n, _BLOCK_MIN, n - 1
+            break
     return cost
 
 
@@ -311,7 +327,8 @@ def _instance_gram(coords: np.ndarray, p: float, oracle: DistanceOracle) -> np.n
     gram = oracle.matrix_between(coords, None, coords, None).T
     np.fill_diagonal(gram, 0.0)
     if p != 1.0:
-        gram **= p
+        with _power_overflow(p):
+            gram **= p
     return gram
 
 
@@ -324,10 +341,8 @@ def weighted_solve(
 ) -> Solution:
     """Solve the weighted instance: seeding plus single-swap local search.
 
-    Instances with at most k points are returned whole at cost zero. A swap
-    is accepted only when the new cost is at most ``(1 - LOCAL_SEARCH_DELTA/k)`` times the
-    current one; the loop runs until no such swap exists. Deterministic given
-    the seed.
+    Instances with at most k points are returned whole at cost zero; the
+    search's cutoff is ``1 - LOCAL_SEARCH_DELTA/k``. Deterministic given the seed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -1,0 +1,46 @@
+"""The exit status of ``tools/ab_pairs.py``, with its benchmark runs stubbed."""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+
+def _stub_runs(monkeypatch, change_digest: str, change_correct: bool) -> None:
+    """Every run reads the same metrics; the change's runs carry the given
+    digest and correctness."""
+    def run_once(checkout, args):
+        change = checkout.name == "change"
+        record = {
+            "digests": ["d" if not change else change_digest],
+            "per_pass": [{"evals": 7}],
+            "reference_us": {"median": 1000.0},
+            "pass_raw_run_s": {"plain": [1.0], "traced": []},
+        }
+        result = {"metrics": {"updates_per_s": {"value": 2.0 if change else 1.0}},
+                  "correct": change_correct if change else True}
+        return {"record": record, "result": result}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs, "directions", lambda checkout: {"updates_per_s": ("higher", 0)})
+
+
+@pytest.mark.parametrize("digest, correct, status", [
+    ("d", True, 0),       # every run correct, with one digest
+    ("x", True, 1),       # the sides' digests differ
+    ("d", False, 1),      # a run fails its correctness gate
+])
+def test_ab_pairs_exits_1_unless_every_run_is_correct_and_agrees(
+        monkeypatch, capsys, tmp_path, digest, correct, status):
+    _stub_runs(monkeypatch, digest, correct)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2"]
+    assert ab_pairs.main(argv) == status
+    out = capsys.readouterr().out
+    assert "change wins 2 of 2 pairs" in out
+    assert ("DIFFER between runs" in out) == (digest != "d")

@@ -17,6 +17,7 @@ import pytest
 from dynkmed import DistanceOracle, points_from_array, solver, weighted_solve
 from dynkmed.solver import (
     LOCAL_SEARCH_DELTA,
+    _exact_swap,
     _local_search,
     _nearest_two,
     _seed_indices,
@@ -183,17 +184,7 @@ def _exact_new_costs(powered, weights, chosen):
     cost = float(np.sum(weights * d1))
     new_costs = np.full(n, np.inf)
     for j in sorted(set(range(n)) - set(chosen)):
-        column = powered[:, j]
-        gain_keep = np.minimum(column, d1)
-        gain_keep -= d1
-        gain_keep *= weights
-        shared = gain_keep.sum()
-        lose = np.minimum(column, d2)
-        lose -= d1
-        lose *= weights
-        lose -= gain_keep
-        per_center = np.bincount(c1, weights=lose, minlength=k)
-        new_costs[j] = cost + shared + per_center[int(per_center.argmin())]
+        new_costs[j] = _exact_swap(powered[:, j], weights, c1, d1, d2, k, cost)[1]
     return cost, new_costs
 
 
@@ -211,6 +202,19 @@ def _record_blocks(monkeypatch, powered):
 
     monkeypatch.setattr(solver, "_screen_estimate", recording)
     return blocks
+
+
+def _record_exact(monkeypatch, powered):
+    """Record the column of every candidate that reaches the exact code."""
+    columns: list[int] = []
+    exact = solver._exact_swap
+
+    def recording(column, *args):
+        columns.append((column.ctypes.data - powered.ctypes.data) // powered.strides[1])
+        return exact(column, *args)
+
+    monkeypatch.setattr(solver, "_exact_swap", recording)
+    return columns
 
 
 def _reference_swaps(powered, weights, chosen, cutoff, monkeypatch):
@@ -302,6 +306,35 @@ def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff():
     assert hit >= 40
 
 
+def test_a_candidate_just_above_the_cutoff_goes_to_the_exact_code(monkeypatch):
+    # cutoff * cost is the largest product below the smallest new cost: the
+    # best candidate passes the screen, but its bound cannot prove the swap,
+    # and the exact code rejects it, so the search stops where it started.
+    hit = 0
+    for seed in range(30):
+        p = (1.0, 2.0)[seed % 2]
+        powered, weights = _instance_arrays(2 * seed + 1, 90, p, 0.05 * (seed % 3))
+        k = 2 + seed % 6
+        start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
+        cost, new_costs = _exact_new_costs(powered, weights, start)
+        target = float(new_costs.min())
+        if not target < cost:
+            continue
+        cutoff = target / cost
+        while cutoff * cost >= target:
+            cutoff = np.nextafter(cutoff, 0.0)
+        hit += 1
+        expected, got = list(start), list(start)
+        expected_cost = _reference_local_search(powered, weights, expected, cutoff)
+        with monkeypatch.context() as patch:
+            exact = _record_exact(patch, powered)
+            got_cost = _local_search(powered, weights, got, cutoff)
+        assert got == expected == start, seed
+        assert repr(got_cost) == repr(expected_cost)
+        assert int(new_costs.argmin()) in exact
+    assert hit >= 20
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
     # A Gaussian mixture of the size a query solves: the blocks grow to their
@@ -321,14 +354,34 @@ def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
     k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
     start = _seed_indices(powered, weights, k, np.random.default_rng(3))
     blocks = _record_blocks(monkeypatch, powered)
+    exact = _record_exact(monkeypatch, powered)
     expected, got = list(start), list(start)
     expected_cost = _reference_local_search(powered, weights, expected, cutoff)
     got_cost = _local_search(powered, weights, got, cutoff)
     assert got == expected
     assert repr(got_cost) == repr(expected_cost)
+    assert got != start
+    assert exact == []  # the screen's bound proves every swap and its retired center
     sizes = [end - first for first, end in blocks]
     assert max(sizes) == solver._BLOCK_MAX
     assert sizes.count(solver._BLOCK_MIN) > 1  # the first block and restarts after swaps
+
+
+def test_a_tie_between_two_centers_goes_to_the_exact_code(monkeypatch):
+    # Mirror-symmetric about x = 0, the first column: bringing 0 in saves
+    # the same whichever of the centers at -10 and 10 leaves, so the
+    # screen's per-center values cannot tell which center to retire. The
+    # exact code decides, and its first minimum retires -10 (position 0).
+    x = np.array([0.0, -1.0, 1.0, -9.0, 9.0, -10.0, 10.0])
+    weights = np.array([10.0, 10.0, 10.0, 1.0, 1.0, 1.0, 1.0])
+    powered = np.abs(x[:, None] - x[None, :])
+    blocks = _record_blocks(monkeypatch, powered)
+    exact = _record_exact(monkeypatch, powered)
+    expected, got = [5, 6], [5, 6]
+    expected_cost = _reference_local_search(powered, weights, expected, 0.99)
+    assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+    assert got == expected == [0, 6]
+    assert blocks[0] == (0, 7) and exact[0] == 0
 
 
 def test_screen_is_off_for_a_single_center(monkeypatch):

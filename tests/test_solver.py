@@ -380,3 +380,31 @@ def test_weighted_solve_is_the_same_for_an_array_and_an_entries_instance(p):
         expected = weighted_solve(from_pairs, 3, p, seed, by_entries)
         assert got == expected and repr(got.cost) == repr(expected.cost)
         assert by_arrays.evals == by_entries.evals == len(arrays) ** 2
+
+
+def test_id_sorts_give_the_permutation_of_the_default_sort():
+    # rows_by_id and weighted_instance sort distinct ids with a stable sort,
+    # which is faster than the default one and must pick the same order
+    for seed in range(6):
+        state = shuffled_state(seed)
+        store = state.store
+        live = np.delete(np.arange(store._used), store._free)
+        assert store.rows_by_id().tolist() == live[np.argsort(store.row_ids[live])].tolist()
+        sizes = np.array(state.size)
+        centers = np.array(state.center)[sizes > 0]
+        expected = centers[np.argsort(store.row_ids[centers])]
+        assert state.weighted_instance().ids.tolist() == store.row_ids[expected].tolist()
+
+
+def test_a_power_that_overflows_float64_is_named():
+    # d^3 of points 1e110 apart is about 1e330: the Gram of a query and the
+    # cost over the live set both overflow, with no warning escaping
+    pts = random_points(40, seed=5, scale=1e110)
+    state = preprocess(pts, DynamicParams(k=3, phi=8, seed=1))
+    with pytest.raises(ValueError, match="overflow"):
+        query(state, 3, 3.0)
+    with pytest.raises(ValueError, match="overflow"):
+        cost_set(pts[:3], pts, 3.0, ORACLE)
+    with pytest.raises(ValueError, match="overflow"):
+        cost_set([q.id for q in pts[:3]], state.store, 3.0, ORACLE)
+    assert cost_set(pts[:3], pts, 2.0, ORACLE) > 0.0   # d^2 still fits

@@ -16,7 +16,9 @@ metrics and that of ``--trace 1`` the per-layer ones, so ``--metric`` must
 be one the chosen ``--trace`` reports. It also prints each side's median ``reference_us`` (the
 speed clock's reference time) and ``pass_raw_run_s`` (unscaled pass time),
 which a speed claim quotes next to the scaled metrics, and whether the
-digests and the per-pass evaluation counts agree across every run.
+digests and the per-pass evaluation counts agree across every run. Exits 1
+when a run fails its correctness gate or when the digests or the per-pass
+counts differ between runs, so ``ab_pairs.py . .`` is a determinism check.
 """
 from __future__ import annotations
 
@@ -101,15 +103,17 @@ def main(argv: list[str] | None = None) -> int:
                                  r["record"]["pass_raw_run_s"]["traced"]) for r in runs[side]]
         print(f"  {side}: reference_us median {statistics.median(refs):.1f}, "
               f"pass_raw_run_s median {statistics.median(raw):.4g}")
+    agree = True
     for key in ("digests", "per_pass"):
         seen = {json.dumps(r["record"][key], sort_keys=True) for side in SIDES for r in runs[side]}
+        agree &= len(seen) == 1
         print(f"  {key}: {'identical in every run' if len(seen) == 1 else 'DIFFER between runs'}")
     correct = all(r["result"]["correct"] for side in SIDES for r in runs[side])
     print(f"  correct in every run: {correct}")
     if args.out:
         given = {name: str(value) for name, value in vars(args).items()}
         args.out.write_text(json.dumps({"args": given, "runs": runs}, indent=1) + "\n")
-    return 0
+    return 0 if correct and agree else 1
 
 
 if __name__ == "__main__":
