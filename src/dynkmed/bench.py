@@ -120,8 +120,10 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
 
     Blank lines are skipped; malformed rows and dimension drift raise
     :class:`DatasetError` with the offending line number. Ids run 0..n-1 in
-    file order.
+    file order; ``limit``, when given, must be at least 1.
     """
+    if limit is not None and limit < 1:
+        raise ConfigError(f"limit must be at least 1, got {limit}")
     rows: list[list[float]] = []
     dim: Optional[int] = None
     with open(path, "r", encoding="utf-8") as handle:

@@ -12,16 +12,14 @@ remainder fits under the last-layer threshold, and its
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .metric import DistanceOracle, PointId
+from .metric import DistanceOracle
 
 if TYPE_CHECKING:
     from .dynamic import DynamicParams
-
-Sampler = Callable[[Sequence[PointId], int, np.random.Generator], Sequence[PointId]]
 
 
 def _quantile_index(fraction: float, n: int) -> int:
@@ -45,16 +43,9 @@ def _cover_arrays(
     went to another center is dropped before the assignment.
     """
     n = ids.shape[0]
-    if params.sampler is None:
-        mark = np.zeros(n, dtype=bool)
-        mark[rng.integers(0, n, params.phi)] = True
-        pos = mark.nonzero()[0]
-    else:
-        sample = np.asarray(params.sampler(ids.tolist(), params.phi, rng), dtype=np.int64)
-        outside = np.setdiff1d(sample, ids)
-        if outside.shape[0]:
-            raise ValueError(f"sampler returned id {outside[0]} outside the working set")
-        pos = np.searchsorted(ids, np.unique(sample))
+    mark = np.zeros(n, dtype=bool)
+    mark[rng.integers(0, n, params.phi)] = True
+    pos = mark.nonzero()[0]
 
     # ids are distinct, so the only same-id pair of center j is (pos[j], j);
     # it is marked -inf, as matrix_between marks same-id pairs when squared

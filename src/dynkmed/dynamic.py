@@ -19,15 +19,14 @@ layers i..t are rebuilt from U_i and the table is truncated at ``start_i``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .cover import Sampler, _cover_arrays
+from .cover import _cover_arrays
 from .metric import DistanceOracle, Point, PointId, PointStore
-from .solver import WeightedInstance
+from .solver import WeightedInstance, _check_positive_int
 
 # Absolute slop for comparing integer counters against fractional thresholds.
 _EPS = 1e-9
@@ -44,28 +43,21 @@ class DynamicParams:
     ``phi`` is the per-round sample size and ``beta`` the fraction of the
     working set each round covers; ``last_layer_threshold`` (default
     ``phi``) is the residual size at which peeling stops. ``epsilon`` sets
-    the rebuild slack tau = ``epsilon * beta``. ``sampler`` lets tests
-    inject a deterministic sample in place of uniform-with-replacement
-    draws. ``k``, the center count of later queries, is validated here but
-    not read by the state.
+    the rebuild slack tau = ``epsilon * beta``. ``seed`` is anything that
+    ``np.random.default_rng`` accepts; a Generator is used as is. ``k``, the
+    center count of later queries, is validated here but not read by the state.
     """
 
     k: int
     phi: int
     beta: float = 0.5
     last_layer_threshold: Optional[int] = None
-    seed: int | np.random.SeedSequence = 0
-    sampler: Optional[Sampler] = None
+    seed: int | np.random.SeedSequence | np.random.Generator = 0
     epsilon: float = 0.2
 
     def __post_init__(self) -> None:
         for name, value in dict(k=self.k, phi=self.phi, last_layer_threshold=self.threshold).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.phi < 1:
-            raise ValueError("phi must be at least 1")
+            _check_positive_int(name, value)
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie strictly between 0 and 1")
         if self.last_layer_threshold is not None and self.last_layer_threshold < self.phi:
@@ -350,9 +342,8 @@ class ClusteringState:
         if not rows.size:
             return []
         pids, cids = self.store.row_ids[rows], self.store.row_ids[centers]
-        a, b = self.store.matrix[rows], self.store.matrix[centers]
         try:
-            d = self.oracle.elementwise(a, pids, b, cids, count=False)
+            d = self.oracle.elementwise(self.store.matrix[rows], pids, self.store.matrix[centers], cids)
         except ValueError as exc:
             return [f"2*radius check: {exc}"]
         depths = np.searchsorted([layer.start for layer in self.layers], slots, side="right")

@@ -5,10 +5,10 @@ All distance computation in the package funnels through :class:`DistanceOracle`
 so that the evaluation counter is an exact, hardware-independent cost proxy.
 The oracle has one kernel per shape: :meth:`DistanceOracle.matrix_between`
 for blocks and :meth:`DistanceOracle.elementwise` for aligned pairs. Each
-takes coordinate arrays and optional ids, applies the custom-metric check,
-the offset and the same-id zeroing for its shape, and bumps the counter by
-the number of pairs it touches; the aligned-pair kernel of diagnostics (the
-2*radius check of ``integrity_check``) may opt out with ``count=False``.
+takes coordinate arrays and optional ids and applies the custom-metric check,
+the offset and the same-id zeroing for its shape. Only the block kernel bumps
+the counter, by the pairs it touches: the aligned-pair kernel serves the
+2*radius check of ``integrity_check``, and diagnostics count nothing.
 Callers that need only row minima (cover rounds, the live-set cost) take
 ``matrix_between(..., squared=True)`` and reduce it with ``nearest`` or
 ``row_min``, which take square roots of n row minima only.
@@ -16,6 +16,7 @@ Callers that need only row minima (cover rounds, the live-set cost) take
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -32,6 +33,8 @@ class Point:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.id, bool) or not (isinstance(self.id, numbers.Integral) and -2**63 <= self.id < 2**63):
+            raise ValueError(f"point id must be an integer that fits in int64, got {self.id!r}")
         coords = np.asarray(self.coords, dtype=np.float64)
         if coords.ndim != 1:
             raise ValueError(f"point {self.id}: coords must be a flat vector")
@@ -288,26 +291,22 @@ class DistanceOracle:
         a_ids: Optional[Sequence[PointId]],
         b_coords: np.ndarray,
         b_ids: Optional[Sequence[PointId]],
-        count: bool = True,
     ) -> np.ndarray:
         """Vector of d(a[i], b[i]) over two aligned coordinate blocks: the
-        aligned-pair twin of :meth:`matrix_between`.
+        aligned-pair twin of :meth:`matrix_between`, for diagnostics.
 
-        Counts ``len(a)`` evaluations unless ``count=False``. Euclidean
-        entries are the direct-difference norm
-        ``np.linalg.norm(a - b, axis=1)``, plus the offset when it is
-        nonzero; ``ValueError`` is raised, as in :meth:`matrix_between`,
-        when an entry overflows. A custom ``base`` is checked as in
-        :meth:`matrix_between`. Pairs whose ids are equal are then set to
-        exactly 0; without both id sequences no pair is zeroed.
+        Leaves the evaluation counter as it was. Euclidean entries are the
+        direct-difference norm ``np.linalg.norm(a - b, axis=1)``, plus the
+        offset when it is nonzero; ``ValueError`` is raised, as in
+        :meth:`matrix_between`, when an entry overflows. A custom ``base`` is
+        checked as in :meth:`matrix_between`. Pairs whose ids are equal are
+        then set to exactly 0; without both id sequences no pair is zeroed.
         """
         a = np.asarray(a_coords, dtype=np.float64)
         b = np.asarray(b_coords, dtype=np.float64)
         if a.ndim != 2 or a.shape != b.shape:
             raise ValueError("coordinate blocks must be 2-D with equal shape")
         n = a.shape[0]
-        if count:
-            self.evals += n
         if self.base is None:
             with np.errstate(over="ignore"):
                 d = np.linalg.norm(a - b, axis=1)

@@ -10,6 +10,7 @@ it, and costs the answer over the full live set with :func:`cost_set`.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -58,6 +59,14 @@ class Solution:
 
 
 # -- cost evaluators ---------------------------------------------------------
+
+
+def _check_positive_int(name: str, value: int) -> None:
+    """Raise unless ``value`` is an integer, not a bool, and at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def _check_power(p: float) -> None:
@@ -344,8 +353,7 @@ def weighted_solve(
     Instances with at most k points are returned whole at cost zero; the
     search's cutoff is ``1 - LOCAL_SEARCH_DELTA/k``. Deterministic given the seed.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_positive_int("k", k)
     _check_power(p)
     if len(instance) == 0:
         raise ValueError("instance must be nonempty")
@@ -370,8 +378,7 @@ def query(
     report the chosen centers with their cost over the full live point set."""
     if state.live_count == 0:
         raise ValueError("state is empty")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_positive_int("k", k)
     _check_power(p)
     if state.live_count <= k:
         return Solution(frozenset(state.assignment()), 0.0)

@@ -1,19 +1,24 @@
 """Reference oracles for the tests: brute-force optima, reference costs, the
 relaxed triangle check, one cover round over points, the covered set of a
-layer and the checks of a state's weighted instance; and the views of the
+layer and the checks of a state's weighted instance; the views of the
 engine that only tests read: distances between points, a layer's members and
 clusters, a point's center, a state's layer table, the live ids of a store,
-and weighted instances built from or read back as ``(Point, weight)`` pairs.
+and weighted instances built from or read back as ``(Point, weight)`` pairs;
+and :class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
+by the test, passed to the engine as ``DynamicParams(seed=...)``.
 
 None of these is on an engine path. The brute-force enumerations carry hard
-size guards and evaluate distances without touching the oracle counter.
+size guards and evaluate distances without touching the oracle counter; the
+costs and distances that the engine's counted kernels would have computed
+add their pairs to ``oracle.evals`` themselves, since the oracle's
+aligned-pair kernel ``elementwise`` counts nothing.
 Test modules import this file as ``oracles`` (``tests/`` is not a package).
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +42,9 @@ _BRUTE_FORCE_MAX_SUBSETS = 100_000
 
 
 def distance(oracle: DistanceOracle, x: Point, y: Point) -> float:
-    """d(x, y): a one-pair call to the oracle's aligned-pair kernel."""
+    """d(x, y): a one-pair call to the oracle's aligned-pair kernel, counted
+    as one evaluation."""
+    oracle.evals += 1
     return float(oracle.elementwise(x.coords[None], [x.id], y.coords[None], [y.id])[0])
 
 
@@ -142,6 +149,7 @@ def cost_assignment(
         if target is None:
             raise ValueError(f"point {pid} has no assigned center")
         ys.append(target)
+    oracle.evals += len(xs)
     d = oracle.elementwise(
         np.stack([by_id[pid].coords for pid in xs]), xs,
         np.stack([by_id[pid].coords for pid in ys]), ys,
@@ -195,6 +203,48 @@ def relaxed_triangle_ok(
         if dxy > bound * (1.0 + rel_tol) + 1e-12:
             return False
     return True
+
+
+# -- forced sample draws -------------------------------------------------------
+
+
+class ForcedDraws(np.random.Generator):
+    """A sample stream whose draws the test chooses: ``integers(low, high,
+    size)`` returns ``positions(high, size)``, the sampled positions in the
+    round's working set of ``high`` points in id order; every other draw
+    comes from ``PCG64(0)``, whose ``bit_generator.state`` the engine may
+    save and restore. ``np.random.default_rng`` returns a Generator as is,
+    so ``DynamicParams(seed=ForcedDraws(...))`` forces every cover round of
+    a state, and ``_cover_arrays`` takes one as its ``rng``."""
+
+    def __init__(self, positions: Callable[[int, int], Sequence[int]]) -> None:
+        super().__init__(np.random.PCG64(0))
+        self.positions = positions
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        return np.asarray(self.positions(high, size), dtype=np.int64)
+
+
+def first_draws() -> ForcedDraws:
+    """Every draw is the working set's smallest id."""
+    return ForcedDraws(lambda n, size: [0] * size)
+
+
+def id_draws(ids: Sequence[PointId], sample: Sequence[PointId]) -> ForcedDraws:
+    """Draws of the ids ``sample`` from a working set of the ids ``ids``, one
+    round's: the ids are mapped to their positions in ascending id order
+    when drawn, and an id outside the set raises ``ValueError`` then."""
+    ordered = np.sort(np.asarray(ids, dtype=np.int64))
+
+    def positions(n: int, size: int) -> np.ndarray:
+        assert n == ordered.shape[0], "the working set is not the one the ids were given for"
+        picked = np.asarray(sample, dtype=np.int64)
+        outside = np.setdiff1d(picked, ordered)
+        if outside.shape[0]:
+            raise ValueError(f"sample id {outside[0]} is outside the working set")
+        return np.searchsorted(ordered, picked)
+
+    return ForcedDraws(positions)
 
 
 # -- one cover round over points -----------------------------------------------

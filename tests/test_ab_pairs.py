@@ -1,4 +1,5 @@
-"""The exit status of ``tools/ab_pairs.py``, with its benchmark runs stubbed."""
+"""The exit status of ``tools/ab_pairs.py``, with its benchmark runs stubbed
+or replaced by a failing ``benchmark/run.py``."""
 from __future__ import annotations
 
 import importlib.util
@@ -44,3 +45,18 @@ def test_ab_pairs_exits_1_unless_every_run_is_correct_and_agrees(
     out = capsys.readouterr().out
     assert "change wins 2 of 2 pairs" in out
     assert ("DIFFER between runs" in out) == (digest != "d")
+
+
+def test_ab_pairs_prints_the_stderr_of_a_failed_run_and_exits_1(monkeypatch, capsys, tmp_path):
+    # the change's benchmark/run.py raises, as an engine exception would
+    for side, body in (("parent", "print('{}')\nprint('{}')\n"),
+                       ("change", "import sys\nprint('step 1', file=sys.stderr)\n"
+                                  "raise ValueError('engine failed')\n")):
+        (tmp_path / side / "benchmark").mkdir(parents=True)
+        (tmp_path / side / "benchmark" / "run.py").write_text(body)
+    monkeypatch.setattr(ab_pairs, "directions", lambda checkout: {"updates_per_s": ("higher", 0)})
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "pair 1: the change run exited with status 1" in err
+    assert "step 1" in err and "ValueError: engine failed" in err

@@ -48,6 +48,15 @@ def test_load_dataset_comma_and_limit(tmp_path):
     assert pts[0].dim == 2
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_load_dataset_rejects_a_limit_below_one(tmp_path, limit):
+    path = tmp_path / "points.csv"
+    path.write_text("0,0\n1,0\n0,1\n")
+    with pytest.raises(ConfigError, match=f"limit must be at least 1, got {limit}"):
+        load_dataset(path, limit)
+    assert len(load_dataset(path, 1)) == 1
+
+
 def test_load_dataset_whitespace_and_full_read(tmp_path):
     path = tmp_path / "points.txt"
     path.write_text("0 0 0\n1 2 3\n\n4 5 6\n")

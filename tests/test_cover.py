@@ -14,22 +14,27 @@ from dynkmed import (
     preprocess,
 )
 from dynkmed.cover import _cover_arrays
-from oracles import clusters, cover_round, covered, distance, pairwise
+from oracles import (
+    ForcedDraws,
+    clusters,
+    cover_round,
+    covered,
+    distance,
+    first_draws,
+    id_draws,
+    pairwise,
+)
 
 
 def line_points(*coords):
     return points_from_array(np.array([[float(c)] for c in coords]))
 
 
-def first_id_sampler(ids, count, rng):
-    return [ids[0]] * count
-
-
 def round_radius(centers, universe, fraction):
     """The radius of a cover round whose sample is forced to ``centers``."""
     picked = sorted(p.id for p in centers)
     params = DynamicParams(k=1, phi=len(picked), beta=fraction,
-                           sampler=lambda ids, count, rng: picked)
+                           seed=id_draws([p.id for p in universe], picked))
     return cover_round(universe, params)[2]
 
 
@@ -56,7 +61,7 @@ def test_coverage_radius_selection():
 
 def test_almost_cover_forced_single_center():
     pts = line_points(0, 1, 2, 100)
-    params = DynamicParams(k=1, phi=1, beta=0.5, sampler=first_id_sampler)
+    params = DynamicParams(k=1, phi=1, beta=0.5, seed=first_draws())
     centers, assignment, radius = cover_round(pts, params)
     assert centers == {0}
     assert radius == 1.0
@@ -66,7 +71,7 @@ def test_almost_cover_forced_single_center():
 
 def test_almost_cover_sampling_all_points():
     pts = line_points(3, 8, 20)
-    params = DynamicParams(k=1, phi=5, beta=0.5, sampler=lambda ids, n, rng: list(ids))
+    params = DynamicParams(k=1, phi=5, beta=0.5, seed=ForcedDraws(lambda n, size: range(n)))
     centers, assignment, radius = cover_round(pts, params)
     assert centers == {0, 1, 2}
     assert radius == 0.0
@@ -105,8 +110,8 @@ def test_almost_cover_assignment_within_radius():
 
 def test_almost_cover_rejects_empty_and_bad_sampler():
     pts = line_points(0, 1)
-    params = DynamicParams(k=1, phi=1, sampler=lambda ids, n, rng: [99])
-    with pytest.raises(ValueError):
+    params = DynamicParams(k=1, phi=1, seed=id_draws([p.id for p in pts], [99]))
+    with pytest.raises(ValueError, match="sample id 99 is outside the working set"):
         cover_round(pts, params)
 
 

@@ -7,6 +7,7 @@ from dynkmed import (
     ClusteringState,
     DistanceOracle,
     DynamicParams,
+    Point,
     points_from_array,
     preprocess,
     sliding_window_stream,
@@ -18,6 +19,7 @@ from oracles import (
     covered,
     distance,
     entries,
+    first_draws,
     live_ids,
     members,
     pairwise,
@@ -32,10 +34,6 @@ def gaussian_points(n, dim=2, seed=0, start_id=0):
 
 def line_points(*coords):
     return points_from_array(np.array([[float(c)] for c in coords]))
-
-
-def first_id_sampler(ids, count, rng):
-    return [ids[0]] * count
 
 
 def big_state(n=300, phi=20, threshold=40, seed=3, k=5):
@@ -106,9 +104,7 @@ def test_rebuild_from_layer_index_guard():
 
 def test_forced_sampler_hand_trace():
     pts = line_points(0, 1, 2, 10, 11, 12)
-    params = DynamicParams(
-        k=2, phi=1, last_layer_threshold=2, sampler=first_id_sampler
-    )
+    params = DynamicParams(k=2, phi=1, last_layer_threshold=2, seed=first_draws())
     state = preprocess(pts, params)
     assert state.t == 3
     assert [layer.radius for layer in state.layers] == [2.0, 1.0, 0.0]
@@ -576,3 +572,38 @@ def test_sliding_window_keeps_every_invariant_far_from_the_origin(shift):
         else:
             state.delete(pid)
         assert state.integrity_check() == [], step
+
+
+@pytest.mark.parametrize("base", [None, FlakyEuclidean()], ids=["euclidean", "custom-metric"])
+def test_integrity_check_counts_no_evaluations_over_a_slide(base):
+    # the 2*radius check reads distances through the aligned-pair kernel,
+    # which counts nothing: a checked slide counts what an unchecked one does
+    pts = gaussian_points(300, seed=12)
+    params = DynamicParams(k=3, phi=10, seed=12)
+    checked = preprocess(pts[:120], params, DistanceOracle(0.01, base=base))
+    plain = preprocess(pts[:120], params, DistanceOracle(0.01, base=base))
+    assert checked.t > 1
+    for i in range(120, 300):
+        for state in (checked, plain):
+            state.insert(pts[i])
+            state.delete(pts[i - 120].id)
+        evals = checked.oracle.evals
+        assert checked.integrity_check() == []
+        assert checked.oracle.evals == evals == plain.oracle.evals
+
+
+@pytest.mark.parametrize("pid", ["a", 2**70, -(2**63) - 1, 1.5, True, None])
+def test_a_bad_point_id_is_rejected_before_the_store_takes_a_row(pid):
+    state = preprocess(gaussian_points(50, seed=2), DynamicParams(k=3, phi=8, seed=2))
+    state.delete(7)  # a free row that a failed insert must not take either
+    before = (len(state.store), state.store.used, state.store.rows_by_id().tolist(),
+              [(p.id, p.coords.tolist()) for p in state.live_points()], state.oracle.evals)
+    with pytest.raises(ValueError, match="point id must be an integer that fits in int64"):
+        state.insert(Point(pid, np.array([1.0, 2.0])))
+    after = (len(state.store), state.store.used, state.store.rows_by_id().tolist(),
+             [(p.id, p.coords.tolist()) for p in state.live_points()], state.oracle.evals)
+    assert after == before
+    assert state.integrity_check() == []
+    for fine in (2**63 - 1, -(2**63), np.int64(9001)):
+        state.insert(Point(fine, np.array([1.0, 2.0])))
+    assert state.live_count == 52

@@ -5,8 +5,10 @@ center both blocks on the mean of ``b``, multiply ``[u, 1, |u|^2]`` by
 ``[-2v, |v|^2, 1]`` transposed, clip at 0, take the sqrt, add the offset, and
 zero same-id pairs through an n x c id mask. ``_reference_cover_arrays`` is
 the package's earlier cover round, kept verbatim apart from taking the
-oracle as an argument: it passed ids to the kernel and took the minimum in a
-second reduction. The package works in place and in fewer passes over
+oracle as an argument and from reading no sampler from the params: a forced
+sample reaches both rounds through ``rng.integers``, as the draws of
+``oracles.ForcedDraws``. It passed ids to the kernel and took the minimum in
+a second reduction. The package works in place and in fewer passes over
 memory; every matrix entry, covered flag and radius it returns must be
 bit-identical to the reference, and so must each row's nearest center id.
 
@@ -47,6 +49,7 @@ from dynkmed import (
 )
 from dynkmed.cover import _cover_arrays, _quantile_index
 from dynkmed.metric import PointId, _nearest_two
+from oracles import id_draws
 
 
 def _reference_matrix_between(
@@ -98,14 +101,7 @@ def _reference_cover_arrays(
     mask_absorbed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     n = ids.shape[0]
-    if params.sampler is not None:
-        sample = list(params.sampler(list(int(i) for i in ids), params.phi, rng))
-        known = set(int(i) for i in ids)
-        for s in sample:
-            if s not in known:
-                raise ValueError(f"sampler returned id {s} outside the working set")
-    else:
-        sample = ids[rng.integers(0, n, size=params.phi)].tolist()
+    sample = ids[rng.integers(0, n, size=params.phi)].tolist()
     center_ids = np.array(sorted(set(int(s) for s in sample)), dtype=np.int64)
     pos = np.searchsorted(ids, center_ids)
 
@@ -237,10 +233,11 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
     # collapses to one center
     x = coordinates(50, 2, seed=8)
     ids = np.arange(50)
-    params = DynamicParams(k=2, phi=4, sampler=lambda pool, count, rng: [1, 0, 0, 30])
+    params = DynamicParams(k=2, phi=4)
+    draws = id_draws(ids, [1, 0, 0, 30])
     for offset in (0.0, 0.3):
-        got = _cover_arrays(ids, x, params, None, DistanceOracle(offset))
-        want = _reference_cover_arrays(ids, x, params, None, DistanceOracle(offset))
+        got = _cover_arrays(ids, x, params, draws, DistanceOracle(offset))
+        want = _reference_cover_arrays(ids, x, params, draws, DistanceOracle(offset))
         assert_same_cover(ids, got, want)
         # at offset 0 twin 1's own row goes to twin 0, so it keeps no cluster
         assert ids[got[0]].tolist() == ([0, 30] if offset == 0.0 else [0, 1, 30])
@@ -436,24 +433,18 @@ def test_cost_set_equals_the_minimum_of_the_distance_matrix(offset):
 
 
 def test_evaluation_count_equals_the_pairs_the_kernels_return(monkeypatch):
-    # what a tracer that wraps the two kernels attributes must add up to the
-    # counter over preprocess, a slide and queries
+    # what a tracer that wraps the block kernel attributes must add up to the
+    # counter over preprocess, a slide and queries (the aligned-pair kernel
+    # counts nothing)
     seen = []
+    kernel = DistanceOracle.matrix_between
 
-    def wrap(kernel, pairs):
-        def traced(*args, **kwargs):
-            out = kernel(*args, **kwargs)
-            if kwargs.get("count", True):
-                seen.append(pairs(out))
-            return out
+    def traced(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        seen.append(out.shape[0] * out.shape[1])
+        return out
 
-        return traced
-
-    monkeypatch.setattr(
-        DistanceOracle, "matrix_between",
-        wrap(DistanceOracle.matrix_between, lambda out: out.shape[0] * out.shape[1]),
-    )
-    monkeypatch.setattr(DistanceOracle, "elementwise", wrap(DistanceOracle.elementwise, len))
+    monkeypatch.setattr(DistanceOracle, "matrix_between", traced)
     pts = synthetic_points(SyntheticSpec(5, 3, 700), 1)
     oracle = DistanceOracle(1.0 / 700)
     state = preprocess(pts[:400], DynamicParams(k=4, phi=25, seed=2), oracle)

@@ -133,10 +133,11 @@ def test_eval_counter_scalar_and_batch():
     pairwise(oracle, pts, pts[:3])
     assert oracle.evals == 2 + 15
     coords = np.stack([p.coords for p in pts])
+    # the aligned-pair kernel is the uncounted one of diagnostics
     oracle.elementwise(coords[:4], None, coords[1:5], None)
-    assert oracle.evals == 21
-    oracle.elementwise(coords[:4], None, coords[1:5], None, count=False)
-    assert oracle.evals == 21
+    assert oracle.evals == 17
+    oracle.elementwise(coords[:4], [0, 1, 2, 3], coords[1:5], [1, 2, 3, 4])
+    assert oracle.evals == 17
 
 
 def test_eval_counter_deterministic_over_batch():
@@ -173,12 +174,12 @@ def test_distance_is_the_one_pair_elementwise_kernel(offset):
             np.stack([p.coords for p in xs]), [p.id for p in xs],
             np.stack([p.coords for p in ys]), [p.id for p in ys],
         )
-        assert oracle.evals == 200
+        assert oracle.evals == 0  # uncounted; distance() counts its one pair
         # pairs 150..199 share an id: exactly zero, whatever the coordinates
         assert np.all(d[150:] == 0.0) and np.all(d[:150] >= offset)
         for i, (x, y) in enumerate(zip(xs, ys)):
             assert repr(distance(oracle, x, y)) == repr(float(d[i]))
-        assert oracle.evals == 400
+        assert oracle.evals == 200
     with pytest.raises(ValueError):
         oracle.elementwise(np.zeros((2, 3)), None, np.zeros((3, 3)), None)
 

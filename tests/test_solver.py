@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from oracles import (
     cost_weighted,
     distance,
     entries,
+    first_draws,
     instance_of,
     pairwise,
     unit_instance,
@@ -70,11 +73,9 @@ def test_cost_assignment_identity_and_trace():
     assert small.t == 1
     assert cost_assignment(small.assignment(), pts, 1.0, ORACLE) == 0.0
 
-    # forced-sampler six-point trace: per-point distances 0+1+2 + 0+1 + 0
+    # forced-draw six-point trace: per-point distances 0+1+2 + 0+1 + 0
     trace_pts = line_points(0, 1, 2, 10, 11, 12)
-    params = DynamicParams(
-        k=2, phi=1, last_layer_threshold=2, sampler=lambda ids, n, rng: [ids[0]]
-    )
+    params = DynamicParams(k=2, phi=1, last_layer_threshold=2, seed=first_draws())
     state = preprocess(trace_pts, params)
     assert cost_assignment(state.assignment(), trace_pts, 1.0, ORACLE) == 4.0
 
@@ -134,6 +135,23 @@ def test_weighted_solve_small_instance_returned_whole():
         weighted_solve(instance_of([]), 1, 1.0, 0, ORACLE)
     with pytest.raises(ValueError):
         weighted_solve(inst, 0, 1.0, 0, ORACLE)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(2.0), True, "2", None])
+def test_query_and_weighted_solve_reject_a_non_integer_k(k):
+    pts = random_points(30, seed=4)
+    state = preprocess(pts, DynamicParams(k=2, phi=5, seed=4))
+    message = re.escape(f"k must be an integer, got {k!r}")
+    with pytest.raises(ValueError, match=message):
+        query(state, k, 1.0)
+    with pytest.raises(ValueError, match=message):
+        weighted_solve(unit_instance(pts), k, 1.0)
+    for low in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            query(state, low, 1.0)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            weighted_solve(unit_instance(pts), low, 1.0)
+    assert len(query(state, np.int64(3), 1.0).centers) == 3
 
 
 def test_weighted_solve_two_separated_clusters():

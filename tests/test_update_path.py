@@ -5,10 +5,12 @@ Below are the cover round ``_cover_arrays``, the Euclidean kernel
 rebuild loop of ``ClusteringState`` (``_cover_rounds``, ``_rebuild``,
 ``rebuild_from_layer``, ``insert``, ``delete`` and ``rebuild``) as they were
 before the update path was cut to fewer numpy calls per cover round, per
-rebuild and per update. Their bodies are unchanged; ``ReferenceOracle`` and
-``ReferenceState`` carry the methods, so the cover round and the rounds
-below resolve ``_cover_arrays``, ``_nearest_two`` and the oracle's methods
-to the references.
+rebuild and per update. Their bodies are unchanged, except that the cover
+round reads no sampler from the params: a forced sample reaches both sides
+through ``rng.integers``, as the draws of ``oracles.ForcedDraws``.
+``ReferenceOracle`` and ``ReferenceState`` carry the methods, so the cover
+round and the rounds below resolve ``_cover_arrays``, ``_nearest_two`` and
+the oracle's methods to the references.
 
 The package must return the same bits: sample positions, nearest columns,
 distances, covered masks, radii, rounds and the state of the sample stream,
@@ -28,6 +30,7 @@ from dynkmed.cover import _quantile_index
 from dynkmed import cover, metric
 from dynkmed.dynamic import _EPS, ClusteringState, Layer
 from dynkmed.metric import Point, PointId, _check_custom, _same_id_pairs
+from oracles import ForcedDraws
 
 # -- references, verbatim ------------------------------------------------------
 
@@ -40,16 +43,9 @@ def _cover_arrays(
     oracle: DistanceOracle,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     n = ids.shape[0]
-    if params.sampler is None:
-        mark = np.zeros(n, dtype=bool)
-        mark[rng.integers(0, n, size=params.phi)] = True
-        pos = np.flatnonzero(mark)
-    else:
-        sample = np.asarray(params.sampler(ids.tolist(), params.phi, rng), dtype=np.int64)
-        outside = np.setdiff1d(sample, ids)
-        if outside.shape[0]:
-            raise ValueError(f"sampler returned id {outside[0]} outside the working set")
-        pos = np.searchsorted(ids, np.unique(sample))
+    mark = np.zeros(n, dtype=bool)
+    mark[rng.integers(0, n, size=params.phi)] = True
+    pos = np.flatnonzero(mark)
 
     # ids are distinct, so the only same-id pair of center j is (pos[j], j);
     # it is marked -inf, as matrix_between marks same-id pairs when squared
@@ -229,18 +225,23 @@ def blocks(case: str, seed: int, n: int = 180, dim: int = 4) -> np.ndarray:
     return x
 
 
-def twin_ids(pool, count, rng):
-    """An injected sampler: ids at positions 6j and 6j + 1 of the working
-    set (twins in ``blocks("duplicates")``), then repeats of two of them."""
-    return sorted(pool[0::6] + pool[1::6])[:count] + [pool[1], pool[0]]
+def twin_positions(n, size):
+    """Forced draws: positions 6j and 6j + 1 of the working set of n points
+    (twins in ``blocks("duplicates")``), then repeats of two of them."""
+    return sorted(list(range(0, n, 6)) + list(range(1, n, 6)))[:size] + [1, 0]
 
 
-# (case, offset, metric, sampler)
+def stream(draws, seed):
+    """The sample stream of a case: seeded, or forced to ``draws``."""
+    return seed if draws is None else ForcedDraws(draws)
+
+
+# (case, offset, metric, forced draws)
 CASES = [
     pytest.param("duplicates", 0.0, None, None, id="offset0-duplicates"),
     pytest.param("shift", 0.25, None, None, id="shift-1e8"),
     pytest.param("gauss", 0.1, l1, None, id="custom-metric"),
-    pytest.param("duplicates", 0.0, None, twin_ids, id="sampler"),
+    pytest.param("duplicates", 0.0, None, twin_positions, id="sampler"),
 ]
 
 
@@ -262,14 +263,15 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
                           np.ascontiguousarray(want).view(np.uint8))
 
 
-@pytest.mark.parametrize("case, offset, base, sampler", CASES)
-def test_cover_round_matches_its_reference(case, offset, base, sampler):
+@pytest.mark.parametrize("case, offset, base, draws", CASES)
+def test_cover_round_matches_its_reference(case, offset, base, draws):
     absorbed, BranchCounter.ties = 0, 0
     for seed in range(12):
         x = blocks(case, seed, n=60 if base else 180)
         ids = np.arange(7, 7 + 3 * x.shape[0], 3)
-        params = DynamicParams(k=3, phi=25 + seed, beta=0.4 + 0.03 * seed, sampler=sampler)
-        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = DynamicParams(k=3, phi=25 + seed, beta=0.4 + 0.03 * seed)
+        new_rng = np.random.default_rng(stream(draws, seed))
+        old_rng = np.random.default_rng(stream(draws, seed))
         new, old = BranchCounter(offset, base), ReferenceOracle(offset, base)
         got = cover._cover_arrays(ids, x, params, new_rng, new)
         want = _cover_arrays(ids, x, params, old_rng, old)
@@ -278,16 +280,15 @@ def test_cover_round_matches_its_reference(case, offset, base, sampler):
         assert repr(got[3]) == repr(want[3])
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
         assert new.evals == old.evals
-        draws = (np.unique(np.random.default_rng(seed).integers(0, x.shape[0], params.phi))
-                 if sampler is None else np.unique(np.searchsorted(ids, sampler(ids.tolist(), params.phi, None))))
-        absorbed += draws.shape[0] - got[0].shape[0]
+        drawn = np.unique(np.random.default_rng(stream(draws, seed)).integers(0, x.shape[0], params.phi))
+        absorbed += drawn.shape[0] - got[0].shape[0]
     # exact duplicates at offset 0 tie at distance 0, and a center whose own
     # row goes to its twin is dropped
     assert (absorbed > 0 and BranchCounter.ties > 0) == (case == "duplicates")
 
 
-@pytest.mark.parametrize("case, offset, base, sampler", CASES)
-def test_kernel_and_reductions_match_their_references(case, offset, base, sampler):
+@pytest.mark.parametrize("case, offset, base, draws", CASES)
+def test_kernel_and_reductions_match_their_references(case, offset, base, draws):
     for seed in range(6):
         x = blocks(case, 100 + seed, n=50 if base else 300)
         ids = np.arange(x.shape[0])
@@ -308,10 +309,10 @@ def test_kernel_and_reductions_match_their_references(case, offset, base, sample
                 assert_same_bits(block, before)
 
 
-@pytest.mark.parametrize("case, offset, base, sampler", CASES)
-def test_cover_rounds_match_their_reference(case, offset, base, sampler):
+@pytest.mark.parametrize("case, offset, base, draws", CASES)
+def test_cover_rounds_match_their_reference(case, offset, base, draws):
     pts = points_from_array(blocks(case, 5, n=120 if base else 700))
-    params = DynamicParams(k=3, phi=12, seed=9, sampler=sampler)
+    params = DynamicParams(k=3, phi=12, seed=stream(draws, 9))
     new = preprocess(pts, params, DistanceOracle(offset, base))
     old = reference_preprocess(pts, params, ReferenceOracle(offset, base))
     rows = np.flatnonzero(new.slot >= 0)
@@ -339,11 +340,11 @@ def assert_same_state(new: ClusteringState, old: ClusteringState) -> None:
     assert new.rng.bit_generator.state == old.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("case, offset, base, sampler", CASES)
-def test_a_slide_matches_its_reference_after_every_update(case, offset, base, sampler):
+@pytest.mark.parametrize("case, offset, base, draws", CASES)
+def test_a_slide_matches_its_reference_after_every_update(case, offset, base, draws):
     window, steps = (80, 60) if base else (400, 300)
     pts = points_from_array(blocks(case, 11, n=window + steps, dim=3))
-    params = DynamicParams(k=3, phi=8, seed=4, sampler=sampler)
+    params = DynamicParams(k=3, phi=8, seed=stream(draws, 4))
     new = preprocess(pts[:window], params, DistanceOracle(offset, base))
     old = reference_preprocess(pts[:window], params, ReferenceOracle(offset, base))
     assert_same_state(new, old)

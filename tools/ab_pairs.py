@@ -19,6 +19,8 @@ which a speed claim quotes next to the scaled metrics, and whether the
 digests and the per-pass evaluation counts agree across every run. Exits 1
 when a run fails its correctness gate or when the digests or the per-pass
 counts differ between runs, so ``ab_pairs.py . .`` is a determinism check.
+A run whose process exits nonzero stops the pairs: the side, the pair and
+the tail of that run's stderr are printed, and the exit status is 1.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STDERR_TAIL = 20  # lines of a failed run's stderr to print
 
 
 def run_once(checkout: Path, args: argparse.Namespace) -> dict:
@@ -75,7 +78,13 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_once(checkouts[side], args))
+            try:
+                runs[side].append(run_once(checkouts[side], args))
+            except subprocess.CalledProcessError as exc:
+                tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL:])
+                print(f"pair {i + 1}: the {side} run exited with status {exc.returncode}; "
+                      f"the end of its stderr:\n{tail}", file=sys.stderr)
+                return 1
         values = [runs[side][-1]["result"]["metrics"][args.metric]["value"] for side in SIDES]
         print(f"pair {i + 1:2d}: {args.metric} parent {values[0]:.6g} change {values[1]:.6g}",
               flush=True)
