@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamic import ClusteringState, DynamicParams, preprocess
 from .metric import DistanceOracle, Point, points_from_array
-from .solver import _check_power, cost_set, query, weighted_solve
+from .solver import _check_int, _check_power, cost_set, query, weighted_solve
 
 CSV_HEADER = [
     "update_index",
@@ -89,23 +89,21 @@ class ExperimentConfig:
     def validate(self) -> None:
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of dataset / synthetic is required")
-        if self.window < 1:
-            raise ConfigError("window must be at least 1")
-        if self.queries < 0:
-            raise ConfigError("query count must be nonnegative")
+        _check_int("window", self.window, 1, ConfigError)
+        _check_int("query count", self.queries, 0, ConfigError)
+        _check_int("check_every", self.check_every, 0, ConfigError)
+        for name, value in (("limit", self.limit), ("baseline period", self.baseline_every)):
+            if value is not None:
+                _check_int(name, value, 1, ConfigError)
         if self.limit is not None and self.limit < self.window:
             raise ConfigError("limit must be at least the window size")
         if self.offset_mode not in ("none", "inv-n"):
             raise ConfigError(f"unknown offset mode {self.offset_mode!r}")
-        if self.baseline_every is not None and self.baseline_every < 1:
-            raise ConfigError("baseline period must be at least 1")
         try:  # the state's and the solver's own rules, with their messages
             DynamicParams(self.k, self.phi, self.beta, epsilon=self.epsilon)
             _check_power(self.p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.check_every < 0:
-            raise ConfigError("check_every must be nonnegative")
 
 
 @dataclass
@@ -120,10 +118,12 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
 
     Blank lines are skipped; malformed rows and dimension drift raise
     :class:`DatasetError` with the offending line number. Ids run 0..n-1 in
-    file order; ``limit``, when given, must be at least 1.
+    file order; ``limit``, when given, must be an integer of at least 1.
     """
-    if limit is not None and limit < 1:
-        raise ConfigError(f"limit must be at least 1, got {limit}")
+    if limit is not None:
+        if limit < 1:
+            raise ConfigError(f"limit must be at least 1, got {limit}")
+        _check_int("limit", limit, 1, ConfigError)
     rows: list[list[float]] = []
     dim: Optional[int] = None
     with open(path, "r", encoding="utf-8") as handle:

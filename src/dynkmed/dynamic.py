@@ -26,7 +26,7 @@ import numpy as np
 
 from .cover import _cover_arrays
 from .metric import DistanceOracle, Point, PointId, PointStore
-from .solver import WeightedInstance, _check_positive_int
+from .solver import WeightedInstance, _check_int
 
 # Absolute slop for comparing integer counters against fractional thresholds.
 _EPS = 1e-9
@@ -57,7 +57,7 @@ class DynamicParams:
 
     def __post_init__(self) -> None:
         for name, value in dict(k=self.k, phi=self.phi, last_layer_threshold=self.threshold).items():
-            _check_positive_int(name, value)
+            _check_int(name, value)
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie strictly between 0 and 1")
         if self.last_layer_threshold is not None and self.last_layer_threshold < self.phi:

@@ -61,12 +61,12 @@ class Solution:
 # -- cost evaluators ---------------------------------------------------------
 
 
-def _check_positive_int(name: str, value: int) -> None:
-    """Raise unless ``value`` is an integer, not a bool, and at least 1."""
+def _check_int(name: str, value: int, low: int = 1, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer, not a bool, and at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be at least {low}")
 
 
 def _check_power(p: float) -> None:
@@ -137,21 +137,29 @@ def _seed_indices(
     powered: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
 ) -> list[int]:
     """Weighted distance-power seeding: first pick proportional to weight,
-    then proportional to weight times powered distance to the picks so far."""
+    then proportional to weight times powered distance to the picks so far.
+    Each pick is what ``rng.choice(n, p=mass / total)`` draws after its checks,
+    with the same stream: ``rng.random()`` searched, ``side="right"``, in the
+    cumulative sum of ``mass / total`` rescaled to end at 1. A ``total`` that
+    overflows float64 raises ``ValueError``."""
     n = powered.shape[0]
-    first = int(rng.choice(n, p=weights / weights.sum()))
-    chosen = [first]
-    dmin = powered[:, first].copy()
-    while len(chosen) < k:
-        mass = weights * dmin
-        total = mass.sum()
-        if total <= 0.0:
-            taken = set(chosen)
-            nxt = next(i for i in range(n) if i not in taken)
-        else:
-            nxt = int(rng.choice(n, p=mass / total))
-        chosen.append(nxt)
-        np.minimum(dmin, powered[:, nxt], out=dmin)
+    chosen: list[int] = []
+    mass, dmin = weights, np.full(n, np.inf)
+    with np.errstate(over="ignore"):  # an overflow leaves total infinite
+        while len(chosen) < k:
+            total = mass.sum()
+            if not math.isfinite(total):
+                raise ValueError("seeding masses (weight times powered distance) overflow float64")
+            if total <= 0.0:
+                taken = set(chosen)
+                nxt = next(i for i in range(n) if i not in taken)
+            else:
+                cdf = (mass / total).cumsum()
+                cdf /= cdf[-1]
+                nxt = int(cdf.searchsorted(rng.random(), side="right"))
+            chosen.append(nxt)
+            np.minimum(dmin, powered[:, nxt], out=dmin)
+            mass = weights * dmin
     return chosen
 
 
@@ -353,7 +361,7 @@ def weighted_solve(
     Instances with at most k points are returned whole at cost zero; the
     search's cutoff is ``1 - LOCAL_SEARCH_DELTA/k``. Deterministic given the seed.
     """
-    _check_positive_int("k", k)
+    _check_int("k", k)
     _check_power(p)
     if len(instance) == 0:
         raise ValueError("instance must be nonempty")
@@ -378,7 +386,7 @@ def query(
     report the chosen centers with their cost over the full live point set."""
     if state.live_count == 0:
         raise ValueError("state is empty")
-    _check_positive_int("k", k)
+    _check_int("k", k)
     _check_power(p)
     if state.live_count <= k:
         return Solution(frozenset(state.assignment()), 0.0)

@@ -4,8 +4,9 @@ layer and the checks of a state's weighted instance; the views of the
 engine that only tests read: distances between points, a layer's members and
 clusters, a point's center, a state's layer table, the live ids of a store,
 and weighted instances built from or read back as ``(Point, weight)`` pairs;
-and :class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
-by the test, passed to the engine as ``DynamicParams(seed=...)``.
+:class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
+by the test, passed to the engine as ``DynamicParams(seed=...)``; and the
+seeding of a weighted solve drawn with ``rng.choice``.
 
 None of these is on an engine path. The brute-force enumerations carry hard
 size guards and evaluate distances without touching the oracle counter; the
@@ -300,6 +301,27 @@ def unit_instance(points: Iterable[Point]) -> WeightedInstance:
     """The points as an instance of unit weights: its weighted optimum is the
     plain optimum over the points."""
     return instance_of((q, 1) for q in points)
+
+
+def seed_indices_by_choice(
+    powered: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+) -> list[int]:
+    """Weighted distance-power seeding with each pick drawn by
+    ``rng.choice(n, p=mass / total)``, checks and all: the reference for the
+    solver's ``_seed_indices``, which must draw the same picks from the same
+    stream. A total of 0 picks the smallest position not yet chosen."""
+    n = powered.shape[0]
+    chosen = [int(rng.choice(n, p=weights / weights.sum()))]
+    dmin = powered[:, chosen[0]].copy()
+    while len(chosen) < k:
+        mass = weights * dmin
+        total = mass.sum()
+        if total <= 0.0:
+            chosen.append(min(set(range(n)) - set(chosen)))
+        else:
+            chosen.append(int(rng.choice(n, p=mass / total)))
+        np.minimum(dmin, powered[:, chosen[-1]], out=dmin)
+    return chosen
 
 
 def _guard_subsets(n: int, k: int, max_points: int = _BRUTE_FORCE_MAX_POINTS) -> int:

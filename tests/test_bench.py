@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,30 @@ def test_config_validation():
     )
     with pytest.raises(ConfigError):
         bad_offset.validate()
+
+
+def test_sizes_must_be_integers(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("0,0\n1,0\n0,1\n1,1\n")
+    base = dict(window=2, k=1, phi=1, dataset=str(path), queries=1)
+    for field, value, message in (
+        ("window", 2.5, "window must be an integer, got 2.5"),
+        ("window", True, "window must be an integer, got True"),
+        ("queries", 1.5, "query count must be an integer, got 1.5"),
+        ("queries", -1, "query count must be at least 0"),
+        ("check_every", 1.5, "check_every must be an integer, got 1.5"),
+        ("check_every", -1, "check_every must be at least 0"),
+        ("baseline_every", 2.5, "baseline period must be an integer, got 2.5"),
+        ("limit", 3.5, "limit must be an integer, got 3.5"),
+    ):
+        config = ExperimentConfig(**{**base, field: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config.validate()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_experiment(config)
+    assert run_experiment(ExperimentConfig(**base)).summary["total_updates"] == 8
+    with pytest.raises(ConfigError, match=r"^limit must be an integer, got 2\.5$"):
+        load_dataset(path, 2.5)
 
 
 def test_offset_mode_inv_n(tmp_path):

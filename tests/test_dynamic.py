@@ -483,6 +483,23 @@ def test_store_memory_tracks_the_live_count_over_a_long_slide():
     assert state.integrity_check() == []
 
 
+def test_a_steady_slide_keeps_the_store_and_the_table_bounded():
+    # each insert takes the row the last delete freed: nothing grows with the
+    # length of the slide, checked after every update of five windows
+    window = 200
+    pts = gaussian_points(6 * window, seed=5)
+    state = preprocess(pts[:window], DynamicParams(k=3, phi=10, seed=5))
+    store, capacity = state.store, state.store.matrix.shape[0]
+    assert capacity == 256
+    for step, point in enumerate(pts[window:]):
+        for update in (lambda: state.insert(point), lambda: state.delete(pts[step].id)):
+            update()
+            assert store.matrix.shape[0] == state.slot.shape[0] == capacity
+            assert len(store._free) <= 1 and store.used <= window + 1
+            assert len(state.center) <= window // 2
+    assert state.integrity_check() == []
+
+
 class FlakyEuclidean:
     """A custom metric that raises once ``budget`` more calls have been made;
     ``budget=None`` means it never fails."""

@@ -244,24 +244,30 @@ def _store_state(store):
 
 @pytest.mark.parametrize("first, removed", [(0, []), (5, [2]), (40, [3, 17, 9, 30]), (40, range(40))])
 def test_add_many_equals_one_add_per_point(first, removed):
-    # a fresh store, free rows fewer than the batch, and every row free
-    rows = np.random.default_rng(first).normal(size=(first + 70, 3))
-    pts = points_from_array(rows)
-    one, bulk = PointStore(), PointStore()
-    for store in (one, bulk):
-        for q in pts[:first]:
-            store.add(q)
-        for pid in removed:
-            store.remove(pid)
-    batch = pts[first:][::-1]                  # ids need not ascend
-    want = [one.add(q) for q in batch]
-    got = bulk.add_many(batch)
-    assert got.dtype == np.int64 and got.tolist() == want
-    assert _store_state(bulk) == _store_state(one)
-    for q in batch:
-        got_point = bulk.get(q.id)
-        assert got_point.id == q.id and got_point.coords.tobytes() == q.coords.tobytes()
-    assert bulk.add_many([]).tolist() == [] and _store_state(bulk) == _store_state(one)
+    # a fresh store, free rows fewer than the batch, and every row free; each
+    # with a batch of rows of one array, one of non-contiguous views (every
+    # other column) and one of views mixed with separately allocated vectors
+    rng = np.random.default_rng(first)
+    pts = points_from_array(rng.normal(size=(first + 70, 3)))
+    strided = points_from_array(rng.normal(size=(70, 6))[:, ::2], start_id=first)
+    assert not any(q.coords.flags.c_contiguous for q in strided)
+    mixed = [q if q.id % 2 else Point(q.id, q.coords.copy()) for q in pts[first:]]
+    for batch in (pts[first:], strided, mixed):
+        one, bulk = PointStore(), PointStore()
+        for store in (one, bulk):
+            for q in pts[:first]:
+                store.add(q)
+            for pid in removed:
+                store.remove(pid)
+        batch = batch[::-1]                    # ids need not ascend
+        want = [one.add(q) for q in batch]
+        got = bulk.add_many(batch)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert _store_state(bulk) == _store_state(one)
+        for q in batch:
+            got_point = bulk.get(q.id)
+            assert got_point.id == q.id and got_point.coords.tobytes() == q.coords.tobytes()
+        assert bulk.add_many([]).tolist() == [] and _store_state(bulk) == _store_state(one)
 
 
 def test_store_reads_are_copies_of_the_inserted_points():

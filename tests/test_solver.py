@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     first_draws,
     instance_of,
     pairwise,
+    seed_indices_by_choice,
     unit_instance,
 )
 
@@ -193,6 +195,43 @@ def test_weighted_solve_never_worse_than_seeding():
         seed_cost = float(np.sum(w * powered[:, chosen].min(axis=1)))
         sol = weighted_solve(inst, 4, 1.0, seed, ORACLE)
         assert sol.cost <= seed_cost + 1e-12
+
+
+def test_seed_indices_draw_what_rng_choice_draws():
+    # repeated points make tied and zero masses, and fewer distinct points
+    # than k leave a total of 0 once every location is picked
+    picks = 0
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        distinct = rng.normal(size=(int(rng.integers(1, n + 1)), 2))
+        coords = distinct[rng.integers(0, distinct.shape[0], n)]
+        weights = rng.integers(1, 5, n).astype(np.float64)
+        powered = _instance_gram(coords, (1.0, 2.0, 1.5)[seed % 3], DistanceOracle(0.1 * (seed % 2)))
+        k = int(rng.integers(1, n))
+        got_stream, want_stream = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _seed_indices(powered, weights, k, got_stream)
+        assert got == seed_indices_by_choice(powered, weights, k, want_stream)
+        assert got_stream.random() == want_stream.random()  # as many draws taken
+        picks += k
+    assert picks > 1000
+
+
+def test_seed_indices_raise_when_the_masses_overflow():
+    # weight 4 overflows one mass; weight 1 leaves each mass finite and their sum not
+    for weight in (4.0, 1.0):
+        powered = np.full((3, 3), 1e308)
+        np.fill_diagonal(powered, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^seeding masses .* overflow float64$"):
+                _seed_indices(powered, np.full(3, weight), 2, np.random.default_rng(0))
+    # through the API: the squared distances are finite, the weighted ones not
+    inst = WeightedInstance(np.arange(3), np.array([[0.0], [5e153], [1e154]]), np.full(3, 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^seeding masses"):
+            weighted_solve(inst, 2, 2.0, 0)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
