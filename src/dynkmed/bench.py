@@ -51,8 +51,8 @@ class SyntheticSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if self.components < 1 or self.dim < 1 or self.count < 1:
-            raise ConfigError("synthetic spec fields must be positive")
+        for name, value in vars(self).items():
+            _check_int(f"synthetic spec {name}", value, 1, ConfigError)
 
 
 @dataclass
@@ -121,9 +121,10 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
     file order; ``limit``, when given, must be an integer of at least 1.
     """
     if limit is not None:
+        # the type only, first: the bound below names the value
+        _check_int("limit", limit, -math.inf, ConfigError)
         if limit < 1:
             raise ConfigError(f"limit must be at least 1, got {limit}")
-        _check_int("limit", limit, 1, ConfigError)
     rows: list[list[float]] = []
     dim: Optional[int] = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -362,20 +363,10 @@ def _summarize(
 
 def emit_metrics(rows: Iterable[MetricsRow], path: str | Path) -> None:
     """Write rows as CSV with the fixed schema; blanks for inapplicable
-    fields. Deterministic row order and formatting."""
+    (``None``) fields, floats as ``repr``. Deterministic row order and
+    formatting."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.update_index,
-                    row.op,
-                    row.wall_nanos,
-                    row.distance_evals_delta,
-                    row.t,
-                    row.n,
-                    "" if row.solution_cost is None else repr(row.solution_cost),
-                    "" if row.centers_returned is None else row.centers_returned,
-                ]
-            )
+        for row in rows:  # MetricsRow's fields are the columns in order
+            writer.writerow(vars(row).values())

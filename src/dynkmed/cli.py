@@ -22,12 +22,14 @@ from .bench import (
 def _parse_synthetic(text: str) -> SyntheticSpec:
     parts = text.split(":")
     if len(parts) != 4 or parts[0] != "g":
-        raise ConfigError("synthetic spec must look like g:<components>:<dim>:<count>")
+        raise argparse.ArgumentTypeError("synthetic spec must look like g:<components>:<dim>:<count>")
     try:
         components, dim, count = (int(v) for v in parts[1:])
+        return SyntheticSpec(components=components, dim=dim, count=count)
+    except ConfigError as exc:  # a field below 1
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise ConfigError("synthetic spec fields must be integers") from None
-    return SyntheticSpec(components=components, dim=dim, count=count)
+        raise argparse.ArgumentTypeError("synthetic spec fields must be integers") from None
 
 
 def _parse_baseline(text: str) -> Optional[int]:
@@ -35,11 +37,10 @@ def _parse_baseline(text: str) -> Optional[int]:
         return None
     if text.startswith("static:"):
         try:
-            period = int(text.split(":", 1)[1])
+            return int(text.split(":", 1)[1])
         except ValueError:
-            raise ConfigError("baseline period must be an integer") from None
-        return period
-    raise ConfigError("baseline must be 'none' or 'static:<q>'")
+            raise argparse.ArgumentTypeError("baseline period must be an integer") from None
+    raise argparse.ArgumentTypeError("baseline must be 'none' or 'static:<q>'")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,83 +53,61 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Options whose ``dest`` is an :class:`ExperimentConfig` field; an
+    omitted option sets no attribute, so the field's default applies."""
     parser = _Parser(
         prog="dynkmed",
         description="Sliding-window benchmark for dynamic k-median clustering",
+        argument_default=argparse.SUPPRESS,
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--dataset", help="path to a numeric text dataset")
     source.add_argument(
         "--synthetic",
+        type=_parse_synthetic,
         help="Gaussian mixture spec g:<components>:<dim>:<count>",
     )
     parser.add_argument("--limit", type=int, help="keep only the first N points")
     parser.add_argument("--window", type=int, required=True, help="sliding window size")
     parser.add_argument("--k", type=int, required=True, help="number of centers")
-    parser.add_argument("--p", type=float, default=1.0, help="distance power (1=median, 2=means)")
+    parser.add_argument("--p", type=float, help="distance power (1=median, 2=means)")
     parser.add_argument("--phi", type=int, required=True, help="per-layer sample size")
-    parser.add_argument("--beta", type=float, default=0.5, help="cover fraction per layer")
-    parser.add_argument("--epsilon", type=float, default=0.2, help="rebuild slack factor")
-    parser.add_argument("--queries", type=int, default=100, help="evenly spaced query count")
+    parser.add_argument("--beta", type=float, help="cover fraction per layer")
+    parser.add_argument("--epsilon", type=float, help="rebuild slack factor")
+    parser.add_argument("--queries", type=int, help="evenly spaced query count")
     parser.add_argument(
         "--offset",
+        dest="offset_mode",
         choices=["none", "inv-n"],
-        default="inv-n",
         help="additive distance offset mode (inv-n adds 1/n to all distances)",
     )
     parser.add_argument(
         "--baseline",
-        default="none",
+        dest="baseline_every",
+        metavar="BASELINE",
+        type=_parse_baseline,
         help="'none' or 'static:<q>' to recompute a static solution at query "
         "points at most every q updates",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", required=True, help="metrics CSV output path")
     parser.add_argument("--shuffle-seed", type=int, help="shuffle input order first")
     parser.add_argument(
         "--check-every",
         type=int,
-        default=0,
         help="run integrity checks every N updates (0: only at query points)",
     )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = ExperimentConfig(
-            window=args.window,
-            k=args.k,
-            phi=args.phi,
-            dataset=args.dataset,
-            synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
-            limit=args.limit,
-            p=args.p,
-            beta=args.beta,
-            epsilon=args.epsilon,
-            queries=args.queries,
-            offset_mode=args.offset,
-            baseline_every=_parse_baseline(args.baseline),
-            seed=args.seed,
-            out=args.out,
-            shuffle_seed=args.shuffle_seed,
-            check_every=args.check_every,
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        config = ExperimentConfig(**vars(build_parser().parse_args(argv)))
         result = run_experiment(config)
-    except DatasetError as exc:
-        print(f"ingestion error: {exc}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (DatasetError, OSError) as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return 2
 

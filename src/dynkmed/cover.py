@@ -4,7 +4,7 @@ One round samples ``phi`` points uniformly with replacement, finds the
 smallest radius whose balls around the sample capture a ``beta`` fraction of
 the set, and assigns every captured point to its nearest sampled center; a
 center whose own row goes to another center keeps no cluster.
-:func:`_cover_arrays` runs one round over sorted id and coordinate arrays;
+:func:`_cover_arrays` runs one round over coordinate rows in id order;
 the layered state in :mod:`dynkmed.dynamic` peels rounds with it until the
 remainder fits under the last-layer threshold, and its
 :class:`~dynkmed.dynamic.DynamicParams` carries the round's knobs.
@@ -28,26 +28,26 @@ def _quantile_index(fraction: float, n: int) -> int:
 
 
 def _cover_arrays(
-    ids: np.ndarray,
     coords: np.ndarray,
     params: DynamicParams,
     rng: np.random.Generator,
     oracle: DistanceOracle,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Cover round over (sorted ids, matching coords).
+    """Cover round over the coordinate rows of distinct points in ascending
+    id order.
 
     Returns the ascending positions of the centers that keep a cluster, each
     point's nearest center as an index into them (ties toward the smallest
-    id), the boolean covered mask aligned with ``ids``, and the radius.
+    id), the boolean covered mask aligned with the rows, and the radius.
     Each returned center is its own nearest; a sampled center whose own row
     went to another center is dropped before the assignment.
     """
-    n = ids.shape[0]
+    n = coords.shape[0]
     mark = np.zeros(n, dtype=bool)
     mark[rng.integers(0, n, params.phi)] = True
     pos = mark.nonzero()[0]
 
-    # ids are distinct, so the only same-id pair of center j is (pos[j], j);
+    # points are distinct, so the only same-id pair of center j is (pos[j], j);
     # it is marked -inf, as matrix_between marks same-id pairs when squared
     dist = oracle.matrix_between(coords, None, coords.take(pos, 0), None, squared=True)
     columns = np.arange(pos.shape[0])

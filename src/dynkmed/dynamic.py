@@ -132,9 +132,9 @@ class ClusteringState:
         if grow > 0:
             self.slot = np.concatenate([self.slot, np.full(grow, -1, dtype=np.int64)])
 
-    def _cover_rounds(self, rows: np.ndarray, ids: np.ndarray) -> list[_Round]:
-        """Peel cover rounds off the points (store rows and their sorted
-        ids) until at most ``threshold`` remain; touches nothing but the
+    def _cover_rounds(self, rows: np.ndarray) -> list[_Round]:
+        """Peel cover rounds off the points (store rows in ascending id
+        order) until at most ``threshold`` remain; touches nothing but the
         sample stream.
 
         Returns one round per layer, the last being the remainder as
@@ -142,15 +142,14 @@ class ClusteringState:
         """
         coords, threshold = self.store.matrix.take(rows, 0), self.params.threshold
         rounds: list[_Round] = []
-        while ids.shape[0] > threshold:
-            pos, nearest, mask, radius = _cover_arrays(
-                ids, coords, self.params, self.rng, self.oracle)
+        while rows.shape[0] > threshold:
+            pos, nearest, mask, radius = _cover_arrays(coords, self.params, self.rng, self.oracle)
             group = nearest[mask]
-            rounds.append((ids.shape[0], radius, rows[mask], group, rows[pos].tolist(),
+            rounds.append((rows.shape[0], radius, rows[mask], group, rows[pos].tolist(),
                            np.bincount(group).tolist()))
             keep = (~mask).nonzero()[0]
-            rows, ids, coords = rows.take(keep), ids.take(keep), coords.take(keep, 0)
-        rest = ids.shape[0]
+            rows, coords = rows.take(keep), coords.take(keep, 0)
+        rest = rows.shape[0]
         rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist(), [1] * rest))
         return rounds
 
@@ -166,7 +165,7 @@ class ClusteringState:
         order = ids.argsort(kind="stable")  # ids are distinct: the one ascending order
         stream = self.rng.bit_generator.state if rows.shape[0] > self.params.threshold else None
         try:
-            rounds = self._cover_rounds(rows.take(order), ids.take(order))
+            rounds = self._cover_rounds(rows.take(order))
         except BaseException:
             if stream is not None:
                 self.rng.bit_generator.state = stream

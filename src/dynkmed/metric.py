@@ -117,7 +117,7 @@ class PointStore:
         reused = [self._free.pop() for _ in range(min(len(points), len(self._free)))]
         fresh = self._fresh_rows(dim, len(points) - len(reused))
         rows = np.concatenate((np.array(reused, dtype=np.int64), np.arange(fresh.start, fresh.stop)))
-        self.matrix[rows] = np.concatenate(coords).reshape(-1, dim)
+        self.matrix[rows] = np.concatenate(coords).reshape(len(points), dim)
         self.row_ids[rows] = ids
         self._rows.update(zip(ids, rows.tolist()))
         return rows

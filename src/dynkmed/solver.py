@@ -26,7 +26,7 @@ LOCAL_SEARCH_DELTA = 0.01
 
 class WeightedInstance:
     """Distinct points with positive integer weights, held as three arrays
-    in ascending id order: ``ids``, ``coords`` (one row per id) and
+    in ascending id order: integer ``ids``, ``coords`` (one row per id) and
     ``weights``."""
 
     def __init__(self, ids: np.ndarray, coords: np.ndarray, weights: np.ndarray) -> None:
@@ -34,6 +34,8 @@ class WeightedInstance:
         if (ids.ndim, coords.ndim, weights.ndim) != (1, 2, 1) or not (
                 len(ids) == len(coords) == len(weights)):
             raise ValueError("an instance needs one id, one coordinate row and one weight per point")
+        if ids.dtype.kind not in "iu":
+            raise ValueError("ids must be integers")
         if weights.dtype.kind not in "iu":
             raise ValueError("weights must be integers")
         light = np.flatnonzero(weights < 1)

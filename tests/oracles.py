@@ -264,7 +264,7 @@ def cover_round(
     coords = np.stack([q.coords for q in pts])
     rng = rng if rng is not None else np.random.default_rng(params.seed)
     pos, nearest, mask, radius = _cover_arrays(
-        ids, coords, params, rng, oracle or DistanceOracle()
+        coords, params, rng, oracle or DistanceOracle()
     )
     center_ids = ids[pos]
     assignment = {int(u): int(center_ids[j]) for u, j in zip(ids[mask], nearest[mask])}

@@ -3,6 +3,7 @@ or replaced by a failing ``benchmark/run.py``."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,19 @@ def test_ab_pairs_exits_1_unless_every_run_is_correct_and_agrees(
     out = capsys.readouterr().out
     assert "change wins 2 of 2 pairs" in out
     assert ("DIFFER between runs" in out) == (digest != "d")
+
+
+def test_ab_pairs_out_records_paths_by_their_final_name(monkeypatch, tmp_path):
+    _stub_runs(monkeypatch, "d", True)
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    out = tmp_path / "runs.json"
+    argv = [str(tmp_path / "parent"), "../change", "--workload", "w", "--pairs", "2", "--out", str(out)]
+    assert ab_pairs.main(argv) == 0
+    text = out.read_text()
+    given = json.loads(text)["args"]
+    assert (given["parent"], given["change"], given["out"]) == ("parent", "change", "runs.json")
+    assert given["pairs"] == "2" and str(tmp_path) not in text and ".." not in text
 
 
 def test_ab_pairs_prints_the_stderr_of_a_failed_run_and_exits_1(monkeypatch, capsys, tmp_path):

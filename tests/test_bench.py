@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -19,7 +21,7 @@ from dynkmed import (
     synthetic_points,
 )
 from dynkmed.bench import CSV_HEADER
-from dynkmed.cli import main as cli_main
+from dynkmed.cli import build_parser, main as cli_main
 
 
 def small_config(tmp_path, **overrides):
@@ -290,6 +292,12 @@ def test_sizes_must_be_integers(tmp_path):
     assert run_experiment(ExperimentConfig(**base)).summary["total_updates"] == 8
     with pytest.raises(ConfigError, match=r"^limit must be an integer, got 2\.5$"):
         load_dataset(path, 2.5)
+    with pytest.raises(ConfigError, match=r"^limit must be an integer, got '2'$"):
+        load_dataset(path, "2")
+    with pytest.raises(ConfigError, match=r"^synthetic spec components must be an integer, got 2\.5$"):
+        SyntheticSpec(2.5, 3, 10)
+    with pytest.raises(ConfigError, match=r"^synthetic spec components must be an integer, got True$"):
+        SyntheticSpec(True, 1, 3)
 
 
 def test_offset_mode_inv_n(tmp_path):
@@ -405,6 +413,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 1
+    assert capsys.readouterr().err == ("config error: argument --synthetic: synthetic spec "
+                                       "must look like g:<components>:<dim>:<count>\n")
     code = cli_main(
         ["--synthetic", "g:1:1:50", "--window", "0", "--k", "1", "--phi", "1",
          "--out", str(tmp_path / "x.csv")]
@@ -415,6 +425,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["--k", "0"], "k must be at least 1"),
         (["--p", "nan"], "power must be finite and at least 1, got nan"),
         (["--p", "inf"], "power must be finite and at least 1, got inf"),
+        # the spec parsers' errors name their option; the last --synthetic wins
+        (["--synthetic", "g:1:x:5"], "argument --synthetic: synthetic spec fields must be integers"),
+        (["--synthetic", "g:0:1:5"],
+         "argument --synthetic: synthetic spec components must be at least 1"),
+        (["--baseline", "static:x"], "argument --baseline: baseline period must be an integer"),
+        (["--baseline", "sometimes"], "argument --baseline: baseline must be 'none' or 'static:<q>'"),
     ):
         capsys.readouterr()
         code = cli_main(
@@ -434,6 +450,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(argv) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_cli_options_are_config_fields_and_set_no_defaults():
+    # an omitted option takes the ExperimentConfig field's default
+    parser = build_parser()
+    required = ["--synthetic", "g:1:1:50", "--window", "5", "--k", "1", "--phi", "1", "--out", "x.csv"]
+    args = parser.parse_args(required)
+    assert ExperimentConfig(**vars(args)) == ExperimentConfig(
+        synthetic=SyntheticSpec(1, 1, 50), window=5, k=1, phi=1, out="x.csv"
+    )
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    options = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+    assert {a.dest for a in options} == fields
+    assert all(a.default is argparse.SUPPRESS for a in options)
+    args = parser.parse_args([*required, "--offset", "none", "--baseline", "static:4"])
+    assert (args.offset_mode, args.baseline_every) == ("none", 4)
 
 
 @pytest.mark.parametrize(

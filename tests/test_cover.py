@@ -223,11 +223,10 @@ def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():
     # to its twin
     x = np.random.default_rng(0).normal(size=(300, 3)) + 1e4
     x[1::2] = x[0::2] + 1e-11
-    ids = np.arange(300)
     for seed in range(3):
         params = DynamicParams(k=5, phi=40, seed=seed)
         pos, nearest, mask, _ = _cover_arrays(
-            ids, x, params, np.random.default_rng(seed), DistanceOracle(0.0)
+            x, params, np.random.default_rng(seed), DistanceOracle(0.0)
         )
         assert np.all(np.diff(pos) > 0)
         assert np.array_equal(nearest[pos], np.arange(pos.shape[0]))

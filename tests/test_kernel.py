@@ -216,7 +216,7 @@ def test_cover_round_matches_the_reference(n, c, dim, scale, shift, gap, offset)
         params = DynamicParams(k=3, phi=phi, beta=beta)
         new_rng, old_rng = np.random.default_rng(n), np.random.default_rng(n)
         new, old = DistanceOracle(offset), DistanceOracle(offset)
-        got = _cover_arrays(ids, x, params, new_rng, new)
+        got = _cover_arrays(x, params, new_rng, new)
         want = _reference_cover_arrays(ids, x, params, old_rng, old)
         unmasked = _reference_cover_arrays(
             ids, x, params, np.random.default_rng(n), DistanceOracle(offset), mask_absorbed=False
@@ -236,7 +236,7 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
     params = DynamicParams(k=2, phi=4)
     draws = id_draws(ids, [1, 0, 0, 30])
     for offset in (0.0, 0.3):
-        got = _cover_arrays(ids, x, params, draws, DistanceOracle(offset))
+        got = _cover_arrays(x, params, draws, DistanceOracle(offset))
         want = _reference_cover_arrays(ids, x, params, draws, DistanceOracle(offset))
         assert_same_cover(ids, got, want)
         # at offset 0 twin 1's own row goes to twin 0, so it keeps no cluster

@@ -246,16 +246,18 @@ def _store_state(store):
 def test_add_many_equals_one_add_per_point(first, removed):
     # a fresh store, free rows fewer than the batch, and every row free; each
     # with a batch of rows of one array, one of non-contiguous views (every
-    # other column) and one of views mixed with separately allocated vectors
+    # other column), one of views mixed with separately allocated vectors,
+    # and one of zero-dimensional points in a store of them
     rng = np.random.default_rng(first)
     pts = points_from_array(rng.normal(size=(first + 70, 3)))
+    flat = points_from_array(np.zeros((first + 70, 0)))
     strided = points_from_array(rng.normal(size=(70, 6))[:, ::2], start_id=first)
     assert not any(q.coords.flags.c_contiguous for q in strided)
     mixed = [q if q.id % 2 else Point(q.id, q.coords.copy()) for q in pts[first:]]
-    for batch in (pts[first:], strided, mixed):
+    for head, batch in ((pts, pts[first:]), (pts, strided), (pts, mixed), (flat, flat[first:])):
         one, bulk = PointStore(), PointStore()
         for store in (one, bulk):
-            for q in pts[:first]:
+            for q in head[:first]:
                 store.add(q)
             for pid in removed:
                 store.remove(pid)

@@ -124,6 +124,8 @@ def test_weighted_instance_validation():
         WeightedInstance(ids, coords, [1.5, 1, 2.0])
     with pytest.raises(ValueError, match="weights must be integers"):
         WeightedInstance(ids, coords, np.ones(3))
+    with pytest.raises(ValueError, match="ids must be integers"):
+        WeightedInstance([1.5, 2.5, 3.5], coords, [1, 1, 1])
     assert WeightedInstance(ids, coords, [1, 1, 2]).total_weight == 4
 
 

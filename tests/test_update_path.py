@@ -273,7 +273,7 @@ def test_cover_round_matches_its_reference(case, offset, base, draws):
         new_rng = np.random.default_rng(stream(draws, seed))
         old_rng = np.random.default_rng(stream(draws, seed))
         new, old = BranchCounter(offset, base), ReferenceOracle(offset, base)
-        got = cover._cover_arrays(ids, x, params, new_rng, new)
+        got = cover._cover_arrays(x, params, new_rng, new)
         want = _cover_arrays(ids, x, params, old_rng, old)
         for g, w in zip(got[:3], want[:3]):
             assert_same_bits(g, w)
@@ -318,7 +318,7 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
     rows = np.flatnonzero(new.slot >= 0)
     ids = new.store.row_ids[rows]
     order = np.argsort(ids)
-    got = new._cover_rounds(rows[order], ids[order])
+    got = new._cover_rounds(rows[order])
     want = old._cover_rounds(rows[order], ids[order])
     assert len(got) == len(want) > 1
     for g, w in zip(got, want):

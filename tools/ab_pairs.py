@@ -120,7 +120,9 @@ def main(argv: list[str] | None = None) -> int:
     correct = all(r["result"]["correct"] for side in SIDES for r in runs[side])
     print(f"  correct in every run: {correct}")
     if args.out:
-        given = {name: str(value) for name, value in vars(args).items()}
+        # a path by its final name, so the record does not show the local layout
+        given = {name: value.resolve().name if isinstance(value, Path) else str(value)
+                 for name, value in vars(args).items()}
         args.out.write_text(json.dumps({"args": given, "runs": runs}, indent=1) + "\n")
     return 0 if correct and agree else 1
 

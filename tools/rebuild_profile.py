@@ -56,8 +56,8 @@ def _count_exit(args, kwargs, result, attrs) -> None:
 
 
 def _oracle(args) -> dk.DistanceOracle:
-    # rebuild_from_layer(state, index) or _cover_arrays(ids, coords, params, rng, oracle)
-    return args[0].oracle if isinstance(args[0], dk.ClusteringState) else args[4]
+    # rebuild_from_layer(state, index) or _cover_arrays(coords, params, rng, oracle)
+    return args[0].oracle if isinstance(args[0], dk.ClusteringState) else args[3]
 
 
 def _rebuild_enter(args, kwargs, attrs) -> None:
