@@ -92,6 +92,9 @@ class ExperimentConfig:
         _check_int("window", self.window, 1, ConfigError)
         _check_int("query count", self.queries, 0, ConfigError)
         _check_int("check_every", self.check_every, 0, ConfigError)
+        _check_int("seed", self.seed, 0, ConfigError)
+        if self.shuffle_seed is not None:
+            _check_int("shuffle seed", self.shuffle_seed, 0, ConfigError)
         for name, value in (("limit", self.limit), ("baseline period", self.baseline_every)):
             if value is not None:
                 _check_int(name, value, 1, ConfigError)

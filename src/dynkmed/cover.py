@@ -5,8 +5,8 @@ smallest radius whose balls around the sample capture a ``beta`` fraction of
 the set, and assigns every captured point to its nearest sampled center; a
 center whose own row goes to another center keeps no cluster.
 :func:`_cover_arrays` runs one round over coordinate rows in id order;
-the layered state in :mod:`dynkmed.dynamic` peels rounds with it until the
-remainder fits under the last-layer threshold, and its
+the layered state in :mod:`dynkmed.dynamic` peels rounds with it until at
+most ``phi`` points remain, and its
 :class:`~dynkmed.dynamic.DynamicParams` carries the round's knobs.
 """
 from __future__ import annotations
@@ -47,9 +47,9 @@ def _cover_arrays(
     mark[rng.integers(0, n, params.phi)] = True
     pos = mark.nonzero()[0]
 
-    # points are distinct, so the only same-id pair of center j is (pos[j], j);
-    # it is marked -inf, as matrix_between marks same-id pairs when squared
-    dist = oracle.matrix_between(coords, None, coords.take(pos, 0), None, squared=True)
+    # points are distinct, so center j's only pair with itself is (pos[j], j);
+    # the round, not the kernel, marks it -inf, which nearest reads as 0
+    dist = oracle.matrix_between(coords, coords.take(pos, 0), squared=True)
     columns = np.arange(pos.shape[0])
     dist[pos, columns] = -np.inf
     nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins

@@ -41,33 +41,26 @@ class DynamicParams:
     """Knobs of the cover rounds and the rebuild slack.
 
     ``phi`` is the per-round sample size and ``beta`` the fraction of the
-    working set each round covers; ``last_layer_threshold`` (default
-    ``phi``) is the residual size at which peeling stops. ``epsilon`` sets
-    the rebuild slack tau = ``epsilon * beta``. ``seed`` is anything that
-    ``np.random.default_rng`` accepts; a Generator is used as is. ``k``, the
-    center count of later queries, is validated here but not read by the state.
+    working set each round covers; peeling stops once at most ``phi`` points
+    remain. ``epsilon`` sets the rebuild slack tau = ``epsilon * beta``.
+    ``seed`` is anything that ``np.random.default_rng`` accepts; a Generator
+    is used as is. ``k``, the center count of later queries, is validated
+    here but not read by the state.
     """
 
     k: int
     phi: int
     beta: float = 0.5
-    last_layer_threshold: Optional[int] = None
     seed: int | np.random.SeedSequence | np.random.Generator = 0
     epsilon: float = 0.2
 
     def __post_init__(self) -> None:
-        for name, value in dict(k=self.k, phi=self.phi, last_layer_threshold=self.threshold).items():
-            _check_int(name, value)
+        _check_int("k", self.k)
+        _check_int("phi", self.phi)
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie strictly between 0 and 1")
-        if self.last_layer_threshold is not None and self.last_layer_threshold < self.phi:
-            raise ValueError("last_layer_threshold must be at least phi")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
-
-    @property
-    def threshold(self) -> int:
-        return self.phi if self.last_layer_threshold is None else self.last_layer_threshold
 
     @property
     def slack(self) -> float:
@@ -134,15 +127,15 @@ class ClusteringState:
 
     def _cover_rounds(self, rows: np.ndarray) -> list[_Round]:
         """Peel cover rounds off the points (store rows in ascending id
-        order) until at most ``threshold`` remain; touches nothing but the
+        order) until at most ``phi`` remain; touches nothing but the
         sample stream.
 
         Returns one round per layer, the last being the remainder as
         singletons. A round's clusters are in center id order.
         """
-        coords, threshold = self.store.matrix.take(rows, 0), self.params.threshold
+        coords = self.store.matrix.take(rows, 0)
         rounds: list[_Round] = []
-        while rows.shape[0] > threshold:
+        while rows.shape[0] > self.params.phi:
             pos, nearest, mask, radius = _cover_arrays(coords, self.params, self.rng, self.oracle)
             group = nearest[mask]
             rounds.append((rows.shape[0], radius, rows[mask], group, rows[pos].tolist(),
@@ -163,7 +156,7 @@ class ClusteringState:
         """
         ids = self.store.row_ids.take(rows)
         order = ids.argsort(kind="stable")  # ids are distinct: the one ascending order
-        stream = self.rng.bit_generator.state if rows.shape[0] > self.params.threshold else None
+        stream = self.rng.bit_generator.state if rows.shape[0] > self.params.phi else None
         try:
             rounds = self._cover_rounds(rows.take(order))
         except BaseException:
@@ -315,10 +308,10 @@ class ClusteringState:
         violations.extend(self._check_radii(rows[keep], slots[keep], center[slots[keep]]))
 
         if n > 0:
-            # The next-to-last layer was bigger than the threshold when built
-            # and may have shrunk by a `slack` fraction since, hence the
-            # (1 - slack) correction on the threshold.
-            ratio = n / ((1.0 - slack) * params.threshold)
+            # The next-to-last layer was bigger than phi when built and may
+            # have shrunk by a `slack` fraction since, hence the (1 - slack)
+            # correction on phi.
+            ratio = n / ((1.0 - slack) * params.phi)
             if ratio <= 1.0 + _EPS:
                 allowed = 1
             else:
@@ -342,7 +335,7 @@ class ClusteringState:
             return []
         pids, cids = self.store.row_ids[rows], self.store.row_ids[centers]
         try:
-            d = self.oracle.elementwise(self.store.matrix[rows], pids, self.store.matrix[centers], cids)
+            d = self.oracle.elementwise(self.store.matrix[rows], self.store.matrix[centers])
         except ValueError as exc:
             return [f"2*radius check: {exc}"]
         depths = np.searchsorted([layer.start for layer in self.layers], slots, side="right")

@@ -5,13 +5,15 @@ All distance computation in the package funnels through :class:`DistanceOracle`
 so that the evaluation counter is an exact, hardware-independent cost proxy.
 The oracle has one kernel per shape: :meth:`DistanceOracle.matrix_between`
 for blocks and :meth:`DistanceOracle.elementwise` for aligned pairs. Each
-takes coordinate arrays and optional ids and applies the custom-metric check,
-the offset and the same-id zeroing for its shape. Only the block kernel bumps
-the counter, by the pairs it touches: the aligned-pair kernel serves the
-2*radius check of ``integrity_check``, and diagnostics count nothing.
-Callers that need only row minima (cover rounds, the live-set cost) take
+takes coordinate arrays only and applies the custom-metric check and the
+offset for its shape; which pairs are a point with itself, at distance 0, is
+the caller's to mark by position. Only the block kernel bumps the counter, by
+the pairs it touches: the aligned-pair kernel serves the 2*radius check of
+``integrity_check``, and diagnostics count nothing. Callers that need only
+row minima (cover rounds, the live-set cost) take
 ``matrix_between(..., squared=True)`` and reduce it with ``nearest`` or
-``row_min``, which take square roots of n row minima only.
+``row_min``, which take square roots of n row minima only; an entry the
+caller set to ``-inf`` reads there as distance 0.
 """
 from __future__ import annotations
 
@@ -163,8 +165,10 @@ class DistanceOracle:
 
     The base metric is Euclidean L2 over coordinates unless a symmetric
     callable ``base(coords_a, coords_b) -> float`` is supplied. The offset is
-    added to every distinct-id pair; same-id pairs are exactly zero. Costs
-    apply the exponent of the working dissimilarity d^p at evaluation sites.
+    added to every pair the kernels compute, a point's pair with itself
+    included: callers that pair a point with itself set that entry to 0 (or
+    to ``-inf`` in a ``squared=True`` result). Costs apply the exponent of the
+    working dissimilarity d^p at evaluation sites.
 
     Immutable after construction except the counter; confine each oracle to
     one thread of control when counts matter.
@@ -181,14 +185,7 @@ class DistanceOracle:
         self.base = base
         self.evals = 0
 
-    def matrix_between(
-        self,
-        a_coords: np.ndarray,
-        a_ids: Optional[Sequence[PointId]],
-        b_coords: np.ndarray,
-        b_ids: Optional[Sequence[PointId]],
-        squared: bool = False,
-    ) -> np.ndarray:
+    def matrix_between(self, a: np.ndarray, b: np.ndarray, squared: bool = False) -> np.ndarray:
         """Full distance matrix between two coordinate blocks; counts
         ``len(a) * len(b)`` evaluations.
 
@@ -199,8 +196,6 @@ class DistanceOracle:
             out = matmul([u, 1, u2], [-2.0 * v, v2, 1].T)
 
         then, in place, ``maximum(out, 0)``, ``sqrt`` and a nonzero offset.
-        Pairs with equal ids are then set to exactly 0 (only when both id
-        sequences are given).
 
         Centering makes the rounding error scale with the squared distance
         of the rows from ``mu``, not from the origin. One call over whole
@@ -213,15 +208,15 @@ class DistanceOracle:
         bounded by it, so below that no step overflows.
 
         A custom ``base`` must return a finite value >= 0 for every pair;
-        anything else raises ``ValueError`` naming the pair (by id when ids
-        are given, else by row positions).
+        anything else raises ``ValueError`` naming the two coordinate rows
+        it was called with.
 
         ``squared=True`` returns the input of :meth:`nearest` and
         :meth:`row_min`, with the same count: Euclidean entries stop at the
-        product, custom ones are distances, and same-id pairs are ``-inf``.
+        product and custom ones are distances.
         """
-        a = np.asarray(a_coords, dtype=np.float64)
-        b = np.asarray(b_coords, dtype=np.float64)
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
             raise ValueError("coordinate blocks must be 2-D with equal dimension")
         n, c = a.shape[0], b.shape[0]
@@ -231,7 +226,7 @@ class DistanceOracle:
             for i in range(n):
                 for j in range(c):
                     out[i, j] = self.base(a[i], b[j])
-            _check_custom(out, a_ids, b_ids)
+            _check_custom(out, a, b)
             if self.offset:
                 out += self.offset
         elif n and c:
@@ -252,9 +247,6 @@ class DistanceOracle:
             np.matmul(both[:n], both[n:].T, out=out)
             if not squared:
                 self._root(out, out=out)
-        if a_ids is not None and b_ids is not None:
-            rows, cols = _same_id_pairs(a_ids, b_ids, n, c)
-            out[rows, cols] = -np.inf if squared else 0.0
         return out
 
     def _root(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -266,7 +258,7 @@ class DistanceOracle:
         return out
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
-        """Distances of ``squared=True`` entries; -inf (same ids) is 0."""
+        """Distances of ``squared=True`` entries; -inf (a caller's mark) is 0."""
         d = self._root(x) if self.base is None else x.copy()
         d[x == -np.inf] = 0.0
         return d
@@ -276,7 +268,7 @@ class DistanceOracle:
         over the distances, from a ``squared=True`` result ``x``. The distance
         is monotone in ``x``, so it is only reduced again over the rows whose
         second-smallest entry of ``x`` rounds to the same distance as the
-        smallest (distinct entries can, and so can a same-id -inf and a 0)."""
+        smallest (distinct entries can, and so can a caller's -inf and a 0)."""
         cols, low, second = _nearest_two(x)
         dmin, second = self._distances(np.concatenate((low, second))).reshape(2, -1)
         tied = (second <= dmin).nonzero()[0]
@@ -292,13 +284,7 @@ class DistanceOracle:
             np.minimum(low, x[:, j], out=low)
         return self._distances(low)
 
-    def elementwise(
-        self,
-        a_coords: np.ndarray,
-        a_ids: Optional[Sequence[PointId]],
-        b_coords: np.ndarray,
-        b_ids: Optional[Sequence[PointId]],
-    ) -> np.ndarray:
+    def elementwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector of d(a[i], b[i]) over two aligned coordinate blocks: the
         aligned-pair twin of :meth:`matrix_between`, for diagnostics.
 
@@ -306,11 +292,10 @@ class DistanceOracle:
         direct-difference norm ``np.linalg.norm(a - b, axis=1)``, plus the
         offset when it is nonzero; ``ValueError`` is raised, as in
         :meth:`matrix_between`, when an entry overflows. A custom ``base`` is
-        checked as in :meth:`matrix_between`. Pairs whose ids are equal are
-        then set to exactly 0; without both id sequences no pair is zeroed.
+        checked as in :meth:`matrix_between`.
         """
-        a = np.asarray(a_coords, dtype=np.float64)
-        b = np.asarray(b_coords, dtype=np.float64)
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or a.shape != b.shape:
             raise ValueError("coordinate blocks must be 2-D with equal shape")
         n = a.shape[0]
@@ -321,15 +306,9 @@ class DistanceOracle:
                 raise ValueError("coordinates overflow float64 in the Euclidean kernel")
         else:
             d = np.array([self.base(a[i], b[i]) for i in range(n)], dtype=np.float64)
-            _check_custom(d, a_ids, b_ids)
+            _check_custom(d, a, b)
         if self.offset:
             d += self.offset
-        if a_ids is not None and b_ids is not None:
-            ia = np.asarray(a_ids, dtype=np.int64)
-            ib = np.asarray(b_ids, dtype=np.int64)
-            if ia.shape != (n,) or ib.shape != (n,):
-                raise ValueError("id sequences must match the coordinate blocks")
-            d[ia == ib] = 0.0
         return d
 
 
@@ -346,40 +325,13 @@ def _nearest_two(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cols, low, second
 
 
-def _check_custom(
-    values: np.ndarray,
-    a_ids: Optional[Sequence[PointId]],
-    b_ids: Optional[Sequence[PointId]],
-) -> None:
-    """Raise when a custom metric returned a non-finite or negative value;
-    ``values`` is a matrix, or a vector of aligned pairs."""
+def _check_custom(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise when a custom metric returned a non-finite or negative value,
+    naming the coordinate rows it was called with; ``values`` is a matrix
+    over the rows of ``a`` and ``b``, or a vector of their aligned pairs."""
     bad = ~(np.isfinite(values) & (values >= 0.0))
     if not bad.any():
         return
     where = np.argwhere(bad)[0]
-    i, j = int(where[0]), int(where[-1])
-    if a_ids is not None and b_ids is not None:
-        pair = f"points {a_ids[i]} and {b_ids[j]}"
-    else:
-        pair = f"rows {i} and {j}"
-    raise ValueError(f"custom metric returned {float(values[tuple(where)])!r} for {pair}")
-
-
-def _same_id_pairs(
-    a_ids: Sequence[PointId], b_ids: Sequence[PointId], n: int, c: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column positions of every pair with equal ids, found by
-    binary search in the sorted column ids instead of an n x c comparison;
-    ids may repeat within either sequence."""
-    ia = np.asarray(a_ids, dtype=np.int64)
-    ib = np.asarray(b_ids, dtype=np.int64)
-    if ia.shape != (n,) or ib.shape != (c,):
-        raise ValueError("id sequences must match the coordinate blocks")
-    order = np.argsort(ib, kind="stable")
-    sorted_ids = ib[order]
-    first = np.searchsorted(sorted_ids, ia, side="left")
-    counts = np.searchsorted(sorted_ids, ia, side="right") - first
-    rows = np.repeat(np.arange(n), counts)
-    # the matches of row i are order[first[i] : first[i] + counts[i]]
-    starts = np.repeat(first - (np.cumsum(counts) - counts), counts)
-    return rows, order[starts + np.arange(rows.shape[0])]
+    raise ValueError(f"custom metric returned {float(values[tuple(where)])!r} "
+                     f"for {a[where[0]]!r} and {b[where[-1]]!r}")

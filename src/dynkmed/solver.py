@@ -99,7 +99,8 @@ def cost_set(
     The universe may be a :class:`PointStore`: its live ids and rows are
     then read as arrays in id order, and the centers may be given as ids of
     its points, whose rows are read the same way. Either way the rows are in
-    id order, so the cost is the same float.
+    id order, so the cost is the same float. A universe point whose id is a
+    center's is at distance 0 from the centers, whatever its coordinates.
     """
     _check_power(p)
     if isinstance(universe, PointStore):
@@ -121,9 +122,10 @@ def cost_set(
         if not all(c in universe for c in center_ids):
             raise ValueError(f"center ids {[c for c in center_ids if c not in universe]} are not in the store")
         center_coords = universe.matrix[[universe.row(c) for c in center_ids]]
-    dist = oracle.matrix_between(coords, ids, center_coords, center_ids, squared=True)
+    low = oracle.row_min(oracle.matrix_between(coords, center_coords, squared=True))
+    low[np.isin(ids, center_ids)] = 0.0
     with _power_overflow(p):
-        return float(np.sum(oracle.row_min(dist) ** p))
+        return float(np.sum(low ** p))
 
 
 def _id_rows(points: Iterable[Point]) -> tuple[list[PointId], np.ndarray]:
@@ -338,12 +340,13 @@ def _local_search(
 
 
 def _instance_gram(coords: np.ndarray, p: float, oracle: DistanceOracle) -> np.ndarray:
-    """Powered distance matrix of instance coordinates against themselves,
-    equal to ``oracle.matrix_between(coords, ids, coords, ids).T ** p``.
-    Instance ids are distinct, so the same-id pairs to zero are exactly the
-    diagonal. The transpose is F-contiguous, so the column that seeding and
-    local search read per pick or candidate is one contiguous row."""
-    gram = oracle.matrix_between(coords, None, coords, None).T
+    """Powered distance matrix of instance coordinates against themselves:
+    ``oracle.matrix_between(coords, coords).T ** p`` with each point's pair
+    with itself at 0. Instance ids are distinct, so those pairs are exactly
+    the diagonal, which this function zeroes; the kernel knows no ids. The
+    transpose is F-contiguous, so the column that seeding and local search
+    read per pick or candidate is one contiguous row."""
+    gram = oracle.matrix_between(coords, coords).T
     np.fill_diagonal(gram, 0.0)
     if p != 1.0:
         with _power_overflow(p):

@@ -12,7 +12,9 @@ None of these is on an engine path. The brute-force enumerations carry hard
 size guards and evaluate distances without touching the oracle counter; the
 costs and distances that the engine's counted kernels would have computed
 add their pairs to ``oracle.evals`` themselves, since the oracle's
-aligned-pair kernel ``elementwise`` counts nothing.
+aligned-pair kernel ``elementwise`` counts nothing. The oracle's kernels take
+coordinates only, so the views over points set every same-id pair to 0
+themselves: a point is at distance 0 from itself.
 Test modules import this file as ``oracles`` (``tests/`` is not a package).
 """
 from __future__ import annotations
@@ -44,22 +46,25 @@ _BRUTE_FORCE_MAX_SUBSETS = 100_000
 
 def distance(oracle: DistanceOracle, x: Point, y: Point) -> float:
     """d(x, y): a one-pair call to the oracle's aligned-pair kernel, counted
-    as one evaluation."""
+    as one evaluation; 0 when the ids are equal."""
     oracle.evals += 1
-    return float(oracle.elementwise(x.coords[None], [x.id], y.coords[None], [y.id])[0])
+    d = float(oracle.elementwise(x.coords[None], y.coords[None])[0])
+    return 0.0 if x.id == y.id else d
 
 
 def pairwise(
     oracle: DistanceOracle, xs: Sequence[Point], ys: Sequence[Point], count: bool = True
 ) -> np.ndarray:
-    """Distance matrix between two point sequences, in the given order;
-    ``count=False`` leaves the oracle's counter as it was."""
+    """Distance matrix between two point sequences, in the given order, with
+    every same-id pair at 0; ``count=False`` leaves the oracle's counter as
+    it was."""
     if len(xs) == 0 or len(ys) == 0:
         return np.empty((len(xs), len(ys)), dtype=np.float64)
     evals = oracle.evals
     a = np.stack([p.coords for p in xs])
     b = np.stack([p.coords for p in ys])
-    out = oracle.matrix_between(a, [p.id for p in xs], b, [p.id for p in ys])
+    out = oracle.matrix_between(a, b)
+    out[np.equal.outer([p.id for p in xs], [p.id for p in ys])] = 0.0
     if not count:
         oracle.evals = evals
     return out
@@ -139,7 +144,8 @@ def cost_assignment(
     p: float,
     oracle: DistanceOracle,
 ) -> float:
-    """Cost of a point -> center map: sum of d(x, assignment[x])^p."""
+    """Cost of a point -> center map: sum of d(x, assignment[x])^p, where a
+    point assigned to its own id is at distance 0."""
     if p < 1.0:
         raise ValueError("power must be at least 1")
     by_id = {q.id: q for q in points}
@@ -152,9 +158,9 @@ def cost_assignment(
         ys.append(target)
     oracle.evals += len(xs)
     d = oracle.elementwise(
-        np.stack([by_id[pid].coords for pid in xs]), xs,
-        np.stack([by_id[pid].coords for pid in ys]), ys,
+        np.stack([by_id[pid].coords for pid in xs]), np.stack([by_id[pid].coords for pid in ys])
     )
+    d[np.equal(xs, ys)] = 0.0
     return float(np.sum(d**p))
 
 

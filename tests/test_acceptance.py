@@ -54,9 +54,7 @@ def micro_instance(seed: int):
     n = int(rng.integers(8, 15))
     k = 2 if seed % 2 == 0 else 3
     pts = points_from_array(rng.uniform(0, 4, size=(n, 2)))
-    params = DynamicParams(
-        k=k, phi=3, last_layer_threshold=3, beta=BETA, epsilon=EPSILON, seed=seed
-    )
+    params = DynamicParams(k=k, phi=3, beta=BETA, epsilon=EPSILON, seed=seed)
     return pts, k, preprocess(pts, params)
 
 
@@ -143,11 +141,9 @@ def test_criterion_4_radius_vs_best_coverage():
     trials = 200
     for seed in range(trials):
         rng = np.random.default_rng(10_000 + seed)
-        n = int(rng.integers(11, 15))  # <= 14, above the threshold of 8
+        n = int(rng.integers(11, 15))  # <= 14, above phi = 8
         pts = points_from_array(rng.uniform(0, 4, size=(n, 2)))
-        params = DynamicParams(
-            k=2, phi=8, last_layer_threshold=8, beta=BETA, epsilon=EPSILON, seed=seed
-        )
+        params = DynamicParams(k=2, phi=8, beta=BETA, epsilon=EPSILON, seed=seed)
         state = preprocess(pts, params)
         good = True
         for i, layer in enumerate(state.layers[:-1], start=1):

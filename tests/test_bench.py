@@ -425,6 +425,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["--k", "0"], "k must be at least 1"),
         (["--p", "nan"], "power must be finite and at least 1, got nan"),
         (["--p", "inf"], "power must be finite and at least 1, got inf"),
+        (["--seed", "-1"], "seed must be at least 0"),
+        (["--shuffle-seed", "-2"], "shuffle seed must be at least 0"),
         # the spec parsers' errors name their option; the last --synthetic wins
         (["--synthetic", "g:1:x:5"], "argument --synthetic: synthetic spec fields must be integers"),
         (["--synthetic", "g:0:1:5"],

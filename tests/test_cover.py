@@ -123,30 +123,24 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DynamicParams(k=1, phi=1, beta=1.0)
     with pytest.raises(ValueError):
-        DynamicParams(k=1, phi=4, last_layer_threshold=2)
-    with pytest.raises(ValueError):
         DynamicParams(k=1, phi=4, epsilon=1.0)
-    assert DynamicParams(k=1, phi=4).threshold == 4
-    assert DynamicParams(k=1, phi=4, last_layer_threshold=9).threshold == 9
 
 
 @pytest.mark.parametrize("field, value", [
     ("k", True), ("k", 3.0), ("k", None), ("phi", 10.0), ("phi", False),
-    ("phi", np.float64(10.0)), ("last_layer_threshold", 20.0), ("last_layer_threshold", True),
+    ("phi", np.float64(10.0)),
 ])
 def test_params_reject_counts_that_are_not_integers(field, value):
     given = {"k": 3, "phi": 10} | {field: value}
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         DynamicParams(**given)
-    if field != "last_layer_threshold":  # not an experiment setting
-        config = ExperimentConfig(window=5, synthetic=SyntheticSpec(2, 2, 10), **given)
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-            config.validate()
+    config = ExperimentConfig(window=5, synthetic=SyntheticSpec(2, 2, 10), **given)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        config.validate()
 
 
 def test_params_accept_numpy_integers():
-    params = DynamicParams(k=np.int64(2), phi=np.int32(3), last_layer_threshold=np.uint16(4))
-    assert params.threshold == 4
+    params = DynamicParams(k=np.int64(2), phi=np.int32(3))
     assert preprocess(line_points(*range(12)), params).integrity_check() == []
 
 
@@ -163,7 +157,7 @@ def test_build_layers_small_input_single_layer():
 def test_build_layers_partition_and_shrink():
     rng = np.random.default_rng(31)
     pts = points_from_array(rng.normal(size=(200, 2)))
-    params = DynamicParams(k=5, phi=10, last_layer_threshold=20, beta=0.5, seed=8)
+    params = DynamicParams(k=5, phi=10, beta=0.5, seed=8)
     state = preprocess(pts, params)
 
     seen = set()
@@ -187,7 +181,7 @@ def test_build_layers_count_bound_gaussian():
     rng = np.random.default_rng(12)
     pts = points_from_array(rng.normal(size=(200, 2)))
     for seed in range(10):
-        params = DynamicParams(k=4, phi=20, last_layer_threshold=20, beta=0.5, seed=seed)
+        params = DynamicParams(k=4, phi=20, beta=0.5, seed=seed)
         assert preprocess(pts, params).t <= math.ceil(math.log2(200 / 20)) + 1
 
 

@@ -36,9 +36,9 @@ def line_points(*coords):
     return points_from_array(np.array([[float(c)] for c in coords]))
 
 
-def big_state(n=300, phi=20, threshold=40, seed=3, k=5):
+def big_state(n=300, phi=20, seed=3, k=5):
     # sized so that a single update never exhausts any layer's slack budget
-    params = DynamicParams(k=k, phi=phi, last_layer_threshold=threshold, seed=seed)
+    params = DynamicParams(k=k, phi=phi, seed=seed)
     state = preprocess(gaussian_points(n, seed=seed), params)
     assert min(layer.base_size for layer in state.layers) > 1.0 / params.slack
     return state
@@ -60,7 +60,7 @@ def test_preprocess_rejects_empty():
 
 
 def test_preprocess_invariants_and_layer_bound():
-    params = DynamicParams(k=5, phi=50, last_layer_threshold=50, seed=11)
+    params = DynamicParams(k=5, phi=50, seed=11)
     state = preprocess(gaussian_points(500, seed=11), params)
     assert state.integrity_check() == []
     assert state.t <= math.ceil(math.log(500 / 50) / math.log(1 / params.shrink_factor)) + 1
@@ -104,7 +104,7 @@ def test_rebuild_from_layer_index_guard():
 
 def test_forced_sampler_hand_trace():
     pts = line_points(0, 1, 2, 10, 11, 12)
-    params = DynamicParams(k=2, phi=1, last_layer_threshold=2, seed=first_draws())
+    params = DynamicParams(k=2, phi=1, seed=first_draws())
     state = preprocess(pts, params)
     assert state.t == 3
     assert [layer.radius for layer in state.layers] == [2.0, 1.0, 0.0]
@@ -516,7 +516,7 @@ class FlakyEuclidean:
 
 
 def test_failed_rebuild_leaves_the_state_unchanged():
-    params = DynamicParams(k=2, phi=4, last_layer_threshold=8, seed=6)
+    params = DynamicParams(k=2, phi=4, seed=6)
     pts = gaussian_points(90, seed=6)
     metric = FlakyEuclidean()
     state = preprocess(pts, params, DistanceOracle(0.01, base=metric))
@@ -539,7 +539,7 @@ def test_failed_rebuild_leaves_the_state_unchanged():
 
 
 def test_update_whose_rebuild_fails_is_kept_and_the_next_update_rebuilds():
-    params = DynamicParams(k=2, phi=4, last_layer_threshold=8, seed=6)
+    params = DynamicParams(k=2, phi=4, seed=6)
     metric = FlakyEuclidean()
     state = preprocess(gaussian_points(90, seed=6), params, DistanceOracle(0.01, base=metric))
     t = state.t
@@ -558,7 +558,7 @@ def test_update_whose_rebuild_fails_is_kept_and_the_next_update_rebuilds():
 
 
 def test_integrity_check_reports_a_custom_metric_that_returns_nan():
-    params = DynamicParams(k=2, phi=4, last_layer_threshold=8, seed=6)
+    params = DynamicParams(k=2, phi=4, seed=6)
     metric = FlakyEuclidean()
     state = preprocess(gaussian_points(90, seed=6), params, DistanceOracle(0.01, base=metric))
     assert state.integrity_check() == []

@@ -2,13 +2,14 @@
 
 ``_reference_matrix_between`` states the kernel's formula in plain numpy:
 center both blocks on the mean of ``b``, multiply ``[u, 1, |u|^2]`` by
-``[-2v, |v|^2, 1]`` transposed, clip at 0, take the sqrt, add the offset, and
-zero same-id pairs through an n x c id mask. ``_reference_cover_arrays`` is
-the package's earlier cover round, kept verbatim apart from taking the
-oracle as an argument and from reading no sampler from the params: a forced
-sample reaches both rounds through ``rng.integers``, as the draws of
-``oracles.ForcedDraws``. It passed ids to the kernel and took the minimum in
-a second reduction. The package works in place and in fewer passes over
+``[-2v, |v|^2, 1]`` transposed, clip at 0, take the sqrt and add the offset.
+``_reference_cover_arrays`` is the package's earlier cover round, kept
+verbatim apart from taking the oracle as an argument and from reading no
+sampler from the params: a forced sample reaches both rounds through
+``rng.integers``, as the draws of ``oracles.ForcedDraws``. It zeroes
+same-id pairs through an n x c id mask, which the kernel did when it took
+ids, and takes the minimum in a second reduction. The package works in
+place and in fewer passes over
 memory; every matrix entry, covered flag and radius it returns must be
 bit-identical to the reference, and so must each row's nearest center id.
 
@@ -28,11 +29,11 @@ toward the kept twin.
 finishes that product into distances as the kernel does and takes the first
 argmin and the minimum; the reductions must match it bit for bit, and the
 finished product must match ``matrix_between`` itself, on cases where
-distinct products round to one distance.
+distinct products round to one distance. The kernel knows no ids: where a
+block pairs points with themselves, the test marks those entries ``-inf``
+in the product and 0 in the distances, as the package's callers do.
 """
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -48,17 +49,12 @@ from dynkmed import (
     synthetic_points,
 )
 from dynkmed.cover import _cover_arrays, _quantile_index
-from dynkmed.metric import PointId, _nearest_two
-from oracles import id_draws
+from dynkmed.metric import Point, _nearest_two
+from oracles import id_draws, pairwise
 
 
 def _reference_matrix_between(
-    self: DistanceOracle,
-    a_coords: np.ndarray,
-    a_ids: Optional[Sequence[PointId]],
-    b_coords: np.ndarray,
-    b_ids: Optional[Sequence[PointId]],
-    count: bool = True,
+    self: DistanceOracle, a_coords: np.ndarray, b_coords: np.ndarray, count: bool = True
 ) -> np.ndarray:
     a = np.asarray(a_coords, dtype=np.float64)
     b = np.asarray(b_coords, dtype=np.float64)
@@ -83,12 +79,6 @@ def _reference_matrix_between(
                 out[i, j] = self.base(a[i], b[j])
     if self.offset:
         out += self.offset
-    if a_ids is not None and b_ids is not None:
-        ia = np.asarray(a_ids, dtype=np.int64)
-        ib = np.asarray(b_ids, dtype=np.int64)
-        same = ia[:, None] == ib[None, :]
-        if same.any():
-            out[same] = 0.0
     return out
 
 
@@ -105,7 +95,8 @@ def _reference_cover_arrays(
     center_ids = np.array(sorted(set(int(s) for s in sample)), dtype=np.int64)
     pos = np.searchsorted(ids, center_ids)
 
-    dist = _reference_matrix_between(oracle, coords, ids, coords[pos], center_ids)
+    dist = _reference_matrix_between(oracle, coords, coords[pos])
+    dist[ids[:, None] == center_ids[None, :]] = 0.0
     if mask_absorbed:
         absorbed = [j for j, row in enumerate(pos) if np.argmin(dist[row]) != j]
         dist[:, absorbed] = np.inf
@@ -167,43 +158,20 @@ def test_matrix_between_matches_the_reference_bitwise(n, c, dim, scale, shift, g
     x = coordinates(n, dim, seed=n + dim, scale=scale, shift=shift, gap=gap)
     rng = np.random.default_rng(dim)
     picked = np.sort(rng.choice(n, size=c, replace=False))
-    ids = np.arange(1000, 1000 + n)
-    b = x[picked]
-    # same-id pairs: both blocks' own ids; overlapping ids with repeats on
-    # both sides; and no ids at all
-    repeated_a = ids % 97
-    repeated_b = np.concatenate([ids[picked][: c // 2] % 97, ids[picked][c // 2 :]])
-    id_cases = [(ids, ids[picked]), (repeated_a, repeated_b), (None, None)]
-    for a_ids, b_ids in id_cases:
-        new, old = DistanceOracle(offset), DistanceOracle(offset)
-        got = new.matrix_between(x, a_ids, b, b_ids)
-        want = _reference_matrix_between(old, x, a_ids, b, b_ids)
-        assert_same_bits(got, want)
-        assert new.evals == old.evals == n * c
-        if a_ids is not None:
-            assert np.count_nonzero(got == 0.0) >= c
-
-
-def test_matrix_between_zeroes_every_repeated_same_id_pair():
-    x = coordinates(9, 3, seed=2)
-    oracle = DistanceOracle(0.5)
-    a_ids, b_ids = [4, 4, 1, 7, 1, 9, 9, 9, 2], [1, 9, 4, 1, 8]
-    got = oracle.matrix_between(x, a_ids, x[:5] + 1.0, b_ids)
-    same = np.equal.outer(a_ids, b_ids)
-    assert same.sum() == 9
-    assert np.all(got[same] == 0.0) and np.all(got[~same] >= 0.5)
+    new, old = DistanceOracle(offset), DistanceOracle(offset)
+    got = new.matrix_between(x, x[picked])
+    want = _reference_matrix_between(old, x, x[picked])
+    assert_same_bits(got, want)
+    assert new.evals == old.evals == n * c
 
 
 def test_matrix_between_does_not_depend_on_buffer_identity():
     x = coordinates(700, 6, seed=5, scale=4.0)
     oracle = DistanceOracle(0.1)
-    same = oracle.matrix_between(x, None, x, None)
-    assert_same_bits(same, oracle.matrix_between(x, None, x.copy(), None))
+    same = oracle.matrix_between(x, x)
+    assert_same_bits(same, oracle.matrix_between(x, x.copy()))
     # a view of the same memory is copied too
-    assert_same_bits(
-        oracle.matrix_between(x, None, x[:50], None),
-        oracle.matrix_between(x, None, x[:50].copy(), None),
-    )
+    assert_same_bits(oracle.matrix_between(x, x[:50]), oracle.matrix_between(x, x[:50].copy()))
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
@@ -253,7 +221,7 @@ def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offse
     for shift in (0.0, 1e2, 1e4, 1e6, 1e8):
         x = np.random.default_rng(dim).normal(size=(260, dim)) + shift
         a, b = x[:200], x[200:]
-        got = DistanceOracle(offset).matrix_between(a, None, b, None) - offset
+        got = DistanceOracle(offset).matrix_between(a, b) - offset
         diff = a[:, None, :] - b[None, :, :]
         want_sq = np.einsum("ijk,ijk->ij", diff, diff)
         spread = x - b.mean(axis=0)
@@ -266,7 +234,8 @@ def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offse
 
 def _reference_nearest(oracle: DistanceOracle, x: np.ndarray):
     """The distances ``matrix_between`` finishes a squared product ``x``
-    into (-inf marks a same-id pair), with their first argmin and minimum."""
+    into (-inf marks a point's pair with itself), with their first argmin
+    and minimum."""
     d = x.copy()
     if oracle.base is None:
         d = np.sqrt(np.maximum(x, 0.0))
@@ -316,14 +285,20 @@ def assert_layouts_match(oracle: DistanceOracle, x: np.ndarray) -> None:
         assert_same_bits(owner, before)
 
 
-def assert_blocks_match(oracle, a, a_ids, b, b_ids):
-    """The reductions of the squared product equal ``matrix_between`` plus
-    its first argmin, with the same evaluation count."""
+def assert_blocks_match(oracle, a, picked, own=True):
+    """The reductions of the squared product of ``a`` against ``a[picked]``
+    equal ``matrix_between`` plus its first argmin, with the same evaluation
+    count. With ``own``, each picked row's pair with itself is marked -inf in
+    the product and 0 in the distances, as the cover round marks it."""
     plain = DistanceOracle(oracle.offset, oracle.base)
-    x = oracle.matrix_between(a, a_ids, b, b_ids, squared=True)
+    x = oracle.matrix_between(a, a[picked], squared=True)
+    want = plain.matrix_between(a, a[picked])
+    if own:
+        x[picked, np.arange(picked.shape[0])] = -np.inf
+        want[picked, np.arange(picked.shape[0])] = 0.0
     d = assert_reductions_match(oracle, x)
-    assert_same_bits(d, plain.matrix_between(a, a_ids, b, b_ids))
-    assert oracle.evals == plain.evals == a.shape[0] * b.shape[0]
+    assert_same_bits(d, want)
+    assert oracle.evals == plain.evals == a.shape[0] * picked.shape[0]
     return x, d
 
 
@@ -332,16 +307,15 @@ def assert_blocks_match(oracle, a, a_ids, b, b_ids):
 def test_reductions_match_the_distance_matrix(n, c, dim, scale, shift, gap, offset):
     x = coordinates(n, dim, seed=n * dim, scale=scale, shift=shift, gap=gap)
     picked = np.sort(np.random.default_rng(dim).choice(n, size=c, replace=False))
-    ids = np.arange(5, 5 + n)
-    for a_ids, b_ids in ((ids, ids[picked]), (None, None)):
-        assert_blocks_match(DistanceOracle(offset), x, a_ids, x[picked], b_ids)
+    for own in (True, False):
+        assert_blocks_match(DistanceOracle(offset), x, picked, own)
 
 
 def test_reductions_break_offset_dominated_ties_toward_the_first_column():
     # spread 1e-17 under offset 1: distinct products, every distance 1.0
     x = np.random.default_rng(0).normal(scale=1e-17, size=(500, 3))
     oracle = DistanceOracle(1.0)
-    squared, d = assert_blocks_match(oracle, x, None, x[:40], None)
+    squared, d = assert_blocks_match(oracle, x, np.arange(40), own=False)
     assert np.all(d == 1.0)
     assert np.count_nonzero(np.argmin(squared, axis=1) != 0) > 400
 
@@ -365,11 +339,10 @@ def test_reductions_with_exact_twins_at_offset_0():
     # rows 0 and 1, 7 and 8, ... are exact twins; both twins are centers,
     # so a twin's own pair (-inf) ties with its twin's computed 0
     x = coordinates(300, 4, seed=11)
-    ids = np.arange(300)
     picked = np.arange(0, 300, 7)
     picked = np.sort(np.concatenate([picked, picked[:-1] + 1]))
     oracle = DistanceOracle(0.0)
-    _, d = assert_blocks_match(oracle, x, ids, x[picked], ids[picked])
+    _, d = assert_blocks_match(oracle, x, picked)
     assert np.count_nonzero(d == 0.0) > picked.shape[0]
 
 
@@ -380,7 +353,7 @@ def test_reductions_after_masking_absorbed_centers(offset):
     pos = np.unique(np.concatenate([np.arange(0, 400, 7), np.arange(1, 400, 7), np.arange(3, 400, 11)]))
     columns = np.arange(pos.shape[0])
     oracle = DistanceOracle(offset)
-    squared = oracle.matrix_between(x, None, x[pos], None, squared=True)
+    squared = oracle.matrix_between(x, x[pos], squared=True)
     squared[pos, columns] = -np.inf
     _, cols, _ = _reference_nearest(oracle, squared)
     absorbed = cols[pos] != columns
@@ -392,9 +365,7 @@ def test_reductions_after_masking_absorbed_centers(offset):
 @pytest.mark.parametrize("offset", [0.0, 0.25])
 def test_reductions_far_from_the_origin(offset):
     x = np.random.default_rng(9).normal(size=(300, 3)) + 1e8
-    ids = np.arange(300)
-    picked = np.arange(0, 300, 6)
-    assert_blocks_match(DistanceOracle(offset), x, ids, x[picked], ids[picked])
+    assert_blocks_match(DistanceOracle(offset), x, np.arange(0, 300, 6))
 
 
 def test_reductions_with_a_custom_metric():
@@ -404,11 +375,10 @@ def test_reductions_with_a_custom_metric():
         return float(np.abs(np.round(u) - np.round(v)).sum())
 
     x = coordinates(60, 2, seed=3, scale=0.6)
-    ids = np.arange(60)
     picked = np.arange(0, 60, 4)
     for offset in (0.0, 0.3):
         oracle = DistanceOracle(offset, base=l1)
-        _, d = assert_blocks_match(oracle, x, ids, x[picked], ids[picked])
+        _, d = assert_blocks_match(oracle, x, picked)
         own_first = np.argmin(d[picked], axis=1) == np.arange(picked.shape[0])
         assert own_first.all() == (offset > 0.0)
 
@@ -425,11 +395,31 @@ def test_cost_set_equals_the_minimum_of_the_distance_matrix(offset):
         ctr = np.stack([q.coords for q in centers])
         for p in (1.0, 2.0):
             oracle = DistanceOracle(offset, base)
-            d = oracle.matrix_between(coords, [q.id for q in pts], ctr, [q.id for q in centers])
+            d = oracle.matrix_between(coords, ctr)
+            d[3::29, np.arange(len(centers))] = 0.0  # each center's own row
             want = float(np.sum(d.min(axis=1) ** p))
             got = cost_set(centers, pts, p, oracle)
             assert repr(got) == repr(want)
             assert oracle.evals == 2 * len(pts) * len(centers)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_cost_set_puts_every_universe_point_with_a_center_id_at_0(offset, p):
+    # universe ids 5 and 8 each held by two points; center 5 at one copy's
+    # coordinates, center 999 absent from the universe, and center 8 at
+    # coordinates no universe point has: each copy of ids 5 and 8 is at 0
+    x = coordinates(40, 3, seed=13)
+    universe = [Point(i if i < 30 else (5, 8)[i % 2], x[i]) for i in range(32)]
+    centers = [Point(5, x[5]), Point(999, x[31] + 2.0), Point(8, x[8] - 3.0)]
+    oracle = DistanceOracle(offset)
+    ordered = sorted(universe, key=lambda q: q.id)  # the order cost_set sums in
+    want = float(np.sum(pairwise(oracle, ordered, centers, count=False).min(axis=1) ** p))
+    got = cost_set(centers, universe, p, oracle)
+    assert repr(got) == repr(want)
+    assert oracle.evals == len(universe) * len(centers)
+    copies = [q for q in universe if q.id in (5, 8)]
+    assert len(copies) == 4 and cost_set(centers, copies, p, oracle) == 0.0
 
 
 def test_evaluation_count_equals_the_pairs_the_kernels_return(monkeypatch):

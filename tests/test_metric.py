@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from dynkmed import (
     DynamicParams,
     Point,
     PointStore,
+    cost_set,
     points_from_array,
 )
 from oracles import distance, live_ids, pairwise, relaxed_triangle_ok
@@ -134,9 +136,7 @@ def test_eval_counter_scalar_and_batch():
     assert oracle.evals == 2 + 15
     coords = np.stack([p.coords for p in pts])
     # the aligned-pair kernel is the uncounted one of diagnostics
-    oracle.elementwise(coords[:4], None, coords[1:5], None)
-    assert oracle.evals == 17
-    oracle.elementwise(coords[:4], [0, 1, 2, 3], coords[1:5], [1, 2, 3, 4])
+    oracle.elementwise(coords[:4], coords[1:5])
     assert oracle.evals == 17
 
 
@@ -167,21 +167,16 @@ def test_distance_is_the_one_pair_elementwise_kernel(offset):
     rng = np.random.default_rng(29)
     for dim in (1, 2, 7, 64):
         xs = points_from_array(rng.normal(scale=3.0, size=(200, dim)))
-        rows = rng.normal(scale=3.0, size=(200, dim))
-        ys = [Point(i if i >= 150 else 1000 + i, rows[i]) for i in range(200)]
+        ys = points_from_array(rng.normal(scale=3.0, size=(200, dim)), start_id=1000)
         oracle = DistanceOracle(offset)
-        d = oracle.elementwise(
-            np.stack([p.coords for p in xs]), [p.id for p in xs],
-            np.stack([p.coords for p in ys]), [p.id for p in ys],
-        )
+        d = oracle.elementwise(np.stack([p.coords for p in xs]), np.stack([p.coords for p in ys]))
         assert oracle.evals == 0  # uncounted; distance() counts its one pair
-        # pairs 150..199 share an id: exactly zero, whatever the coordinates
-        assert np.all(d[150:] == 0.0) and np.all(d[:150] >= offset)
+        assert np.all(d >= offset)
         for i, (x, y) in enumerate(zip(xs, ys)):
             assert repr(distance(oracle, x, y)) == repr(float(d[i]))
         assert oracle.evals == 200
     with pytest.raises(ValueError):
-        oracle.elementwise(np.zeros((2, 3)), None, np.zeros((3, 3)), None)
+        oracle.elementwise(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def test_custom_base_metric():
@@ -334,17 +329,20 @@ def test_custom_base_metric_rejects_non_finite_and_negative_values(bad):
     oracle = DistanceOracle(offset=0.5, base=broken)
     pts = [pt(10, 0.0), pt(11, 1.0), pt(12, 2.0)]
     assert distance(oracle, pts[0], pts[1]) == 1.5
-    with pytest.raises(ValueError, match=r"points 11 and 12"):
-        distance(oracle, pts[1], pts[2])
-    with pytest.raises(ValueError, match=r"points 11 and 12"):
-        pairwise(oracle, pts, pts)
+    # every path names the two coordinate rows the metric was called with
+    message = "^" + re.escape(f"custom metric returned {bad!r} for array([1.]) and array([2.])") + "$"
     coords = np.array([[0.0], [1.0], [2.0]])
-    with pytest.raises(ValueError, match=r"points 11 and 12"):
-        oracle.elementwise(coords[:2], [10, 11], coords[1:], [11, 12])
-    with pytest.raises(ValueError, match=r"rows 1 and 2"):
-        oracle.matrix_between(coords, None, coords, None)
-    with pytest.raises(ValueError, match=r"rows 1 and 1"):
-        oracle.elementwise(coords[:2], None, coords[1:], None)
+    calls = [
+        lambda: distance(oracle, pts[1], pts[2]),
+        lambda: pairwise(oracle, pts, pts),
+        lambda: oracle.elementwise(coords[:2], coords[1:]),
+        lambda: oracle.matrix_between(coords, coords),
+        lambda: oracle.matrix_between(coords, coords, squared=True),
+        lambda: cost_set([pts[2]], pts, 1.0, oracle),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_elementwise_names_an_overflowing_distance():
@@ -354,7 +352,7 @@ def test_elementwise_names_an_overflowing_distance():
     with pytest.raises(ValueError, match="overflow"):
         distance(oracle, x, y)
     with pytest.raises(ValueError, match="overflow"):
-        oracle.elementwise(np.array([[0.0], [1e308]]), None, np.array([[1.0], [-1e308]]), None)
+        oracle.elementwise(np.array([[0.0], [1e308]]), np.array([[1.0], [-1e308]]))
     assert distance(oracle, x, pt(2, 1e200, 1.0)) == 1.0
 
 
@@ -363,8 +361,8 @@ def test_matrix_between_is_exact_for_large_coordinates_with_a_small_spread():
     # coordinates' distances from the column block's mean
     a, b = np.array([[1e160, 0.0]]), np.array([[1e160, 1.0]])
     oracle = DistanceOracle()
-    got = oracle.matrix_between(a, None, b, None)[0, 0]
-    assert got == 1.0 == oracle.elementwise(a, None, b, None)[0]
+    got = oracle.matrix_between(a, b)[0, 0]
+    assert got == 1.0 == oracle.elementwise(a, b)[0]
 
 
 def test_importing_the_package_loads_no_scipy():

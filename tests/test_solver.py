@@ -77,7 +77,7 @@ def test_cost_assignment_identity_and_trace():
 
     # forced-draw six-point trace: per-point distances 0+1+2 + 0+1 + 0
     trace_pts = line_points(0, 1, 2, 10, 11, 12)
-    params = DynamicParams(k=2, phi=1, last_layer_threshold=2, seed=first_draws())
+    params = DynamicParams(k=2, phi=1, seed=first_draws())
     state = preprocess(trace_pts, params)
     assert cost_assignment(state.assignment(), trace_pts, 1.0, ORACLE) == 4.0
 
@@ -346,7 +346,7 @@ def test_query_measured_extraction_bound():
         n = int(rng.integers(8, 15))
         k = int(rng.integers(2, 4))
         pts = points_from_array(rng.uniform(0, 4, size=(n, 2)))
-        params = DynamicParams(k=k, phi=3, last_layer_threshold=3, seed=seed)
+        params = DynamicParams(k=k, phi=3, seed=seed)
         state = preprocess(pts, params)
         oracle = state.oracle
 

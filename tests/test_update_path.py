@@ -1,13 +1,17 @@
 """The update path against the code it replaced, kept verbatim as references.
 
 Below are the cover round ``_cover_arrays``, the Euclidean kernel
-``matrix_between``, the reductions ``nearest`` and ``_nearest_two``, and the
-rebuild loop of ``ClusteringState`` (``_cover_rounds``, ``_rebuild``,
+``matrix_between`` with the helpers it called (``_check_custom`` and
+``_same_id_pairs``), the reductions ``nearest`` and ``_nearest_two``, and
+the rebuild loop of ``ClusteringState`` (``_cover_rounds``, ``_rebuild``,
 ``rebuild_from_layer``, ``insert``, ``delete`` and ``rebuild``) as they were
 before the update path was cut to fewer numpy calls per cover round, per
 rebuild and per update. Their bodies are unchanged, except that the cover
-round reads no sampler from the params: a forced sample reaches both sides
-through ``rng.integers``, as the draws of ``oracles.ForcedDraws``.
+round reads no sampler from the params, a forced sample reaching both sides
+through ``rng.integers`` as the draws of ``oracles.ForcedDraws``, and that
+the rounds stop at ``phi``. The reference kernel takes ids and zeroes or
+marks same-id pairs itself; the package's kernel takes coordinates only, so
+the tests mark those pairs in its result, as its callers do.
 ``ReferenceOracle`` and ``ReferenceState`` carry the methods, so the cover
 round and the rounds below resolve ``_cover_arrays``, ``_nearest_two`` and
 the oracle's methods to the references.
@@ -29,10 +33,44 @@ from dynkmed import DistanceOracle, DynamicParams, points_from_array, preprocess
 from dynkmed.cover import _quantile_index
 from dynkmed import cover, metric
 from dynkmed.dynamic import _EPS, ClusteringState, Layer
-from dynkmed.metric import Point, PointId, _check_custom, _same_id_pairs
+from dynkmed.metric import Point, PointId
 from oracles import ForcedDraws
 
 # -- references, verbatim ------------------------------------------------------
+
+
+def _check_custom(
+    values: np.ndarray,
+    a_ids: Optional[Sequence[PointId]],
+    b_ids: Optional[Sequence[PointId]],
+) -> None:
+    bad = ~(np.isfinite(values) & (values >= 0.0))
+    if not bad.any():
+        return
+    where = np.argwhere(bad)[0]
+    i, j = int(where[0]), int(where[-1])
+    if a_ids is not None and b_ids is not None:
+        pair = f"points {a_ids[i]} and {b_ids[j]}"
+    else:
+        pair = f"rows {i} and {j}"
+    raise ValueError(f"custom metric returned {float(values[tuple(where)])!r} for {pair}")
+
+
+def _same_id_pairs(
+    a_ids: Sequence[PointId], b_ids: Sequence[PointId], n: int, c: int
+) -> tuple[np.ndarray, np.ndarray]:
+    ia = np.asarray(a_ids, dtype=np.int64)
+    ib = np.asarray(b_ids, dtype=np.int64)
+    if ia.shape != (n,) or ib.shape != (c,):
+        raise ValueError("id sequences must match the coordinate blocks")
+    order = np.argsort(ib, kind="stable")
+    sorted_ids = ib[order]
+    first = np.searchsorted(sorted_ids, ia, side="left")
+    counts = np.searchsorted(sorted_ids, ia, side="right") - first
+    rows = np.repeat(np.arange(n), counts)
+    # the matches of row i are order[first[i] : first[i] + counts[i]]
+    starts = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return rows, order[starts + np.arange(rows.shape[0])]
 
 
 def _cover_arrays(
@@ -132,7 +170,7 @@ class ReferenceState(ClusteringState):
     def _cover_rounds(self, rows: np.ndarray, ids: np.ndarray) -> list:
         coords = self.store.matrix[rows]
         rounds: list = []
-        while ids.shape[0] > self.params.threshold:
+        while ids.shape[0] > self.params.phi:
             pos, nearest, mask, radius = _cover_arrays(
                 ids, coords, self.params, self.rng, self.oracle)
             group = nearest[mask]
@@ -296,7 +334,9 @@ def test_kernel_and_reductions_match_their_references(case, offset, base, draws)
         for a_ids, b_ids in ((ids, ids[picked]), (None, None)):
             for squared in (False, True):  # the reductions below read the squared block
                 new, old = DistanceOracle(offset, base), ReferenceOracle(offset, base)
-                got = new.matrix_between(x, a_ids, x[picked], b_ids, squared=squared)
+                got = new.matrix_between(x, x[picked], squared=squared)
+                if a_ids is not None:  # each picked row's own pair, as a caller marks it
+                    got[picked, np.arange(picked.shape[0])] = -np.inf if squared else 0.0
                 want = old.matrix_between(x, a_ids, x[picked], b_ids, squared=squared)
                 assert_same_bits(got, want)
                 assert new.evals == old.evals
