@@ -170,10 +170,48 @@ def _seed_indices(
 # Candidate block sizes of the local-search screen (see _local_search).
 _BLOCK_MIN = 16
 _BLOCK_MAX = 256
+# The screen reads a list of the Gram entries below the largest d2 when at
+# most this share of the entries of every _SAMPLE_STEP-th column is below it.
+_LIST_DENSITY = 0.15
+_SAMPLE_STEP = 16
+
+
+def _near_list(gram_t: np.ndarray, theta: float) -> tuple:
+    """The entries of ``gram_t`` (candidate columns stored as rows) below
+    ``theta`` in column order, ``(offsets, columns, rows, values)`` with
+    column j's at ``offsets[j]:offsets[j + 1]``; the rows are intp for ``take``."""
+    size, m = gram_t.size, gram_t.shape[1]
+    flat = (gram_t < theta).reshape(-1).nonzero()[0]
+    offsets = flat.searchsorted(np.arange(0, size + 1, m))
+    columns = np.repeat(np.arange(gram_t.shape[0], dtype=np.int32), np.diff(offsets))
+    values = gram_t.take(flat)
+    flat -= np.multiply(columns, m, dtype=np.intp)
+    return offsets.tolist(), columns, flat, values
+
+
+def _screen_entries(slab: np.ndarray, below: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Block position, row and value of each entry of ``slab`` below its
+    row's ``d2``, in block order; ``below`` is a flat bool buffer of at least
+    ``slab.size`` entries."""
+    b, m = slab.shape
+    flat = np.less(slab, d2, out=below[:b * m].reshape(b, m)).reshape(-1).nonzero()[0]
+    cand = flat // m
+    return cand, flat - cand * m, slab.take(flat)
+
+
+def _listed_entries(listed: tuple, lo: int, hi: int, cut: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What :func:`_screen_entries` gives for columns ``lo:hi`` against
+    ``cut``, which is at most theta, read from the list of :func:`_near_list`."""
+    offsets, columns, rows, values = listed
+    first, last = offsets[lo], offsets[hi]
+    rows, v = rows[first:last], values[first:last]
+    keep = (v < cut.take(rows)).nonzero()[0]
+    cand = np.subtract(columns[first:last].take(keep), lo, dtype=np.intp)
+    return cand, rows.take(keep), v.take(keep)
 
 
 def _screen_estimate(
-    slab: np.ndarray, below: np.ndarray, weights: np.ndarray, c1: np.ndarray,
+    slab: np.ndarray, entries: tuple[np.ndarray, ...], weights: np.ndarray, c1: np.ndarray,
     d1: np.ndarray, d2: np.ndarray, base: np.ndarray, cost: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimated new cost of each candidate in ``slab``, a block of candidate
@@ -185,15 +223,11 @@ def _screen_estimate(
     those losses summed per center. An entry ``v`` below ``d2`` adds
     ``w*(min(v,d1)-d1)`` to the shared gain and changes its row's removal
     loss by ``w*(max(v,d1)-d2)``. The estimate is
-    ``cost + shared + min_c(base[c] + delta[c])``. ``below`` is a
-    preallocated bool buffer with at least as many rows as ``slab``.
+    ``cost + shared + min_c(base[c] + delta[c])``. ``entries`` holds the
+    block position, row and value of every entry below ``d2``, each once.
     """
-    b, m = slab.shape
-    k = base.shape[0]
-    flat = np.less(slab, d2, out=below[:b]).reshape(-1).nonzero()[0]
-    cand = flat // m
-    rows = flat - cand * m
-    v = slab.take(flat)
+    b, k = slab.shape[0], base.shape[0]
+    cand, rows, v = entries
     w, lo = weights.take(rows), d1.take(rows)
     shared = np.bincount(cand, weights=(np.minimum(v, lo) - lo) * w, minlength=b)
     delta = np.bincount(cand * k + c1.take(rows), weights=(np.maximum(v, lo) - d2.take(rows)) * w,
@@ -265,6 +299,18 @@ def _local_search(
     exactly the swaps it makes unscreened. Blocks start at ``_BLOCK_MIN``
     candidates and double up to ``_BLOCK_MAX`` while no swap happens.
 
+    Entries. Let theta be the largest ``d2`` after seeding. When at most
+    ``_LIST_DENSITY`` of the entries of every ``_SAMPLE_STEP``-th column lie
+    below theta, :func:`_near_list` lists the Gram's entries below theta
+    once, and each block keeps its columns' listed entries below their
+    row's ``d2``. A row whose ``d2`` has risen above theta (found again
+    after each swap) may have entries in ``[theta, d2)`` that the list
+    lacks, so the block reads that row densely instead. Otherwise each block
+    is read densely. Both give every entry below ``d2`` once, and in the
+    dense order while no row is above theta, when the estimates are bit for
+    bit the same; otherwise only the order of the sums differs, which the
+    bound below does not depend on: it counts m rounding errors per sum.
+
     The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
     and the estimate round the same real value, ``cost + shared +
     min_c per_center[c]``, and a minimum moves by at most the largest error
@@ -290,7 +336,10 @@ def _local_search(
     cost = float(np.add.reduce(weights * d1))
     in_solution = np.zeros(n, dtype=bool)
     in_solution[chosen] = True
-    below = np.empty((_BLOCK_MAX, n), dtype=bool)
+    below = np.empty(_BLOCK_MAX * n, dtype=bool)
+    theta, sample, listed = d2.max(), powered.T[::_SAMPLE_STEP], None
+    if cost > 0.0 and np.count_nonzero(sample < theta) <= _LIST_DENSITY * sample.size:
+        listed = _near_list(powered.T, theta)
     err = None                                        # screen bound of the current state
     start, block = 0, _BLOCK_MIN
     left = n if cost > 0.0 else 0                     # columns to scan before stopping
@@ -302,9 +351,20 @@ def _local_search(
             screened = math.isfinite(err)
             if screened:
                 base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
+                if listed is not None:                # rows whose d2 rose above theta are read densely
+                    high = (d2 > theta).nonzero()[0]
+                    cut = np.where(d2 > theta, -np.inf, d2)
         lo, hi, limit = start, min(start + block, n, start + left), cutoff * cost
         if screened:
-            estimate, per_center = _screen_estimate(powered.T[lo:hi], below, weights, c1, d1, d2, base, cost)
+            slab = powered.T[lo:hi]
+            if listed is None:
+                entries = _screen_entries(slab, below, d2)
+            else:
+                entries = _listed_entries(listed, lo, hi, cut)
+                if high.size:                         # appended in block order of their own
+                    cand, at, v = _screen_entries(slab.take(high, axis=1), below, d2.take(high))
+                    entries = tuple(map(np.concatenate, zip(entries, (cand, high.take(at), v))))
+            estimate, per_center = _screen_estimate(slab, entries, weights, c1, d1, d2, base, cost)
             candidates = (lo + (estimate - err <= limit).nonzero()[0]).tolist()
         else:
             candidates = range(lo, hi)

@@ -6,6 +6,12 @@ each row's nearest center, nearest distance and second-nearest distance from
 scratch. The solver keeps those three per row and recomputes only the rows a
 swap can change; every swap it makes, and the cost it returns, must be
 bit-identical to the reference.
+
+The screen takes its entries from one of two sources, chosen by the sampled
+density of the Gram below the largest second-nearest distance: a dense read
+of each block, or a list of the near Gram entries built once per search.
+The tests force each source by setting ``solver._LIST_DENSITY`` (any sampled
+density is at most 1 and at least 0) and hold both to the same reference.
 """
 from __future__ import annotations
 
@@ -23,6 +29,14 @@ from dynkmed.solver import (
     _seed_indices,
 )
 from oracles import entries, instance_of, pairwise
+
+
+SOURCES = {"dense": -1.0, "list": 1.0}
+
+
+def _force_source(monkeypatch, source: str) -> None:
+    """Make the search read its screen's entries from ``source``."""
+    monkeypatch.setattr(solver, "_LIST_DENSITY", SOURCES[source])
 
 
 def _reference_solution_stats(
@@ -103,7 +117,8 @@ def _instance(seed: int, n: int, offset: float):
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 5, 20])
 @pytest.mark.parametrize("offset", [0.0, 0.05])
-def test_local_search_matches_full_recompute(p, k, offset):
+def test_local_search_matches_full_recompute(p, k, offset, monkeypatch):
+    # duplicates and ties through either source; at k = 1 the screen is off
     ties = 0
     for seed in range(8):
         inst, oracle = _instance(100 * k + seed, 60, offset)
@@ -117,15 +132,19 @@ def test_local_search_matches_full_recompute(p, k, offset):
             _, d1, d2 = _nearest_two(powered[:, start])
             ties += int(np.sum(d1 == d2))
 
-        expected, got = list(start), list(start)
+        expected = list(start)
         expected_cost = _reference_local_search(powered, weights, expected, cutoff)
-        got_cost = _local_search(powered, weights, got, cutoff)
-        assert got == expected
-        assert repr(got_cost) == repr(expected_cost)
+        for source in SOURCES:
+            with monkeypatch.context() as patch:
+                _force_source(patch, source)
+                got = list(start)
+                got_cost = _local_search(powered, weights, got, cutoff)
+                assert got == expected
+                assert repr(got_cost) == repr(expected_cost)
 
-        solution = weighted_solve(inst, k, p, seed, oracle)
-        assert solution.centers == frozenset(points[i].id for i in expected)
-        assert repr(solution.cost) == repr(expected_cost)
+                solution = weighted_solve(inst, k, p, seed, oracle)
+                assert solution.centers == frozenset(points[i].id for i in expected)
+                assert repr(solution.cost) == repr(expected_cost)
     if k > 1:
         assert ties > 0  # the instances exercise the d1 == d2 case
 
@@ -217,6 +236,19 @@ def _record_exact(monkeypatch, powered):
     return columns
 
 
+def _record_calls(monkeypatch, name):
+    """Record the arguments of every call to ``solver.<name>``."""
+    calls: list[tuple] = []
+    function = getattr(solver, name)
+
+    def recording(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(solver, name, recording)
+    return calls
+
+
 def _reference_swaps(powered, weights, chosen, cutoff, monkeypatch):
     """Run the reference search on ``chosen``; return its cost and the column
     each of its swaps brought in, in order."""
@@ -238,22 +270,26 @@ def _reference_swaps(powered, weights, chosen, cutoff, monkeypatch):
 
 
 def _check_cyclic_scan(powered, weights, start, cutoff, monkeypatch):
-    """Check that the search makes the reference's swaps and that, after the
-    last one at column j, it screens every other column once, from j + 1
-    round to j - 1, and stops there; returns the swapped-in columns."""
+    """Check, with each source of screen entries, that the search makes the
+    reference's swaps and that, after the last one at column j, it screens
+    every other column once, from j + 1 round to j - 1, and stops there;
+    returns the swapped-in columns."""
     n = powered.shape[0]
-    expected, got = list(start), list(start)
+    expected = list(start)
     expected_cost, swaps = _reference_swaps(powered, weights, expected, cutoff, monkeypatch)
-    with monkeypatch.context() as patch:
-        blocks = _record_blocks(patch, powered)
-        got_cost = _local_search(powered, weights, got, cutoff)
-    assert got == expected
-    assert repr(got_cost) == repr(expected_cost)
     assert swaps
     last = swaps[-1]
-    screened = [j for first, end in blocks for j in range(first, end)]
-    assert screened[-(n - 1):] == [(last + 1 + i) % n for i in range(n - 1)]
-    assert blocks[-1][1] % n == last
+    for source in SOURCES:
+        got = list(start)
+        with monkeypatch.context() as patch:
+            _force_source(patch, source)
+            blocks = _record_blocks(patch, powered)
+            got_cost = _local_search(powered, weights, got, cutoff)
+        assert got == expected
+        assert repr(got_cost) == repr(expected_cost)
+        screened = [j for first, end in blocks for j in range(first, end)]
+        assert screened[-(n - 1):] == [(last + 1 + i) % n for i in range(n - 1)]
+        assert blocks[-1][1] % n == last
     return swaps
 
 
@@ -279,7 +315,7 @@ def test_scan_after_a_swap_at_the_last_column_wraps_to_column_zero(monkeypatch):
     assert _check_cyclic_scan(powered, weights, [1, 0], 0.5, monkeypatch) == [3]
 
 
-def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff():
+def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff(monkeypatch):
     # The cutoff is set so that cutoff * cost is exactly the smallest new
     # cost any candidate reaches: the first swap is accepted at equality, so
     # a screen that skipped on a rounded estimate alone would drop it.
@@ -297,12 +333,15 @@ def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff():
         if not cutoffs:
             continue
         hit += 1
-        expected, got = list(start), list(start)
+        expected = list(start)
         expected_cost = _reference_local_search(powered, weights, expected, cutoffs[0])
-        got_cost = _local_search(powered, weights, got, cutoffs[0])
-        assert got == expected, seed
-        assert repr(got_cost) == repr(expected_cost)
-        assert got != start
+        for source in SOURCES:
+            _force_source(monkeypatch, source)
+            got = list(start)
+            got_cost = _local_search(powered, weights, got, cutoffs[0])
+            assert got == expected, (seed, source)
+            assert repr(got_cost) == repr(expected_cost)
+            assert got != start
     assert hit >= 40
 
 
@@ -324,47 +363,61 @@ def test_a_candidate_just_above_the_cutoff_goes_to_the_exact_code(monkeypatch):
         while cutoff * cost >= target:
             cutoff = np.nextafter(cutoff, 0.0)
         hit += 1
-        expected, got = list(start), list(start)
+        expected = list(start)
         expected_cost = _reference_local_search(powered, weights, expected, cutoff)
-        with monkeypatch.context() as patch:
-            exact = _record_exact(patch, powered)
-            got_cost = _local_search(powered, weights, got, cutoff)
-        assert got == expected == start, seed
-        assert repr(got_cost) == repr(expected_cost)
-        assert int(new_costs.argmin()) in exact
+        for source in SOURCES:
+            got = list(start)
+            with monkeypatch.context() as patch:
+                _force_source(patch, source)
+                exact = _record_exact(patch, powered)
+                got_cost = _local_search(powered, weights, got, cutoff)
+            assert got == expected == start, (seed, source)
+            assert repr(got_cost) == repr(expected_cost)
+            assert int(new_costs.argmin()) in exact
     assert hit >= 20
+
+
+def _mixture(p: float, m: int = 760, components: int = 25, spread: float = 8.0):
+    """A Gaussian mixture of the size a query solves: unit components in 5-d
+    with means drawn at scale ``spread``, weights 1 to 8, offset 1/m;
+    returns its powered Gram and weights."""
+    rng = np.random.default_rng(int(p))
+    means = rng.normal(0.0, spread, size=(components, 5))
+    coords = means[rng.integers(0, components, size=m)] + rng.normal(size=(m, 5))
+    weights = rng.integers(1, 9, size=m).astype(np.float64)
+    points = points_from_array(coords)
+    return pairwise(DistanceOracle(1.0 / m), points, points).T ** p, weights
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
-    # A Gaussian mixture of the size a query solves: the blocks grow to their
-    # largest size in swap-free stretches and start small again after swaps.
-    # The scan after the last swap reads m - 1 columns: blocks of 16, 32, 64
-    # and 128, then 256s, one of which may be cut short at column m. With
-    # m - 1 >= 240 + 255 + 256, that stretch holds a whole 256-block wherever
-    # the last swap falls.
-    m = 760
-    rng = np.random.default_rng(int(p))
-    means = rng.normal(0.0, 8.0, size=(25, 5))
-    coords = means[rng.integers(0, 25, size=m)] + rng.normal(size=(m, 5))
-    weights = rng.integers(1, 9, size=m).astype(np.float64)
-    oracle = DistanceOracle(1.0 / m)
-    points = points_from_array(coords)
-    powered = pairwise(oracle, points, points).T ** p
+    # The blocks grow to their largest size in swap-free stretches and start
+    # small again after swaps. The scan after the last swap reads m - 1
+    # columns: blocks of 16, 32, 64 and 128, then 256s, one of which may be
+    # cut short at column m. With m - 1 >= 240 + 255 + 256, that stretch
+    # holds a whole 256-block wherever the last swap falls. Both sources of
+    # screen entries give the same blocks, swaps and cost.
+    powered, weights = _mixture(p)
     k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
     start = _seed_indices(powered, weights, k, np.random.default_rng(3))
-    blocks = _record_blocks(monkeypatch, powered)
-    exact = _record_exact(monkeypatch, powered)
-    expected, got = list(start), list(start)
+    expected = list(start)
     expected_cost = _reference_local_search(powered, weights, expected, cutoff)
-    got_cost = _local_search(powered, weights, got, cutoff)
-    assert got == expected
-    assert repr(got_cost) == repr(expected_cost)
-    assert got != start
-    assert exact == []  # the screen's bound proves every swap and its retired center
-    sizes = [end - first for first, end in blocks]
-    assert max(sizes) == solver._BLOCK_MAX
-    assert sizes.count(solver._BLOCK_MIN) > 1  # the first block and restarts after swaps
+    for source in SOURCES:
+        with monkeypatch.context() as patch:
+            _force_source(patch, source)
+            lists = _record_calls(patch, "_near_list")
+            blocks = _record_blocks(patch, powered)
+            exact = _record_exact(patch, powered)
+            got = list(start)
+            got_cost = _local_search(powered, weights, got, cutoff)
+        assert len(lists) == (source == "list")
+        assert got == expected
+        assert repr(got_cost) == repr(expected_cost)
+        assert got != start
+        assert exact == []  # the screen's bound proves every swap and its retired center
+        sizes = [end - first for first, end in blocks]
+        assert max(sizes) == solver._BLOCK_MAX
+        assert sizes.count(solver._BLOCK_MIN) > 1  # the first block and restarts after swaps
 
 
 def test_a_tie_between_two_centers_goes_to_the_exact_code(monkeypatch):
@@ -375,23 +428,31 @@ def test_a_tie_between_two_centers_goes_to_the_exact_code(monkeypatch):
     x = np.array([0.0, -1.0, 1.0, -9.0, 9.0, -10.0, 10.0])
     weights = np.array([10.0, 10.0, 10.0, 1.0, 1.0, 1.0, 1.0])
     powered = np.abs(x[:, None] - x[None, :])
-    blocks = _record_blocks(monkeypatch, powered)
-    exact = _record_exact(monkeypatch, powered)
-    expected, got = [5, 6], [5, 6]
+    expected = [5, 6]
     expected_cost = _reference_local_search(powered, weights, expected, 0.99)
-    assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
-    assert got == expected == [0, 6]
-    assert blocks[0] == (0, 7) and exact[0] == 0
+    for source in SOURCES:
+        got = [5, 6]
+        with monkeypatch.context() as patch:
+            _force_source(patch, source)
+            blocks = _record_blocks(patch, powered)
+            exact = _record_exact(patch, powered)
+            assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+        assert got == expected == [0, 6]
+        assert blocks[0] == (0, 7) and exact[0] == 0
 
 
 def test_screen_is_off_for_a_single_center(monkeypatch):
     powered, weights = _instance_arrays(7, 60, 1.0)
-    blocks = _record_blocks(monkeypatch, powered)
-    expected, got = [3], [3]
+    expected = [3]
     expected_cost = _reference_local_search(powered, weights, expected, 0.99)
-    assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
-    assert got == expected != [3]
-    assert blocks == []  # d2 is inf for every row, so the bound is not finite
+    for source in SOURCES:
+        got = [3]
+        with monkeypatch.context() as patch:
+            _force_source(patch, source)
+            blocks = _record_blocks(patch, powered)
+            assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+        assert got == expected != [3]
+        assert blocks == []  # d2 is inf for every row, so the bound is not finite
 
 
 def test_screen_is_off_while_its_bound_overflows(monkeypatch):
@@ -405,11 +466,114 @@ def test_screen_is_off_while_its_bound_overflows(monkeypatch):
     assert np.isfinite(np.sum(weights * d1))
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(weights * d1) + np.sum(weights * d2))
-    blocks = _record_blocks(monkeypatch, powered)
-    expected, got = list(start), list(start)
+    expected = list(start)
     with np.errstate(over="ignore"):
         expected_cost = _reference_local_search(powered, weights, expected, 0.99)
-        got_cost = _local_search(powered, weights, got, 0.99)
-    assert got == expected != start
+    for source in SOURCES:
+        got = list(start)
+        with monkeypatch.context() as patch, np.errstate(over="ignore"):
+            _force_source(patch, source)
+            blocks = _record_blocks(patch, powered)
+            got_cost = _local_search(powered, weights, got, 0.99)
+        assert got == expected != start
+        assert repr(got_cost) == repr(expected_cost)
+        assert blocks == []
+
+
+# -- the list of near Gram entries ----------------------------------------------
+
+
+def _sampled_density(powered, start):
+    """The share of the entries of every ``_SAMPLE_STEP``-th column below the
+    largest second-nearest distance of the centers ``start``."""
+    _, _, d2 = _nearest_two(powered[:, start])
+    sample = powered.T[::solver._SAMPLE_STEP]
+    return np.count_nonzero(sample < d2.max()) / sample.size
+
+
+def test_near_list_holds_the_entries_below_theta_in_column_order():
+    powered, _ = _instance_arrays(5, 90, 1.0)
+    theta = float(np.median(powered))
+    offsets, columns, rows, values = solver._near_list(powered.T, theta)
+    expected_columns, expected_rows = np.nonzero(powered.T < theta)
+    assert offsets == np.searchsorted(expected_columns, np.arange(91)).tolist()
+    assert columns.dtype == np.int32 and columns.tolist() == expected_columns.tolist()
+    assert rows.tolist() == expected_rows.tolist()
+    assert values.tolist() == powered.T[expected_columns, expected_rows].tolist()
+
+
+def test_screen_source_follows_the_sampled_density(monkeypatch):
+    # Five centers in each of ten well-separated components leave about a
+    # tenth of the Gram below the largest d2, so the search lists those
+    # entries; with 5 centers over 25 components most entries lie below
+    # it, and the search reads each block densely.
+    lists = _record_calls(monkeypatch, "_near_list")
+    for components, spread, k, listed in ((10, 20.0, 50, True), (25, 8.0, 5, False)):
+        powered, weights = _mixture(1.0, components=components, spread=spread)
+        start = _seed_indices(powered, weights, k, np.random.default_rng(3))
+        assert (_sampled_density(powered, start) <= solver._LIST_DENSITY) == listed
+        lists.clear()
+        expected, got = list(start), list(start)
+        expected_cost = _reference_local_search(powered, weights, expected, 0.99)
+        assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+        assert got == expected != start
+        assert len(lists) == listed
+
+
+def test_listed_screen_reads_rows_whose_d2_rose_above_theta_densely(monkeypatch):
+    # A swap that retires a row's nearest or second-nearest center can lift
+    # its d2 above theta, the bound of the list, which then lacks that row's
+    # entries in [theta, d2): blocks read those rows densely. Each block's
+    # estimates are checked against the dense screen's of the same state:
+    # bit for bit while no row is above theta, and otherwise within the
+    # rounding bound of the search, since only the order of the sums differs.
+    powered, weights = _mixture(1.0)
+    k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
+    start = _seed_indices(powered, weights, k, np.random.default_rng(3))
+    theta = _nearest_two(powered[:, start])[2].max()
+    expected = list(start)
+    expected_cost = _reference_local_search(powered, weights, expected, cutoff)
+    dense_entries, estimate = solver._screen_entries, solver._screen_estimate
+    blocks = {"exact": 0, "within the bound": 0}
+
+    def checking(slab, entries, weights, c1, d1, d2, base, cost):
+        got = estimate(slab, entries, weights, c1, d1, d2, base, cost)
+        below = np.empty(slab.size, dtype=bool)
+        want = estimate(slab, dense_entries(slab, below, d2), weights, c1, d1, d2, base, cost)
+        if np.any(d2 > theta):
+            err = 64.0 * (slab.shape[1] + 8) * np.finfo(np.float64).eps * (cost + np.sum(weights * d2))
+            assert all(np.allclose(g, w, rtol=0.0, atol=err) for g, w in zip(got, want))
+            blocks["within the bound"] += 1
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            blocks["exact"] += 1
+        return got
+
+    _force_source(monkeypatch, "list")
+    reads = _record_calls(monkeypatch, "_screen_entries")
+    monkeypatch.setattr(solver, "_screen_estimate", checking)
+    got = list(start)
+    got_cost = _local_search(powered, weights, got, cutoff)
+    assert got == expected
     assert repr(got_cost) == repr(expected_cost)
-    assert blocks == []
+    assert reads  # the branch ran, on the rows above theta alone
+    assert all(slab.shape[1] < powered.shape[0] and np.all(d2 > theta) for slab, _, d2 in reads)
+    assert all(blocks.values())
+
+
+def test_listed_screen_stops_at_cost_zero(monkeypatch):
+    # Three points at 0 and three at 5: from two centers at 0 the first swap
+    # brings a point at 5 in and the cost falls to 0, where the search stops.
+    # From a start at cost 0 the search builds no list.
+    _force_source(monkeypatch, "list")
+    lists = _record_calls(monkeypatch, "_near_list")
+    x = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
+    powered = np.abs(x[:, None] - x[None, :])
+    weights = np.ones(6)
+    expected, got = [0, 1], [0, 1]
+    expected_cost = _reference_local_search(powered, weights, expected, 0.99)
+    assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost) == "0.0"
+    assert got == expected == [3, 1] and len(lists) == 1
+    got = [0, 4]
+    assert _local_search(powered, weights, got, 0.99) == 0.0
+    assert got == [0, 4] and len(lists) == 1

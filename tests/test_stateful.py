@@ -8,15 +8,23 @@ integrity check and its weighted instance must pass ``checked_instance``
 (the centers' store rows in id order, weighing the live count); every
 query must return live centers at the cost that ``cost_set`` gives on a
 separate oracle. The run is derandomized, so it is the same on every run.
+
+A second machine runs the same rules and checks on an oracle with a custom
+per-pair metric (L1), plus a rebuild that the metric makes fail: it raises
+on a poisoned coordinate row, and the failed rebuild must leave the layers,
+the cluster table, the slots and the sample stream as they were.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dynkmed import DistanceOracle, DynamicParams, Point, cost_set, preprocess, query
-from oracles import checked_instance, live_ids
+from oracles import checked_instance, live_ids, members
 
 grid_point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
@@ -35,7 +43,12 @@ class DynamicStateMachine(RuleBasedStateMachine):
         self.offset = 1.0 / len(points) if inv_n_offset else 0.0
         self.next_id = 0
         initial = [self.point(xy) for xy in points]
-        self.state = preprocess(initial, DynamicParams(k=1, phi=phi, seed=seed), DistanceOracle(self.offset))
+        self.state = preprocess(initial, DynamicParams(k=1, phi=phi, seed=seed), self.oracle())
+
+    def oracle(self) -> DistanceOracle:
+        """A fresh oracle at the run's offset: the state's own, and the
+        separate one each query's cost is checked on."""
+        return DistanceOracle(self.offset)
 
     def point(self, xy) -> Point:
         self.next_id += 1
@@ -62,7 +75,7 @@ class DynamicStateMachine(RuleBasedStateMachine):
         assert all(c in self.state.store for c in answer.centers)
         centers = [self.state.store.get(c) for c in sorted(answer.centers)]
         live = self.state.live_points()
-        assert answer.cost == cost_set(centers, live, self.p, DistanceOracle(self.offset))
+        assert answer.cost == cost_set(centers, live, self.p, self.oracle())
 
     @invariant()
     def structure_holds(self):
@@ -75,3 +88,56 @@ DynamicStateMachine.TestCase.settings = settings(
     derandomize=True, max_examples=120, stateful_step_count=40, deadline=None
 )
 TestDynamicState = DynamicStateMachine.TestCase
+
+
+class PoisonedL1:
+    """The L1 distance between two coordinate rows, called once per pair;
+    it raises ``RuntimeError`` on a row equal to ``poison`` unless that is
+    None."""
+
+    def __init__(self) -> None:
+        self.poison = None
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
+        if self.poison is not None and (np.array_equal(a, self.poison) or np.array_equal(b, self.poison)):
+            raise RuntimeError("poisoned coordinate")
+        return float(np.abs(a - b).sum())
+
+
+class CustomMetricStateMachine(DynamicStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.metric = PoisonedL1()
+
+    def oracle(self) -> DistanceOracle:
+        return DistanceOracle(self.offset, base=self.metric)
+
+    def table(self):
+        """Everything a rebuild may change: the layers, the cluster table,
+        the slots and the sample stream."""
+        state = self.state
+        return ([dataclasses.astuple(layer) for layer in state.layers], list(state.center),
+                list(state.size), state.slot.tolist(), state.rng.bit_generator.state)
+
+    @precondition(lambda self: self.state.live_count > self.state.params.phi)
+    @rule(index=st.integers(0, 10**6), layer=st.integers(0, 10**6))
+    def failed_rebuild(self, index, layer):
+        # a layer whose U_i exceeds phi runs a cover round, which reads the
+        # distance of every point of U_i, the poisoned one among them
+        deep = [i for i in range(1, self.state.t + 1) if len(members(self.state, i)) > self.state.params.phi]
+        i = deep[layer % len(deep)]
+        covered = sorted(members(self.state, i))
+        self.metric.poison = self.state.store.get(covered[index % len(covered)]).coords
+        before = self.table()
+        try:
+            with pytest.raises(RuntimeError, match="poisoned coordinate"):
+                self.state.rebuild_from_layer(i)
+        finally:
+            self.metric.poison = None
+        assert self.table() == before
+
+
+CustomMetricStateMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=60, stateful_step_count=40, deadline=None
+)
+TestCustomMetricState = CustomMetricStateMachine.TestCase
