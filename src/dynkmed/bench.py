@@ -119,9 +119,9 @@ class ExperimentResult:
 def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
     """Read numeric rows (comma or whitespace separated, one point per line).
 
-    Blank lines are skipped; malformed rows and dimension drift raise
-    :class:`DatasetError` with the offending line number. Ids run 0..n-1 in
-    file order; ``limit``, when given, must be an integer of at least 1.
+    Blank lines are skipped; malformed rows (non-UTF-8 bytes too) and dimension
+    drift raise :class:`DatasetError` with the offending line number. Ids run
+    0..n-1 in file order; ``limit``, when given, must be an integer of at least 1.
     """
     if limit is not None:
         # the type only, first: the bound below names the value
@@ -130,7 +130,7 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
             raise ConfigError(f"limit must be at least 1, got {limit}")
     rows: list[list[float]] = []
     dim: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:

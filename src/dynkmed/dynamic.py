@@ -61,6 +61,8 @@ class DynamicParams:
             raise ValueError("beta must lie strictly between 0 and 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
+        if not self.shrink_factor < 1.0:
+            raise ValueError(f"beta {self.beta!r} and epsilon {self.epsilon!r} round the shrink factor to 1.0")
 
     @property
     def slack(self) -> float:

@@ -87,6 +87,58 @@ def _power_overflow(p: float):
             raise ValueError(f"distances to the power {p!r} overflow float64") from None
 
 
+_MARGIN = 1.0 + 2.0 ** -20
+
+
+class _Finish:
+    """Gram entries from the kernel's ``squared=True`` product, diagonal marked
+    ``-inf``: ``oracle._distances`` (the mark reads 0), then ``** p``; all
+    elementwise, so bit for bit the whole Gram's. No oracle: already finished."""
+
+    def __init__(self, oracle: Optional[DistanceOracle], p: float) -> None:
+        self.oracle, self.p = oracle, p
+
+    def __call__(self, x: np.ndarray, j: Optional[int] = None) -> np.ndarray:
+        """A finished copy of ``x``, or of column ``j`` of the transposed product ``x``."""
+        if self.oracle is None:
+            return x if j is None else x[:, j]
+        if j is None:
+            d = self.oracle._distances(x)
+        else:
+            d = self.oracle._root(x[:, j]) if self.oracle.base is None else x[:, j].copy()
+            d[j] = 0.0                                # the column's diagonal entry
+        if self.p != 1.0:
+            with _power_overflow(self.p):
+                d **= self.p
+        return d
+
+    def whole(self, x: np.ndarray) -> "_Finish":
+        """Finish all of the product ``x`` in place; returns the finish of the result."""
+        if self.oracle is not None:
+            if self.oracle.base is None:
+                self.oracle._root(x, out=x)
+            np.fill_diagonal(x, 0.0)
+            if self.p != 1.0:
+                with _power_overflow(self.p):
+                    x **= self.p
+        return _FINISHED
+
+    def bound(self, theta: float) -> float:
+        """T(theta) = ``(theta^(1/p) - offset)^2`` (``theta^(1/p)`` if custom) with
+        ``_MARGIN`` at each end, far above the ulps ``sqrt``, ``+ offset`` and ``** p``
+        round by, plus the smallest normal: entries >= T finish at or above theta."""
+        if self.oracle is None:
+            return theta
+        root = theta ** (1.0 / self.p) * _MARGIN
+        if self.oracle.base is None:
+            root = max(root - self.oracle.offset, 0.0)
+            root *= root * _MARGIN
+        return root + 2.0 ** -1022
+
+
+_FINISHED = _Finish(None, 1.0)
+
+
 def cost_set(
     centers: Iterable[Point] | Iterable[PointId],
     universe: Sequence[Point] | PointStore,
@@ -138,14 +190,15 @@ def _id_rows(points: Iterable[Point]) -> tuple[list[PointId], np.ndarray]:
 
 
 def _seed_indices(
-    powered: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+    powered: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator,
+    finish: _Finish = _FINISHED, near: Optional[list] = None,
 ) -> list[int]:
     """Weighted distance-power seeding: first pick proportional to weight,
     then proportional to weight times powered distance to the picks so far.
     Each pick is what ``rng.choice(n, p=mass / total)`` draws after its checks,
     with the same stream: ``rng.random()`` searched, ``side="right"``, in the
-    cumulative sum of ``mass / total`` rescaled to end at 1. A ``total`` that
-    overflows float64 raises ``ValueError``."""
+    cumulative sum of ``mass / total`` rescaled to end at 1; a ``total`` that
+    overflows raises ``ValueError``. Picks' columns, finished, go to ``near``."""
     n = powered.shape[0]
     chosen: list[int] = []
     mass, dmin = weights, np.full(n, np.inf)
@@ -162,7 +215,10 @@ def _seed_indices(
                 cdf /= cdf[-1]
                 nxt = int(cdf.searchsorted(rng.random(), side="right"))
             chosen.append(nxt)
-            np.minimum(dmin, powered[:, nxt], out=dmin)
+            column = finish(powered, nxt)
+            if near is not None:
+                near.append(column)
+            np.minimum(dmin, column, out=dmin)
             mass = weights * dmin
     return chosen
 
@@ -176,7 +232,7 @@ _LIST_DENSITY = 0.15
 _SAMPLE_STEP = 16
 
 
-def _near_list(gram_t: np.ndarray, theta: float) -> tuple:
+def _near_list(gram_t: np.ndarray, theta: float, finish: _Finish = _FINISHED) -> tuple:
     """The entries of ``gram_t`` (candidate columns stored as rows) below
     ``theta`` in column order, ``(offsets, columns, rows, values)`` with
     column j's at ``offsets[j]:offsets[j + 1]``; the rows are intp for ``take``."""
@@ -184,7 +240,7 @@ def _near_list(gram_t: np.ndarray, theta: float) -> tuple:
     flat = (gram_t < theta).reshape(-1).nonzero()[0]
     offsets = flat.searchsorted(np.arange(0, size + 1, m))
     columns = np.repeat(np.arange(gram_t.shape[0], dtype=np.int32), np.diff(offsets))
-    values = gram_t.take(flat)
+    values = finish(gram_t.take(flat))
     flat -= np.multiply(columns, m, dtype=np.intp)
     return offsets.tolist(), columns, flat, values
 
@@ -258,8 +314,10 @@ def _exact_swap(
     return c_pos, cost + shared + per_center[c_pos]
 
 
+@np.errstate(over="ignore")                           # an overflow turns the screen off
 def _local_search(
-    powered: np.ndarray, weights: np.ndarray, chosen: list[int], cutoff: float
+    powered: np.ndarray, weights: np.ndarray, chosen: list[int], cutoff: float,
+    finish: _Finish = _FINISHED, near: Optional[np.ndarray] = None,
 ) -> float:
     """Single-swap descent: scan candidates cyclically in column order from
     column 0, apply any swap that shrinks the cost to at most ``cutoff``
@@ -280,7 +338,9 @@ def _local_search(
     change are recomputed from ``near``: rows whose nearest center was
     retired, rows whose second-nearest may have been the retired center, and
     rows the new center comes within ``d2`` of. Every other row keeps its
-    nearest center and both distances, so they stay the exact minima. Ties
+    nearest center and both distances, so they stay the exact minima. A
+    swap whose recomputed cost is not below the last, which only a wrong
+    screen makes, raises ``RuntimeError`` rather than let the scan cycle. Ties
     in ``c1`` go to the first minimum, and which tied center a row names
     does not matter: a row with ``d1 == d2`` adds exactly 0.0 to the removal
     loss of its center, so no swap decision depends on the tie rule.
@@ -299,16 +359,21 @@ def _local_search(
     exactly the swaps it makes unscreened. Blocks start at ``_BLOCK_MIN``
     candidates and double up to ``_BLOCK_MAX`` while no swap happens.
 
-    Entries. Let theta be the largest ``d2`` after seeding. When at most
+    Entries. ``powered`` may be the kernel's product, read through
+    ``finish`` (:class:`_Finish`), with ``near`` the centers' finished
+    columns. Let theta be the largest ``d2`` after seeding. When at most
     ``_LIST_DENSITY`` of the entries of every ``_SAMPLE_STEP``-th column lie
-    below theta, :func:`_near_list` lists the Gram's entries below theta
-    once, and each block keeps its columns' listed entries below their
-    row's ``d2``. A row whose ``d2`` has risen above theta (found again
-    after each swap) may have entries in ``[theta, d2)`` that the list
-    lacks, so the block reads that row densely instead. Otherwise each block
-    is read densely. Both give every entry below ``d2`` once, and in the
-    dense order while no row is above theta, when the estimates are bit for
-    bit the same; otherwise only the order of the sums differs, which the
+    below T(theta) (:meth:`_Finish.bound`), :func:`_near_list` lists those
+    once, finished, and each block keeps its columns' listed entries below
+    their row's ``d2``, at most theta; so the list's extras, which finish at
+    or above theta, never reach an estimate. A row whose ``d2`` has risen
+    above theta (found again after each swap) may have entries in ``[theta,
+    d2)`` that the list lacks, so the block finishes and reads that row
+    densely instead. Otherwise the product is finished whole, in place, and
+    each block is read densely; only columns swapped in or evaluated exactly
+    are finished besides. Both give every entry below ``d2`` once, and in
+    the dense order while no row is above theta, when the estimates are bit
+    for bit the same; otherwise only the order of the sums differs, which the
     bound below does not depend on: it counts m rounding errors per sum.
 
     The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
@@ -331,23 +396,25 @@ def _local_search(
     an overflow) the screen is off and every candidate is evaluated exactly.
     """
     n, k = powered.shape[0], len(chosen)
-    near = powered[:, chosen]
+    near = finish(powered[:, chosen]) if near is None else near
     c1, d1, d2 = _nearest_two(near)
     cost = float(np.add.reduce(weights * d1))
     in_solution = np.zeros(n, dtype=bool)
     in_solution[chosen] = True
     below = np.empty(_BLOCK_MAX * n, dtype=bool)
-    theta, sample, listed = d2.max(), powered.T[::_SAMPLE_STEP], None
-    if cost > 0.0 and np.count_nonzero(sample < theta) <= _LIST_DENSITY * sample.size:
-        listed = _near_list(powered.T, theta)
+    theta, sample, listed = float(d2.max()), powered.T[::_SAMPLE_STEP], None
+    if cost > 0.0 and np.count_nonzero(sample < finish.bound(theta)) <= _LIST_DENSITY * sample.size:
+        if finish.p != 1.0:                           # d^p of the largest entry must not overflow
+            finish(np.maximum.reduce(powered.T, axis=None, keepdims=True))
+        listed = _near_list(powered.T, finish.bound(theta), finish)
+    else:
+        finish = finish.whole(powered.T)
     err = None                                        # screen bound of the current state
     start, block = 0, _BLOCK_MIN
     left = n if cost > 0.0 else 0                     # columns to scan before stopping
     while left:
         if err is None:
-            with np.errstate(over="ignore"):
-                spread = cost + float(np.add.reduce(weights * d2))
-            err = 64.0 * (n + 8) * (math.ulp(1.0) * spread + math.ulp(0.0))
+            err = 64.0 * (n + 8) * (math.ulp(1.0) * (cost + float(np.add.reduce(weights * d2))) + math.ulp(0.0))
             screened = math.isfinite(err)
             if screened:
                 base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
@@ -362,7 +429,7 @@ def _local_search(
             else:
                 entries = _listed_entries(listed, lo, hi, cut)
                 if high.size:                         # appended in block order of their own
-                    cand, at, v = _screen_entries(slab.take(high, axis=1), below, d2.take(high))
+                    cand, at, v = _screen_entries(finish(slab.take(high, axis=1)), below, d2.take(high))
                     entries = tuple(map(np.concatenate, zip(entries, (cand, high.take(at), v))))
             estimate, per_center = _screen_estimate(slab, entries, weights, c1, d1, d2, base, cost)
             candidates = (lo + (estimate - err <= limit).nonzero()[0]).tolist()
@@ -373,45 +440,31 @@ def _local_search(
         for j in candidates:
             if in_solution[j]:
                 continue
-            c_pos = -1
+            c_pos, column = -1, finish(powered, j)
             if screened and estimate[j - lo] + err <= limit:
                 row = per_center[j - lo]
                 best, runner_up = row.argpartition(1)[:2].tolist()
                 if row[runner_up] - row[best] > err:  # the screen proves the swap
                     c_pos = best
             if c_pos < 0:
-                c_pos, new_cost = _exact_swap(powered[:, j], weights, c1, d1, d2, k, cost)
+                c_pos, new_cost = _exact_swap(column, weights, c1, d1, d2, k, cost)
                 if not new_cost <= limit:
                     continue
-            column, retired = powered[:, j], powered[:, chosen[c_pos]]
+            stale = ((c1 == c_pos) | (column <= d2) | (near[:, c_pos] == d2)).nonzero()[0]
             in_solution[chosen[c_pos]] = False
             in_solution[j] = True
             chosen[c_pos] = j
             near[:, c_pos] = column
-            stale = ((c1 == c_pos) | (column <= d2) | (retired == d2)).nonzero()[0]
             c1[stale], d1[stale], d2[stale] = _nearest_two(near[stale])
-            cost = float(np.add.reduce(weights * d1))
+            cost, last = float(np.add.reduce(weights * d1)), cost
+            if not cost < last:                       # the screen proved a swap wrongly
+                raise RuntimeError(f"swapping in column {j} did not lower the cost: {last!r} -> {cost!r}")
             if cost <= 0.0:
                 return cost
             err = None
             start, block, left = (j + 1) % n, _BLOCK_MIN, n - 1
             break
     return cost
-
-
-def _instance_gram(coords: np.ndarray, p: float, oracle: DistanceOracle) -> np.ndarray:
-    """Powered distance matrix of instance coordinates against themselves:
-    ``oracle.matrix_between(coords, coords).T ** p`` with each point's pair
-    with itself at 0. Instance ids are distinct, so those pairs are exactly
-    the diagonal, which this function zeroes; the kernel knows no ids. The
-    transpose is F-contiguous, so the column that seeding and local search
-    read per pick or candidate is one contiguous row."""
-    gram = oracle.matrix_between(coords, coords).T
-    np.fill_diagonal(gram, 0.0)
-    if p != 1.0:
-        with _power_overflow(p):
-            gram **= p
-    return gram
 
 
 def weighted_solve(
@@ -425,6 +478,9 @@ def weighted_solve(
 
     Instances with at most k points are returned whole at cost zero; the
     search's cutoff is ``1 - LOCAL_SEARCH_DELTA/k``. Deterministic given the seed.
+    Both read the powered Gram, distances ``** p`` with the diagonal at 0, but
+    only the kernel's product is computed whole: :class:`_Finish` finishes the
+    picks' columns and what the search reads. An overflow of d^p raises.
     """
     _check_int("k", k)
     _check_power(p)
@@ -435,9 +491,11 @@ def weighted_solve(
     if len(ids) <= k:
         return Solution(frozenset(ids), 0.0)
     weights = instance.weights.astype(np.float64)
-    powered = _instance_gram(instance.coords, p, oracle)
-    chosen = _seed_indices(powered, weights, k, np.random.default_rng(seed))
-    cost = _local_search(powered, weights, chosen, 1.0 - LOCAL_SEARCH_DELTA / k)
+    product = oracle.matrix_between(instance.coords, instance.coords, squared=True)
+    np.fill_diagonal(product, -np.inf)
+    finish, near = _Finish(oracle, p), []
+    chosen = _seed_indices(product.T, weights, k, np.random.default_rng(seed), finish, near)
+    cost = _local_search(product.T, weights, chosen, 1.0 - LOCAL_SEARCH_DELTA / k, finish, np.stack(near).T)
     return Solution(frozenset(ids[i] for i in chosen), cost)
 
 

@@ -5,8 +5,9 @@ engine that only tests read: distances between points, a layer's members and
 clusters, a point's center, a state's layer table, the live ids of a store,
 and weighted instances built from or read back as ``(Point, weight)`` pairs;
 :class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
-by the test, passed to the engine as ``DynamicParams(seed=...)``; and the
-seeding of a weighted solve drawn with ``rng.choice``.
+by the test, passed to the engine as ``DynamicParams(seed=...)``; the
+seeding of a weighted solve drawn with ``rng.choice``; and the powered Gram
+of an instance finished whole.
 
 None of these is on an engine path. The brute-force enumerations carry hard
 size guards and evaluate distances without touching the oracle counter; the
@@ -328,6 +329,18 @@ def seed_indices_by_choice(
             chosen.append(int(rng.choice(n, p=mass / total)))
         np.minimum(dmin, powered[:, chosen[-1]], out=dmin)
     return chosen
+
+
+def instance_gram(coords: np.ndarray, p: float, oracle: DistanceOracle) -> np.ndarray:
+    """Powered distance matrix of instance coordinates against themselves,
+    finished whole: ``oracle.matrix_between(coords, coords).T ** p`` with
+    the diagonal, each point's pair with itself, at 0. The reference for the
+    pieces the solver finishes from the kernel's product alone."""
+    gram = oracle.matrix_between(coords, coords).T
+    np.fill_diagonal(gram, 0.0)
+    if p != 1.0:
+        gram **= p
+    return gram
 
 
 def _guard_subsets(n: int, k: int, max_points: int = _BRUTE_FORCE_MAX_POINTS) -> int:

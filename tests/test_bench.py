@@ -11,6 +11,7 @@ import pytest
 from dynkmed import (
     ConfigError,
     DatasetError,
+    DynamicParams,
     ExperimentConfig,
     MetricsRow,
     SyntheticSpec,
@@ -531,6 +532,31 @@ def test_cli_ingestion_error_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_a_dataset_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"1,2\n3,\xff4\n5,6\n")
+    code = cli_main(
+        ["--dataset", str(bad), "--window", "2", "--k", "1", "--phi", "1",
+         "--queries", "0", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"ingestion error: {bad}: malformed row at line 2\n"
+
+
+def test_cli_a_beta_that_rounds_the_shrink_factor_to_one_is_a_config_error(tmp_path, capsys):
+    # 1 - 1e-300 * 0.8 is 1.0 in floating point: no layer would have to shrink
+    with pytest.raises(ValueError, match="round the shrink factor to 1.0"):
+        DynamicParams(k=1, phi=1, beta=1e-300)
+    assert DynamicParams(k=1, phi=1, beta=1e-16).shrink_factor < 1.0
+    code = cli_main(
+        ["--synthetic", "g:2:2:50", "--window", "5", "--k", "1", "--phi", "1",
+         "--beta", "1e-300", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: beta 1e-300 and epsilon 0.2 round the shrink factor to 1.0\n")
 
 
 def test_cli_too_many_queries_is_config_error(tmp_path, capsys):

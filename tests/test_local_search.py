@@ -28,7 +28,7 @@ from dynkmed.solver import (
     _nearest_two,
     _seed_indices,
 )
-from oracles import entries, instance_of, pairwise
+from oracles import entries, instance_gram, instance_of, pairwise
 
 
 SOURCES = {"dense": -1.0, "list": 1.0}
@@ -114,11 +114,18 @@ def _instance(seed: int, n: int, offset: float):
     return instance_of([(q, int(w)) for q, w in zip(pts, weights)]), DistanceOracle(offset)
 
 
+def _l1_oracle(offset: float) -> DistanceOracle:
+    """An oracle whose custom base metric, L1, is called once per pair."""
+    return DistanceOracle(offset, base=lambda a, b: float(np.abs(a - b).sum()))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 5, 20])
 @pytest.mark.parametrize("offset", [0.0, 0.05])
 def test_local_search_matches_full_recompute(p, k, offset, monkeypatch):
-    # duplicates and ties through either source; at k = 1 the screen is off
+    # duplicates and ties through either source; at k = 1 the screen is off.
+    # weighted_solve, which finishes only the Gram entries it reads, also
+    # runs with a custom L1 metric and with p = 1.5
     ties = 0
     for seed in range(8):
         inst, oracle = _instance(100 * k + seed, 60, offset)
@@ -134,6 +141,11 @@ def test_local_search_matches_full_recompute(p, k, offset, monkeypatch):
 
         expected = list(start)
         expected_cost = _reference_local_search(powered, weights, expected, cutoff)
+        solves = []
+        for other, q in ((_l1_oracle(offset), p), (oracle, 1.5)):
+            other_powered = pairwise(other, points, points).T ** q
+            want = _seed_indices(other_powered, weights, k, np.random.default_rng(seed))
+            solves.append((other, q, want, _reference_local_search(other_powered, weights, want, cutoff)))
         for source in SOURCES:
             with monkeypatch.context() as patch:
                 _force_source(patch, source)
@@ -145,6 +157,10 @@ def test_local_search_matches_full_recompute(p, k, offset, monkeypatch):
                 solution = weighted_solve(inst, k, p, seed, oracle)
                 assert solution.centers == frozenset(points[i].id for i in expected)
                 assert repr(solution.cost) == repr(expected_cost)
+                for other, q, want, want_cost in solves:
+                    solution = weighted_solve(inst, k, q, seed, other)
+                    assert solution.centers == frozenset(points[i].id for i in want)
+                    assert repr(solution.cost) == repr(want_cost)
     if k > 1:
         assert ties > 0  # the instances exercise the d1 == d2 case
 
@@ -577,3 +593,115 @@ def test_listed_screen_stops_at_cost_zero(monkeypatch):
     got = [0, 4]
     assert _local_search(powered, weights, got, 0.99) == 0.0
     assert got == [0, 4] and len(lists) == 1
+
+
+# -- entries finished from the kernel's product ----------------------------------
+
+
+def _product_and_gram(p: float, offset: float, metric: str, n: int = 70, seed: int = 11):
+    """Coordinates with exact duplicates, the finish of ``p`` and an oracle
+    (Euclidean or per-pair L1) at ``offset``, the kernel's product with its
+    diagonal marked ``-inf``, and the Gram finished whole as the reference."""
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(0.0, 3.0, size=(n, 3))
+    coords[rng.choice(n, n // 5, replace=False)] = coords[rng.integers(0, n, n // 5)]
+    oracle = DistanceOracle(offset) if metric == "l2" else _l1_oracle(offset)
+    product = oracle.matrix_between(coords, coords, squared=True)
+    np.fill_diagonal(product, -np.inf)
+    return solver._Finish(oracle, p), product, instance_gram(coords, p, oracle)
+
+
+FINISHES = [(p, offset, metric) for p in (1.0, 2.0, 1.5) for offset in (0.0, 0.05)
+            for metric in ("l2", "l1")]
+
+
+@pytest.mark.parametrize("p, offset, metric", FINISHES)
+def test_finished_pieces_equal_the_whole_gram_bit_for_bit(p, offset, metric):
+    finish, product, gram = _product_and_gram(p, offset, metric)
+    n = gram.shape[0]
+    # seeding picks and the columns swapped in or evaluated exactly
+    for j in range(n):
+        assert finish(product.T, j).tobytes() == gram[:, j].tobytes()
+    chosen = [3, 17, 40, 41]
+    assert finish(product.T[:, chosen]).tobytes() == gram[:, chosen].tobytes()
+    # rows above theta in a list-screened block: candidates 16..47 as rows
+    high = np.array([0, 5, 16, 30, 47, 69])
+    assert finish(product[16:48].take(high, axis=1)).tobytes() == gram.T[16:48].take(high, axis=1).tobytes()
+    # the list's values
+    theta = float(np.median(gram))
+    _, columns, rows, values = solver._near_list(product, finish.bound(theta), finish)
+    assert values.tobytes() == gram.T[columns, rows].tobytes()
+    # the dense screen's finish, whole and in place
+    finish.whole(product)
+    assert product.T.tobytes() == gram.tobytes()
+
+
+def _block_entries(listed, cut, n, step=16):
+    return [tuple(a.tolist() for a in solver._listed_entries(listed, lo, min(lo + step, n), cut))
+            for lo in range(0, n, step)]
+
+
+@pytest.mark.parametrize("p, offset, metric", FINISHES)
+def test_list_from_the_product_gives_each_block_the_entries_of_the_gram(p, offset, metric):
+    # The list built from the product against T(theta) holds every entry of
+    # the list built from the finished Gram against theta, plus extras that
+    # finish at or above theta; the block filter, against cuts of at most
+    # theta, drops exactly those, so every block sees the same entries.
+    finish, product, gram = _product_and_gram(p, offset, metric)
+    n = gram.shape[0]
+    values = np.unique(gram[gram > 0.0])
+    rng = np.random.default_rng(int(p * 10 + offset * 100))
+    thetas = [float(values[len(values) // 10]), float(values[len(values) // 3]),
+              float(np.nextafter(values[len(values) // 5], 0.0)),
+              float(np.nextafter(values[len(values) // 5], np.inf)),
+              offset ** p, 0.5 * offset ** p, float(values[0])]
+    for theta in thetas:
+        from_gram = solver._near_list(gram.T, theta)
+        from_product = solver._near_list(product, finish.bound(theta), finish)
+        assert set(zip(from_gram[1].tolist(), from_gram[2].tolist())) <= set(
+            zip(from_product[1].tolist(), from_product[2].tolist()))
+        extras = from_product[3][~np.isin(from_product[1] * n + from_product[2],
+                                          from_gram[1] * n + from_gram[2])]
+        assert np.all(extras >= theta)
+        cuts = [np.full(n, theta), np.minimum(rng.choice(gram.reshape(-1), n), theta)]
+        cuts[1][rng.choice(n, n // 4, replace=False)] = -np.inf
+        for cut in cuts:
+            assert _block_entries(from_product, cut, n) == _block_entries(from_gram, cut, n)
+
+
+def test_an_overflow_of_d_to_the_p_still_raises_on_the_list_path(monkeypatch):
+    # d^400 of the two far points, 8 apart, overflows; no entry of the
+    # centers' columns does, so the list path's check of the largest entry
+    # is what raises, before the search starts
+    _force_source(monkeypatch, "list")
+    x = np.concatenate([np.linspace(-0.5, 0.5, 30), [-4.0, 4.0]])[:, None]
+    oracle = DistanceOracle()
+    product = oracle.matrix_between(x, x, squared=True)
+    np.fill_diagonal(product, -np.inf)
+    finish = solver._Finish(oracle, 400.0)
+    assert np.isfinite(finish(product.T[:, [0, 29]])).all()
+    lists = _record_calls(monkeypatch, "_near_list")
+    with pytest.raises(ValueError, match="^distances to the power 400.0 overflow float64$"):
+        _local_search(product.T, np.ones(32), [0, 29], 0.99, finish)
+    assert lists == []
+    with pytest.raises(ValueError, match="overflow"):
+        weighted_solve(instance_of([(q, 1) for q in points_from_array(x)]), 2, 400.0, 0, oracle)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_swap_that_does_not_lower_the_cost_raises(source, monkeypatch):
+    # A screen that "proves" every candidate's swap for center position 0:
+    # the centers 0 and 10 are already a best pair, so the first swap it
+    # accepts, column 1 for column 0, raises the cost from 2 to 4; the
+    # search raises instead of making it and scanning on.
+    _force_source(monkeypatch, source)
+
+    def proving(slab, *args):
+        b = slab.shape[0]
+        return np.full(b, -np.inf), np.tile([0.0, np.inf], (b, 1))
+
+    monkeypatch.setattr(solver, "_screen_estimate", proving)
+    x = np.array([0.0, 1.0, 10.0, 11.0])
+    powered = np.abs(x[:, None] - x[None, :])
+    with pytest.raises(RuntimeError, match=r"^swapping in column 1 did not lower the cost: 2.0 -> 4.0$"):
+        _local_search(powered, np.array([3.0, 1.0, 1.0, 1.0]), [0, 2], 0.99)

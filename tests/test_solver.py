@@ -16,7 +16,7 @@ from dynkmed import (
     query,
     weighted_solve,
 )
-from dynkmed.solver import _instance_gram, _seed_indices
+from dynkmed.solver import _Finish, _seed_indices
 from oracles import (
     brute_force_coverage_radius,
     brute_force_opt_weighted,
@@ -26,6 +26,7 @@ from oracles import (
     distance,
     entries,
     first_draws,
+    instance_gram,
     instance_of,
     pairwise,
     seed_indices_by_choice,
@@ -201,7 +202,9 @@ def test_weighted_solve_never_worse_than_seeding():
 
 def test_seed_indices_draw_what_rng_choice_draws():
     # repeated points make tied and zero masses, and fewer distinct points
-    # than k leave a total of 0 once every location is picked
+    # than k leave a total of 0 once every location is picked; the seeding
+    # reads the kernel's product and finishes each pick's column itself,
+    # bit for bit the column of the whole Gram
     picks = 0
     for seed in range(80):
         rng = np.random.default_rng(seed)
@@ -209,12 +212,18 @@ def test_seed_indices_draw_what_rng_choice_draws():
         distinct = rng.normal(size=(int(rng.integers(1, n + 1)), 2))
         coords = distinct[rng.integers(0, distinct.shape[0], n)]
         weights = rng.integers(1, 5, n).astype(np.float64)
-        powered = _instance_gram(coords, (1.0, 2.0, 1.5)[seed % 3], DistanceOracle(0.1 * (seed % 2)))
+        p, oracle = (1.0, 2.0, 1.5)[seed % 3], DistanceOracle(0.1 * (seed % 2))
+        powered = instance_gram(coords, p, oracle)
+        product = oracle.matrix_between(coords, coords, squared=True)
+        np.fill_diagonal(product, -np.inf)
         k = int(rng.integers(1, n))
         got_stream, want_stream = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _seed_indices(powered, weights, k, got_stream)
+        near: list = []
+        got = _seed_indices(product.T, weights, k, got_stream, _Finish(oracle, p), near)
         assert got == seed_indices_by_choice(powered, weights, k, want_stream)
         assert got_stream.random() == want_stream.random()  # as many draws taken
+        assert np.stack(near).T.tobytes() == powered[:, got].tobytes()
+        assert _seed_indices(powered, weights, k, np.random.default_rng(seed)) == got
         picks += k
     assert picks > 1000
 
@@ -239,11 +248,16 @@ def test_seed_indices_raise_when_the_masses_overflow():
 @pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
 @pytest.mark.parametrize("offset", [0.0, 0.3])
 def test_instance_gram_equals_the_general_pairwise_path(p, offset):
+    # the solver's dense read finishes the kernel's product whole, in place
     pts = random_points(40, dim=3, seed=31, scale=3.0)
     pts += points_from_array(np.stack([q.coords for q in pts[:6]]), start_id=40)
     general, fast = DistanceOracle(offset), DistanceOracle(offset)
     expected = pairwise(general, pts, pts).T ** p
-    got = _instance_gram(np.stack([q.coords for q in pts]), p, fast)
+    coords = np.stack([q.coords for q in pts])
+    product = fast.matrix_between(coords, coords, squared=True)
+    np.fill_diagonal(product, -np.inf)
+    _Finish(fast, p).whole(product)
+    got = product.T
     assert np.array_equal(got, expected)
     assert got.flags.f_contiguous
     assert fast.evals == general.evals == 46 * 46
@@ -467,3 +481,7 @@ def test_a_power_that_overflows_float64_is_named():
     with pytest.raises(ValueError, match="overflow"):
         cost_set([q.id for q in pts[:3]], state.store, 3.0, ORACLE)
     assert cost_set(pts[:3], pts, 2.0, ORACLE) > 0.0   # d^2 still fits
+    # each d^2 is finite, 3.6e307, but six of them sum past the float64 range
+    far = line_points(0, *[6e153] * 3, *[-6e153] * 3)
+    with pytest.raises(ValueError, match="^distances to the power 2.0 overflow float64$"):
+        cost_set(far[:1], far, 2.0, ORACLE)
