@@ -19,6 +19,7 @@ from .dynamic import (
     preprocess,
 )
 from .solver import (
+    PowerOverflowError,
     Solution,
     WeightedInstance,
     cost_set,
@@ -52,6 +53,7 @@ __all__ = [
     "Point",
     "PointId",
     "PointStore",
+    "PowerOverflowError",
     "Solution",
     "SyntheticSpec",
     "WeightedInstance",

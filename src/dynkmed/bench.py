@@ -53,6 +53,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
             _check_int(f"synthetic spec {name}", value, 1, ConfigError)
+        for name in ("components", "count"):  # each times dim sizes an array, which numpy indexes by intp
+            if getattr(self, name) * self.dim > np.iinfo(np.intp).max:
+                raise ConfigError(f"synthetic spec {name} times dim exceeds {np.iinfo(np.intp).max}")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Command-line entry point for the benchmark harness.
 
 Exit codes: 0 success, 1 config error, 2 ingestion error, 3 invariant
-violation detected during the run.
+violation detected during the run, 4 distances to the power p overflow float64.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .bench import (
     SyntheticSpec,
     run_experiment,
 )
+from .solver import PowerOverflowError
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
@@ -110,6 +111,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DatasetError, OSError) as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return 2
+    except PowerOverflowError as exc:  # p too large for the data's distances
+        print(f"overflow error: {exc}", file=sys.stderr)
+        return 4
 
     totals = result.summary["per_op"]
     print(

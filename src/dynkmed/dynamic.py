@@ -192,7 +192,8 @@ class ClusteringState:
         """Add a new point: counts as an update in every layer, becomes its
         own center in the last one, then the slack check runs."""
         row = self.store.add(point)  # raises on a duplicate id before any change
-        self._track_rows()
+        if row >= self.slot.shape[0]:  # a fresh row past the slots; a reused one is below
+            self._track_rows()
         for layer in self.layers:
             layer.updates += 1
         self.slot[row] = len(self.center)
@@ -206,7 +207,7 @@ class ClusteringState:
         If it centered a cluster with surviving members, the smallest-id
         member takes over as center.
         """
-        row = self.store.row(pid)  # KeyError for an unknown id
+        row = self.store.remove(pid)  # KeyError for an unknown id, before any change
         s = self.slot.item(row)
         for layer in self.layers:
             if layer.start > s:
@@ -217,7 +218,6 @@ class ClusteringState:
         if self.center[s] == row and self.size[s]:
             rows = (self.slot[: self.store.used] == s).nonzero()[0]
             self.center[s] = rows.item(self.store.row_ids.take(rows).argmin())
-        self.store.remove(pid)
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -229,9 +229,9 @@ class ClusteringState:
         rebuild raises, the update that triggered it stays applied and the
         layer stays due, so the next update retries the rebuild.
         """
-        for i, layer in enumerate(self.layers, start=1):
-            if layer.updates >= layer.due:
-                self.rebuild_from_layer(i)
+        for layer in self.layers:
+            if layer.updates >= layer.due:  # its index by identity: layers compare by field
+                self.rebuild_from_layer(1 + next(i for i, l in enumerate(self.layers) if l is layer))
                 return
 
     # -- queries over the maintained assignment ------------------------------

@@ -89,7 +89,8 @@ class PointStore:
 
     def add(self, point: Point) -> int:
         """Store a point and return its row."""
-        self._check(point, (), self.dim)
+        if point.id in self._rows or len(point.coords) != self.dim:  # _check passes a first point
+            self._check(point, (), self.dim)
         row = self._free.pop() if self._free else self._fresh_rows(point.dim, 1)[0]
         self.matrix[row] = point.coords
         self.row_ids[row] = point.id
@@ -145,8 +146,9 @@ class PointStore:
             self.matrix, self.row_ids = matrix, row_ids
         return range(start, self._used)
 
-    def remove(self, pid: PointId) -> None:
-        self._free.append(self._rows.pop(pid))
+    def remove(self, pid: PointId) -> int:
+        self._free.append(row := self._rows.pop(pid))  # row_ids and matrix keep the row
+        return row
 
     def get(self, pid: PointId) -> Point:
         return Point(pid, self.matrix[self._rows[pid]].copy())

@@ -77,14 +77,18 @@ def _check_power(p: float) -> None:
         raise ValueError(f"power must be finite and at least 1, got {p!r}")
 
 
+class PowerOverflowError(ValueError):
+    """Distances to the power p, or their weighted sums, overflow float64."""
+
+
 @contextmanager
 def _power_overflow(p: float):
-    """Turn a float64 overflow inside the block into a ValueError naming d^p."""
+    """Turn a float64 overflow inside the block into a PowerOverflowError naming d^p."""
     with np.errstate(over="raise"):
         try:
             yield
         except FloatingPointError:
-            raise ValueError(f"distances to the power {p!r} overflow float64") from None
+            raise PowerOverflowError(f"distances to the power {p!r} overflow float64") from None
 
 
 _MARGIN = 1.0 + 2.0 ** -20
@@ -206,7 +210,7 @@ def _seed_indices(
         while len(chosen) < k:
             total = mass.sum()
             if not math.isfinite(total):
-                raise ValueError("seeding masses (weight times powered distance) overflow float64")
+                raise PowerOverflowError("seeding masses (weight times powered distance) overflow float64")
             if total <= 0.0:
                 taken = set(chosen)
                 nxt = next(i for i in range(n) if i not in taken)

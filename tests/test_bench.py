@@ -14,13 +14,17 @@ from dynkmed import (
     DynamicParams,
     ExperimentConfig,
     MetricsRow,
+    PowerOverflowError,
     SyntheticSpec,
+    WeightedInstance,
     emit_metrics,
     load_dataset,
     run_experiment,
     sliding_window_stream,
     synthetic_points,
+    weighted_solve,
 )
+from dynkmed import bench, cli
 from dynkmed.bench import CSV_HEADER
 from dynkmed.cli import build_parser, main as cli_main
 
@@ -566,3 +570,43 @@ def test_cli_too_many_queries_is_config_error(tmp_path, capsys):
     )
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_a_synthetic_size_numpy_cannot_index_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # validation alone: a spec that got past it would reach the generator,
+    # which fails the test here instead of asking numpy for the array
+    monkeypatch.setattr(bench, "synthetic_points", lambda *args: pytest.fail("an array was sized"))
+    top = np.iinfo(np.intp).max
+    for fields, name in (
+        ((3, 2, 10**21), "count"),
+        ((3, 2, top // 2 + 1), "count"),         # count fits, count times dim does not
+        ((1, 1, top + 1), "count"),
+        ((top + 1, 1, 5), "components"),
+        ((2, top, 1), "components"),
+    ):
+        with pytest.raises(ConfigError, match=f"^synthetic spec {name} times dim exceeds {top}$"):
+            SyntheticSpec(*fields)
+    for fields in ((3, 2, top // 2), (1, top, 1)):  # the largest sizes numpy can index
+        assert dataclasses.astuple(SyntheticSpec(*fields)) == fields
+    code = cli_main(["--synthetic", "g:3:2:1000000000000000000000", "--window", "50", "--k", "3",
+                     "--phi", "10", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: argument --synthetic: synthetic spec count times dim exceeds {top}\n")
+
+
+def test_cli_an_overflow_of_d_to_the_p_is_one_line_and_exits_4(tmp_path, capsys, monkeypatch):
+    argv = ["--synthetic", "g:3:2:300", "--window", "50", "--k", "3", "--phi", "10",
+            "--out", str(tmp_path / "x.csv")]
+    assert cli_main([*argv, "--p", "400"]) == 4
+    assert capsys.readouterr().err == "overflow error: distances to the power 400.0 overflow float64\n"
+    # seeding masses that overflow are the same error
+    inst = WeightedInstance(np.arange(3), np.array([[0.0], [5e153], [1e154]]), np.full(3, 100))
+    with pytest.raises(PowerOverflowError, match="^seeding masses"):
+        weighted_solve(inst, 2, 2.0, 0)
+    # any other ValueError out of the run still propagates
+    def fail(config):
+        raise ValueError("not an overflow")
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    with pytest.raises(ValueError, match="^not an overflow$"):
+        cli_main(argv)

@@ -624,3 +624,64 @@ def test_a_bad_point_id_is_rejected_before_the_store_takes_a_row(pid):
     for fine in (2**63 - 1, -(2**63), np.int64(9001)):
         state.insert(Point(fine, np.array([1.0, 2.0])))
     assert state.live_count == 52
+
+
+def fields(state):
+    """Every field an update writes: the layers, the slots, the cluster table,
+    the store's row ids, free rows, id map and coordinate rows, the sample
+    stream and the evaluation count. Rows past ``used`` were never written."""
+    store = state.store
+    return ([(l.start, l.radius, l.base_size, l.updates, l.due) for l in state.layers],
+            state.slot.tolist(), list(state.center), list(state.size), store.used,
+            store.row_ids[: store.used].tolist(), list(store._free), dict(store._rows),
+            store.matrix[: store.used].tobytes(), state.rng.bit_generator.state, state.oracle.evals)
+
+
+@pytest.mark.parametrize("reject", ["duplicate id", "wrong dimension", "unknown id"])
+def test_a_rejected_update_leaves_the_state_exactly_as_it_was(reject):
+    pts = gaussian_points(420, seed=8)
+    params = DynamicParams(k=3, phi=20, seed=8)
+    state, twin = preprocess(pts[:300], params), preprocess(pts[:300], params)
+    for i in range(300, 320):  # a free row to take, and counters part way to their budget
+        for s in (state, twin):
+            s.insert(pts[i])
+            s.delete(pts[i - 300].id)
+    assert state.store._free and any(layer.updates for layer in state.layers)
+    before, arrays = fields(state), (state.store.matrix.tobytes(), state.store.row_ids.tobytes())
+    if reject == "unknown id":
+        with pytest.raises(KeyError):
+            state.delete(10**9)
+    else:
+        point = Point(pts[310].id, np.zeros(2)) if reject == "duplicate id" else Point(9000, np.zeros(3))
+        with pytest.raises(ValueError, match="already present" if reject == "duplicate id" else "dimension"):
+            state.insert(point)
+    assert fields(state) == before
+    assert (state.store.matrix.tobytes(), state.store.row_ids.tobytes()) == arrays
+    assert state.integrity_check() == []
+    # the next valid updates, rebuilds among them, go as on a state that
+    # never saw the rejected one
+    evals = state.oracle.evals
+    for i in range(320, 420):
+        for s in (state, twin):
+            s.insert(pts[i])
+            s.delete(pts[i - 300].id)
+        assert fields(state) == fields(twin)
+    assert state.oracle.evals > evals
+    assert state.integrity_check() == []
+
+
+def test_an_insert_stream_across_store_doublings_gives_every_row_a_slot():
+    pts = gaussian_points(300, seed=9)
+    state = preprocess(pts[:10], DynamicParams(k=2, phi=4, seed=9))
+    capacities = [state.store.matrix.shape[0]]
+    for i in range(10, 300):
+        state.insert(pts[i])
+        if i % 3 == 0:  # a freed row, reused by the next insert
+            state.delete(pts[i - 5].id)
+        store = state.store
+        assert state.slot.shape[0] >= store.used
+        live = sorted(store.row(pid) for pid in live_ids(store))
+        assert np.flatnonzero(state.slot >= 0).tolist() == live
+        assert state.integrity_check() == []
+        capacities.append(store.matrix.shape[0])
+    assert len(set(capacities)) >= 4  # 16 -> 32 -> 64 -> 128 -> 256 rows
