@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -21,18 +21,6 @@ import numpy as np
 from .dynamic import ClusteringState, DynamicParams, preprocess
 from .metric import DistanceOracle, Point, points_from_array
 from .solver import _check_int, _check_power, cost_set, query, weighted_solve
-
-CSV_HEADER = [
-    "update_index",
-    "op",
-    "wall_nanos",
-    "distance_evals_delta",
-    "t",
-    "n",
-    "solution_cost",
-    "centers",
-]
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -67,7 +55,10 @@ class MetricsRow:
     t: int
     n: int
     solution_cost: Optional[float] = None
-    centers_returned: Optional[int] = None
+    centers: Optional[int] = None
+
+
+CSV_HEADER = [f.name for f in fields(MetricsRow)]
 
 
 @dataclass
@@ -174,16 +165,17 @@ def sliding_window_stream(n: int, window: int) -> list[tuple[str, int]]:
 
     Every point is inserted exactly once and deleted exactly once, for 2n
     updates total; at step boundaries, at most ``window`` points are live.
+    Only steps that insert or delete are walked, so a window far above n
+    costs nothing.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     updates: list[tuple[str, int]] = []
-    for step in range(n + window):
-        if step < n:
-            updates.append(("insert", step))
-        gone = step - window
-        if 0 <= gone < n:
-            updates.append(("delete", gone))
+    for step in range(n):
+        updates.append(("insert", step))
+        if step >= window:
+            updates.append(("delete", step - window))
+    updates.extend(("delete", gone) for gone in range(max(0, n - window), n))
     return updates
 
 
@@ -259,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 t=state.t,
                 n=state.live_count,
                 solution_cost=cost,
-                centers_returned=centers,
+                centers=centers,
             )
         )
         eval_mark = oracle.evals
@@ -368,11 +360,11 @@ def _summarize(
 
 
 def emit_metrics(rows: Iterable[MetricsRow], path: str | Path) -> None:
-    """Write rows as CSV with the fixed schema; blanks for inapplicable
-    (``None``) fields, floats as ``repr``. Deterministic row order and
-    formatting."""
+    """Write rows as CSV, one column per :class:`MetricsRow` field in order;
+    blanks for inapplicable (``None``) fields, floats as ``repr``.
+    Deterministic row order and formatting."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:  # MetricsRow's fields are the columns in order
+        for row in rows:
             writer.writerow(vars(row).values())

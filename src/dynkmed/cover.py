@@ -21,10 +21,13 @@ from .metric import DistanceOracle
 if TYPE_CHECKING:
     from .dynamic import DynamicParams
 
+# Absolute slop for comparing integer counts against fractional thresholds.
+_EPS = 1e-9
+
 
 def _quantile_index(fraction: float, n: int) -> int:
     # ceil(fraction * n) with a guard against one-ulp overshoot at integers
-    return max(1, math.ceil(fraction * n - 1e-9))
+    return max(1, math.ceil(fraction * n - _EPS))
 
 
 def _cover_arrays(

@@ -24,12 +24,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cover import _cover_arrays
+from .cover import _EPS, _cover_arrays
 from .metric import DistanceOracle, Point, PointId, PointStore
 from .solver import WeightedInstance, _check_int
-
-# Absolute slop for comparing integer counters against fractional thresholds.
-_EPS = 1e-9
 
 # One layer to append: working-set size, radius, its points' rows with each
 # one's cluster index in the layer, and the clusters' center rows and sizes.

@@ -403,8 +403,6 @@ def _local_search(
     near = finish(powered[:, chosen]) if near is None else near
     c1, d1, d2 = _nearest_two(near)
     cost = float(np.add.reduce(weights * d1))
-    in_solution = np.zeros(n, dtype=bool)
-    in_solution[chosen] = True
     below = np.empty(_BLOCK_MAX * n, dtype=bool)
     theta, sample, listed = float(d2.max()), powered.T[::_SAMPLE_STEP], None
     if cost > 0.0 and np.count_nonzero(sample < finish.bound(theta)) <= _LIST_DENSITY * sample.size:
@@ -442,7 +440,7 @@ def _local_search(
         left -= hi - lo
         start, block = hi % n, min(2 * block, _BLOCK_MAX)
         for j in candidates:
-            if in_solution[j]:
+            if j in chosen:
                 continue
             c_pos, column = -1, finish(powered, j)
             if screened and estimate[j - lo] + err <= limit:
@@ -455,8 +453,6 @@ def _local_search(
                 if not new_cost <= limit:
                     continue
             stale = ((c1 == c_pos) | (column <= d2) | (near[:, c_pos] == d2)).nonzero()[0]
-            in_solution[chosen[c_pos]] = False
-            in_solution[j] = True
             chosen[c_pos] = j
             near[:, c_pos] = column
             c1[stale], d1[stale], d2[stale] = _nearest_two(near[stale])

@@ -141,6 +141,28 @@ def test_sliding_window_stream_counts_and_live_bound():
     assert max(step_sizes) <= window
 
 
+def _stream_by_every_step(n, window):
+    """Reference stream: a walk over all n + window steps."""
+    updates = []
+    for step in range(n + window):
+        if step < n:
+            updates.append(("insert", step))
+        gone = step - window
+        if 0 <= gone < n:
+            updates.append(("delete", gone))
+    return updates
+
+
+def test_sliding_window_stream_matches_the_walk_over_every_step():
+    for n in range(13):
+        for window in range(1, 16):
+            assert sliding_window_stream(n, window) == _stream_by_every_step(n, window), (n, window)
+
+
+def test_sliding_window_stream_a_window_far_above_n_finishes():
+    assert sliding_window_stream(3, 10**21) == sliding_window_stream(3, 3)
+
+
 def test_synthetic_points_deterministic():
     spec = SyntheticSpec(components=4, dim=3, count=25)
     a = synthetic_points(spec, 7)
@@ -190,7 +212,7 @@ def test_run_experiment_with_queries_and_baseline(tmp_path):
     for row in result.rows:
         if row.op in ("query", "baseline"):
             assert row.solution_cost is not None and row.solution_cost >= 0.0
-            assert row.centers_returned <= config.k or row.op == "baseline"
+            assert row.centers <= config.k or row.op == "baseline"
         else:
             assert row.solution_cost is None
     csv_path = Path(config.out)
@@ -412,6 +434,21 @@ def test_cli_happy_path(tmp_path, capsys):
     assert printed["violations"] == 0
 
 
+def test_cli_a_window_far_above_the_point_count_runs(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code = cli_main(
+        [
+            "--synthetic", "g:3:2:300",
+            "--window", "1000000000000000000000",
+            "--k", "3",
+            "--phi", "10",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["updates"] == 600
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     code = cli_main(
         ["--synthetic", "bogus", "--window", "5", "--k", "1", "--phi", "1",
@@ -509,9 +546,9 @@ def test_metrics_contract(name, overrides):
         )
         if want["solution_cost"]:
             assert row.solution_cost == pytest.approx(float(want["solution_cost"]), rel=1e-9)
-            assert row.centers_returned == int(want["centers"])
+            assert row.centers == int(want["centers"])
         else:
-            assert row.solution_cost is None and row.centers_returned is None
+            assert row.solution_cost is None and row.centers is None
 
 
 def test_cli_ingestion_error_exit_code(tmp_path, capsys):

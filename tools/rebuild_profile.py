@@ -47,27 +47,12 @@ from dynkmed import dynamic  # noqa: E402
 UPDATE, REBUILD, ROUND = "update", "rebuild", "round"
 
 
-def _count_enter(args, kwargs, attrs) -> None:
-    attrs["evals"] = _oracle(args).evals
+def _round_enter(args, kwargs, attrs) -> None:
+    attrs["evals"] = args[3].evals              # _cover_arrays(coords, params, rng, oracle)
 
 
-def _count_exit(args, kwargs, result, attrs) -> None:
-    attrs["evals"] = _oracle(args).evals - attrs["evals"]
-
-
-def _oracle(args) -> dk.DistanceOracle:
-    # rebuild_from_layer(state, index) or _cover_arrays(coords, params, rng, oracle)
-    return args[0].oracle if isinstance(args[0], dk.ClusteringState) else args[3]
-
-
-def _rebuild_enter(args, kwargs, attrs) -> None:
-    attrs["depth"] = args[1]
-    _count_enter(args, kwargs, attrs)
-
-
-def _rebuild_exit(args, kwargs, result, attrs) -> None:
-    _count_exit(args, kwargs, result, attrs)
-    attrs["size"] = args[0].layers[attrs["depth"] - 1].base_size
+def _round_exit(args, kwargs, result, attrs) -> None:
+    attrs["evals"] = args[3].evals - attrs["evals"]
 
 
 def profile_pass(inputs: run.Inputs) -> tuple[Tracer, Callable[[int], float]]:
@@ -80,8 +65,8 @@ def profile_pass(inputs: run.Inputs) -> tuple[Tracer, Callable[[int], float]]:
     targets = [
         (dk.ClusteringState, "insert", UPDATE, None, None),
         (dk.ClusteringState, "delete", UPDATE, None, None),
-        (dk.ClusteringState, "rebuild_from_layer", REBUILD, _rebuild_enter, _rebuild_exit),
-        (dynamic, "_cover_arrays", ROUND, _count_enter, _count_exit),
+        (dk.ClusteringState, "rebuild_from_layer", REBUILD, run._rebuild_enter, run._rebuild_exit),
+        (dynamic, "_cover_arrays", ROUND, _round_enter, _round_exit),
     ]
     speed = run.SpeedClock()
     with instrument(tracer, targets):
