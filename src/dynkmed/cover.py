@@ -2,8 +2,12 @@
 
 One round samples ``phi`` points uniformly with replacement, finds the
 smallest radius whose balls around the sample capture a ``beta`` fraction of
-the set, and assigns every captured point to its nearest sampled center; a
-center whose own row goes to another center keeps no cluster.
+the set, and assigns every captured point to its nearest sampled center. At
+a positive offset a center is its own nearest at 0 and every other pair is
+at least the offset, so a round of n points and c distinct centers
+evaluates only the (n - c) * c pairs of the unsampled rows; at offset 0 it
+evaluates all n * c, and a center whose own row goes to another center
+keeps no cluster.
 :func:`_cover_arrays` runs one round over coordinate rows in id order;
 the layered state in :mod:`dynkmed.dynamic` peels rounds with it until at
 most ``phi`` points remain, and its
@@ -42,22 +46,30 @@ def _cover_arrays(
     Returns the ascending positions of the centers that keep a cluster, each
     point's nearest center as an index into them (ties toward the smallest
     id), the boolean covered mask aligned with the rows, and the radius.
-    Each returned center is its own nearest; a sampled center whose own row
-    went to another center is dropped before the assignment.
+    Each returned center is its own nearest. At a positive offset the one
+    ``matrix_between`` call takes the unsampled rows only and each sampled
+    row is set to its own column at distance 0; at offset 0 it takes every
+    row, and a sampled center whose own row went to another center is
+    dropped before the assignment.
     """
     n = coords.shape[0]
     mark = np.zeros(n, dtype=bool)
     mark[rng.integers(0, n, params.phi)] = True
     pos = mark.nonzero()[0]
-
-    # points are distinct, so center j's only pair with itself is (pos[j], j);
-    # the round, not the kernel, marks it -inf, which nearest reads as 0
-    dist = oracle.matrix_between(coords, coords.take(pos, 0), squared=True)
     columns = np.arange(pos.shape[0])
-    dist[pos, columns] = -np.inf
-    nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
-    # own pairs are at 0 and other pairs at least the offset: only offset 0 drops centers
-    if not oracle.offset:
+
+    if oracle.offset:  # each center is its own nearest: evaluate the other rows only
+        rest = (~mark).nonzero()[0]
+        nearest, dmin = np.empty(n, dtype=np.intp), np.zeros(n)
+        nearest[pos] = columns
+        nearest[rest], dmin[rest] = oracle.nearest(  # first minimum: smallest center id wins
+            oracle.matrix_between(coords.take(rest, 0), coords.take(pos, 0), squared=True))
+    else:
+        # points are distinct, so center j's only pair with itself is (pos[j], j);
+        # the round, not the kernel, marks it -inf, which nearest reads as 0
+        dist = oracle.matrix_between(coords, coords.take(pos, 0), squared=True)
+        dist[pos, columns] = -np.inf
+        nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
         kept = nearest[pos] == columns
         if np.count_nonzero(kept) < kept.shape[0]:
             pos = pos[kept]

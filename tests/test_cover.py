@@ -227,3 +227,52 @@ def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():
         assert mask[pos].all()
         state = preprocess(points_from_array(x), params)
         assert not [v for v in state.integrity_check() if "is not a member" in v]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_a_round_evaluates_only_the_unsampled_rows_at_a_positive_offset(offset):
+    # each center is its own nearest at 0 and every other pair is at least a
+    # positive offset, so the round leaves the c x c pairs between centers out
+    x = np.random.default_rng(3).normal(size=(50, 3))
+    draws = ForcedDraws(lambda n, size: [41, 3, 7, 7, 20])
+    oracle = DistanceOracle(offset)
+    pos, nearest, mask, _ = _cover_arrays(x, DynamicParams(k=1, phi=5), draws, oracle)
+    n, c = x.shape[0], 4
+    assert pos.tolist() == [3, 7, 20, 41]
+    assert oracle.evals == ((n - c) * c if offset else n * c)
+    assert np.array_equal(nearest[pos], np.arange(c)) and mask[pos].all()
+
+
+def test_a_custom_metric_is_never_called_on_two_sampled_rows_at_a_positive_offset():
+    x = np.random.default_rng(4).normal(size=(30, 2))
+    sampled = [0, 5, 6, 29]
+    calls = []
+
+    def l1(u, v):
+        calls.append((u.tobytes(), v.tobytes()))
+        return float(np.abs(u - v).sum())
+
+    oracle = DistanceOracle(0.25, l1)
+    draws = ForcedDraws(lambda n, size: sampled + sampled)
+    _cover_arrays(x, DynamicParams(k=1, phi=8), draws, oracle)
+    centers = {x[p].tobytes() for p in sampled}
+    n, c = x.shape[0], len(sampled)
+    assert len(calls) == oracle.evals == (n - c) * c
+    assert all(v in centers and u not in centers for u, v in calls)
+
+
+def test_a_round_that_samples_every_row_at_a_positive_offset_evaluates_nothing():
+    x = np.random.default_rng(5).normal(size=(6, 2))
+    oracle = DistanceOracle(0.25)
+    got = _cover_arrays(x, DynamicParams(k=1, phi=6), ForcedDraws(lambda n, size: range(n)), oracle)
+    pos, nearest, mask, radius = got
+    assert pos.tolist() == nearest.tolist() == list(range(6))
+    assert mask.all() and radius == 0.0 and oracle.evals == 0
+    # seeded draws that hit every row leave the stream where the full block's round does
+    streams = []
+    for offset in (0.0, 0.25):
+        rng = np.random.default_rng(11)
+        pos = _cover_arrays(x[:3], DynamicParams(k=1, phi=40), rng, DistanceOracle(offset))[0]
+        assert pos.tolist() == [0, 1, 2]
+        streams.append(rng.bit_generator.state)
+    assert streams[0] == streams[1] != np.random.default_rng(11).bit_generator.state

@@ -16,7 +16,9 @@ metrics and that of ``--trace 1`` the per-layer ones, so ``--metric`` must
 be one the chosen ``--trace`` reports. It also prints each side's median ``reference_us`` (the
 speed clock's reference time) and ``pass_raw_run_s`` (unscaled pass time),
 which a speed claim quotes next to the scaled metrics, and whether the
-digests and the per-pass evaluation counts agree across every run. Exits 1
+digests and the per-pass evaluation counts agree across every run. When they
+do not, it names the ``per_pass`` fields whose values differ between parent
+and change, and says whether each side's runs agree with each other. Exits 1
 when a run fails its correctness gate or when the digests or the per-pass
 counts differ between runs, so ``ab_pairs.py . .`` is a determinism check.
 A run whose process exits nonzero stops the pairs: the side, the pair and
@@ -52,6 +54,29 @@ def directions(checkout: Path) -> dict[str, tuple[str, int]]:
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     return {m["name"]: (m["better"], trace)
             for trace, group in enumerate(("end_to_end", "per_layer")) for m in spec[group]}
+
+
+def differences(runs: dict[str, list[dict]]) -> list[str]:
+    """Lines naming the ``per_pass`` fields whose values differ between the
+    sides, with each side's values, and whether each side agrees with itself."""
+    def values(side: str, read) -> list[str]:
+        return sorted({json.dumps(read(r["record"]), sort_keys=True) for r in runs[side]})
+
+    fields = sorted({f for side in SIDES for r in runs[side] for f in r["record"]["per_pass"]})
+    differ, same = [], []
+    for f in fields:
+        parent, change = (values(side, lambda rec: rec["per_pass"].get(f)) for side in SIDES)
+        if parent == change:
+            same.append(f)
+        else:
+            differ.append(f"{f} (parent {' '.join(parent)}, change {' '.join(change)})")
+    lines = [f"  per_pass fields that differ between parent and change: {', '.join(differ) or 'none'}",
+             f"  per_pass fields identical on both sides: {', '.join(same) or 'none'}"]
+    for side in SIDES:
+        own = values(side, lambda rec: [rec["digests"], rec["per_pass"]])
+        lines.append(f"  {side}: digests and per_pass " + (
+            "the same in each of its runs" if len(own) == 1 else "DIFFER between its own runs"))
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         seen = {json.dumps(r["record"][key], sort_keys=True) for side in SIDES for r in runs[side]}
         agree &= len(seen) == 1
         print(f"  {key}: {'identical in every run' if len(seen) == 1 else 'DIFFER between runs'}")
+    if not agree:
+        print("\n".join(differences(runs)))
     correct = all(r["result"]["correct"] for side in SIDES for r in runs[side])
     print(f"  correct in every run: {correct}")
     if args.out:
