@@ -375,10 +375,15 @@ def _local_search(
     d2)`` that the list lacks, so the block finishes and reads that row
     densely instead. Otherwise the product is finished whole, in place, and
     each block is read densely; only columns swapped in or evaluated exactly
-    are finished besides. Both give every entry below ``d2`` once, and in
-    the dense order while no row is above theta, when the estimates are bit
-    for bit the same; otherwise only the order of the sums differs, which the
-    bound below does not depend on: it counts m rounding errors per sum.
+    are finished besides. The screen then follows the search: each time the
+    largest ``d2`` has fallen to half the value the sample was last tested
+    at, the sample, finished now, is tested again against it, and once it
+    passes the finished Gram's entries below that ``d2``, the new theta,
+    are listed and read from then on. Both give every entry below ``d2``
+    once, and in the dense order while no row is above theta, when the
+    estimates are bit for bit the same; otherwise only the order of the
+    sums differs, which the bound below does not depend on: it counts m
+    rounding errors per sum.
 
     The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
     and the estimate round the same real value, ``cost + shared +
@@ -411,6 +416,7 @@ def _local_search(
         listed = _near_list(powered.T, finish.bound(theta), finish)
     else:
         finish = finish.whole(powered.T)
+    tested = theta                                    # the largest d2 the sample was last tested at
     err = None                                        # screen bound of the current state
     start, block = 0, _BLOCK_MIN
     left = n if cost > 0.0 else 0                     # columns to scan before stopping
@@ -419,6 +425,10 @@ def _local_search(
             err = 64.0 * (n + 8) * (math.ulp(1.0) * (cost + float(np.add.reduce(weights * d2))) + math.ulp(0.0))
             screened = math.isfinite(err)
             if screened:
+                if listed is None and 2.0 * (top := float(d2.max())) <= tested:
+                    tested = top                      # the sample holds finished entries now
+                    if np.count_nonzero(sample < top) <= _LIST_DENSITY * sample.size:
+                        theta, listed = top, _near_list(powered.T, top)
                 base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
                 if listed is not None:                # rows whose d2 rose above theta are read densely
                     high = (d2 > theta).nonzero()[0]

@@ -276,3 +276,38 @@ def test_a_round_that_samples_every_row_at_a_positive_offset_evaluates_nothing()
         assert pos.tolist() == [0, 1, 2]
         streams.append(rng.bit_generator.state)
     assert streams[0] == streams[1] != np.random.default_rng(11).bit_generator.state
+
+
+@pytest.mark.parametrize("offset, draws, evals", [
+    (0.25, [9, 1, 4, 4, 6, 8], 0),             # 5 distinct rows fill ceil(0.5 * 10)
+    (0.25, [9, 1, 4, 4, 6], (10 - 4) * 4),     # 4 do not: the unsampled rows' pairs
+    (0.0, [9, 1, 4, 4, 6, 8], 10 * 5),         # at offset 0 every row's pairs
+])
+def test_a_round_whose_sample_fills_the_beta_quantile_evaluates_nothing(offset, draws, evals):
+    # at a positive offset the sampled centers are the nearest points to the
+    # sample, at 0, so when they number ceil(beta * n) the radius is 0 and
+    # the layer is the sample, whatever the distances are
+    x = np.random.default_rng(6).normal(size=(10, 2))
+    params = DynamicParams(k=1, phi=len(draws), beta=0.5)
+    sampled = sorted(set(draws))
+    calls = []
+
+    def l1(u, v):
+        calls.append((u, v))
+        return float(np.abs(u - v).sum())
+
+    # the same draws at offset 0, a round that evaluates every pair
+    evaluating = ForcedDraws(lambda n, size: draws)
+    full = _cover_arrays(x, params, evaluating, DistanceOracle(0.0, l1))
+    calls.clear()
+    rng, oracle = ForcedDraws(lambda n, size: draws), DistanceOracle(offset, l1)
+    pos, nearest, mask, radius = _cover_arrays(x, params, rng, oracle)
+    assert len(calls) == oracle.evals == evals
+    assert pos.tolist() == full[0].tolist() == sampled
+    assert np.array_equal(mask, full[2]) and np.array_equal(nearest[mask], full[1][mask])
+    assert rng.bit_generator.state == evaluating.bit_generator.state
+    if evals == 0:
+        assert repr(radius) == repr(full[3]) == "0.0"
+        assert mask.nonzero()[0].tolist() == sampled
+        assert nearest[pos].tolist() == list(range(len(sampled)))
+        assert (nearest[~mask] == -1).all()

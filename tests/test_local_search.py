@@ -536,6 +536,54 @@ def test_screen_source_follows_the_sampled_density(monkeypatch):
         assert len(lists) == listed
 
 
+def test_a_search_that_starts_dense_lists_once_its_largest_d2_has_halved(monkeypatch):
+    # Fifty centers in one of twelve components: most of the Gram lies below
+    # the largest d2, so the search starts dense. As swaps spread the
+    # centers over the components the largest d2 falls; the sample is tested
+    # again each time it has halved, and once it passes the search lists the
+    # entries below that d2, the new theta, and makes the reference's swaps
+    # from there. Each block's estimates are checked against the dense
+    # screen's of the same state, as in the test below: some rows' d2 rise
+    # above the new theta after the switch.
+    powered, weights = _mixture(2.0, components=12, spread=15.0)
+    k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
+    start = np.argsort(powered[:, 0], kind="stable")[:k].tolist()
+    assert _sampled_density(powered, start) > solver._LIST_DENSITY
+    theta = _nearest_two(powered[:, start])[2].max()
+    expected = list(start)
+    expected_cost = _reference_local_search(powered, weights, expected, cutoff)
+    dense_entries, estimate = solver._screen_entries, solver._screen_estimate
+    lists = _record_calls(monkeypatch, "_near_list")
+    blocks = {"dense": 0, "exact": 0, "within the bound": 0}
+
+    def checking(slab, entries, weights, c1, d1, d2, base, cost):
+        got = estimate(slab, entries, weights, c1, d1, d2, base, cost)
+        below = np.empty(slab.size, dtype=bool)
+        want = estimate(slab, dense_entries(slab, below, d2), weights, c1, d1, d2, base, cost)
+        if lists and np.any(d2 > lists[0][1]):
+            err = 64.0 * (slab.shape[1] + 8) * np.finfo(np.float64).eps * (cost + np.sum(weights * d2))
+            assert all(np.allclose(g, w, rtol=0.0, atol=err) for g, w in zip(got, want))
+            blocks["within the bound"] += 1
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            blocks["exact" if lists else "dense"] += 1
+        return got
+
+    monkeypatch.setattr(solver, "_screen_estimate", checking)
+    got = list(start)
+    got_cost = _local_search(powered, weights, got, cutoff)
+    assert got == expected != start
+    assert repr(got_cost) == repr(expected_cost)
+    (gram_t, top), = lists
+    assert gram_t.base is powered and 0.0 < top <= theta / 2
+    assert all(blocks.values())
+    with monkeypatch.context() as patch:               # forced dense, it never lists
+        _force_source(patch, "dense")
+        got = list(start)
+        assert repr(_local_search(powered, weights, got, cutoff)) == repr(expected_cost)
+    assert got == expected and len(lists) == 1
+
+
 def test_listed_screen_reads_rows_whose_d2_rose_above_theta_densely(monkeypatch):
     # A swap that retires a row's nearest or second-nearest center can lift
     # its d2 above theta, the bound of the list, which then lacks that row's

@@ -12,7 +12,10 @@ separate oracle. The run is derandomized, so it is the same on every run.
 A second machine runs the same rules and checks on an oracle with a custom
 per-pair metric (L1), plus a rebuild that the metric makes fail: it raises
 on a poisoned coordinate row, and the failed rebuild must leave the layers,
-the cluster table, the slots and the sample stream as they were.
+the cluster table, the slots and the sample stream as they were. Only a
+layer whose U_i has more than phi / beta points is poisoned: a cover round
+whose sample fills the beta-quantile evaluates nothing at a positive offset,
+so it would never call the metric.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dynkmed import DistanceOracle, DynamicParams, Point, cost_set, preprocess, query
-from oracles import checked_instance, live_ids, members
+from oracles import ForcedDraws, checked_instance, live_ids, members
 
 grid_point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
@@ -119,12 +122,18 @@ class CustomMetricStateMachine(DynamicStateMachine):
         return ([dataclasses.astuple(layer) for layer in state.layers], list(state.center),
                 list(state.size), state.slot.tolist(), state.rng.bit_generator.state)
 
-    @precondition(lambda self: self.state.live_count > self.state.params.phi)
+    def evaluating(self, size: int) -> bool:
+        """Whether the first cover round over U_i of ``size`` points must
+        evaluate: above phi / beta points its at most phi centers cannot
+        fill the beta-quantile, so it reads every point of U_i."""
+        return size > self.state.params.phi / self.state.params.beta
+
+    @precondition(lambda self: self.evaluating(self.state.live_count))
     @rule(index=st.integers(0, 10**6), layer=st.integers(0, 10**6))
     def failed_rebuild(self, index, layer):
-        # a layer whose U_i exceeds phi runs a cover round, which reads the
-        # distance of every point of U_i, the poisoned one among them
-        deep = [i for i in range(1, self.state.t + 1) if len(members(self.state, i)) > self.state.params.phi]
+        # so the poisoned point's row is read; a round whose sample fills the
+        # quantile evaluates nothing and would not call the metric
+        deep = [i for i in range(1, self.state.t + 1) if self.evaluating(len(members(self.state, i)))]
         i = deep[layer % len(deep)]
         covered = sorted(members(self.state, i))
         self.metric.poison = self.state.store.get(covered[index % len(covered)]).coords
@@ -141,3 +150,20 @@ CustomMetricStateMachine.TestCase.settings = settings(
     derandomize=True, max_examples=60, stateful_step_count=40, deadline=None
 )
 TestCustomMetricState = CustomMetricStateMachine.TestCase
+
+
+def test_a_round_whose_sample_fills_the_quantile_never_calls_a_poisoned_metric():
+    # ten points, the first five sampled: at a positive offset the layer is
+    # the sample at radius 0 and the five left are at most phi, so neither
+    # the bulk load nor a rebuild calls the metric, on any row; at offset 0
+    # the same rounds read every row
+    metric = PoisonedL1()
+    points = [Point(i, np.array([i, i % 3], dtype=np.float64)) for i in range(10)]
+    params = DynamicParams(k=1, phi=5, seed=ForcedDraws(lambda n, size: range(size)))
+    for row in (0, 9):
+        metric.poison = points[row].coords
+        state = preprocess(points, params, DistanceOracle(0.1, metric))
+        state.rebuild_from_layer(1)
+        assert state.oracle.evals == 0 and state.t == 2 and state.layers[0].radius == 0.0
+        with pytest.raises(RuntimeError, match="poisoned coordinate"):
+            preprocess(points, params, DistanceOracle(0.0, metric))

@@ -19,9 +19,13 @@ the oracle's methods to the references.
 The package must return the same bits: sample positions, nearest columns,
 distances, covered masks, radii, rounds and the state of the sample stream,
 and a slide driven by the references must match a slide driven by the
-package after every update. Its evaluation count must be the reference's
-exactly, less the c * c pairs between a round's c sampled centers at a
-positive offset, which its round does not evaluate.
+package after every update. A round at a positive offset whose c sampled
+centers fill the beta-quantile of its n points evaluates nothing, and its
+nearest column is -1 on the rows it does not cover, so there the nearest
+columns are compared on the covered rows. The package's evaluation count
+must be the reference's exactly, less at a positive offset the c * c pairs
+between a round's c sampled centers and, in a round that evaluates nothing,
+its other (n - c) * c pairs too.
 """
 from __future__ import annotations
 
@@ -168,20 +172,32 @@ class ReferenceOracle(DistanceOracle):
         return cols, dmin
 
 
-class RoundReference(ReferenceOracle):
-    """The reference kernel for cover rounds, also summing the c * c pairs
-    between the c sampled centers of each block: at a positive offset the
-    package's round leaves them out, so it evaluates ``package_evals``."""
+def skips(offset: float, beta: float, n: int, c: int) -> bool:
+    """Whether the package's round of n points and c distinct sampled
+    centers evaluates nothing: at a positive offset, when c fills the
+    beta-quantile."""
+    return bool(offset) and c >= _quantile_index(beta, n)
 
-    center_pairs = 0
+
+class RoundReference(ReferenceOracle):
+    """The reference kernel for cover rounds at the rounds' ``beta``, also
+    summing the pairs of each n-by-c block that the package's round leaves
+    out at a positive offset: the c * c between the sampled centers, and
+    the other (n - c) * c of a round that :func:`skips`. So the package
+    evaluates ``package_evals``."""
+
+    def __init__(self, offset: float, base, beta: float) -> None:
+        super().__init__(offset, base)
+        self.beta, self.left_out = beta, 0
 
     def matrix_between(self, a_coords, a_ids, b_coords, b_ids, squared=False):
-        self.center_pairs += len(b_coords) ** 2
+        n, c = len(a_coords), len(b_coords)
+        self.left_out += c * c + (n - c) * c * skips(self.offset, self.beta, n, c)
         return super().matrix_between(a_coords, a_ids, b_coords, b_ids, squared)
 
     @property
     def package_evals(self) -> int:
-        return self.evals - self.center_pairs if self.offset else self.evals
+        return self.evals - self.left_out if self.offset else self.evals
 
 
 class ReferenceState(ClusteringState):
@@ -321,18 +337,26 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 @pytest.mark.parametrize("case, offset, base, draws", CASES)
 def test_cover_round_matches_its_reference(case, offset, base, draws):
-    absorbed, BranchCounter.ties = 0, 0
-    for seed in range(12):
-        x = blocks(case, seed, n=60 if base else 180)
+    absorbed, skipped, BranchCounter.ties = 0, 0, 0
+    for seed in range(16):
+        # from seed 12 on the working set is little larger than the sample,
+        # as in a rebuild's last rounds, where the sample can fill the quantile
+        x = blocks(case, seed, n=(60 if base else 180) if seed < 12 else 30 + seed)
         ids = np.arange(7, 7 + 3 * x.shape[0], 3)
-        params = DynamicParams(k=3, phi=25 + seed, beta=0.4 + 0.03 * seed)
+        params = DynamicParams(k=3, phi=25 + seed, beta=0.4 + 0.03 * (seed % 12))
         new_rng = np.random.default_rng(stream(draws, seed))
         old_rng = np.random.default_rng(stream(draws, seed))
-        new, old = BranchCounter(offset, base), RoundReference(offset, base)
+        new, old = BranchCounter(offset, base), RoundReference(offset, base, params.beta)
         got = cover._cover_arrays(x, params, new_rng, new)
         want = _cover_arrays(ids, x, params, old_rng, old)
-        for g, w in zip(got[:3], want[:3]):
-            assert_same_bits(g, w)
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[2], want[2])
+        if skips(offset, params.beta, x.shape[0], got[0].shape[0]):
+            assert_same_bits(got[1][got[2]], want[1][want[2]])
+            assert (got[1][~got[2]] == -1).all()
+            skipped += 1
+        else:
+            assert_same_bits(got[1], want[1])
         assert repr(got[3]) == repr(want[3])
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
         assert new.evals == old.package_evals
@@ -341,6 +365,7 @@ def test_cover_round_matches_its_reference(case, offset, base, draws):
     # exact duplicates at offset 0 tie at distance 0, and a center whose own
     # row goes to its twin is dropped
     assert (absorbed > 0 and BranchCounter.ties > 0) == (case == "duplicates")
+    assert (skipped > 0) == (offset > 0)
 
 
 @pytest.mark.parametrize("case, offset, base, draws", CASES)
@@ -372,7 +397,7 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
     pts = points_from_array(blocks(case, 5, n=120 if base else 700))
     params = DynamicParams(k=3, phi=12, seed=stream(draws, 9))
     new = preprocess(pts, params, DistanceOracle(offset, base))
-    old = reference_preprocess(pts, params, RoundReference(offset, base))
+    old = reference_preprocess(pts, params, RoundReference(offset, base, params.beta))
     rows = np.flatnonzero(new.slot >= 0)
     ids = new.store.row_ids[rows]
     order = np.argsort(ids)
@@ -404,7 +429,7 @@ def test_a_slide_matches_its_reference_after_every_update(case, offset, base, dr
     pts = points_from_array(blocks(case, 11, n=window + steps, dim=3))
     params = DynamicParams(k=3, phi=8, seed=stream(draws, 4))
     new = preprocess(pts[:window], params, DistanceOracle(offset, base))
-    old = reference_preprocess(pts[:window], params, RoundReference(offset, base))
+    old = reference_preprocess(pts[:window], params, RoundReference(offset, base, params.beta))
     assert_same_state(new, old)
     rebuilds = 0
     for step in range(steps):

@@ -12,11 +12,14 @@ for the slide only, so the bulk load is not profiled.
 Prints, per pass (every pass makes the same updates):
 
 - per depth i of ``rebuild_from_layer(i)``: the rebuild count, the mean
-  |U_i| at rebuild, the cover rounds, the evaluations and the wall time;
+  |U_i| at rebuild, the cover rounds, how many of them evaluated nothing
+  (at a positive offset, rounds whose sampled centers fill the
+  beta-quantile), the evaluations and the wall time;
 - the update time, split into updates that rebuild and updates that do not;
-- a least-squares fit over every cover round (one ``_cover_arrays`` call) of
-  its wall time as ``fixed + per_entry * entries``, where ``entries`` is the
-  round's evaluation count, the size of its distance block.
+- a least-squares fit over every cover round (one ``_cover_arrays`` call)
+  that evaluated something of its wall time as ``fixed + per_entry *
+  entries``, where ``entries`` is the round's evaluation count, the size of
+  its distance block; the rounds that evaluated nothing are left out of it.
 
 Wall times are scaled as the benchmark scales them, by its ``SpeedClock``
 (to a machine where ``reference()`` takes 1 ms), so runs at different
@@ -87,19 +90,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--passes must be at least 1")
 
     inputs = run.Inputs.make(run.WORKLOADS[args.workload], args.seed)
-    passes = []                 # per pass: per depth [rebuilds, sum |U_i|, rounds, evals, s],
+    passes = []                 # per pass: per depth [rebuilds, sum |U_i|, rounds, empty, evals, s],
     entries, round_s = [], []   # and per kind of update [count, s]; every pass's cover rounds
     for _ in range(args.passes):
         tracer, scale = profile_pass(inputs)
-        depth = defaultdict(lambda: np.zeros(5))
+        depth = defaultdict(lambda: np.zeros(6))
         rebuilt = set()
         for index, span in enumerate(tracer.spans):
             if span.name == REBUILD:
-                depth[span.attrs["depth"]] += (1, span.attrs["size"], 0, span.attrs["evals"],
+                depth[span.attrs["depth"]] += (1, span.attrs["size"], 0, 0, span.attrs["evals"],
                                                span.seconds * scale(span.start))
                 rebuilt.add(span.parent)
             elif span.name == ROUND:
-                depth[tracer.ancestor(index, frozenset({REBUILD})).attrs["depth"]][2] += 1
+                depth[tracer.ancestor(index, frozenset({REBUILD})).attrs["depth"]][2:4] += (
+                    1, span.attrs["evals"] == 0)
                 entries.append(span.attrs["evals"])
                 round_s.append(span.seconds * scale(span.start))
         depth = dict(sorted(depth.items()))
@@ -118,20 +122,25 @@ def main(argv: list[str] | None = None) -> int:
     depth, kinds = passes[0]
     print(f"{args.workload} seed {args.seed}, {args.passes} pass(es) of "
           f"{inputs.workload.steps} steps; per pass, in scaled ms:")
-    print(f"{'depth':>5} {'rebuilds':>9} {'mean |U_i|':>11} {'rounds':>7} {'evals':>10} {'ms':>9}")
+    print(f"{'depth':>5} {'rebuilds':>9} {'mean |U_i|':>11} {'rounds':>7} {'empty':>6} {'evals':>10} "
+          f"{'ms':>9}")
     for i in depth:
-        count, size, rounds, evals, _ = depth[i]
-        print(f"{i:>5} {count:9.0f} {size / count:11.1f} {rounds:7.0f} {evals:10.0f} "
-              f"{median_ms(lambda p: p[0][i][4]):9.2f}")
+        count, size, rounds, empty, evals, _ = depth[i]
+        print(f"{i:>5} {count:9.0f} {size / count:11.1f} {rounds:7.0f} {empty:6.0f} {evals:10.0f} "
+              f"{median_ms(lambda p: p[0][i][5]):9.2f}")
     for kind in kinds:
         print(f"updates {kind}: {kinds[kind][0]:.0f}, {median_ms(lambda p: p[1][kind][1]):.1f} ms")
     x = np.asarray(entries, dtype=np.float64)
     y = np.asarray(round_s)
+    empty = x == 0
+    print(f"cover rounds: {len(x) // args.passes}, {np.count_nonzero(empty) // args.passes} of them "
+          f"evaluated nothing in {y[empty].sum() / args.passes * 1e3:.1f} ms")
+    x, y = x[~empty], y[~empty]
     (fixed, per_entry), *_ = np.linalg.lstsq(np.stack([np.ones_like(x), x], axis=1), y, rcond=None)
     rounds = len(x) // args.passes
-    print(f"cover rounds: {rounds}, fit time = {fixed * 1e6:.1f} us + {per_entry * 1e9:.2f} ns "
+    print(f"the {rounds} others: fit time = {fixed * 1e6:.1f} us + {per_entry * 1e9:.2f} ns "
           f"* entries; fixed part {fixed * rounds * 1e3:.1f} ms of "
-          f"{y.sum() / args.passes * 1e3:.1f} ms in rounds")
+          f"{y.sum() / args.passes * 1e3:.1f} ms in those rounds")
     return 0
 
 
