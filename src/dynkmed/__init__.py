@@ -10,6 +10,7 @@ from .metric import (
     Point,
     PointId,
     PointStore,
+    PowerOverflowError,
     points_from_array,
 )
 from .dynamic import (
@@ -19,7 +20,6 @@ from .dynamic import (
     preprocess,
 )
 from .solver import (
-    PowerOverflowError,
     Solution,
     WeightedInstance,
     cost_set,

@@ -226,10 +226,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     m = len(updates)
     if config.queries > m:
         raise ConfigError(f"{config.queries} queries exceed the {m} updates of the stream")
-    query_after = {}
-    if config.queries > 0:
-        for j in range(1, config.queries + 1):
-            query_after.setdefault((j * m) // config.queries, []).append(j)
+    # at most one query per update: queries <= m, so floor(j*m/queries) strictly increases
+    query_after = {(j * m) // config.queries: j for j in range(1, config.queries + 1)}
     query_seeds = query_ss.spawn(config.queries) if config.queries else []
     baseline_seeds = iter(baseline_ss.spawn(2 * config.queries + 2))
 
@@ -270,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 f"update {index}: {v}" for v in state.integrity_check()
             )
 
-        for j in query_after.get(index, ()):
+        if (j := query_after.get(index)) is not None:
             violations.extend(
                 f"query point {index}: {v}" for v in state.integrity_check()
             )

@@ -1,7 +1,8 @@
 """Command-line entry point for the benchmark harness.
 
 Exit codes: 0 success, 1 config error, 2 ingestion error, 3 invariant
-violation detected during the run, 4 distances to the power p overflow float64.
+violation detected during the run, 4 coordinates in the Euclidean kernel or
+distances to the power p overflow float64.
 """
 from __future__ import annotations
 
@@ -111,7 +112,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DatasetError, OSError) as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return 2
-    except PowerOverflowError as exc:  # p too large for the data's distances
+    except PowerOverflowError as exc:  # coordinates or p too large for float64
         print(f"overflow error: {exc}", file=sys.stderr)
         return 4
 

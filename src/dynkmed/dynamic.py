@@ -15,6 +15,9 @@ rebuilt), and deleting a center promotes the smallest-id surviving member,
 which keeps all members within twice the layer radius of their center. Once
 a layer has absorbed updates a ``tau`` fraction of its size at build time,
 layers i..t are rebuilt from U_i and the table is truncated at ``start_i``.
+
+A round (:func:`_cover_arrays`) samples ``phi`` points and covers the
+``beta`` fraction of its working set nearest to the sample.
 """
 from __future__ import annotations
 
@@ -24,9 +27,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cover import _EPS, _cover_arrays
 from .metric import DistanceOracle, Point, PointId, PointStore
 from .solver import WeightedInstance, _check_int
+
+# Absolute slop for comparing integer counts against fractional thresholds.
+_EPS = 1e-9
 
 # One layer to append: working-set size, radius, its points' rows with each
 # one's cluster index in the layer, and the clusters' center rows and sizes.
@@ -78,6 +83,62 @@ class Layer:
     base_size: int = 0                  # |U_i| when the layer was last built
     updates: int = 0                    # updates absorbed since that build
     due: int = 0                        # updates that exhaust the slack: ceil(slack*base_size - _EPS)
+
+
+def _quantile_index(fraction: float, n: int) -> int:
+    # ceil(fraction * n) with a guard against one-ulp overshoot at integers
+    return max(1, math.ceil(fraction * n - _EPS))
+
+
+def _cover_arrays(
+    coords: np.ndarray,
+    params: DynamicParams,
+    rng: np.random.Generator,
+    oracle: DistanceOracle,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Cover round over the coordinate rows of distinct points in ascending
+    id order.
+
+    Returns the ascending positions of the centers that keep a cluster, each
+    point's nearest center as an index into them (ties toward the smallest
+    id), the boolean covered mask aligned with the rows, and the radius.
+    Each returned center is its own nearest. At a positive offset every
+    pair but a point with itself is at least the offset, so with c distinct
+    sampled rows the one ``matrix_between`` call takes the (n - c) * c pairs
+    of the unsampled rows only and each sampled row is set to its own column
+    at distance 0. When c alone fills the beta-quantile the radius is 0 and
+    there is no call, so a custom metric is neither called nor checked: the
+    covered rows are the sampled ones and every other row's nearest is -1.
+    At offset 0 the call takes all n * c pairs, and a sampled center whose
+    own row went to another center is dropped before the assignment.
+    """
+    n = coords.shape[0]
+    mark = np.zeros(n, dtype=bool)
+    mark[rng.integers(0, n, params.phi)] = True
+    pos = mark.nonzero()[0]
+    columns = np.arange(pos.shape[0])
+    m = _quantile_index(params.beta, n)
+
+    if oracle.offset:  # each center is its own nearest: evaluate the other rows only
+        nearest, dmin = np.full(n, -1, dtype=np.intp), np.zeros(n)
+        nearest[pos] = columns
+        if pos.shape[0] >= m:  # the m nearest are centers at 0: the radius is 0
+            return pos, nearest, mark, 0.0
+        rest = (~mark).nonzero()[0]
+        nearest[rest], dmin[rest] = oracle.nearest(  # first minimum: smallest center id wins
+            oracle.matrix_between(coords.take(rest, 0), coords.take(pos, 0), squared=True))
+    else:
+        # points are distinct, so center j's only pair with itself is (pos[j], j);
+        # the round, not the kernel, marks it -inf, which nearest reads as 0
+        dist = oracle.matrix_between(coords, coords.take(pos, 0), squared=True)
+        dist[pos, columns] = -np.inf
+        nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
+        kept = nearest[pos] == columns
+        if np.count_nonzero(kept) < kept.shape[0]:
+            pos = pos[kept]
+            nearest, dmin = oracle.nearest(dist[:, kept])
+    radius = float(np.partition(dmin, m - 1)[m - 1])
+    return pos, nearest, dmin <= radius, radius
 
 
 class ClusteringState:

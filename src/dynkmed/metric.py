@@ -13,7 +13,8 @@ the pairs it touches: the aligned-pair kernel serves the 2*radius check of
 row minima (cover rounds, the live-set cost) take
 ``matrix_between(..., squared=True)`` and reduce it with ``nearest`` or
 ``row_min``, which take square roots of n row minima only; an entry the
-caller set to ``-inf`` reads there as distance 0.
+caller set to ``-inf`` reads there as distance 0. Only the oracle knows what
+such an entry means: ``_root`` maps it to a distance and ``_entry`` back.
 """
 from __future__ import annotations
 
@@ -25,6 +26,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 PointId = int
+_MARGIN = 1.0 + 2.0 ** -20  # the relative slop of DistanceOracle._entry
+
+
+class PowerOverflowError(ValueError):
+    """Coordinates, distances to the power p, or their weighted sums overflow float64."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +211,7 @@ class DistanceOracle:
         ``(n + c) * (d + 2)`` values to the output. They are new arrays, so
         the result does not depend on whether ``a`` and ``b`` share memory.
 
-        Before the product, ``ValueError`` is raised when
+        Before the product, :class:`PowerOverflowError` is raised when
         ``2 * (max u2 + max v2)`` is not finite: every term of the product is
         bounded by it, so below that no step overflows.
 
@@ -241,8 +247,8 @@ class DistanceOracle:
                 np.subtract(b, mu, out=uv[n:])
                 sq = np.einsum("ij,ij->i", uv, uv)
                 if not math.isfinite(2.0 * (np.maximum.reduce(sq[:n]) + np.maximum.reduce(sq[n:]))):
-                    raise ValueError("coordinates overflow float64 in the Euclidean kernel: "
-                                     "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite")
+                    raise PowerOverflowError("coordinates overflow float64 in the Euclidean kernel: "
+                                             "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite")
             uv[n:] *= -2.0
             both[:n, d], both[:n, d + 1] = 1.0, sq[:n]
             both[n:, d], both[n:, d + 1] = sq[n:], 1.0
@@ -252,16 +258,27 @@ class DistanceOracle:
         return out
 
     def _root(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Euclidean distances of product entries: sqrt(max(x, 0)) + offset."""
+        """Distances of ``squared=True`` entries, into ``out`` (``None`` or ``x``):
+        Euclidean ones are sqrt(max(x, 0)) + offset, custom ones a copy or ``x``."""
+        if self.base is not None:
+            return x.copy() if out is None else x
         out = np.maximum(x, 0.0, out=out)
         np.sqrt(out, out=out)
         if self.offset:
             out += self.offset
         return out
 
+    def _entry(self, d: float) -> float:
+        """The ``squared=True`` entry of distance ``d``, inverting :meth:`_root`
+        with ``_MARGIN`` on the square: ``max(d - offset, 0)^2`` (``d`` if custom)."""
+        if self.base is not None:
+            return d
+        d = max(d - self.offset, 0.0)
+        return d * (d * _MARGIN)
+
     def _distances(self, x: np.ndarray) -> np.ndarray:
         """Distances of ``squared=True`` entries; -inf (a caller's mark) is 0."""
-        d = self._root(x) if self.base is None else x.copy()
+        d = self._root(x)
         d[x == -np.inf] = 0.0
         return d
 
@@ -292,8 +309,8 @@ class DistanceOracle:
 
         Leaves the evaluation counter as it was. Euclidean entries are the
         direct-difference norm ``np.linalg.norm(a - b, axis=1)``, plus the
-        offset when it is nonzero; ``ValueError`` is raised, as in
-        :meth:`matrix_between`, when an entry overflows. A custom ``base`` is
+        offset when it is nonzero; :class:`PowerOverflowError` is raised, as
+        in :meth:`matrix_between`, when an entry overflows. A custom ``base`` is
         checked as in :meth:`matrix_between`.
         """
         a = np.asarray(a, dtype=np.float64)
@@ -305,7 +322,7 @@ class DistanceOracle:
             with np.errstate(over="ignore"):
                 d = np.linalg.norm(a - b, axis=1)
             if not np.isfinite(d).all():
-                raise ValueError("coordinates overflow float64 in the Euclidean kernel")
+                raise PowerOverflowError("coordinates overflow float64 in the Euclidean kernel")
         else:
             d = np.array([self.base(a[i], b[i]) for i in range(n)], dtype=np.float64)
             _check_custom(d, a, b)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metric import DistanceOracle, Point, PointId, PointStore, _nearest_two
+from .metric import _MARGIN, DistanceOracle, Point, PointId, PointStore, PowerOverflowError, _nearest_two
 
 # Relative-improvement cutoff of the local search: a swap must cut the cost
 # to at most (1 - LOCAL_SEARCH_DELTA/k) times its current value.
@@ -77,10 +77,6 @@ def _check_power(p: float) -> None:
         raise ValueError(f"power must be finite and at least 1, got {p!r}")
 
 
-class PowerOverflowError(ValueError):
-    """Distances to the power p, or their weighted sums, overflow float64."""
-
-
 @contextmanager
 def _power_overflow(p: float):
     """Turn a float64 overflow inside the block into a PowerOverflowError naming d^p."""
@@ -89,9 +85,6 @@ def _power_overflow(p: float):
             yield
         except FloatingPointError:
             raise PowerOverflowError(f"distances to the power {p!r} overflow float64") from None
-
-
-_MARGIN = 1.0 + 2.0 ** -20
 
 
 class _Finish:
@@ -109,7 +102,7 @@ class _Finish:
         if j is None:
             d = self.oracle._distances(x)
         else:
-            d = self.oracle._root(x[:, j]) if self.oracle.base is None else x[:, j].copy()
+            d = self.oracle._root(x[:, j])
             d[j] = 0.0                                # the column's diagonal entry
         if self.p != 1.0:
             with _power_overflow(self.p):
@@ -119,8 +112,7 @@ class _Finish:
     def whole(self, x: np.ndarray) -> "_Finish":
         """Finish all of the product ``x`` in place; returns the finish of the result."""
         if self.oracle is not None:
-            if self.oracle.base is None:
-                self.oracle._root(x, out=x)
+            self.oracle._root(x, out=x)
             np.fill_diagonal(x, 0.0)
             if self.p != 1.0:
                 with _power_overflow(self.p):
@@ -128,16 +120,12 @@ class _Finish:
         return _FINISHED
 
     def bound(self, theta: float) -> float:
-        """T(theta) = ``(theta^(1/p) - offset)^2`` (``theta^(1/p)`` if custom) with
-        ``_MARGIN`` at each end, far above the ulps ``sqrt``, ``+ offset`` and ``** p``
+        """T(theta), the entry of distance ``theta^(1/p)`` (:meth:`DistanceOracle._entry`)
+        with ``_MARGIN`` at each end, far above the ulps ``sqrt``, ``+ offset`` and ``** p``
         round by, plus the smallest normal: entries >= T finish at or above theta."""
         if self.oracle is None:
             return theta
-        root = theta ** (1.0 / self.p) * _MARGIN
-        if self.oracle.base is None:
-            root = max(root - self.oracle.offset, 0.0)
-            root *= root * _MARGIN
-        return root + 2.0 ** -1022
+        return self.oracle._entry(theta ** (1.0 / self.p) * _MARGIN) + 2.0 ** -1022
 
 
 _FINISHED = _Finish(None, 1.0)
@@ -365,25 +353,25 @@ def _local_search(
 
     Entries. ``powered`` may be the kernel's product, read through
     ``finish`` (:class:`_Finish`), with ``near`` the centers' finished
-    columns. Let theta be the largest ``d2`` after seeding. When at most
-    ``_LIST_DENSITY`` of the entries of every ``_SAMPLE_STEP``-th column lie
-    below T(theta) (:meth:`_Finish.bound`), :func:`_near_list` lists those
-    once, finished, and each block keeps its columns' listed entries below
-    their row's ``d2``, at most theta; so the list's extras, which finish at
-    or above theta, never reach an estimate. A row whose ``d2`` has risen
-    above theta (found again after each swap) may have entries in ``[theta,
-    d2)`` that the list lacks, so the block finishes and reads that row
-    densely instead. Otherwise the product is finished whole, in place, and
-    each block is read densely; only columns swapped in or evaluated exactly
-    are finished besides. The screen then follows the search: each time the
-    largest ``d2`` has fallen to half the value the sample was last tested
-    at, the sample, finished now, is tested again against it, and once it
-    passes the finished Gram's entries below that ``d2``, the new theta,
-    are listed and read from then on. Both give every entry below ``d2``
+    columns. One rule picks the source. Theta, the largest ``d2`` the sample
+    (every ``_SAMPLE_STEP``-th column) was last tested at, starts at
+    ``inf``; while no list is read, each time the largest ``d2`` is at most
+    theta / 2, so always at the first block, it becomes theta and the sample
+    is tested against T(theta) (:meth:`_Finish.bound`). When at most
+    ``_LIST_DENSITY`` of its entries lie below, :func:`_near_list` lists the
+    product's entries below T(theta) once, finished; each block keeps its
+    columns' listed entries below their row's ``d2``, at most theta, so the
+    list's extras, which finish at or above theta, never reach an estimate.
+    A row whose ``d2`` has risen above theta (found again after each swap)
+    may have entries in ``[theta, d2)`` that the list lacks, so the block
+    finishes and reads densely instead. Otherwise the product is finished
+    whole, in place, once, and blocks are read densely; only columns swapped
+    in or evaluated exactly are finished besides, and a search whose seeding
+    costs 0 finishes nothing. Both sources give every entry below ``d2``
     once, and in the dense order while no row is above theta, when the
-    estimates are bit for bit the same; otherwise only the order of the
-    sums differs, which the bound below does not depend on: it counts m
-    rounding errors per sum.
+    estimates are bit for bit the same; otherwise only the order of the sums
+    differs, which the bound below does not depend on: it counts m rounding
+    errors per sum.
 
     The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
     and the estimate round the same real value, ``cost + shared +
@@ -409,26 +397,24 @@ def _local_search(
     c1, d1, d2 = _nearest_two(near)
     cost = float(np.add.reduce(weights * d1))
     below = np.empty(_BLOCK_MAX * n, dtype=bool)
-    theta, sample, listed = float(d2.max()), powered.T[::_SAMPLE_STEP], None
-    if cost > 0.0 and np.count_nonzero(sample < finish.bound(theta)) <= _LIST_DENSITY * sample.size:
-        if finish.p != 1.0:                           # d^p of the largest entry must not overflow
-            finish(np.maximum.reduce(powered.T, axis=None, keepdims=True))
-        listed = _near_list(powered.T, finish.bound(theta), finish)
-    else:
-        finish = finish.whole(powered.T)
-    tested = theta                                    # the largest d2 the sample was last tested at
+    sample, listed = powered.T[::_SAMPLE_STEP], None
+    theta = math.inf                                  # the largest d2 the sample was last tested at
     err = None                                        # screen bound of the current state
     start, block = 0, _BLOCK_MIN
     left = n if cost > 0.0 else 0                     # columns to scan before stopping
     while left:
         if err is None:
+            if listed is None and 2.0 * (top := float(d2.max())) <= theta:
+                theta = top
+                if np.count_nonzero(sample < finish.bound(theta)) <= _LIST_DENSITY * sample.size:
+                    if finish.p != 1.0:               # d^p of the largest entry must not overflow
+                        finish(np.maximum.reduce(powered.T, axis=None, keepdims=True))
+                    listed = _near_list(powered.T, finish.bound(theta), finish)
+                else:
+                    finish = finish.whole(powered.T)  # a no-op once finished
             err = 64.0 * (n + 8) * (math.ulp(1.0) * (cost + float(np.add.reduce(weights * d2))) + math.ulp(0.0))
             screened = math.isfinite(err)
             if screened:
-                if listed is None and 2.0 * (top := float(d2.max())) <= tested:
-                    tested = top                      # the sample holds finished entries now
-                    if np.count_nonzero(sample < top) <= _LIST_DENSITY * sample.size:
-                        theta, listed = top, _near_list(powered.T, top)
                 base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
                 if listed is not None:                # rows whose d2 rose above theta are read densely
                     high = (d2 > theta).nonzero()[0]

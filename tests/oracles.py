@@ -36,7 +36,7 @@ from dynkmed import (
     Solution,
     WeightedInstance,
 )
-from dynkmed.cover import _cover_arrays
+from dynkmed.dynamic import _cover_arrays
 
 _BRUTE_FORCE_MAX_POINTS = 16
 _BRUTE_FORCE_MAX_SUBSETS = 100_000

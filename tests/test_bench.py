@@ -12,6 +12,7 @@ import pytest
 from dynkmed import (
     ConfigError,
     DatasetError,
+    DistanceOracle,
     DynamicParams,
     ExperimentConfig,
     MetricsRow,
@@ -682,6 +683,23 @@ def test_cli_an_overflow_of_d_to_the_p_is_one_line_and_exits_4(tmp_path, capsys,
     monkeypatch.setattr(cli, "run_experiment", fail)
     with pytest.raises(ValueError, match="^not an overflow$"):
         cli_main(argv)
+
+
+def test_cli_coordinates_that_overflow_the_kernel_are_one_line_and_exit_4(tmp_path, capsys):
+    # the row (1e300, 0) reaches the Euclidean kernel once a rebuild covers it
+    rows = [f"{i % 17} {i // 17}" for i in range(300)]
+    rows[150] = "1e300 0"
+    data = tmp_path / "bad.txt"
+    data.write_text("\n".join(rows) + "\n")
+    code = cli_main(["--dataset", str(data), "--window", "50", "--k", "3", "--phi", "10",
+                     "--queries", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "overflow error: coordinates overflow float64 in the Euclidean kernel: "
+        "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite\n")
+    far = np.array([[1e300, 0.0], [0.0, 0.0]])
+    with pytest.raises(PowerOverflowError, match="^coordinates overflow float64 in the Euclidean kernel$"):
+        DistanceOracle().elementwise(far, far[::-1])
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dynkmed import (
     points_from_array,
     preprocess,
 )
-from dynkmed.cover import _cover_arrays
+from dynkmed.dynamic import _cover_arrays
 from oracles import (
     ForcedDraws,
     clusters,

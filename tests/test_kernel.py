@@ -50,7 +50,7 @@ from dynkmed import (
     query,
     synthetic_points,
 )
-from dynkmed.cover import _cover_arrays, _quantile_index
+from dynkmed.dynamic import _cover_arrays, _quantile_index
 from dynkmed.metric import Point, _nearest_two
 from oracles import id_draws, pairwise
 

@@ -574,7 +574,7 @@ def test_a_search_that_starts_dense_lists_once_its_largest_d2_has_halved(monkeyp
     got_cost = _local_search(powered, weights, got, cutoff)
     assert got == expected != start
     assert repr(got_cost) == repr(expected_cost)
-    (gram_t, top), = lists
+    (gram_t, top, _), = lists
     assert gram_t.base is powered and 0.0 < top <= theta / 2
     assert all(blocks.values())
     with monkeypatch.context() as patch:               # forced dense, it never lists
@@ -734,6 +734,20 @@ def test_an_overflow_of_d_to_the_p_still_raises_on_the_list_path(monkeypatch):
     assert lists == []
     with pytest.raises(ValueError, match="overflow"):
         weighted_solve(instance_of([(q, 1) for q in points_from_array(x)]), 2, 400.0, 0, oracle)
+
+
+def test_a_search_whose_seeding_costs_0_leaves_the_product_as_it_was():
+    # Each point is a center or shares a center's coordinates, so the seeded
+    # cost is 0: the search scans nothing, so it finishes nothing either.
+    x = np.array([0.0, 0.0, 5.0, 5.0])[:, None]
+    product = DistanceOracle().matrix_between(x, x, squared=True)
+    np.fill_diagonal(product, -np.inf)
+    before = product.tobytes()
+    chosen = [0, 2]
+    finish = solver._Finish(DistanceOracle(), 1.0)
+    assert repr(_local_search(product.T, np.ones(4), chosen, 0.99, finish)) == "0.0"
+    assert chosen == [0, 2] and product.tobytes() == before
+    assert np.all(np.diagonal(product) == -np.inf)
 
 
 @pytest.mark.parametrize("source", SOURCES)

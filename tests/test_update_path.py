@@ -36,9 +36,8 @@ import numpy as np
 import pytest
 
 from dynkmed import DistanceOracle, DynamicParams, points_from_array, preprocess
-from dynkmed.cover import _quantile_index
-from dynkmed import cover, metric
-from dynkmed.dynamic import _EPS, ClusteringState, Layer
+from dynkmed import dynamic, metric
+from dynkmed.dynamic import _EPS, ClusteringState, Layer, _quantile_index
 from dynkmed.metric import Point, PointId
 from oracles import ForcedDraws
 
@@ -347,7 +346,7 @@ def test_cover_round_matches_its_reference(case, offset, base, draws):
         new_rng = np.random.default_rng(stream(draws, seed))
         old_rng = np.random.default_rng(stream(draws, seed))
         new, old = BranchCounter(offset, base), RoundReference(offset, base, params.beta)
-        got = cover._cover_arrays(x, params, new_rng, new)
+        got = dynamic._cover_arrays(x, params, new_rng, new)
         want = _cover_arrays(ids, x, params, old_rng, old)
         assert_same_bits(got[0], want[0])
         assert_same_bits(got[2], want[2])

@@ -16,7 +16,7 @@ Prints, per pass (every pass makes the same updates):
   (at a positive offset, rounds whose sampled centers fill the
   beta-quantile), the evaluations and the wall time;
 - the update time, split into updates that rebuild and updates that do not;
-- a least-squares fit over every cover round (one ``_cover_arrays`` call)
+- a least-squares fit over every cover round (one ``dynamic._cover_arrays`` call)
   that evaluated something of its wall time as ``fixed + per_entry *
   entries``, where ``entries`` is the round's evaluation count, the size of
   its distance block; the rounds that evaluated nothing are left out of it.
