@@ -228,7 +228,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"{config.queries} queries exceed the {m} updates of the stream")
     # at most one query per update: queries <= m, so floor(j*m/queries) strictly increases
     query_after = {(j * m) // config.queries: j for j in range(1, config.queries + 1)}
-    query_seeds = query_ss.spawn(config.queries) if config.queries else []
+    query_seeds = query_ss.spawn(config.queries)
     baseline_seeds = iter(baseline_ss.spawn(2 * config.queries + 2))
 
     rows: list[MetricsRow] = []
@@ -263,15 +263,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         emit(index, op, time.perf_counter_ns() - start)
         updates_since_baseline += 1
 
-        if config.check_every and index % config.check_every == 0:
-            violations.extend(
-                f"update {index}: {v}" for v in state.integrity_check()
-            )
+        j = query_after.get(index)
+        if j is not None or config.check_every and index % config.check_every == 0:
+            where = "update" if j is None else "query point"  # one check per update index
+            violations.extend(f"{where} {index}: {v}" for v in state.integrity_check())
 
-        if (j := query_after.get(index)) is not None:
-            violations.extend(
-                f"query point {index}: {v}" for v in state.integrity_check()
-            )
+        if j is not None:
             if state.live_count == 0:
                 skipped_queries += 1
                 continue

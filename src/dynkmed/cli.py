@@ -122,7 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             {
                 "updates": result.summary["total_updates"],
                 "distance_evals": result.summary["total_distance_evals"],
-                "queries": totals.get("query", {}).get("rows", 0),
+                "queries": totals["query"]["rows"],
                 "violations": len(result.violations),
                 "out": config.out,
             }

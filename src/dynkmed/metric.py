@@ -269,12 +269,15 @@ class DistanceOracle:
         return out
 
     def _entry(self, d: float) -> float:
-        """The ``squared=True`` entry of distance ``d``, inverting :meth:`_root`
-        with ``_MARGIN`` on the square: ``max(d - offset, 0)^2`` (``d`` if custom)."""
+        """T, the ``squared=True`` entry bound of distance ``d``: :meth:`_root`
+        inverted with ``_MARGIN`` at each end, ``e = max(d * _MARGIN - offset, 0)``
+        then ``e * (e * _MARGIN)`` (``d * _MARGIN`` if custom), plus the smallest
+        normal. The margin is far above the ulps ``sqrt``, ``+ offset`` and ``** p``
+        round by, so entries >= T finish at or above ``d ** p``."""
         if self.base is not None:
-            return d
-        d = max(d - self.offset, 0.0)
-        return d * (d * _MARGIN)
+            return d * _MARGIN + 2.0 ** -1022
+        e = max(d * _MARGIN - self.offset, 0.0)
+        return e * (e * _MARGIN) + 2.0 ** -1022
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
         """Distances of ``squared=True`` entries; -inf (a caller's mark) is 0."""

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metric import _MARGIN, DistanceOracle, Point, PointId, PointStore, PowerOverflowError, _nearest_two
+from .metric import DistanceOracle, Point, PointId, PointStore, PowerOverflowError, _nearest_two
 
 # Relative-improvement cutoff of the local search: a swap must cut the cost
 # to at most (1 - LOCAL_SEARCH_DELTA/k) times its current value.
@@ -120,12 +120,10 @@ class _Finish:
         return _FINISHED
 
     def bound(self, theta: float) -> float:
-        """T(theta), the entry of distance ``theta^(1/p)`` (:meth:`DistanceOracle._entry`)
-        with ``_MARGIN`` at each end, far above the ulps ``sqrt``, ``+ offset`` and ``** p``
-        round by, plus the smallest normal: entries >= T finish at or above theta."""
+        """T(theta), the entry bound of ``theta^(1/p)``: entries >= T finish at or above theta."""
         if self.oracle is None:
             return theta
-        return self.oracle._entry(theta ** (1.0 / self.p) * _MARGIN) + 2.0 ** -1022
+        return self.oracle._entry(theta ** (1.0 / self.p))
 
 
 _FINISHED = _Finish(None, 1.0)
@@ -353,25 +351,26 @@ def _local_search(
 
     Entries. ``powered`` may be the kernel's product, read through
     ``finish`` (:class:`_Finish`), with ``near`` the centers' finished
-    columns. One rule picks the source. Theta, the largest ``d2`` the sample
-    (every ``_SAMPLE_STEP``-th column) was last tested at, starts at
-    ``inf``; while no list is read, each time the largest ``d2`` is at most
-    theta / 2, so always at the first block, it becomes theta and the sample
-    is tested against T(theta) (:meth:`_Finish.bound`). When at most
-    ``_LIST_DENSITY`` of its entries lie below, :func:`_near_list` lists the
-    product's entries below T(theta) once, finished; each block keeps its
-    columns' listed entries below their row's ``d2``, at most theta, so the
-    list's extras, which finish at or above theta, never reach an estimate.
-    A row whose ``d2`` has risen above theta (found again after each swap)
-    may have entries in ``[theta, d2)`` that the list lacks, so the block
-    finishes and reads densely instead. Otherwise the product is finished
-    whole, in place, once, and blocks are read densely; only columns swapped
-    in or evaluated exactly are finished besides, and a search whose seeding
-    costs 0 finishes nothing. Both sources give every entry below ``d2``
-    once, and in the dense order while no row is above theta, when the
-    estimates are bit for bit the same; otherwise only the order of the sums
-    differs, which the bound below does not depend on: it counts m rounding
-    errors per sum.
+    columns. One rule, run only while the screen is on, picks the source.
+    Theta, the largest ``d2`` the sample (every ``_SAMPLE_STEP``-th column)
+    was last tested at, starts at ``inf``; while no list is read, each time
+    the largest ``d2`` is at most theta / 2, so at the first screened block,
+    it becomes theta and the sample is tested against T(theta)
+    (:meth:`_Finish.bound`). When at most ``_LIST_DENSITY`` of its entries
+    lie below, :func:`_near_list` lists the product's entries below
+    T(theta) once, finished; each block keeps its columns' listed entries
+    below their row's ``d2``, at most theta, so the list's extras, which
+    finish at or above theta, never reach an estimate. A row whose ``d2``
+    has risen above theta (found again after each swap) may have entries in
+    ``[theta, d2)`` that the list lacks, so the block finishes and reads
+    densely instead. Otherwise, and while the screen is off with no list,
+    the product is finished whole, in place, once, and blocks are read
+    densely; only columns swapped in or evaluated exactly are finished
+    besides, and a search whose seeding costs 0 finishes nothing. Both
+    sources give every entry below ``d2`` once, and in the dense order while
+    no row is above theta, when the estimates are bit for bit the same;
+    otherwise only the order of the sums differs, which the bound below does
+    not depend on: it counts m rounding errors per sum.
 
     The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
     and the estimate round the same real value, ``cost + shared +
@@ -404,16 +403,16 @@ def _local_search(
     left = n if cost > 0.0 else 0                     # columns to scan before stopping
     while left:
         if err is None:
-            if listed is None and 2.0 * (top := float(d2.max())) <= theta:
+            err = 64.0 * (n + 8) * (math.ulp(1.0) * (cost + float(np.add.reduce(weights * d2))) + math.ulp(0.0))
+            screened = math.isfinite(err)
+            if screened and listed is None and 2.0 * (top := float(d2.max())) <= theta:
                 theta = top
                 if np.count_nonzero(sample < finish.bound(theta)) <= _LIST_DENSITY * sample.size:
                     if finish.p != 1.0:               # d^p of the largest entry must not overflow
                         finish(np.maximum.reduce(powered.T, axis=None, keepdims=True))
                     listed = _near_list(powered.T, finish.bound(theta), finish)
-                else:
-                    finish = finish.whole(powered.T)  # a no-op once finished
-            err = 64.0 * (n + 8) * (math.ulp(1.0) * (cost + float(np.add.reduce(weights * d2))) + math.ulp(0.0))
-            screened = math.isfinite(err)
+            if listed is None:
+                finish = finish.whole(powered.T)      # a no-op once finished
             if screened:
                 base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
                 if listed is not None:                # rows whose d2 rose above theta are read densely

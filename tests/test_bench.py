@@ -264,6 +264,24 @@ def test_run_experiment_determinism_modulo_wall(tmp_path):
     assert masked(config_a.out) == masked(config_b.out)
 
 
+def test_run_experiment_checks_integrity_once_per_update_index(tmp_path, monkeypatch):
+    # with check_every=1 every update index is checked once, a query
+    # point's under the "query point" prefix; each check reports one line
+    checks = []
+    check = bench.ClusteringState.integrity_check
+
+    def counting(state):
+        checks.append(state)
+        return check(state) + ["counted"]
+
+    monkeypatch.setattr(bench.ClusteringState, "integrity_check", counting)
+    result = run_experiment(small_config(tmp_path, check_every=1))
+    assert len(checks) == result.summary["total_updates"] == 240
+    prefixes = [line.split(":")[0].rsplit(" ", 1)[0] for line in result.violations]
+    assert len(result.violations) == 240
+    assert prefixes.count("query point") == 8 and prefixes.count("update") == 232
+
+
 def test_run_experiment_rejects_more_queries_than_updates(tmp_path):
     # 3 points through a window of 1 make 6 updates; 50 queries cannot all land
     config = small_config(

@@ -496,6 +496,32 @@ def test_screen_is_off_while_its_bound_overflows(monkeypatch):
         assert blocks == []
 
 
+@pytest.mark.parametrize("p, offset", [(1.0, 0.0), (2.0, 0.05)])
+def test_a_search_with_its_screen_off_samples_and_lists_nothing(p, offset, monkeypatch):
+    # At k = 1 every d2 is inf, so the screen is off for the whole search:
+    # the source rule never runs, so T(theta) is never computed and nothing
+    # is listed; the product is finished whole and every candidate is
+    # evaluated exactly, making the reference's swaps.
+    rng = np.random.default_rng(11)
+    coords = rng.normal(0.0, 4.0, size=(12, 5))[rng.integers(0, 12, size=600)] + rng.normal(size=(600, 5))
+    weights = rng.integers(1, 9, size=600).astype(np.float64)
+    points = points_from_array(coords)
+    inst, oracle = instance_of((q, int(w)) for q, w in zip(points, weights)), DistanceOracle(offset)
+    powered = pairwise(oracle, points, points).T ** p
+    expected = _seed_indices(powered, weights, 1, np.random.default_rng(5))
+    start = list(expected)
+    expected_cost = _reference_local_search(powered, weights, expected, 0.99)
+    assert expected != start
+    bounds = []
+    bound = solver._Finish.bound
+    monkeypatch.setattr(solver._Finish, "bound", lambda self, theta: bounds.append(theta) or bound(self, theta))
+    lists = _record_calls(monkeypatch, "_near_list")
+    solution = weighted_solve(inst, 1, p, 5, oracle)
+    assert solution.centers == frozenset(points[i].id for i in expected)
+    assert repr(solution.cost) == repr(expected_cost)
+    assert bounds == [] and lists == []
+
+
 # -- the list of near Gram entries ----------------------------------------------
 
 

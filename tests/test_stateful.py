@@ -1,9 +1,10 @@
 """Stateful property test of the dynamic state.
 
-Hypothesis drives one state through inserts, deletes, queries and rebuilds
-from a drawn layer. Coordinates lie on a small grid, so exact duplicates are
-common, and are shifted up to 1e6 from the origin; the offset is 0 or 1/n and
-the power p is 1 or 2. After every step the state must pass its own
+Hypothesis drives one state through inserts, deletes, deletes of all but
+at most three live points in one step, queries and rebuilds from a drawn
+layer. Coordinates lie on a small grid, so exact duplicates are common, and
+are shifted up to 1e6 from the origin; the offset is 0 or 1/n and the power
+p is 1 or 2. After every step the state must pass its own
 integrity check and its weighted instance must pass ``checked_instance``
 (the centers' store rows in id order, weighing the live count); every
 query must return live centers at the cost that ``cost_set`` gives on a
@@ -66,6 +67,16 @@ class DynamicStateMachine(RuleBasedStateMachine):
     def delete(self, index):
         live = live_ids(self.state.store)
         self.state.delete(live[index % len(live)])
+
+    @precondition(lambda self: self.state.live_count > 3)
+    @rule(keep=st.lists(st.integers(0, 10**6), max_size=3))
+    def delete_all_but_a_few(self, keep):
+        # a mass delete between two checks: at most three points stay, or none
+        live = live_ids(self.state.store)
+        stay = {live[index % len(live)] for index in keep}
+        for pid in live:
+            if pid not in stay:
+                self.state.delete(pid)
 
     @rule(index=st.integers(0, 10**6))
     def rebuild_from_layer(self, index):
@@ -147,7 +158,7 @@ class CustomMetricStateMachine(DynamicStateMachine):
 
 
 CustomMetricStateMachine.TestCase.settings = settings(
-    derandomize=True, max_examples=60, stateful_step_count=40, deadline=None
+    derandomize=True, max_examples=100, stateful_step_count=40, deadline=None
 )
 TestCustomMetricState = CustomMetricStateMachine.TestCase
 
