@@ -91,28 +91,30 @@ def _quantile_index(fraction: float, n: int) -> int:
 
 
 def _cover_arrays(
-    coords: np.ndarray,
+    matrix: np.ndarray,
+    rows: np.ndarray,
     params: DynamicParams,
     rng: np.random.Generator,
     oracle: DistanceOracle,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Cover round over the coordinate rows of distinct points in ascending
-    id order.
+) -> tuple[_Round, np.ndarray]:
+    """Cover round over the rows of ``matrix`` (the store's) of distinct points
+    in ascending id order; gathers only the rows its one kernel call reads.
 
-    Returns the ascending positions of the centers that keep a cluster, each
-    point's nearest center as an index into them (ties toward the smallest
-    id), the boolean covered mask aligned with the rows, and the radius.
-    Each returned center is its own nearest. At a positive offset every
-    pair but a point with itself is at least the offset, so with c distinct
-    sampled rows the one ``matrix_between`` call takes the (n - c) * c pairs
-    of the unsampled rows only and each sampled row is set to its own column
-    at distance 0. When c alone fills the beta-quantile the radius is 0 and
-    there is no call, so a custom metric is neither called nor checked: the
-    covered rows are the sampled ones and every other row's nearest is -1.
-    At offset 0 the call takes all n * c pairs, and a sampled center whose
-    own row went to another center is dropped before the assignment.
+    Returns the layer as ``_rebuild`` installs it, whose covered rows are in
+    ascending id order, each with its nearest center (ties toward the
+    smallest id) among the centers that keep a cluster, and the rows left
+    over, in ascending id order. Each center is its own nearest. At a
+    positive offset every pair but a point with itself is at least the
+    offset, so with c distinct sampled rows the one ``matrix_between`` call
+    takes the (n - c) * c pairs of the unsampled rows only, and the radius,
+    the m-th smallest distance with the c sampled rows at 0, is the
+    (m - c)-th smallest of theirs. When c alone fills the beta-quantile the
+    radius is 0 and there is no call, so a custom metric is neither called
+    nor checked: the covered rows are the sampled ones. At offset 0 the call
+    takes all n * c pairs, and a sampled center whose own row went to
+    another center is dropped before the assignment.
     """
-    n = coords.shape[0]
+    n = rows.shape[0]
     mark = np.zeros(n, dtype=bool)
     mark[rng.integers(0, n, params.phi)] = True
     pos = mark.nonzero()[0]
@@ -120,25 +122,31 @@ def _cover_arrays(
     m = _quantile_index(params.beta, n)
 
     if oracle.offset:  # each center is its own nearest: evaluate the other rows only
-        nearest, dmin = np.full(n, -1, dtype=np.intp), np.zeros(n)
+        nearest, radius, c = np.empty(n, dtype=np.intp), 0.0, pos.shape[0]
         nearest[pos] = columns
-        if pos.shape[0] >= m:  # the m nearest are centers at 0: the radius is 0
-            return pos, nearest, mark, 0.0
-        rest = (~mark).nonzero()[0]
-        nearest[rest], dmin[rest] = oracle.nearest(  # first minimum: smallest center id wins
-            oracle.matrix_between(coords.take(rest, 0), coords.take(pos, 0), squared=True))
+        if c < m:  # else the m nearest are centers at 0: the radius is 0
+            rest = (~mark).nonzero()[0]
+            nearest[rest], dmin = oracle.nearest(oracle.matrix_between(  # first minimum wins
+                matrix.take(rows.take(rest), 0), matrix.take(rows.take(pos), 0), squared=True))
+            radius = float(np.partition(dmin, m - c - 1)[m - c - 1])
+            mark[rest] = dmin <= radius
     else:
         # points are distinct, so center j's only pair with itself is (pos[j], j);
         # the round, not the kernel, marks it -inf, which nearest reads as 0
-        dist = oracle.matrix_between(coords, coords.take(pos, 0), squared=True)
+        block = matrix.take(rows, 0)
+        dist = oracle.matrix_between(block, block.take(pos, 0), squared=True)
         dist[pos, columns] = -np.inf
         nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
         kept = nearest[pos] == columns
         if np.count_nonzero(kept) < kept.shape[0]:
             pos = pos[kept]
             nearest, dmin = oracle.nearest(dist[:, kept])
-    radius = float(np.partition(dmin, m - 1)[m - 1])
-    return pos, nearest, dmin <= radius, radius
+        radius = float(np.partition(dmin, m - 1)[m - 1])
+        mark = dmin <= radius
+    covered = mark.nonzero()[0]
+    group = nearest.take(covered)
+    layer = (n, radius, rows.take(covered), group, rows.take(pos).tolist(), np.bincount(group).tolist())
+    return layer, rows[~mark]
 
 
 class ClusteringState:
@@ -193,15 +201,10 @@ class ClusteringState:
         Returns one round per layer, the last being the remainder as
         singletons. A round's clusters are in center id order.
         """
-        coords = self.store.matrix.take(rows, 0)
         rounds: list[_Round] = []
         while rows.shape[0] > self.params.phi:
-            pos, nearest, mask, radius = _cover_arrays(coords, self.params, self.rng, self.oracle)
-            group = nearest[mask]
-            rounds.append((rows.shape[0], radius, rows[mask], group, rows[pos].tolist(),
-                           np.bincount(group).tolist()))
-            keep = (~mask).nonzero()[0]
-            rows, coords = rows.take(keep), coords.take(keep, 0)
+            layer, rows = _cover_arrays(self.store.matrix, rows, self.params, self.rng, self.oracle)
+            rounds.append(layer)
         rest = rows.shape[0]
         rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist(), [1] * rest))
         return rounds

@@ -1,9 +1,10 @@
 """Reference oracles for the tests: brute-force optima, reference costs, the
-relaxed triangle check, one cover round over points, the covered set of a
-layer and the checks of a state's weighted instance; the views of the
-engine that only tests read: distances between points, a layer's members and
-clusters, a point's center, a state's layer table, the live ids of a store,
-and weighted instances built from or read back as ``(Point, weight)`` pairs;
+relaxed triangle check, one cover round over points or read back by
+position, the covered set of a layer and the checks of a state's weighted
+instance; the views of the engine that only tests read: distances between
+points, a layer's members and clusters, a point's center, a state's layer
+table, the live ids of a store, and weighted instances built from or read
+back as ``(Point, weight)`` pairs;
 :class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
 by the test, passed to the engine as ``DynamicParams(seed=...)``; the
 seeding of a weighted solve drawn with ``rng.choice``; and the powered Gram
@@ -258,6 +259,34 @@ def id_draws(ids: Sequence[PointId], sample: Sequence[PointId]) -> ForcedDraws:
 # -- one cover round over points -----------------------------------------------
 
 
+def cover_positions(
+    matrix: np.ndarray,
+    params: DynamicParams,
+    rng: np.random.Generator,
+    oracle: DistanceOracle,
+    rows: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``_cover_arrays`` over ``rows`` of ``matrix`` (by default all of them),
+    the working set in ascending id order, read back by position in it: the
+    centers that keep a cluster, each covered row's cluster index (-1 on the
+    rows it leaves over), the covered mask and the radius. Checks first that
+    the layer and the rows left over split the working set, each in order,
+    and that the sizes count the cluster indices."""
+    rows = np.arange(matrix.shape[0]) if rows is None else rows
+    n = rows.shape[0]
+    (size, radius, layer_rows, group, centers, sizes), left = _cover_arrays(
+        matrix, rows, params, rng, oracle)
+    at = np.full(matrix.shape[0], -1)
+    at[rows] = np.arange(n)
+    covered, left = at[layer_rows], at[left]
+    assert size == n and np.array_equal(np.sort(np.concatenate((covered, left))), np.arange(n))
+    assert np.all(np.diff(covered) > 0) and np.all(np.diff(left) > 0)
+    assert sizes == np.bincount(group).tolist() and group.shape == covered.shape
+    nearest, mask = np.full(n, -1), np.zeros(n, dtype=bool)
+    nearest[covered], mask[covered] = group, True
+    return at[np.array(centers, dtype=np.int64)], nearest, mask, radius
+
+
 def cover_round(
     points: Sequence[Point],
     params: DynamicParams,
@@ -270,9 +299,7 @@ def cover_round(
     ids = np.array([q.id for q in pts], dtype=np.int64)
     coords = np.stack([q.coords for q in pts])
     rng = rng if rng is not None else np.random.default_rng(params.seed)
-    pos, nearest, mask, radius = _cover_arrays(
-        coords, params, rng, oracle or DistanceOracle()
-    )
+    pos, nearest, mask, radius = cover_positions(coords, params, rng, oracle or DistanceOracle())
     center_ids = ids[pos]
     assignment = {int(u): int(center_ids[j]) for u, j in zip(ids[mask], nearest[mask])}
     return set(center_ids.tolist()), assignment, radius

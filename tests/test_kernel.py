@@ -11,9 +11,11 @@ same-id pairs through an n x c id mask, which the kernel did when it took
 ids, and takes the minimum in a second reduction. The package works in
 place and in fewer passes over
 memory; every matrix entry, covered flag and radius it returns must be
-bit-identical to the reference, and so must each row's nearest center id.
-At a positive offset its round evaluates only the unsampled rows, so it
-counts c * c pairs fewer than the reference for c sampled centers.
+bit-identical to the reference, and so must each covered row's nearest
+center id, over a whole matrix and over a non-contiguous subset of the rows
+of a larger one. At a positive offset its round evaluates only the
+unsampled rows, so it counts c * c pairs fewer than the reference for c
+sampled centers.
 
 The absorbed-center rule is written into the cover reference as a plain
 loop: a sampled center whose own row's first minimum is another center has
@@ -50,9 +52,9 @@ from dynkmed import (
     query,
     synthetic_points,
 )
-from dynkmed.dynamic import _cover_arrays, _quantile_index
+from dynkmed.dynamic import _quantile_index
 from dynkmed.metric import Point, _nearest_two
-from oracles import id_draws, pairwise
+from oracles import cover_positions, id_draws, pairwise
 
 
 def _reference_matrix_between(
@@ -121,11 +123,11 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 def assert_same_cover(ids: np.ndarray, got: tuple, want: tuple) -> None:
     """A cover round (center positions, nearest, mask, radius) against the
     reference's (sampled center ids, nearest, mask, radius): the same center
-    id for every row, the centers some row picks, mask and radius."""
+    id for every covered row, the centers some row picks, mask and radius."""
     pos, nearest, mask, radius = got
     center_ids, want_nearest, want_mask, want_radius = want
     assert pos.dtype == np.int64
-    assert np.array_equal(ids[pos][nearest], center_ids[want_nearest])
+    assert np.array_equal(ids[pos][nearest[mask]], center_ids[want_nearest[mask]])
     assert np.array_equal(ids[pos], center_ids[np.unique(want_nearest)])
     assert np.array_equal(mask, want_mask)
     assert repr(radius) == repr(want_radius)
@@ -181,21 +183,27 @@ def test_matrix_between_does_not_depend_on_buffer_identity():
 def test_cover_round_matches_the_reference(n, c, dim, scale, shift, gap, offset):
     x = coordinates(n, dim, seed=n - dim, scale=scale, shift=shift, gap=gap)
     ids = np.arange(3, 3 + 2 * n, 2)          # sorted, distinct, not positions
+    # the same points as a non-contiguous ascending subset of the rows of a
+    # larger matrix whose other rows are NaN, so a read of one fails
+    store = np.full((2 * n + 3, dim), np.nan)
+    rows = np.sort(np.random.default_rng(dim).choice(store.shape[0], n, replace=False))
+    store[rows] = x
     changed = False
     for phi, beta in ((c, 0.5), (7, 0.8)):
         params = DynamicParams(k=3, phi=phi, beta=beta)
-        new_rng, old_rng = np.random.default_rng(n), np.random.default_rng(n)
-        new, old = DistanceOracle(offset), DistanceOracle(offset)
-        got = _cover_arrays(x, params, new_rng, new)
+        old_rng, old = np.random.default_rng(n), DistanceOracle(offset)
         want = _reference_cover_arrays(ids, x, params, old_rng, old)
         unmasked = _reference_cover_arrays(
             ids, x, params, np.random.default_rng(n), DistanceOracle(offset), mask_absorbed=False
         )
         changed |= not all(np.array_equal(w, u) for w, u in zip(want, unmasked))
-        assert_same_cover(ids, got, want)
-        # at a positive offset the round leaves out the c x c pairs between centers
-        assert new.evals == old.evals - (want[0].shape[0] ** 2 if offset else 0)
-        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        for matrix, subset in ((x, None), (store, rows)):
+            new_rng, new = np.random.default_rng(n), DistanceOracle(offset)
+            got = cover_positions(matrix, params, new_rng, new, subset)
+            assert_same_cover(ids, got, want)
+            # at a positive offset the round leaves out the c x c pairs between centers
+            assert new.evals == old.evals - (want[0].shape[0] ** 2 if offset else 0)
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
     assert changed == (gap > 0.0 and offset == 0.0)
 
 
@@ -207,7 +215,7 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
     params = DynamicParams(k=2, phi=4)
     draws = id_draws(ids, [1, 0, 0, 30])
     for offset in (0.0, 0.3):
-        got = _cover_arrays(x, params, draws, DistanceOracle(offset))
+        got = cover_positions(x, params, draws, DistanceOracle(offset))
         want = _reference_cover_arrays(ids, x, params, draws, DistanceOracle(offset))
         assert_same_cover(ids, got, want)
         # at offset 0 twin 1's own row goes to twin 0, so it keeps no cluster

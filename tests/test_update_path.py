@@ -19,10 +19,12 @@ the oracle's methods to the references.
 The package must return the same bits: sample positions, nearest columns,
 distances, covered masks, radii, rounds and the state of the sample stream,
 and a slide driven by the references must match a slide driven by the
-package after every update. A round at a positive offset whose c sampled
-centers fill the beta-quantile of its n points evaluates nothing, and its
-nearest column is -1 on the rows it does not cover, so there the nearest
-columns are compared on the covered rows. The package's evaluation count
+package after every update. The package's round gathers its rows from the
+store and returns the nearest center of the rows it covers only, so nearest
+columns are compared on the covered rows, and the other rows by being left
+over; its inputs include a non-contiguous subset of a larger matrix's rows,
+and its rounds a slid state's U_2, whose rows are out of id order, with
+every other row of the store NaN. The package's evaluation count
 must be the reference's exactly, less at a positive offset the c * c pairs
 between a round's c sampled centers and, in a round that evaluates nothing,
 its other (n - c) * c pairs too.
@@ -36,10 +38,10 @@ import numpy as np
 import pytest
 
 from dynkmed import DistanceOracle, DynamicParams, points_from_array, preprocess
-from dynkmed import dynamic, metric
+from dynkmed import metric
 from dynkmed.dynamic import _EPS, ClusteringState, Layer, _quantile_index
 from dynkmed.metric import Point, PointId
-from oracles import ForcedDraws
+from oracles import ForcedDraws, cover_positions
 
 # -- references, verbatim ------------------------------------------------------
 
@@ -343,22 +345,24 @@ def test_cover_round_matches_its_reference(case, offset, base, draws):
         x = blocks(case, seed, n=(60 if base else 180) if seed < 12 else 30 + seed)
         ids = np.arange(7, 7 + 3 * x.shape[0], 3)
         params = DynamicParams(k=3, phi=25 + seed, beta=0.4 + 0.03 * (seed % 12))
-        new_rng = np.random.default_rng(stream(draws, seed))
+        # the same points as a non-contiguous ascending subset of the rows of
+        # a larger matrix whose other rows are NaN, so a read of one fails
+        store = np.full((2 * x.shape[0] + 5, x.shape[1]), np.nan)
+        rows = np.sort(np.random.default_rng(seed).choice(store.shape[0], x.shape[0], replace=False))
+        store[rows] = x
         old_rng = np.random.default_rng(stream(draws, seed))
-        new, old = BranchCounter(offset, base), RoundReference(offset, base, params.beta)
-        got = dynamic._cover_arrays(x, params, new_rng, new)
+        old = RoundReference(offset, base, params.beta)
         want = _cover_arrays(ids, x, params, old_rng, old)
-        assert_same_bits(got[0], want[0])
-        assert_same_bits(got[2], want[2])
-        if skips(offset, params.beta, x.shape[0], got[0].shape[0]):
+        for matrix, subset in ((x, None), (store, rows)):
+            new_rng, new = np.random.default_rng(stream(draws, seed)), BranchCounter(offset, base)
+            got = cover_positions(matrix, params, new_rng, new, subset)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[2], want[2])
             assert_same_bits(got[1][got[2]], want[1][want[2]])
-            assert (got[1][~got[2]] == -1).all()
-            skipped += 1
-        else:
-            assert_same_bits(got[1], want[1])
-        assert repr(got[3]) == repr(want[3])
-        assert new_rng.bit_generator.state == old_rng.bit_generator.state
-        assert new.evals == old.package_evals
+            assert repr(got[3]) == repr(want[3])
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            assert new.evals == old.package_evals
+        skipped += skips(offset, params.beta, x.shape[0], got[0].shape[0])
         drawn = np.unique(np.random.default_rng(stream(draws, seed)).integers(0, x.shape[0], params.phi))
         absorbed += drawn.shape[0] - got[0].shape[0]
     # exact duplicates at offset 0 tie at distance 0, and a center whose own
@@ -391,13 +395,9 @@ def test_kernel_and_reductions_match_their_references(case, offset, base, draws)
                 assert_same_bits(block, before)
 
 
-@pytest.mark.parametrize("case, offset, base, draws", CASES)
-def test_cover_rounds_match_their_reference(case, offset, base, draws):
-    pts = points_from_array(blocks(case, 5, n=120 if base else 700))
-    params = DynamicParams(k=3, phi=12, seed=stream(draws, 9))
-    new = preprocess(pts, params, DistanceOracle(offset, base))
-    old = reference_preprocess(pts, params, RoundReference(offset, base, params.beta))
-    rows = np.flatnonzero(new.slot >= 0)
+def assert_same_rounds(new: ClusteringState, old: ReferenceState, rows: np.ndarray) -> None:
+    """The rounds of the given store rows, in ascending id order, and the
+    sample stream and evaluation count after them."""
     ids = new.store.row_ids[rows]
     order = np.argsort(ids)
     got = new._cover_rounds(rows[order])
@@ -409,6 +409,28 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
             assert np.array_equal(gi, wi)
     assert new.rng.bit_generator.state == old.rng.bit_generator.state
     assert new.oracle.evals == old.oracle.package_evals
+
+
+@pytest.mark.parametrize("case, offset, base, draws", CASES)
+def test_cover_rounds_match_their_reference(case, offset, base, draws):
+    n = 120 if base else 700
+    pts = points_from_array(blocks(case, 5, n=n + n // 4))
+    params = DynamicParams(k=3, phi=12, seed=stream(draws, 9))
+    new = preprocess(pts[:n], params, DistanceOracle(offset, base))
+    old = reference_preprocess(pts[:n], params, RoundReference(offset, base, params.beta))
+    assert_same_rounds(new, old, np.flatnonzero(new.slot >= 0))
+    # a slide: the points inserted reuse the rows of the deleted ones, out of id order
+    for step in range(n // 4):
+        for state in (new, old):
+            state.insert(pts[n + step])
+            state.delete(pts[step].id)
+    rows = np.flatnonzero(new.slot >= new.layers[1].start)  # U_2
+    assert np.any(np.diff(new.store.row_ids[rows]) < 0) and rows.shape[0] < len(new.store)
+    for state in (new, old):  # a round that reads a row outside U_2 fails
+        outside = np.ones(state.store.matrix.shape[0], dtype=bool)
+        outside[rows] = False
+        state.store.matrix[outside] = np.nan
+    assert_same_rounds(new, old, rows)
 
 
 def assert_same_state(new: ClusteringState, old: ClusteringState) -> None:

@@ -27,10 +27,15 @@ moments of a shared machine compare; with ``--passes`` above 1 each is the
 median over the passes, and the fit runs over every pass's rounds. They
 include the wrappers' own cost of about a microsecond per wrapped call.
 Nothing under ``benchmark/`` is changed.
+
+Exits 1 when a pass's cover-round spans do not account for every
+evaluation of its rebuilds: a round that runs outside the hooked function
+would otherwise read as fewer rounds and a wrong fit.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import statistics
 import sys
 from collections import defaultdict
@@ -50,12 +55,19 @@ from dynkmed import dynamic  # noqa: E402
 UPDATE, REBUILD, ROUND = "update", "rebuild", "round"
 
 
+_ROUND_SIGNATURE = inspect.signature(dynamic._cover_arrays)
+
+
+def _round_oracle(args, kwargs) -> dk.DistanceOracle:
+    return _ROUND_SIGNATURE.bind(*args, **kwargs).arguments["oracle"]
+
+
 def _round_enter(args, kwargs, attrs) -> None:
-    attrs["evals"] = args[3].evals              # _cover_arrays(coords, params, rng, oracle)
+    attrs["evals"] = _round_oracle(args, kwargs).evals
 
 
 def _round_exit(args, kwargs, result, attrs) -> None:
-    attrs["evals"] = args[3].evals - attrs["evals"]
+    attrs["evals"] = _round_oracle(args, kwargs).evals - attrs["evals"]
 
 
 def profile_pass(inputs: run.Inputs) -> tuple[Tracer, Callable[[int], float]]:
@@ -80,6 +92,14 @@ def profile_pass(inputs: run.Inputs) -> tuple[Tracer, Callable[[int], float]]:
     return tracer, speed.finish()
 
 
+def unaccounted(tracer: Tracer) -> int:
+    """The evaluations of a pass's rebuilds that none of its cover-round spans made."""
+    def total(name: str) -> int:
+        return sum(s.attrs["evals"] for s in tracer.spans if s.name == name)
+
+    return total(REBUILD) - total(ROUND)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(run.WORKLOADS))
@@ -94,6 +114,10 @@ def main(argv: list[str] | None = None) -> int:
     entries, round_s = [], []   # and per kind of update [count, s]; every pass's cover rounds
     for _ in range(args.passes):
         tracer, scale = profile_pass(inputs)
+        if missed := unaccounted(tracer):
+            print(f"{missed} rebuild evaluations of pass {len(passes) + 1} ran outside "
+                  f"the hooked cover round dynamic._cover_arrays", file=sys.stderr)
+            return 1
         depth = defaultdict(lambda: np.zeros(6))
         rebuilt = set()
         for index, span in enumerate(tracer.spans):
