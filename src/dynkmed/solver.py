@@ -104,20 +104,27 @@ class _Finish:
         else:
             d = self.oracle._root(x[:, j])
             d[j] = 0.0                                # the column's diagonal entry
+        return self._power(d)
+
+    def marked(self, values: np.ndarray, marks) -> np.ndarray:
+        """Finish ``values``, entries of the product with its diagonal at
+        ``marks``, in place."""
+        if self.oracle is not None:
+            self.oracle._root(values, out=values)
+            values[marks] = 0.0
+            self._power(values)
+        return values
+
+    def whole(self, x: np.ndarray) -> "_Finish":
+        """Finish all of the product ``x`` in place; returns the finish of the result."""
+        self.marked(x, np.diag_indices(x.shape[0]))
+        return _FINISHED
+
+    def _power(self, d: np.ndarray) -> np.ndarray:
         if self.p != 1.0:
             with _power_overflow(self.p):
                 d **= self.p
         return d
-
-    def whole(self, x: np.ndarray) -> "_Finish":
-        """Finish all of the product ``x`` in place; returns the finish of the result."""
-        if self.oracle is not None:
-            self.oracle._root(x, out=x)
-            np.fill_diagonal(x, 0.0)
-            if self.p != 1.0:
-                with _power_overflow(self.p):
-                    x **= self.p
-        return _FINISHED
 
     def bound(self, theta: float) -> float:
         """T(theta), the entry bound of ``theta^(1/p)``: entries >= T finish at or above theta."""
@@ -230,7 +237,7 @@ def _near_list(gram_t: np.ndarray, theta: float, finish: _Finish = _FINISHED) ->
     flat = (gram_t < theta).reshape(-1).nonzero()[0]
     offsets = flat.searchsorted(np.arange(0, size + 1, m))
     columns = np.repeat(np.arange(gram_t.shape[0], dtype=np.int32), np.diff(offsets))
-    values = finish(gram_t.take(flat))
+    values = finish.marked(gram_t.take(flat), flat.searchsorted(np.arange(0, size, m + 1)))
     flat -= np.multiply(columns, m, dtype=np.intp)
     return offsets.tolist(), columns, flat, values
 
@@ -258,30 +265,33 @@ def _listed_entries(listed: tuple, lo: int, hi: int, cut: np.ndarray) -> tuple[n
 
 def _screen_estimate(
     slab: np.ndarray, entries: tuple[np.ndarray, ...], weights: np.ndarray, c1: np.ndarray,
-    d1: np.ndarray, d2: np.ndarray, base: np.ndarray, cost: float,
+    d1: np.ndarray, d2: np.ndarray, base: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimated new cost of each candidate in ``slab``, a block of candidate
-    columns stored as rows, from its entries below ``d2`` alone, and the
-    b-by-k matrix of its per-center values ``base + delta``.
+    """Estimated change in cost of each candidate in ``slab``, a block of
+    candidate columns stored as rows, from its entries below ``d2`` alone,
+    and the b-by-k matrix of its per-center values ``base + delta``.
 
     A row whose entry is at least its ``d2`` adds nothing to the shared gain
     and exactly its removal loss ``w*(d2-d1)`` to its center; ``base`` holds
     those losses summed per center. An entry ``v`` below ``d2`` adds
     ``w*(min(v,d1)-d1)`` to the shared gain and changes its row's removal
     loss by ``w*(max(v,d1)-d2)``. The estimate is
-    ``cost + shared + min_c(base[c] + delta[c])``. ``entries`` holds the
+    ``shared + min_c(base[c] + delta[c])``. ``entries`` holds the
     block position, row and value of every entry below ``d2``, each once.
     """
     b, k = slab.shape[0], base.shape[0]
     cand, rows, v = entries
     w, lo = weights.take(rows), d1.take(rows)
-    shared = np.bincount(cand, weights=(np.minimum(v, lo) - lo) * w, minlength=b)
-    delta = np.bincount(cand * k + c1.take(rows), weights=(np.maximum(v, lo) - d2.take(rows)) * w,
-                        minlength=b * k).reshape(b, k)
+    gain = np.minimum(v, lo)
+    gain -= lo
+    gain *= w
+    lose = np.subtract(np.maximum(v, lo, out=lo), d2.take(rows), out=lo)
+    lose *= w
+    shared = np.bincount(cand, weights=gain, minlength=b)
+    delta = np.bincount(cand * k + c1.take(rows), weights=lose, minlength=b * k).reshape(b, k)
     delta += base
     estimate = np.minimum.reduce(delta, axis=1)
     estimate += shared
-    estimate += cost
     return estimate, delta
 
 
@@ -324,30 +334,31 @@ def _local_search(
 
     Each row keeps its nearest center position ``c1``, its distance ``d1``
     and its second-nearest distance ``d2``, and ``near`` holds the columns
-    of the current centers. After a swap only the rows where these can
-    change are recomputed from ``near``: rows whose nearest center was
-    retired, rows whose second-nearest may have been the retired center, and
-    rows the new center comes within ``d2`` of. Every other row keeps its
-    nearest center and both distances, so they stay the exact minima. A
-    swap whose recomputed cost is not below the last, which only a wrong
-    screen makes, raises ``RuntimeError`` rather than let the scan cycle. Ties
-    in ``c1`` go to the first minimum, and which tied center a row names
-    does not matter: a row with ``d1 == d2`` adds exactly 0.0 to the removal
-    loss of its center, so no swap decision depends on the tie rule.
+    of the current centers. After a swap only the rows where the retired
+    center or the new one lies within ``d2`` are recomputed from ``near``:
+    no center but the nearest is closer than ``d2``, so these are the rows
+    whose nearest or second-nearest center was retired, and those the new
+    one reaches. Every other row keeps its nearest center and both
+    distances, so they stay the exact minima. A swap whose recomputed cost
+    is not below the last, which only a wrong screen makes, raises
+    ``RuntimeError`` rather than let the scan cycle. Ties in ``c1`` go to
+    the first minimum; which tied center a row names does not matter, as a
+    row with ``d1 == d2`` adds exactly 0.0 to its center's removal loss.
 
-    Screen. A row whose entry in a candidate's column is at least its
-    ``d2`` adds only its fixed removal loss ``w*(d2-d1)`` to its center, so
-    :func:`_screen_estimate` estimates the new cost of a block of upcoming
-    candidates (rows of ``powered.T``, contiguous because the Gram is
-    F-contiguous), and its per-center values, from the entries below ``d2``
-    alone. A candidate is skipped when ``estimate - err > cutoff * cost``,
-    and accepted from the screen when ``estimate + err <= cutoff * cost``
-    and its best per-center value leads the next by more than ``err``; the
-    exact code, :func:`_exact_swap`, decides the rest in the same scan
-    order. After a swap the rest of the block is dropped and screening
-    resumes at the next column against the new state, so the search makes
-    exactly the swaps it makes unscreened. Blocks start at ``_BLOCK_MIN``
-    candidates and double up to ``_BLOCK_MAX`` while no swap happens.
+    Screen. A row whose entry in a candidate's column is at least its ``d2``
+    adds only its fixed removal loss ``w*(d2-d1)`` to its center, so
+    :func:`_screen_estimate` estimates the change in cost of a block of
+    upcoming candidates (rows of ``powered.T``, contiguous because the Gram
+    is F-contiguous), and its per-center values, from the entries below
+    ``d2`` alone. With ``limit = cutoff * cost``, a candidate is skipped
+    when ``estimate > limit - cost + err``, and accepted from the screen
+    when ``estimate <= limit - cost - err`` and its best per-center value
+    leads the next by more than ``err``; the exact code,
+    :func:`_exact_swap`, decides the rest in the same scan order. After a
+    swap the rest of the block is dropped and screening resumes at the next
+    column against the new state, so the search makes exactly the swaps it
+    makes unscreened. Blocks start at ``_BLOCK_MIN`` candidates and double
+    up to ``_BLOCK_MAX`` while no swap happens.
 
     Entries. ``powered`` may be the kernel's product, read through
     ``finish`` (:class:`_Finish`), with ``near`` the centers' finished
@@ -373,28 +384,29 @@ def _local_search(
     not depend on: it counts m rounding errors per sum.
 
     The bound. Let ``S = cost + sum(w*d2)`` and u = eps/2. The exact code
-    and the estimate round the same real value, ``cost + shared +
-    min_c per_center[c]``, and a minimum moves by at most the largest error
-    of its terms. Distances and weights are nonnegative, so in either
+    rounds the real new cost, ``cost + shared + min_c per_center[c]``, and
+    the estimate that less ``cost``; a minimum moves by at most the largest
+    error of its terms. Distances and weights are nonnegative, so in either
     computation each per-row term is at most ``w*(d1+d2)`` in magnitude and
-    takes at most three roundings, the terms total at most ``2*S``, each sum
-    over rows (``sum``, ``bincount``) adds at most m rounding errors of
-    relative size u, and at most three more additions of values below
-    ``2*S`` follow. Each computation is thus within ``4*(m+8)*u*S`` of the
-    real value, plus at most ``3*m`` half subnormals where products
-    underflow; so is each per-center value, a sum over a subset of the rows.
-    ``err = 64*(m+8)*(eps*S + smallest_subnormal)`` is 16 times the sum of
-    both errors, which also absorbs the rounding of ``estimate - err``,
-    ``estimate + err`` and the lead. So a skipped candidate's exact new
-    cost is above ``cutoff * cost``, and for one accepted from the screen it
-    is at most that, with the screen's best center as the exact code's first
-    minimum. When ``err`` is not finite (k = 1, where ``d2`` is ``inf``, or
-    an overflow) the screen is off and every candidate is evaluated exactly.
+    takes at most three roundings (``w*d2 - w*d1`` takes three), the terms
+    total at most ``2*S``, each sum over rows (``sum``, ``bincount``) adds
+    at most m rounding errors of relative size u, and at most three more
+    additions of values below ``2*S`` follow. Each computation is thus
+    within ``4*(m+8)*u*S`` of its real value, plus at most ``4*m`` half
+    subnormals where products underflow; so is each per-center value, a sum
+    over a subset of the rows. ``err = 64*(m+8)*(eps*S + smallest_subnormal)``
+    is 16 times the sum of both errors, which also absorbs the rounding of
+    ``limit - cost``, of ``± err`` and of the lead. So a skipped candidate's
+    exact new cost is above ``cutoff * cost``, and for one accepted from the
+    screen it is at most that, with the screen's best center as the exact
+    code's first minimum. When ``err`` is not finite (k = 1, where ``d2`` is
+    ``inf``, or an overflow) the screen is off and every candidate is
+    evaluated exactly.
     """
     n, k = powered.shape[0], len(chosen)
     near = finish(powered[:, chosen]) if near is None else near
     c1, d1, d2 = _nearest_two(near)
-    cost = float(np.add.reduce(weights * d1))
+    cost = float(np.add.reduce(wd1 := weights * d1))
     below = np.empty(_BLOCK_MAX * n, dtype=bool)
     sample, listed = powered.T[::_SAMPLE_STEP], None
     theta = math.inf                                  # the largest d2 the sample was last tested at
@@ -403,7 +415,8 @@ def _local_search(
     left = n if cost > 0.0 else 0                     # columns to scan before stopping
     while left:
         if err is None:
-            err = 64.0 * (n + 8) * (math.ulp(1.0) * (cost + float(np.add.reduce(weights * d2))) + math.ulp(0.0))
+            wd2 = weights * d2                        # then w*(d2-d1), the rows' removal losses
+            err = 64.0 * (n + 8) * (math.ulp(1.0) * (cost + float(np.add.reduce(wd2))) + math.ulp(0.0))
             screened = math.isfinite(err)
             if screened and listed is None and 2.0 * (top := float(d2.max())) <= theta:
                 theta = top
@@ -413,12 +426,14 @@ def _local_search(
                     listed = _near_list(powered.T, finish.bound(theta), finish)
             if listed is None:
                 finish = finish.whole(powered.T)      # a no-op once finished
+            limit = cutoff * cost
             if screened:
-                base = np.bincount(c1, weights=weights * (d2 - d1), minlength=k)
+                base = np.bincount(c1, weights=np.subtract(wd2, wd1, out=wd2), minlength=k)
+                skip, prove = limit - cost + err, limit - cost - err
                 if listed is not None:                # rows whose d2 rose above theta are read densely
-                    high = (d2 > theta).nonzero()[0]
-                    cut = np.where(d2 > theta, -np.inf, d2)
-        lo, hi, limit = start, min(start + block, n, start + left), cutoff * cost
+                    high = (above := d2 > theta).nonzero()[0]
+                    cut = np.where(above, -np.inf, d2) if high.size else d2
+        lo, hi = start, min(start + block, n, start + left)
         if screened:
             slab = powered.T[lo:hi]
             if listed is None:
@@ -428,8 +443,8 @@ def _local_search(
                 if high.size:                         # appended in block order of their own
                     cand, at, v = _screen_entries(finish(slab.take(high, axis=1)), below, d2.take(high))
                     entries = tuple(map(np.concatenate, zip(entries, (cand, high.take(at), v))))
-            estimate, per_center = _screen_estimate(slab, entries, weights, c1, d1, d2, base, cost)
-            candidates = (lo + (estimate - err <= limit).nonzero()[0]).tolist()
+            estimate, per_center = _screen_estimate(slab, entries, weights, c1, d1, d2, base)
+            candidates = [lo + i for i in (estimate <= skip).nonzero()[0].tolist()]
         else:
             candidates = range(lo, hi)
         left -= hi - lo
@@ -438,7 +453,7 @@ def _local_search(
             if j in chosen:
                 continue
             c_pos, column = -1, finish(powered, j)
-            if screened and estimate[j - lo] + err <= limit:
+            if screened and estimate[j - lo] <= prove:
                 row = per_center[j - lo]
                 best, runner_up = row.argpartition(1)[:2].tolist()
                 if row[runner_up] - row[best] > err:  # the screen proves the swap
@@ -447,11 +462,11 @@ def _local_search(
                 c_pos, new_cost = _exact_swap(column, weights, c1, d1, d2, k, cost)
                 if not new_cost <= limit:
                     continue
-            stale = ((c1 == c_pos) | (column <= d2) | (near[:, c_pos] == d2)).nonzero()[0]
+            stale = (np.minimum(near[:, c_pos], column) <= d2).nonzero()[0]
             chosen[c_pos] = j
             near[:, c_pos] = column
             c1[stale], d1[stale], d2[stale] = _nearest_two(near[stale])
-            cost, last = float(np.add.reduce(weights * d1)), cost
+            cost, last = float(np.add.reduce(wd1 := weights * d1)), cost
             if not cost < last:                       # the screen proved a swap wrongly
                 raise RuntimeError(f"swapping in column {j} did not lower the cost: {last!r} -> {cost!r}")
             if cost <= 0.0:

@@ -314,7 +314,10 @@ def assert_blocks_match(oracle, a, picked, own=True):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-4, 0.25])
-@pytest.mark.parametrize("n, c, dim, scale, shift, gap", SHAPES)
+@pytest.mark.parametrize("n, c, dim, scale, shift, gap", SHAPES + [
+    # one center: with its own pair marked -inf, the mark is that row's minimum
+    pytest.param(300, 1, 5, 1.0, 0.0, 0.0, id="one-column"),
+])
 def test_reductions_match_the_distance_matrix(n, c, dim, scale, shift, gap, offset):
     x = coordinates(n, dim, seed=n * dim, scale=scale, shift=shift, gap=gap)
     picked = np.sort(np.random.default_rng(dim).choice(n, size=c, replace=False))

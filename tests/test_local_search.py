@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynkmed import DistanceOracle, points_from_array, solver, weighted_solve
 from dynkmed.solver import (
@@ -197,6 +198,27 @@ def test_nearest_two_takes_the_first_minimum():
     assert c1.tolist() == [0, 0, 0, 0]
     assert d1.tolist() == cols[:, 0].tolist()
     assert np.all(np.isinf(d2))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_compare_finds_every_row_a_swap_can_change(data):
+    # A row's state can change only if the retired center was its nearest,
+    # or its second-nearest (at d2), or the new column comes within d2. On
+    # small integer values full of ties, and columns that repeat others,
+    # min(near[:, c_pos], column) <= d2 is that set: a center other than the
+    # nearest closer than d2 would contradict d2. k = 1 (d2 = inf) included.
+    m, k = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 5))
+    values = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    columns = [data.draw(values) for _ in range(k + 1)]
+    for c in range(k + 1):                        # some columns repeat an earlier one
+        if c and data.draw(st.booleans()):
+            columns[c] = columns[data.draw(st.integers(0, c - 1))]
+    near, column = np.array(columns[:k], dtype=np.float64).T.copy(), np.array(columns[k], dtype=np.float64)
+    c1, _, d2 = _nearest_two(near)
+    for c_pos in range(k):
+        three = (c1 == c_pos) | (column <= d2) | (near[:, c_pos] == d2)
+        assert np.array_equal(np.minimum(near[:, c_pos], column) <= d2, three)
 
 
 # -- the candidate screen ------------------------------------------------------
@@ -582,10 +604,11 @@ def test_a_search_that_starts_dense_lists_once_its_largest_d2_has_halved(monkeyp
     lists = _record_calls(monkeypatch, "_near_list")
     blocks = {"dense": 0, "exact": 0, "within the bound": 0}
 
-    def checking(slab, entries, weights, c1, d1, d2, base, cost):
-        got = estimate(slab, entries, weights, c1, d1, d2, base, cost)
+    def checking(slab, entries, weights, c1, d1, d2, base):
+        got = estimate(slab, entries, weights, c1, d1, d2, base)
         below = np.empty(slab.size, dtype=bool)
-        want = estimate(slab, dense_entries(slab, below, d2), weights, c1, d1, d2, base, cost)
+        want = estimate(slab, dense_entries(slab, below, d2), weights, c1, d1, d2, base)
+        cost = float(np.add.reduce(weights * d1))
         if lists and np.any(d2 > lists[0][1]):
             err = 64.0 * (slab.shape[1] + 8) * np.finfo(np.float64).eps * (cost + np.sum(weights * d2))
             assert all(np.allclose(g, w, rtol=0.0, atol=err) for g, w in zip(got, want))
@@ -626,10 +649,11 @@ def test_listed_screen_reads_rows_whose_d2_rose_above_theta_densely(monkeypatch)
     dense_entries, estimate = solver._screen_entries, solver._screen_estimate
     blocks = {"exact": 0, "within the bound": 0}
 
-    def checking(slab, entries, weights, c1, d1, d2, base, cost):
-        got = estimate(slab, entries, weights, c1, d1, d2, base, cost)
+    def checking(slab, entries, weights, c1, d1, d2, base):
+        got = estimate(slab, entries, weights, c1, d1, d2, base)
         below = np.empty(slab.size, dtype=bool)
-        want = estimate(slab, dense_entries(slab, below, d2), weights, c1, d1, d2, base, cost)
+        want = estimate(slab, dense_entries(slab, below, d2), weights, c1, d1, d2, base)
+        cost = float(np.add.reduce(weights * d1))
         if np.any(d2 > theta):
             err = 64.0 * (slab.shape[1] + 8) * np.finfo(np.float64).eps * (cost + np.sum(weights * d2))
             assert all(np.allclose(g, w, rtol=0.0, atol=err) for g, w in zip(got, want))

@@ -20,6 +20,10 @@ Prints, per pass (every pass makes the same updates):
   that evaluated something of its wall time as ``fixed + per_entry *
   entries``, where ``entries`` is the round's evaluation count, the size of
   its distance block; the rounds that evaluated nothing are left out of it.
+  The fit is printed only where it is a cost model: when those rounds have
+  at least two distinct entry counts and the fixed part is not negative.
+  Otherwise the mean time per round and per entry is printed, with the
+  reason the fit was skipped.
 
 Wall times are scaled as the benchmark scales them, by its ``SpeedClock``
 (to a machine where ``reference()`` takes 1 ms), so runs at different
@@ -160,12 +164,28 @@ def main(argv: list[str] | None = None) -> int:
     print(f"cover rounds: {len(x) // args.passes}, {np.count_nonzero(empty) // args.passes} of them "
           f"evaluated nothing in {y[empty].sum() / args.passes * 1e3:.1f} ms")
     x, y = x[~empty], y[~empty]
-    (fixed, per_entry), *_ = np.linalg.lstsq(np.stack([np.ones_like(x), x], axis=1), y, rcond=None)
-    rounds = len(x) // args.passes
-    print(f"the {rounds} others: fit time = {fixed * 1e6:.1f} us + {per_entry * 1e9:.2f} ns "
-          f"* entries; fixed part {fixed * rounds * 1e3:.1f} ms of "
-          f"{y.sum() / args.passes * 1e3:.1f} ms in those rounds")
+    print(f"the {len(x) // args.passes} others, {y.sum() / args.passes * 1e3:.1f} ms: "
+          f"{round_cost(x, y, args.passes)}")
     return 0
+
+
+def round_cost(entries: np.ndarray, seconds: np.ndarray, passes: int) -> str:
+    """The evaluating rounds' wall time against their entries: the
+    least-squares fit ``fixed + per_entry * entries`` where it is a cost
+    model, else the mean time per round and per entry and why there is no fit."""
+    if entries.size == 0:
+        return "no fit, since no round evaluated anything"
+    if np.unique(entries).size < 2:
+        reason = f"every one evaluated {entries[0]:.0f} entries"
+    else:
+        (fixed, per_entry), *_ = np.linalg.lstsq(np.stack([np.ones_like(entries), entries], axis=1),
+                                                 seconds, rcond=None)
+        if fixed >= 0.0:
+            return (f"fit time = {fixed * 1e6:.1f} us + {per_entry * 1e9:.2f} ns * entries; "
+                    f"fixed part {fixed * entries.size / passes * 1e3:.1f} ms")
+        reason = f"the fit's fixed part, {fixed * 1e6:.1f} us, is negative"
+    return (f"mean {seconds.mean() * 1e6:.1f} us per round and {seconds.sum() / entries.sum() * 1e9:.2f} "
+            f"ns per entry (no fit: {reason})")
 
 
 if __name__ == "__main__":
