@@ -102,47 +102,27 @@ def _cover_arrays(
 
     Returns the layer as ``_rebuild`` installs it, whose covered rows are in
     ascending id order, each with its nearest center (ties toward the
-    smallest id) among the centers that keep a cluster, and the rows left
-    over, in ascending id order. Each center is its own nearest. At a
-    positive offset every pair but a point with itself is at least the
-    offset, so with c distinct sampled rows the one ``matrix_between`` call
-    takes the (n - c) * c pairs of the unsampled rows only, and the radius,
-    the m-th smallest distance with the c sampled rows at 0, is the
-    (m - c)-th smallest of theirs. When c alone fills the beta-quantile the
-    radius is 0 and there is no call, so a custom metric is neither called
-    nor checked: the covered rows are the sampled ones. At offset 0 the call
-    takes all n * c pairs, and a sampled center whose own row went to
-    another center is dropped before the assignment.
+    smallest id), and the rows left over, in ascending id order. Each of the
+    c distinct sampled rows is its own nearest center, at distance 0, so the
+    one ``matrix_between`` call takes the (n - c) * c pairs of the unsampled
+    rows only, and the radius, the m-th smallest distance with the c sampled
+    rows at 0, is the (m - c)-th smallest of theirs. When c alone fills the
+    beta-quantile the radius is 0 and there is no call, so a custom metric is
+    neither called nor checked: the covered rows are the sampled ones.
     """
     n = rows.shape[0]
     mark = np.zeros(n, dtype=bool)
     mark[rng.integers(0, n, params.phi)] = True
     pos = mark.nonzero()[0]
-    columns = np.arange(pos.shape[0])
-    m = _quantile_index(params.beta, n)
-
-    if oracle.offset:  # each center is its own nearest: evaluate the other rows only
-        nearest, radius, c = np.empty(n, dtype=np.intp), 0.0, pos.shape[0]
-        nearest[pos] = columns
-        if c < m:  # else the m nearest are centers at 0: the radius is 0
-            rest = (~mark).nonzero()[0]
-            nearest[rest], dmin = oracle.nearest(oracle.matrix_between(  # first minimum wins
-                matrix.take(rows.take(rest), 0), matrix.take(rows.take(pos), 0), squared=True))
-            radius = float(np.partition(dmin, m - c - 1)[m - c - 1])
-            mark[rest] = dmin <= radius
-    else:
-        # points are distinct, so center j's only pair with itself is (pos[j], j);
-        # the round, not the kernel, marks it -inf, which nearest reads as 0
-        block = matrix.take(rows, 0)
-        dist = oracle.matrix_between(block, block.take(pos, 0), squared=True)
-        dist[pos, columns] = -np.inf
-        nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
-        kept = nearest[pos] == columns
-        if np.count_nonzero(kept) < kept.shape[0]:
-            pos = pos[kept]
-            nearest, dmin = oracle.nearest(dist[:, kept])
-        radius = float(np.partition(dmin, m - 1)[m - 1])
-        mark = dmin <= radius
+    m, c = _quantile_index(params.beta, n), pos.shape[0]
+    nearest, radius = np.empty(n, dtype=np.intp), 0.0
+    nearest[pos] = np.arange(c)
+    if c < m:  # else the m nearest are centers at 0: the radius is 0
+        rest = (~mark).nonzero()[0]
+        nearest[rest], dmin = oracle.nearest(oracle.matrix_between(  # first minimum wins
+            matrix.take(rows.take(rest), 0), matrix.take(rows.take(pos), 0), squared=True))
+        radius = float(np.partition(dmin, m - c - 1)[m - c - 1])
+        mark[rest] = dmin <= radius
     covered = mark.nonzero()[0]
     group = nearest.take(covered)
     layer = (n, radius, rows.take(covered), group, rows.take(pos).tolist(), np.bincount(group).tolist())

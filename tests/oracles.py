@@ -268,7 +268,7 @@ def cover_positions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """``_cover_arrays`` over ``rows`` of ``matrix`` (by default all of them),
     the working set in ascending id order, read back by position in it: the
-    centers that keep a cluster, each covered row's cluster index (-1 on the
+    sampled centers, each covered row's cluster index (-1 on the
     rows it leaves over), the covered mask and the radius. Checks first that
     the layer and the rows left over split the working set, each in order,
     and that the sizes count the cluster indices."""
@@ -293,8 +293,8 @@ def cover_round(
     oracle: Optional[DistanceOracle] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[set[PointId], dict[PointId, PointId], float]:
-    """``_cover_arrays`` over points, read back as (the centers that keep a
-    cluster, covered point -> nearest center, radius)."""
+    """``_cover_arrays`` over points, read back as (the sampled centers,
+    covered point -> nearest center, radius)."""
     pts = sorted(points, key=lambda q: q.id)
     ids = np.array([q.id for q in pts], dtype=np.int64)
     coords = np.stack([q.coords for q in pts])

@@ -213,8 +213,7 @@ def test_build_layers_deterministic():
 def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():
     # every other row sits 1e-11 from its predecessor in each coordinate, far
     # closer than the kernel's rounding error at unit spread, so such a pair
-    # can get a distance of exactly 0 and a sampled center's own row can go
-    # to its twin
+    # can get a distance of exactly 0; a sampled center keeps its own row
     x = np.random.default_rng(0).normal(size=(300, 3)) + 1e4
     x[1::2] = x[0::2] + 1e-11
     for seed in range(3):
@@ -231,19 +230,20 @@ def test_every_center_with_members_is_its_own_nearest_far_from_the_origin():
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
 def test_a_round_evaluates_only_the_unsampled_rows_at_a_positive_offset(offset):
-    # each center is its own nearest at 0 and every other pair is at least a
-    # positive offset, so the round leaves the c x c pairs between centers out
+    # each center is its own nearest at 0, at offset 0 too, so the round
+    # leaves the c x c pairs between centers out
     x = np.random.default_rng(3).normal(size=(50, 3))
     draws = ForcedDraws(lambda n, size: [41, 3, 7, 7, 20])
     oracle = DistanceOracle(offset)
     pos, nearest, mask, _ = cover_positions(x, DynamicParams(k=1, phi=5), draws, oracle)
     n, c = x.shape[0], 4
     assert pos.tolist() == [3, 7, 20, 41]
-    assert oracle.evals == ((n - c) * c if offset else n * c)
+    assert oracle.evals == (n - c) * c
     assert np.array_equal(nearest[pos], np.arange(c)) and mask[pos].all()
 
 
-def test_a_custom_metric_is_never_called_on_two_sampled_rows_at_a_positive_offset():
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_a_custom_metric_is_never_called_on_two_sampled_rows_at_a_positive_offset(offset):
     x = np.random.default_rng(4).normal(size=(30, 2))
     sampled = [0, 5, 6, 29]
     calls = []
@@ -252,7 +252,7 @@ def test_a_custom_metric_is_never_called_on_two_sampled_rows_at_a_positive_offse
         calls.append((u.tobytes(), v.tobytes()))
         return float(np.abs(u - v).sum())
 
-    oracle = DistanceOracle(0.25, l1)
+    oracle = DistanceOracle(offset, l1)
     draws = ForcedDraws(lambda n, size: sampled + sampled)
     cover_positions(x, DynamicParams(k=1, phi=8), draws, oracle)
     centers = {x[p].tobytes() for p in sampled}
@@ -261,32 +261,32 @@ def test_a_custom_metric_is_never_called_on_two_sampled_rows_at_a_positive_offse
     assert all(v in centers and u not in centers for u, v in calls)
 
 
-def test_a_round_that_samples_every_row_at_a_positive_offset_evaluates_nothing():
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_a_round_that_samples_every_row_at_a_positive_offset_evaluates_nothing(offset):
     x = np.random.default_rng(5).normal(size=(6, 2))
-    oracle = DistanceOracle(0.25)
+    oracle = DistanceOracle(offset)
     got = cover_positions(x, DynamicParams(k=1, phi=6), ForcedDraws(lambda n, size: range(n)), oracle)
     pos, nearest, mask, radius = got
     assert pos.tolist() == nearest.tolist() == list(range(6))
     assert mask.all() and radius == 0.0 and oracle.evals == 0
-    # seeded draws that hit every row leave the stream where the full block's round does
-    streams = []
-    for offset in (0.0, 0.25):
-        rng = np.random.default_rng(11)
-        pos = cover_positions(x[:3], DynamicParams(k=1, phi=40), rng, DistanceOracle(offset))[0]
-        assert pos.tolist() == [0, 1, 2]
-        streams.append(rng.bit_generator.state)
-    assert streams[0] == streams[1] != np.random.default_rng(11).bit_generator.state
+    # seeded draws that hit every row leave the stream where the draw alone does
+    rng, draw = np.random.default_rng(11), np.random.default_rng(11)
+    pos = cover_positions(x[:3], DynamicParams(k=1, phi=40), rng, DistanceOracle(offset))[0]
+    draw.integers(0, 3, 40)
+    assert pos.tolist() == [0, 1, 2]
+    assert rng.bit_generator.state == draw.bit_generator.state != np.random.default_rng(11).bit_generator.state
 
 
 @pytest.mark.parametrize("offset, draws, evals", [
     (0.25, [9, 1, 4, 4, 6, 8], 0),             # 5 distinct rows fill ceil(0.5 * 10)
     (0.25, [9, 1, 4, 4, 6], (10 - 4) * 4),     # 4 do not: the unsampled rows' pairs
-    (0.0, [9, 1, 4, 4, 6, 8], 10 * 5),         # at offset 0 every row's pairs
+    (0.0, [9, 1, 4, 4, 6, 8], 0),
+    (0.0, [9, 1, 4, 4, 6], (10 - 4) * 4),
 ])
 def test_a_round_whose_sample_fills_the_beta_quantile_evaluates_nothing(offset, draws, evals):
-    # at a positive offset the sampled centers are the nearest points to the
-    # sample, at 0, so when they number ceil(beta * n) the radius is 0 and
-    # the layer is the sample, whatever the distances are
+    # the sampled centers are the nearest points to the sample, at 0, so
+    # when they number ceil(beta * n) the radius is 0 and the layer is the
+    # sample, whatever the distances are
     x = np.random.default_rng(6).normal(size=(10, 2))
     params = DynamicParams(k=1, phi=len(draws), beta=0.5)
     sampled = sorted(set(draws))
@@ -296,17 +296,51 @@ def test_a_round_whose_sample_fills_the_beta_quantile_evaluates_nothing(offset, 
         calls.append((u, v))
         return float(np.abs(u - v).sum())
 
-    # the same draws at offset 0, a round that evaluates every pair
-    evaluating = ForcedDraws(lambda n, size: draws)
-    full = cover_positions(x, params, evaluating, DistanceOracle(0.0, l1))
-    calls.clear()
     rng, oracle = ForcedDraws(lambda n, size: draws), DistanceOracle(offset, l1)
     pos, nearest, mask, radius = cover_positions(x, params, rng, oracle)
     assert len(calls) == oracle.evals == evals
-    assert pos.tolist() == full[0].tolist() == sampled
-    assert np.array_equal(mask, full[2]) and np.array_equal(nearest[mask], full[1][mask])
-    assert rng.bit_generator.state == evaluating.bit_generator.state
+    assert pos.tolist() == sampled
+    # the round read off the whole distance matrix: each row's first nearest
+    # sampled row, and the ceil(beta * n) rows nearest to the sample
+    pts = points_from_array(x)
+    dist = pairwise(DistanceOracle(offset, l1), pts, [pts[j] for j in sampled])
+    dmin = dist.min(axis=1)
+    want = float(np.partition(dmin, 4)[4])
+    assert repr(radius) == repr(want)
+    assert np.array_equal(mask, dmin <= want) and np.array_equal(nearest[mask], dist.argmin(axis=1)[mask])
+    assert rng.bit_generator.state == ForcedDraws(lambda n, size: draws).bit_generator.state
     if evals == 0:
-        assert repr(radius) == repr(full[3]) == "0.0"
+        assert repr(radius) == "0.0"
         assert mask.nonzero()[0].tolist() == sampled
         assert nearest[pos].tolist() == list(range(len(sampled)))
+
+
+def test_exact_twins_sampled_at_offset_0_each_keep_a_cluster_of_their_own_row():
+    # rows 2 and 3 are exact twins, at distance 0 from each other as from
+    # themselves; each sampled row is its own center all the same
+    x = np.random.default_rng(7).normal(size=(20, 2))
+    x[3] = x[2]
+    oracle = DistanceOracle(0.0)
+    draws = ForcedDraws(lambda n, size: [3, 2, 11])
+    pos, nearest, mask, _ = cover_positions(x, DynamicParams(k=1, phi=3), draws, oracle)
+    n, c = x.shape[0], 3
+    assert pos.tolist() == [2, 3, 11]
+    assert nearest[pos].tolist() == [0, 1, 2] and mask[pos].all()
+    assert oracle.evals == (n - c) * c
+    params = DynamicParams(k=1, phi=3, seed=ForcedDraws(lambda n, size: [3, 2, n - 1]))
+    state = preprocess(points_from_array(x), params, DistanceOracle(0.0))
+    layer = clusters(state, 1)
+    assert 2 in layer[2] and 3 in layer[3]
+    assert state.integrity_check() == []
+
+
+def test_a_sample_that_fills_the_quantile_at_offset_0_leaves_its_twins_over():
+    # row 5 is row 4's exact twin, at distance 0 from the sample, but the
+    # round that evaluates nothing covers the sample alone
+    x = np.random.default_rng(8).normal(size=(10, 2))
+    x[5] = x[4]
+    oracle = DistanceOracle(0.0)
+    draws = ForcedDraws(lambda n, size: [0, 2, 4, 6, 8])
+    pos, nearest, mask, radius = cover_positions(x, DynamicParams(k=1, phi=5), draws, oracle)
+    assert mask.nonzero()[0].tolist() == pos.tolist() == [0, 2, 4, 6, 8]
+    assert radius == 0.0 and oracle.evals == 0

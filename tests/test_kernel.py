@@ -4,29 +4,27 @@
 center both blocks on the mean of ``b``, multiply ``[u, 1, |u|^2]`` by
 ``[-2v, |v|^2, 1]`` transposed, clip at 0, take the sqrt and add the offset.
 ``_reference_cover_arrays`` is the package's earlier cover round, kept
-verbatim apart from taking the oracle as an argument and from reading no
-sampler from the params: a forced sample reaches both rounds through
-``rng.integers``, as the draws of ``oracles.ForcedDraws``. It zeroes
+verbatim apart from taking the oracle as an argument, from reading no
+sampler from the params (a forced sample reaches both rounds through
+``rng.integers``, as the draws of ``oracles.ForcedDraws``) and from the
+own-center line below. It zeroes
 same-id pairs through an n x c id mask, which the kernel did when it took
 ids, and takes the minimum in a second reduction. The package works in
 place and in fewer passes over
 memory; every matrix entry, covered flag and radius it returns must be
 bit-identical to the reference, and so must each covered row's nearest
 center id, over a whole matrix and over a non-contiguous subset of the rows
-of a larger one. At a positive offset its round evaluates only the
-unsampled rows, so it counts c * c pairs fewer than the reference for c
-sampled centers.
+of a larger one. Its round evaluates only the unsampled rows, so it counts
+c * c pairs fewer than the reference for c sampled centers; no pinned round
+has a sample that fills the beta-quantile, which would evaluate nothing.
 
-The absorbed-center rule is written into the cover reference as a plain
-loop: a sampled center whose own row's first minimum is another center has
-its column masked before the assignment, so it keeps no members. The
-package drops such a center instead, so its centers are the reference
-centers that some row picks. Of the
-pinned cases only ``near-twins-0.0`` has such a center (twins 1e-10 apart,
-far below the kernel's rounding error at unit spread), so only its
-expectation differs from an unmasked cover round; at offset 0.25 the
-twins' distances round to ties, which the first minimum already breaks
-toward the kept twin.
+The rule that each sampled row is its own center is one plain line of the
+cover reference. At offset 0 a sampled twin's row can be as near its
+earlier sampled twin as itself: exact twins, or twins 1e-10 apart, far
+below the kernel's rounding error at unit spread. So in the pinned cases
+whose samples hold both twins of a pair, at offset 0 alone, the reference's
+output differs from each row's plain first minimum; at offset 0.25 a row's
+own pair at 0 is its minimum already.
 
 ``nearest`` and ``row_min`` reduce the squared product that
 ``matrix_between(..., squared=True)`` returns. ``_reference_nearest``
@@ -35,7 +33,8 @@ argmin and the minimum; the reductions must match it bit for bit, and the
 finished product must match ``matrix_between`` itself, on cases where
 distinct products round to one distance. The kernel knows no ids: where a
 block pairs points with themselves, the test marks those entries ``-inf``
-in the product and 0 in the distances, as the package's callers do.
+in the product and 0 in the distances, as the instance Gram marks its
+diagonal.
 """
 from __future__ import annotations
 
@@ -92,7 +91,7 @@ def _reference_cover_arrays(
     params: DynamicParams,
     rng: np.random.Generator,
     oracle: DistanceOracle,
-    mask_absorbed: bool = True,
+    own_column: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     n = ids.shape[0]
     sample = ids[rng.integers(0, n, size=params.phi)].tolist()
@@ -101,13 +100,12 @@ def _reference_cover_arrays(
 
     dist = _reference_matrix_between(oracle, coords, coords[pos])
     dist[ids[:, None] == center_ids[None, :]] = 0.0
-    if mask_absorbed:
-        absorbed = [j for j, row in enumerate(pos) if np.argmin(dist[row]) != j]
-        dist[:, absorbed] = np.inf
     dmin = dist.min(axis=1)
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
     nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
+    if own_column:
+        nearest[pos] = np.arange(pos.shape[0])  # each sampled row is its own center
     return center_ids, nearest, dmin <= radius, radius
 
 
@@ -123,12 +121,12 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 def assert_same_cover(ids: np.ndarray, got: tuple, want: tuple) -> None:
     """A cover round (center positions, nearest, mask, radius) against the
     reference's (sampled center ids, nearest, mask, radius): the same center
-    id for every covered row, the centers some row picks, mask and radius."""
+    id for every covered row, the same centers, mask and radius."""
     pos, nearest, mask, radius = got
     center_ids, want_nearest, want_mask, want_radius = want
     assert pos.dtype == np.int64
     assert np.array_equal(ids[pos][nearest[mask]], center_ids[want_nearest[mask]])
-    assert np.array_equal(ids[pos], center_ids[np.unique(want_nearest)])
+    assert np.array_equal(ids[pos], center_ids)
     assert np.array_equal(mask, want_mask)
     assert repr(radius) == repr(want_radius)
 
@@ -188,23 +186,26 @@ def test_cover_round_matches_the_reference(n, c, dim, scale, shift, gap, offset)
     store = np.full((2 * n + 3, dim), np.nan)
     rows = np.sort(np.random.default_rng(dim).choice(store.shape[0], n, replace=False))
     store[rows] = x
-    changed = False
+    changed, twins = False, False
     for phi, beta in ((c, 0.5), (7, 0.8)):
         params = DynamicParams(k=3, phi=phi, beta=beta)
         old_rng, old = np.random.default_rng(n), DistanceOracle(offset)
         want = _reference_cover_arrays(ids, x, params, old_rng, old)
-        unmasked = _reference_cover_arrays(
-            ids, x, params, np.random.default_rng(n), DistanceOracle(offset), mask_absorbed=False
+        plain = _reference_cover_arrays(
+            ids, x, params, np.random.default_rng(n), DistanceOracle(offset), own_column=False
         )
-        changed |= not all(np.array_equal(w, u) for w, u in zip(want, unmasked))
+        changed |= not all(np.array_equal(w, u) for w, u in zip(want, plain))
+        pos = (want[0] - 3) // 2  # rows 7i and 7i + 1 are twins
+        twins |= bool(np.isin(pos[pos % 7 == 0] + 1, pos).any())
         for matrix, subset in ((x, None), (store, rows)):
             new_rng, new = np.random.default_rng(n), DistanceOracle(offset)
             got = cover_positions(matrix, params, new_rng, new, subset)
             assert_same_cover(ids, got, want)
-            # at a positive offset the round leaves out the c x c pairs between centers
-            assert new.evals == old.evals - (want[0].shape[0] ** 2 if offset else 0)
+            # the round leaves out the c x c pairs between centers
+            assert new.evals == old.evals - want[0].shape[0] ** 2
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-    assert changed == (gap > 0.0 and offset == 0.0)
+    # only at offset 0 can a sampled twin's row be as near its earlier twin as itself
+    assert changed == (twins and offset == 0.0)
 
 
 def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
@@ -218,8 +219,10 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
         got = cover_positions(x, params, draws, DistanceOracle(offset))
         want = _reference_cover_arrays(ids, x, params, draws, DistanceOracle(offset))
         assert_same_cover(ids, got, want)
-        # at offset 0 twin 1's own row goes to twin 0, so it keeps no cluster
-        assert ids[got[0]].tolist() == ([0, 30] if offset == 0.0 else [0, 1, 30])
+        # at offset 0 twin 1's own row is as near to twin 0, yet each twin
+        # keeps a cluster whose center is its own row
+        assert ids[got[0]].tolist() == [0, 1, 30]
+        assert got[1][got[0]].tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
@@ -300,7 +303,8 @@ def assert_blocks_match(oracle, a, picked, own=True):
     """The reductions of the squared product of ``a`` against ``a[picked]``
     equal ``matrix_between`` plus its first argmin, with the same evaluation
     count. With ``own``, each picked row's pair with itself is marked -inf in
-    the product and 0 in the distances, as the cover round marks it."""
+    the product and 0 in the distances, as the instance Gram marks its
+    diagonal."""
     plain = DistanceOracle(oracle.offset, oracle.base)
     x = oracle.matrix_between(a, a[picked], squared=True)
     want = plain.matrix_between(a, a[picked])
@@ -362,7 +366,7 @@ def test_reductions_with_exact_twins_at_offset_0():
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
 def test_reductions_after_masking_absorbed_centers(offset):
-    # near twins 1e-10 apart, own pairs marked as the cover round marks them
+    # near twins 1e-10 apart, own pairs marked -inf, whole columns masked +inf
     x = coordinates(400, 5, seed=2, gap=1e-10)
     pos = np.unique(np.concatenate([np.arange(0, 400, 7), np.arange(1, 400, 7), np.arange(3, 400, 11)]))
     columns = np.arange(pos.shape[0])

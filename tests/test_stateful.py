@@ -4,19 +4,22 @@ Hypothesis drives one state through inserts, deletes, deletes of all but
 at most three live points in one step, queries and rebuilds from a drawn
 layer. Coordinates lie on a small grid, so exact duplicates are common, and
 are shifted up to 1e6 from the origin; the offset is 0 or 1/n and the power
-p is 1 or 2. After every step the state must pass its own
-integrity check and its weighted instance must pass ``checked_instance``
-(the centers' store rows in id order, weighing the live count); every
-query must return live centers at the cost that ``cost_set`` gives on a
-separate oracle. The run is derandomized, so it is the same on every run.
+p is 1 or 2. A cover round takes the same path at either offset, so at 0
+twin centers in one sample each keep a cluster, and a sample that fills
+the beta-quantile leaves its centers' twins to the next round. After every
+step the state must pass its own integrity check and its weighted instance
+must pass ``checked_instance`` (the centers' store rows in id order,
+weighing the live count); every query must return live centers at the cost
+that ``cost_set`` gives on a separate oracle. The run is derandomized, so it
+is the same on every run.
 
 A second machine runs the same rules and checks on an oracle with a custom
 per-pair metric (L1), plus a rebuild that the metric makes fail: it raises
 on a poisoned coordinate row, and the failed rebuild must leave the layers,
 the cluster table, the slots and the sample stream as they were. Only a
 layer whose U_i has more than phi / beta points is poisoned: a cover round
-whose sample fills the beta-quantile evaluates nothing at a positive offset,
-so it would never call the metric.
+whose sample fills the beta-quantile evaluates nothing, at offset 0 as at
+1/n, so it would never call the metric.
 """
 from __future__ import annotations
 
@@ -163,18 +166,19 @@ CustomMetricStateMachine.TestCase.settings = settings(
 TestCustomMetricState = CustomMetricStateMachine.TestCase
 
 
-def test_a_round_whose_sample_fills_the_quantile_never_calls_a_poisoned_metric():
-    # ten points, the first five sampled: at a positive offset the layer is
-    # the sample at radius 0 and the five left are at most phi, so neither
-    # the bulk load nor a rebuild calls the metric, on any row; at offset 0
-    # the same rounds read every row
+@pytest.mark.parametrize("offset", [0.0, 0.1])
+def test_a_round_whose_sample_fills_the_quantile_never_calls_a_poisoned_metric(offset):
+    # ten points, the first five sampled: the layer is the sample at radius
+    # 0 and the five left are at most phi, so neither the bulk load nor a
+    # rebuild calls the metric, on any row; a sample of the first four does
+    # not fill the quantile, so its round reads every row
     metric = PoisonedL1()
     points = [Point(i, np.array([i, i % 3], dtype=np.float64)) for i in range(10)]
     params = DynamicParams(k=1, phi=5, seed=ForcedDraws(lambda n, size: range(size)))
     for row in (0, 9):
         metric.poison = points[row].coords
-        state = preprocess(points, params, DistanceOracle(0.1, metric))
+        state = preprocess(points, params, DistanceOracle(offset, metric))
         state.rebuild_from_layer(1)
         assert state.oracle.evals == 0 and state.t == 2 and state.layers[0].radius == 0.0
         with pytest.raises(RuntimeError, match="poisoned coordinate"):
-            preprocess(points, params, DistanceOracle(0.0, metric))
+            preprocess(points, dataclasses.replace(params, phi=4), DistanceOracle(offset, metric))

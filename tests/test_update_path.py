@@ -8,10 +8,14 @@ the rebuild loop of ``ClusteringState`` (``_cover_rounds``, ``_rebuild``,
 before the update path was cut to fewer numpy calls per cover round, per
 rebuild and per update. Their bodies are unchanged, except that the cover
 round reads no sampler from the params, a forced sample reaching both sides
-through ``rng.integers`` as the draws of ``oracles.ForcedDraws``, and that
-the rounds stop at ``phi``. The reference kernel takes ids and zeroes or
-marks same-id pairs itself; the package's kernel takes coordinates only, so
-the tests mark those pairs in its result, as its callers do.
+through ``rng.integers`` as the draws of ``oracles.ForcedDraws``, that the
+rounds stop at ``phi``, and that the cover round states the package's two
+rules for sampled rows in one line each: each sampled row is its own
+center, so twin centers at offset 0 each keep a cluster, and a sample that
+fills the beta-quantile is the whole covered set, so a center's unsampled
+duplicates at offset 0 are left over. The reference kernel takes ids and
+zeroes or marks same-id pairs itself; the package's kernel takes
+coordinates only, so the tests mark those pairs in its result.
 ``ReferenceOracle`` and ``ReferenceState`` carry the methods, so the cover
 round and the rounds below resolve ``_cover_arrays``, ``_nearest_two`` and
 the oracle's methods to the references.
@@ -25,9 +29,9 @@ columns are compared on the covered rows, and the other rows by being left
 over; its inputs include a non-contiguous subset of a larger matrix's rows,
 and its rounds a slid state's U_2, whose rows are out of id order, with
 every other row of the store NaN. The package's evaluation count
-must be the reference's exactly, less at a positive offset the c * c pairs
-between a round's c sampled centers and, in a round that evaluates nothing,
-its other (n - c) * c pairs too.
+must be the reference's exactly, less the c * c pairs between a round's c
+sampled centers and, in a round that evaluates nothing, its other
+(n - c) * c pairs too.
 """
 from __future__ import annotations
 
@@ -98,13 +102,11 @@ def _cover_arrays(
     columns = np.arange(pos.shape[0])
     dist.reshape(-1)[pos * dist.shape[1] + columns] = -np.inf  # flat: dist is C-ordered
     nearest, dmin = oracle.nearest(dist)  # first minimum: smallest center id wins
-    kept = nearest[pos] == columns
-    if not kept.all():
-        pos = pos[kept]
-        nearest, dmin = oracle.nearest(dist[:, kept])
+    nearest[pos] = columns  # each sampled row is its own center
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
-    return pos, nearest, dmin <= radius, radius
+    covered = dmin <= radius if pos.shape[0] < m else mark  # a filled quantile covers the sample alone
+    return pos, nearest, covered, radius
 
 
 def _nearest_two(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,19 +175,18 @@ class ReferenceOracle(DistanceOracle):
         return cols, dmin
 
 
-def skips(offset: float, beta: float, n: int, c: int) -> bool:
+def skips(beta: float, n: int, c: int) -> bool:
     """Whether the package's round of n points and c distinct sampled
-    centers evaluates nothing: at a positive offset, when c fills the
-    beta-quantile."""
-    return bool(offset) and c >= _quantile_index(beta, n)
+    centers evaluates nothing: when c fills the beta-quantile."""
+    return c >= _quantile_index(beta, n)
 
 
 class RoundReference(ReferenceOracle):
     """The reference kernel for cover rounds at the rounds' ``beta``, also
     summing the pairs of each n-by-c block that the package's round leaves
-    out at a positive offset: the c * c between the sampled centers, and
-    the other (n - c) * c of a round that :func:`skips`. So the package
-    evaluates ``package_evals``."""
+    out: the c * c between the sampled centers, and the other (n - c) * c
+    of a round that :func:`skips`. So the package evaluates
+    ``package_evals``."""
 
     def __init__(self, offset: float, base, beta: float) -> None:
         super().__init__(offset, base)
@@ -193,12 +194,12 @@ class RoundReference(ReferenceOracle):
 
     def matrix_between(self, a_coords, a_ids, b_coords, b_ids, squared=False):
         n, c = len(a_coords), len(b_coords)
-        self.left_out += c * c + (n - c) * c * skips(self.offset, self.beta, n, c)
+        self.left_out += c * c + (n - c) * c * skips(self.beta, n, c)
         return super().matrix_between(a_coords, a_ids, b_coords, b_ids, squared)
 
     @property
     def package_evals(self) -> int:
-        return self.evals - self.left_out if self.offset else self.evals
+        return self.evals - self.left_out
 
 
 class ReferenceState(ClusteringState):
@@ -338,7 +339,7 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 @pytest.mark.parametrize("case, offset, base, draws", CASES)
 def test_cover_round_matches_its_reference(case, offset, base, draws):
-    absorbed, skipped, BranchCounter.ties = 0, 0, 0
+    twins, skipped, BranchCounter.ties = 0, 0, 0
     for seed in range(16):
         # from seed 12 on the working set is little larger than the sample,
         # as in a rebuild's last rounds, where the sample can fill the quantile
@@ -362,13 +363,14 @@ def test_cover_round_matches_its_reference(case, offset, base, draws):
             assert repr(got[3]) == repr(want[3])
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
             assert new.evals == old.package_evals
-        skipped += skips(offset, params.beta, x.shape[0], got[0].shape[0])
-        drawn = np.unique(np.random.default_rng(stream(draws, seed)).integers(0, x.shape[0], params.phi))
-        absorbed += drawn.shape[0] - got[0].shape[0]
-    # exact duplicates at offset 0 tie at distance 0, and a center whose own
-    # row goes to its twin is dropped
-    assert (absorbed > 0 and BranchCounter.ties > 0) == (case == "duplicates")
-    assert (skipped > 0) == (offset > 0)
+        skipped += skips(params.beta, x.shape[0], got[0].shape[0])
+        pos = got[0]  # a twin pair's rows are adjacent, so both sampled are adjacent centers
+        twins += np.count_nonzero((x[pos[1:]] == x[pos[:-1]]).all(axis=1))
+    # exact duplicates at offset 0 tie at distance 0, and twin centers in one
+    # sample each keep a cluster
+    assert (twins > 0 and BranchCounter.ties > 0) == (case == "duplicates")
+    # from seed 12 on a seeded sample can fill the quantile; the twin draws number too few
+    assert (skipped > 0) == (draws is None)
 
 
 @pytest.mark.parametrize("case, offset, base, draws", CASES)

@@ -13,8 +13,8 @@ Prints, per pass (every pass makes the same updates):
 
 - per depth i of ``rebuild_from_layer(i)``: the rebuild count, the mean
   |U_i| at rebuild, the cover rounds, how many of them evaluated nothing
-  (at a positive offset, rounds whose sampled centers fill the
-  beta-quantile), the evaluations and the wall time;
+  (rounds whose sampled centers fill the beta-quantile), the evaluations
+  and the wall time;
 - the update time, split into updates that rebuild and updates that do not;
 - a least-squares fit over every cover round (one ``dynamic._cover_arrays`` call)
   that evaluated something of its wall time as ``fixed + per_entry *
