@@ -12,9 +12,9 @@ the pairs it touches: the aligned-pair kernel serves the 2*radius check of
 ``integrity_check``, and diagnostics count nothing. Callers that need only
 row minima (cover rounds, the live-set cost) take
 ``matrix_between(..., squared=True)`` and reduce it with ``nearest`` or
-``row_min``, which take square roots of n row minima only; an entry the
-caller set to ``-inf`` reads there as distance 0. Only the oracle knows what
-such an entry means: ``_root`` maps it to a distance and ``_entry`` back.
+``row_min``, which take square roots of n row minima only. Only the oracle
+knows what such an entry means: ``_root`` maps it to a distance and
+``_entry`` back.
 """
 from __future__ import annotations
 
@@ -174,9 +174,9 @@ class DistanceOracle:
     The base metric is Euclidean L2 over coordinates unless a symmetric
     callable ``base(coords_a, coords_b) -> float`` is supplied. The offset is
     added to every pair the kernels compute, a point's pair with itself
-    included: callers that pair a point with itself set that entry to 0 (or
-    to ``-inf`` in a ``squared=True`` result). Costs apply the exponent of the
-    working dissimilarity d^p at evaluation sites.
+    included: callers that pair a point with itself set that distance to 0.
+    Costs apply the exponent of the working dissimilarity d^p at evaluation
+    sites.
 
     Immutable after construction except the counter; confine each oracle to
     one thread of control when counts matter.
@@ -279,23 +279,17 @@ class DistanceOracle:
         e = max(d * _MARGIN - self.offset, 0.0)
         return e * (e * _MARGIN) + 2.0 ** -1022
 
-    def _distances(self, x: np.ndarray) -> np.ndarray:
-        """Distances of ``squared=True`` entries; -inf (a caller's mark) is 0."""
-        d = self._root(x)
-        d[x == -np.inf] = 0.0
-        return d
-
     def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's first-minimum column and its distance, bit for bit as
         over the distances, from a ``squared=True`` result ``x``. The distance
         is monotone in ``x``, so it is only reduced again over the rows whose
         second-smallest entry of ``x`` rounds to the same distance as the
-        smallest (distinct entries can, and so can a caller's -inf and a 0)."""
+        smallest, as distinct entries can."""
         cols, low, second = _nearest_two(x)
-        dmin, second = self._distances(np.concatenate((low, second))).reshape(2, -1)
+        dmin, second = self._root(np.concatenate((low, second))).reshape(2, -1)
         tied = (second <= dmin).nonzero()[0]
         if tied.shape[0]:
-            cols[tied], dmin[tied] = _nearest_two(self._distances(x[tied]))[:2]
+            cols[tied], dmin[tied] = _nearest_two(self._root(x[tied]))[:2]
         return cols, dmin
 
     def row_min(self, x: np.ndarray) -> np.ndarray:
@@ -304,7 +298,7 @@ class DistanceOracle:
         low = x[:, 0].copy()
         for j in range(1, x.shape[1]):
             np.minimum(low, x[:, j], out=low)
-        return self._distances(low)
+        return self._root(low)
 
     def elementwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vector of d(a[i], b[i]) over two aligned coordinate blocks: the

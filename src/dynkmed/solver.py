@@ -88,9 +88,12 @@ def _power_overflow(p: float):
 
 
 class _Finish:
-    """Gram entries from the kernel's ``squared=True`` product, diagonal marked
-    ``-inf``: ``oracle._distances`` (the mark reads 0), then ``** p``; all
-    elementwise, so bit for bit the whole Gram's. No oracle: already finished."""
+    """Gram entries from the kernel's ``squared=True`` product: ``oracle._root``
+    then ``** p``, elementwise, so bit for bit the whole Gram's; no oracle:
+    already finished. :func:`weighted_solve` marks the diagonal, each point's
+    pair with itself, ``-inf``, which the search's sample and :func:`_near_list`
+    read as below every bound. Finishes zero it: ``marked`` where told, ``whole``
+    on the diagonal, column ``j`` at entry ``j``, any other block where marked."""
 
     def __init__(self, oracle: Optional[DistanceOracle], p: float) -> None:
         self.oracle, self.p = oracle, p
@@ -99,11 +102,8 @@ class _Finish:
         """A finished copy of ``x``, or of column ``j`` of the transposed product ``x``."""
         if self.oracle is None:
             return x if j is None else x[:, j]
-        if j is None:
-            d = self.oracle._distances(x)
-        else:
-            d = self.oracle._root(x[:, j])
-            d[j] = 0.0                                # the column's diagonal entry
+        d = self.oracle._root(x if j is None else x[:, j])
+        d[(x == -np.inf) if j is None else j] = 0.0   # the diagonal's entries
         return self._power(d)
 
     def marked(self, values: np.ndarray, marks) -> np.ndarray:

@@ -31,10 +31,11 @@ own pair at 0 is its minimum already.
 finishes that product into distances as the kernel does and takes the first
 argmin and the minimum; the reductions must match it bit for bit, and the
 finished product must match ``matrix_between`` itself, on cases where
-distinct products round to one distance. The kernel knows no ids: where a
-block pairs points with themselves, the test marks those entries ``-inf``
-in the product and 0 in the distances, as the instance Gram marks its
-diagonal.
+distinct products round to one distance. The kernel knows no ids: a block
+of points against some of themselves pairs each picked point with itself,
+and the reductions read that pair as the kernel computed it. No package
+caller hands them an entry marked ``-inf``, which a slide with queries
+checks.
 """
 from __future__ import annotations
 
@@ -248,14 +249,12 @@ def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offse
 
 def _reference_nearest(oracle: DistanceOracle, x: np.ndarray):
     """The distances ``matrix_between`` finishes a squared product ``x``
-    into (-inf marks a point's pair with itself), with their first argmin
-    and minimum."""
+    into, with their first argmin and minimum."""
     d = x.copy()
     if oracle.base is None:
         d = np.sqrt(np.maximum(x, 0.0))
         if oracle.offset:
             d += oracle.offset
-    d[x == -np.inf] = 0.0
     cols = np.argmin(d, axis=1)
     return d, cols, d[np.arange(d.shape[0]), cols]
 
@@ -299,18 +298,13 @@ def assert_layouts_match(oracle: DistanceOracle, x: np.ndarray) -> None:
         assert_same_bits(owner, before)
 
 
-def assert_blocks_match(oracle, a, picked, own=True):
+def assert_blocks_match(oracle, a, picked):
     """The reductions of the squared product of ``a`` against ``a[picked]``
     equal ``matrix_between`` plus its first argmin, with the same evaluation
-    count. With ``own``, each picked row's pair with itself is marked -inf in
-    the product and 0 in the distances, as the instance Gram marks its
-    diagonal."""
+    count; each picked row's pair with itself is as the kernel computed it."""
     plain = DistanceOracle(oracle.offset, oracle.base)
     x = oracle.matrix_between(a, a[picked], squared=True)
     want = plain.matrix_between(a, a[picked])
-    if own:
-        x[picked, np.arange(picked.shape[0])] = -np.inf
-        want[picked, np.arange(picked.shape[0])] = 0.0
     d = assert_reductions_match(oracle, x)
     assert_same_bits(d, want)
     assert oracle.evals == plain.evals == a.shape[0] * picked.shape[0]
@@ -319,21 +313,23 @@ def assert_blocks_match(oracle, a, picked, own=True):
 
 @pytest.mark.parametrize("offset", [0.0, 1e-4, 0.25])
 @pytest.mark.parametrize("n, c, dim, scale, shift, gap", SHAPES + [
-    # one center: with its own pair marked -inf, the mark is that row's minimum
+    # one center: every row's second-smallest entry is inf
     pytest.param(300, 1, 5, 1.0, 0.0, 0.0, id="one-column"),
 ])
 def test_reductions_match_the_distance_matrix(n, c, dim, scale, shift, gap, offset):
     x = coordinates(n, dim, seed=n * dim, scale=scale, shift=shift, gap=gap)
     picked = np.sort(np.random.default_rng(dim).choice(n, size=c, replace=False))
-    for own in (True, False):
-        assert_blocks_match(DistanceOracle(offset), x, picked, own)
+    oracle = DistanceOracle(offset)
+    squared, _ = assert_blocks_match(oracle, x, picked)
+    squared[:, ::5] = np.inf  # whole columns masked, as a caller may leave centers out
+    assert_reductions_match(oracle, squared)
 
 
 def test_reductions_break_offset_dominated_ties_toward_the_first_column():
     # spread 1e-17 under offset 1: distinct products, every distance 1.0
     x = np.random.default_rng(0).normal(scale=1e-17, size=(500, 3))
     oracle = DistanceOracle(1.0)
-    squared, d = assert_blocks_match(oracle, x, np.arange(40), own=False)
+    squared, d = assert_blocks_match(oracle, x, np.arange(40))
     assert np.all(d == 1.0)
     assert np.count_nonzero(np.argmin(squared, axis=1) != 0) > 400
 
@@ -355,7 +351,7 @@ def test_nearest_takes_the_first_column_of_a_one_ulp_sqrt_merge():
 
 def test_reductions_with_exact_twins_at_offset_0():
     # rows 0 and 1, 7 and 8, ... are exact twins; both twins are centers,
-    # so a twin's own pair (-inf) ties with its twin's computed 0
+    # so a twin's own pair ties with its pair with its twin, both computed 0
     x = coordinates(300, 4, seed=11)
     picked = np.arange(0, 300, 7)
     picked = np.sort(np.concatenate([picked, picked[:-1] + 1]))
@@ -365,40 +361,25 @@ def test_reductions_with_exact_twins_at_offset_0():
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
-def test_reductions_after_masking_absorbed_centers(offset):
-    # near twins 1e-10 apart, own pairs marked -inf, whole columns masked +inf
-    x = coordinates(400, 5, seed=2, gap=1e-10)
-    pos = np.unique(np.concatenate([np.arange(0, 400, 7), np.arange(1, 400, 7), np.arange(3, 400, 11)]))
-    columns = np.arange(pos.shape[0])
-    oracle = DistanceOracle(offset)
-    squared = oracle.matrix_between(x, x[pos], squared=True)
-    squared[pos, columns] = -np.inf
-    _, cols, _ = _reference_nearest(oracle, squared)
-    absorbed = cols[pos] != columns
-    assert absorbed.any() == (offset == 0.0)
-    squared[:, absorbed | (columns % 5 == 0)] = np.inf
-    assert_reductions_match(oracle, squared)
-
-
-@pytest.mark.parametrize("offset", [0.0, 0.25])
 def test_reductions_far_from_the_origin(offset):
     x = np.random.default_rng(9).normal(size=(300, 3)) + 1e8
     assert_blocks_match(DistanceOracle(offset), x, np.arange(0, 300, 6))
 
 
+def _rounded_l1(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.abs(np.round(u) - np.round(v)).sum())
+
+
 def test_reductions_with_a_custom_metric():
     # an L1 metric over rounded coordinates: distinct points at distance 0,
-    # so a row's first zero may come before its own pair
-    def l1(u, v):
-        return float(np.abs(np.round(u) - np.round(v)).sum())
-
+    # so at either offset a row's first minimum may come before its own pair
     x = coordinates(60, 2, seed=3, scale=0.6)
     picked = np.arange(0, 60, 4)
     for offset in (0.0, 0.3):
-        oracle = DistanceOracle(offset, base=l1)
+        oracle = DistanceOracle(offset, base=_rounded_l1)
         _, d = assert_blocks_match(oracle, x, picked)
         own_first = np.argmin(d[picked], axis=1) == np.arange(picked.shape[0])
-        assert own_first.all() == (offset > 0.0)
+        assert 0 < np.count_nonzero(own_first) < picked.shape[0]
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25, 1.0])
@@ -438,6 +419,47 @@ def test_cost_set_puts_every_universe_point_with_a_center_id_at_0(offset, p):
     assert oracle.evals == len(universe) * len(centers)
     copies = [q for q in universe if q.id in (5, 8)]
     assert len(copies) == 4 and cost_set(centers, copies, p, oracle) == 0.0
+
+
+class UnmarkedReductions(DistanceOracle):
+    """Fails when ``nearest`` or ``row_min`` is handed an entry marked ``-inf``;
+    counts the rows each reads."""
+
+    def __init__(self, offset: float, base=None) -> None:
+        super().__init__(offset, base)
+        self.rows = {"nearest": 0, "row_min": 0}
+
+    def nearest(self, x: np.ndarray):
+        assert not np.isneginf(x).any()
+        self.rows["nearest"] += x.shape[0]
+        return super().nearest(x)
+
+    def row_min(self, x: np.ndarray) -> np.ndarray:
+        assert not np.isneginf(x).any()
+        self.rows["row_min"] += x.shape[0]
+        return super().row_min(x)
+
+
+@pytest.mark.parametrize("offset, base", [
+    pytest.param(0.0, None, id="offset0"),
+    pytest.param(0.1, None, id="offset0.1"),
+    pytest.param(0.0, _rounded_l1, id="custom-l1"),
+])
+def test_no_package_caller_hands_the_reductions_a_marked_entry(offset, base):
+    # a slide with queries over 16 grid points, so almost every point has
+    # exact duplicates: cover rounds reduce with nearest, costs with row_min
+    window, steps = (100, 60) if base else (300, 200)
+    x = np.random.default_rng(5).integers(0, 4, size=(window + steps, 2)).astype(np.float64)
+    pts = points_from_array(x)
+    oracle = UnmarkedReductions(offset, base)
+    state = preprocess(pts[:window], DynamicParams(k=3, phi=8, seed=1), oracle)
+    for step in range(steps):
+        state.insert(pts[window + step])
+        state.delete(pts[step].id)
+        if step % 20 == 0:
+            for p in (1.0, 2.0):
+                query(state, 3, p, seed=step)
+    assert min(oracle.rows.values()) > 0
 
 
 def test_evaluation_count_equals_the_pairs_the_kernels_return(monkeypatch):

@@ -2,7 +2,8 @@
 
 Below are the cover round ``_cover_arrays``, the Euclidean kernel
 ``matrix_between`` with the helpers it called (``_check_custom`` and
-``_same_id_pairs``), the reductions ``nearest`` and ``_nearest_two``, and
+``_same_id_pairs``), the reductions ``nearest`` and ``_nearest_two`` with
+the oracle's ``_distances``, which read a ``-inf`` entry as 0, and
 the rebuild loop of ``ClusteringState`` (``_cover_rounds``, ``_rebuild``,
 ``rebuild_from_layer``, ``insert``, ``delete`` and ``rebuild``) as they were
 before the update path was cut to fewer numpy calls per cover round, per
@@ -15,7 +16,9 @@ center, so twin centers at offset 0 each keep a cluster, and a sample that
 fills the beta-quantile is the whole covered set, so a center's unsampled
 duplicates at offset 0 are left over. The reference kernel takes ids and
 zeroes or marks same-id pairs itself; the package's kernel takes
-coordinates only, so the tests mark those pairs in its result.
+coordinates only, so the tests mark those pairs in its result to compare
+kernels. No package caller hands the package's reductions a marked entry,
+so they are compared with the references on unmarked blocks.
 ``ReferenceOracle`` and ``ReferenceState`` carry the methods, so the cover
 round and the rounds below resolve ``_cover_arrays``, ``_nearest_two`` and
 the oracle's methods to the references.
@@ -174,6 +177,12 @@ class ReferenceOracle(DistanceOracle):
             cols[tied], dmin[tied] = _nearest_two(self._distances(x[tied]))[:2]
         return cols, dmin
 
+    def _distances(self, x: np.ndarray) -> np.ndarray:
+        """Distances of ``squared=True`` entries; -inf (a caller's mark) is 0."""
+        d = self._root(x)
+        d[x == -np.inf] = 0.0
+        return d
+
 
 def skips(beta: float, n: int, c: int) -> bool:
     """Whether the package's round of n points and c distinct sampled
@@ -320,14 +329,14 @@ CASES = [
 
 
 class BranchCounter(DistanceOracle):
-    """Counts the tie branch of ``nearest``: its second ``_distances`` call
-    takes a 2-D block of tied rows."""
+    """Counts the tie branch of ``nearest``: its second ``_root`` call takes
+    a 2-D block of tied rows, and a cover round calls ``_root`` nowhere else."""
 
     ties = 0
 
-    def _distances(self, x: np.ndarray) -> np.ndarray:
+    def _root(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         BranchCounter.ties += x.ndim == 2
-        return super()._distances(x)
+        return super()._root(x, out)
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -388,13 +397,15 @@ def test_kernel_and_reductions_match_their_references(case, offset, base, draws)
                 want = old.matrix_between(x, a_ids, x[picked], b_ids, squared=squared)
                 assert_same_bits(got, want)
                 assert new.evals == old.evals
-            for block in (got, np.asfortranarray(got), got[::2, 1::2]):
-                before = block.copy()
-                for g, w in zip(metric._nearest_two(block), _nearest_two(block)):
-                    assert_same_bits(g, w)
-                for g, w in zip(new.nearest(block), old.nearest(block)):
-                    assert_same_bits(g, w)
-                assert_same_bits(block, before)
+        # the reductions read the last block, squared and unmarked, as every
+        # package caller hands them: the marked blocks compare kernels only
+        for block in (got, np.asfortranarray(got), got[::2, 1::2]):
+            before = block.copy()
+            for g, w in zip(metric._nearest_two(block), _nearest_two(block)):
+                assert_same_bits(g, w)
+            for g, w in zip(new.nearest(block), old.nearest(block)):
+                assert_same_bits(g, w)
+            assert_same_bits(block, before)
 
 
 def assert_same_rounds(new: ClusteringState, old: ReferenceState, rows: np.ndarray) -> None:
