@@ -3,10 +3,11 @@
 The state keeps a stack of layers, each one round of the static sampling
 cover, over one cluster table of center rows and sizes ordered layer by
 layer: layer i owns the slots from its ``start`` up to the next layer's, so a
-cluster's depth is its position in the table. Each live point stores only
-its slot, indexed by its store row; ids are read through ``store.row_ids``
-only where the API returns them. U_i, the points covered at depth i or
-deeper, is the rows with slot >= ``start_i``, so the U_i nest by construction.
+cluster's depth is its position in the table. Each live point stores only its
+slot, at its row of the store's ``slot`` array, which the store grows and the
+state writes. Ids are read through ``store.row_ids`` only where the API
+returns them. U_i, the points covered at depth i or deeper, is the rows with
+slot >= ``start_i``, so the U_i nest by construction.
 
 Updates touch the counters, one slot and one table entry, and evaluate no
 distances: an insert appends a singleton slot to the last layer, a delete
@@ -143,10 +144,9 @@ class ClusteringState:
         self.oracle = oracle or DistanceOracle()
         self.store = PointStore()
         self.rng = np.random.default_rng(params.seed)
-        # the cluster table (center rows, sizes) and each row's slot (-1: no point)
+        # the cluster table (center rows, sizes); each row's slot is store.slot (-1: no point)
         self.center: list[int] = []
         self.size: list[int] = []
-        self.slot = np.empty(0, dtype=np.int64)
         self.layers: list[Layer] = [Layer(0)]  # empty: one terminal layer
 
     # -- basic views ---------------------------------------------------------
@@ -166,12 +166,6 @@ class ClusteringState:
         return [Point(pid, row) for pid, row in zip(self.store.row_ids[rows].tolist(), block)]
 
     # -- construction --------------------------------------------------------
-
-    def _track_rows(self) -> None:
-        """Give every row the store has grown by an empty slot."""
-        grow = self.store.row_ids.shape[0] - self.slot.shape[0]
-        if grow > 0:
-            self.slot = np.concatenate([self.slot, np.full(grow, -1, dtype=np.int64)])
 
     def _cover_rounds(self, rows: np.ndarray) -> list[_Round]:
         """Peel cover rounds off the points (store rows in ascending id
@@ -211,7 +205,7 @@ class ClusteringState:
         for base_size, radius, layer_rows, group, centers, sizes in rounds:
             start = len(self.center)
             self.layers.append(Layer(start, radius, base_size, due=math.ceil(slack * base_size - _EPS)))
-            self.slot[layer_rows] = np.add(group, start, out=group)
+            self.store.slot[layer_rows] = np.add(group, start, out=group)
             self.center += centers
             self.size += sizes
 
@@ -225,7 +219,7 @@ class ClusteringState:
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
         start = self.layers[index - 1].start
-        self._rebuild(index, (self.slot[: self.store.used] >= start).nonzero()[0])
+        self._rebuild(index, (self.store.slot[: self.store.used] >= start).nonzero()[0])
 
     # -- updates -------------------------------------------------------------
 
@@ -233,11 +227,9 @@ class ClusteringState:
         """Add a new point: counts as an update in every layer, becomes its
         own center in the last one, then the slack check runs."""
         row = self.store.add(point)  # raises on a duplicate id before any change
-        if row >= self.slot.shape[0]:  # a fresh row past the slots; a reused one is below
-            self._track_rows()
         for layer in self.layers:
             layer.updates += 1
-        self.slot[row] = len(self.center)
+        self.store.slot[row] = len(self.center)
         self.center.append(row)
         self.size.append(1)
         self.rebuild()
@@ -249,15 +241,15 @@ class ClusteringState:
         member takes over as center.
         """
         row = self.store.remove(pid)  # KeyError for an unknown id, before any change
-        s = self.slot.item(row)
+        s = self.store.slot.item(row)
         for layer in self.layers:
             if layer.start > s:
                 break
             layer.updates += 1
-        self.slot[row] = -1
+        self.store.slot[row] = -1
         self.size[s] -= 1
         if self.center[s] == row and self.size[s]:
-            rows = (self.slot[: self.store.used] == s).nonzero()[0]
+            rows = (self.store.slot[: self.store.used] == s).nonzero()[0]
             self.center[s] = rows.item(self.store.row_ids.take(rows).argmin())
         self.rebuild()
 
@@ -279,9 +271,9 @@ class ClusteringState:
 
     def assignment(self) -> dict[PointId, PointId]:
         """Full point -> center map across all layers."""
-        ids = self.store.row_ids
-        rows = np.flatnonzero(self.slot >= 0)
-        centers = ids[np.array(self.center, dtype=np.int64)[self.slot[rows]]]
+        ids, slot = self.store.row_ids, self.store.slot
+        rows = np.flatnonzero(slot >= 0)
+        centers = ids[np.array(self.center, dtype=np.int64)[slot[rows]]]
         return dict(zip(ids[rows].tolist(), centers.tolist()))
 
     def weighted_instance(self) -> WeightedInstance:
@@ -315,8 +307,9 @@ class ClusteringState:
         n = len(self.store)
         slack = params.slack
 
-        rows = np.flatnonzero(self.slot >= 0)
-        slots = self.slot[rows]
+        slot = self.store.slot
+        rows = np.flatnonzero(slot >= 0)
+        slots = slot[rows]
         held = np.bincount(slots, minlength=len(self.size))[: len(self.size)]
         for s in np.flatnonzero(held != np.array(self.size, dtype=np.int64))[:5]:
             violations.append(f"cluster slot {s}: size {self.size[s]}, but {held[s]} points hold it")
@@ -325,8 +318,8 @@ class ClusteringState:
             violations.append("cluster sizes do not add up to the live point count")
         # each center row is in range and holds its own slot (a freed row holds -1)
         center = np.array(self.center, dtype=np.int64)
-        member = (center >= 0) & (center < self.slot.shape[0])
-        member[member] = self.slot[center[member]] == np.flatnonzero(member)
+        member = (center >= 0) & (center < slot.shape[0])
+        member[member] = slot[center[member]] == np.flatnonzero(member)
         ends = [layer.start for layer in self.layers[1:]] + [len(self.center)]
         for i, (layer, end) in enumerate(zip(self.layers, ends), start=1):
             if i > 1:
@@ -402,7 +395,5 @@ def preprocess(
     if not pts:
         raise ValueError("initial point set must be nonempty")
     state = ClusteringState(params, oracle)
-    rows = state.store.add_many(pts)
-    state._track_rows()
-    state._rebuild(1, rows)
+    state._rebuild(1, state.store.add_many(pts))
     return state

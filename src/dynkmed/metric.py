@@ -55,12 +55,12 @@ class Point:
         return self.coords.shape[0]
 
 
-def points_from_array(rows: np.ndarray, start_id: int = 0) -> list[Point]:
-    """Wrap a (n, d) array as points with ids start_id..start_id+n-1."""
+def points_from_array(rows: np.ndarray) -> list[Point]:
+    """Wrap a (n, d) array as points with ids 0..n-1."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("expected a 2-D array of row vectors")
-    return [Point(start_id + i, rows[i]) for i in range(rows.shape[0])]
+    return [Point(i, rows[i]) for i in range(rows.shape[0])]
 
 
 class PointStore:
@@ -69,9 +69,11 @@ class PointStore:
     Each live point is one row of ``matrix``, and nothing else: callers
     gather coordinates for many points with one fancy index, ``row_ids``
     maps each row in use back to its point id, and :meth:`get` builds a
-    :class:`Point` from a copy of its row. Rows of removed points are reused
-    by later inserts, so both grow with the live count, not with the number
-    of inserts; ids are never reused while a point is live.
+    :class:`Point` from a copy of its row. ``slot`` is its owner's int64 per
+    row: the store grows it with the rows, -1 in each new one, and the owner
+    writes every other value. Rows of removed points are reused by later
+    inserts, so the arrays grow with the live count, not with the number of
+    inserts; ids are never reused while a point is live.
     """
 
     def __init__(self) -> None:
@@ -79,6 +81,7 @@ class PointStore:
         self._rows: dict[PointId, int] = {}
         self.matrix = np.empty((0, 0), dtype=np.float64)
         self.row_ids = np.empty(0, dtype=np.int64)
+        self.slot = np.empty(0, dtype=np.int64)
         self._used = 0
         self._free: list[int] = []
 
@@ -147,9 +150,10 @@ class PointStore:
         while size < self._used:
             size *= 2
         if size > self.matrix.shape[0]:  # copy only the rows handed out
-            matrix, row_ids = np.empty((size, dim)), np.empty(size, dtype=np.int64)
+            matrix, row_ids, slot = np.empty((size, dim)), np.empty(size, np.int64), np.full(size, -1, np.int64)
             matrix[:start], row_ids[:start] = self.matrix[:start], self.row_ids[:start]
-            self.matrix, self.row_ids = matrix, row_ids
+            slot[:start] = self.slot[:start]
+            self.matrix, self.row_ids, self.slot = matrix, row_ids, slot
         return range(start, self._used)
 
     def remove(self, pid: PointId) -> int:

@@ -187,20 +187,21 @@ def _id_rows(points: Iterable[Point]) -> tuple[list[PointId], np.ndarray]:
 
 
 def _seed_indices(
-    powered: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator,
-    finish: _Finish = _FINISHED, near: Optional[list] = None,
-) -> list[int]:
+    powered: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator, finish: _Finish,
+) -> tuple[list[int], np.ndarray]:
     """Weighted distance-power seeding: first pick proportional to weight,
     then proportional to weight times powered distance to the picks so far.
     Each pick is what ``rng.choice(n, p=mass / total)`` draws after its checks,
     with the same stream: ``rng.random()`` searched, ``side="right"``, in the
     cumulative sum of ``mass / total`` rescaled to end at 1; a ``total`` that
-    overflows raises ``ValueError``. Picks' columns, finished, go to ``near``."""
+    overflows raises ``ValueError``. Returns the picks and ``near``, the
+    (n, k) array of their finished columns."""
     n = powered.shape[0]
     chosen: list[int] = []
+    near = np.empty((n, k), order="F")
     mass, dmin = weights, np.full(n, np.inf)
     with np.errstate(over="ignore"):  # an overflow leaves total infinite
-        while len(chosen) < k:
+        for j in range(k):
             total = mass.sum()
             if not math.isfinite(total):
                 raise PowerOverflowError("seeding masses (weight times powered distance) overflow float64")
@@ -212,12 +213,10 @@ def _seed_indices(
                 cdf /= cdf[-1]
                 nxt = int(cdf.searchsorted(rng.random(), side="right"))
             chosen.append(nxt)
-            column = finish(powered, nxt)
-            if near is not None:
-                near.append(column)
-            np.minimum(dmin, column, out=dmin)
+            near[:, j] = finish(powered, nxt)
+            np.minimum(dmin, near[:, j], out=dmin)
             mass = weights * dmin
-    return chosen
+    return chosen, near
 
 
 # Candidate block sizes of the local-search screen (see _local_search).
@@ -229,7 +228,7 @@ _LIST_DENSITY = 0.15
 _SAMPLE_STEP = 16
 
 
-def _near_list(gram_t: np.ndarray, theta: float, finish: _Finish = _FINISHED) -> tuple:
+def _near_list(gram_t: np.ndarray, theta: float, finish: _Finish) -> tuple:
     """The entries of ``gram_t`` (candidate columns stored as rows) below
     ``theta`` in column order, ``(offsets, columns, rows, values)`` with
     column j's at ``offsets[j]:offsets[j + 1]``; the rows are intp for ``take``."""
@@ -317,7 +316,7 @@ def _exact_swap(
 @np.errstate(over="ignore")                           # an overflow turns the screen off
 def _local_search(
     powered: np.ndarray, weights: np.ndarray, chosen: list[int], cutoff: float,
-    finish: _Finish = _FINISHED, near: Optional[np.ndarray] = None,
+    finish: _Finish, near: np.ndarray,
 ) -> float:
     """Single-swap descent: scan candidates cyclically in column order from
     column 0, apply any swap that shrinks the cost to at most ``cutoff``
@@ -404,7 +403,6 @@ def _local_search(
     evaluated exactly.
     """
     n, k = powered.shape[0], len(chosen)
-    near = finish(powered[:, chosen]) if near is None else near
     c1, d1, d2 = _nearest_two(near)
     cost = float(np.add.reduce(wd1 := weights * d1))
     below = np.empty(_BLOCK_MAX * n, dtype=bool)
@@ -503,9 +501,9 @@ def weighted_solve(
     weights = instance.weights.astype(np.float64)
     product = oracle.matrix_between(instance.coords, instance.coords, squared=True)
     np.fill_diagonal(product, -np.inf)
-    finish, near = _Finish(oracle, p), []
-    chosen = _seed_indices(product.T, weights, k, np.random.default_rng(seed), finish, near)
-    cost = _local_search(product.T, weights, chosen, 1.0 - LOCAL_SEARCH_DELTA / k, finish, np.stack(near).T)
+    finish = _Finish(oracle, p)
+    chosen, near = _seed_indices(product.T, weights, k, np.random.default_rng(seed), finish)
+    cost = _local_search(product.T, weights, chosen, 1.0 - LOCAL_SEARCH_DELTA / k, finish, near)
     return Solution(frozenset(ids[i] for i in chosen), cost)
 
 

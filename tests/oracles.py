@@ -102,7 +102,7 @@ def _slots(state: ClusteringState, index: int) -> tuple[int, int]:
 def members(state: ClusteringState, index: int) -> set[PointId]:
     """U_index (1-based): the points covered at depth index or deeper."""
     start = state.layers[index - 1].start
-    return set(state.store.row_ids[state.slot >= start].tolist())
+    return set(state.store.row_ids[state.store.slot >= start].tolist())
 
 
 def clusters(state: ClusteringState, index: int) -> dict[PointId, set[PointId]]:
@@ -110,8 +110,8 @@ def clusters(state: ClusteringState, index: int) -> dict[PointId, set[PointId]]:
     lo, hi = _slots(state, index)
     ids = state.store.row_ids
     out = {int(ids[state.center[s]]): set() for s in range(lo, hi) if state.size[s]}
-    rows = np.flatnonzero((state.slot >= lo) & (state.slot < hi))
-    for pid, s in zip(ids[rows].tolist(), state.slot[rows].tolist()):
+    rows = np.flatnonzero((state.store.slot >= lo) & (state.store.slot < hi))
+    for pid, s in zip(ids[rows].tolist(), state.store.slot[rows].tolist()):
         out[int(ids[state.center[s]])].add(pid)
     return out
 
@@ -119,7 +119,7 @@ def clusters(state: ClusteringState, index: int) -> dict[PointId, set[PointId]]:
 def assignment_of(state: ClusteringState, pid: PointId) -> PointId:
     """Current center of the unique cluster containing ``pid`` (KeyError
     for an id that is not live)."""
-    return int(state.store.row_ids[state.center[state.slot[state.store.row(pid)]]])
+    return int(state.store.row_ids[state.center[state.store.slot[state.store.row(pid)]]])
 
 
 def snapshot(state: ClusteringState) -> str:

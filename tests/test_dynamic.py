@@ -29,7 +29,7 @@ from oracles import (
 
 def gaussian_points(n, dim=2, seed=0, start_id=0):
     rng = np.random.default_rng(seed)
-    return points_from_array(rng.normal(0, 5, size=(n, dim)), start_id=start_id)
+    return [Point(start_id + i, row) for i, row in enumerate(rng.normal(0, 5, size=(n, dim)))]
 
 
 def line_points(*coords):
@@ -119,7 +119,7 @@ def test_forced_sampler_hand_trace():
 def test_insert_self_assigns_in_last_layer():
     state = big_state()
     evals_before = state.oracle.evals
-    new = points_from_array(np.array([[100.0, 100.0]]), start_id=9000)[0]
+    new = Point(9000, np.array([100.0, 100.0]))
     state.insert(new)
     assert assignment_of(state, 9000) == 9000
     assert clusters(state, state.t)[9000] == {9000}
@@ -138,14 +138,14 @@ def test_insert_bumps_every_layer_counter_pre_rebuild():
         original()
 
     state.rebuild = spy
-    state.insert(points_from_array(np.array([[1.0, 1.0]]), start_id=9001)[0])
+    state.insert(Point(9001, np.array([1.0, 1.0])))
     assert observed["counters"] == [c + 1 for c in before]
 
 
 def test_insert_duplicate_id_rejected():
     state = big_state()
     pid = live_ids(state.store)[0]
-    clone = points_from_array(np.array([[0.0, 0.0]]), start_id=pid)[0]
+    clone = Point(pid, np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         state.insert(clone)
 
@@ -206,8 +206,8 @@ def test_slot_scans_see_exactly_the_used_rows_of_a_store_with_free_rows(monkeypa
         state.delete(pid)
     for point in gaussian_points(15, seed=8, start_id=1000):
         state.insert(point)
-    assert len(store) < store.used < store.row_ids.shape[0] == state.slot.shape[0]
-    assert np.all(state.slot[store.used :] == -1)
+    assert len(store) < store.used < store.row_ids.shape[0] == state.store.slot.shape[0]
+    assert np.all(state.store.slot[store.used :] == -1)
     seen = []
     rebuild = state._rebuild
 
@@ -341,7 +341,7 @@ def test_integrity_check_flags_corruption():
     assert any(f"cluster slot 0: center row {state.center[0]} is not a member" in line for line in report)
 
     state = big_state(seed=55)
-    row = next(r for r in np.flatnonzero(state.slot >= 0) if state.center[state.slot[r]] != r)
+    row = next(r for r in np.flatnonzero(state.store.slot >= 0) if state.center[state.store.slot[r]] != r)
     state.delete(int(state.store.row_ids[row]))
     state.center[0] = int(row)  # a freed row
     report = state.integrity_check()
@@ -352,8 +352,8 @@ def test_integrity_check_flags_point_map_corruption():
     state = big_state(seed=55)
     center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 2)
     moved = max(group - {center})
-    source, target = state.slot[state.store.row(moved)], len(state.center) - 1
-    state.slot[state.store.row(moved)] = target  # the point's slot names another cluster
+    source, target = state.store.slot[state.store.row(moved)], len(state.center) - 1
+    state.store.slot[state.store.row(moved)] = target  # the point's slot names another cluster
     report = state.integrity_check()
     assert any(f"cluster slot {source}: size" in line for line in report)
     assert any(f"cluster slot {target}: size" in line for line in report)
@@ -368,7 +368,7 @@ def test_integrity_check_flags_point_map_corruption():
 def test_update_locality_no_rebuild_means_no_distance_work():
     state = big_state(seed=66)
     evals = state.oracle.evals
-    p = points_from_array(np.array([[3.0, 3.0]]), start_id=7777)[0]
+    p = Point(7777, np.array([3.0, 3.0]))
     state.insert(p)
     state.delete(7777)
     assert state.oracle.evals == evals
@@ -494,7 +494,7 @@ def test_a_steady_slide_keeps_the_store_and_the_table_bounded():
     for step, point in enumerate(pts[window:]):
         for update in (lambda: state.insert(point), lambda: state.delete(pts[step].id)):
             update()
-            assert store.matrix.shape[0] == state.slot.shape[0] == capacity
+            assert store.matrix.shape[0] == state.store.slot.shape[0] == capacity
             assert len(store._free) <= 1 and store.used <= window + 1
             assert len(state.center) <= window // 2
     assert state.integrity_check() == []
@@ -632,7 +632,7 @@ def fields(state):
     stream and the evaluation count. Rows past ``used`` were never written."""
     store = state.store
     return ([(l.start, l.radius, l.base_size, l.updates, l.due) for l in state.layers],
-            state.slot.tolist(), list(state.center), list(state.size), store.used,
+            state.store.slot.tolist(), list(state.center), list(state.size), store.used,
             store.row_ids[: store.used].tolist(), list(store._free), dict(store._rows),
             store.matrix[: store.used].tobytes(), state.rng.bit_generator.state, state.oracle.evals)
 
@@ -679,9 +679,9 @@ def test_an_insert_stream_across_store_doublings_gives_every_row_a_slot():
         if i % 3 == 0:  # a freed row, reused by the next insert
             state.delete(pts[i - 5].id)
         store = state.store
-        assert state.slot.shape[0] >= store.used
+        assert state.store.slot.shape[0] >= store.used
         live = sorted(store.row(pid) for pid in live_ids(store))
-        assert np.flatnonzero(state.slot >= 0).tolist() == live
+        assert np.flatnonzero(state.store.slot >= 0).tolist() == live
         assert state.integrity_check() == []
         capacities.append(store.matrix.shape[0])
     assert len(set(capacities)) >= 4  # 16 -> 32 -> 64 -> 128 -> 256 rows

@@ -40,6 +40,17 @@ def _force_source(monkeypatch, source: str) -> None:
     monkeypatch.setattr(solver, "_LIST_DENSITY", SOURCES[source])
 
 
+def _seed(powered, weights, k, seed):
+    """The seeding's picks over the finished Gram ``powered`` from ``seed``'s stream."""
+    return _seed_indices(powered, weights, k, np.random.default_rng(seed), solver._FINISHED)[0]
+
+
+def _search(powered, weights, chosen, cutoff, finish=solver._FINISHED):
+    """The search from ``chosen`` (changed in place) over ``powered``, read
+    through ``finish``, starting from the centers' columns ``powered[:, chosen]``."""
+    return _local_search(powered, weights, chosen, cutoff, finish, finish(powered[:, chosen]))
+
+
 def _reference_solution_stats(
     powered: np.ndarray, weights: np.ndarray, chosen: Sequence[int]
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -135,7 +146,7 @@ def test_local_search_matches_full_recompute(p, k, offset, monkeypatch):
         weights = np.array([w for _, w in pairs], dtype=np.float64)
         powered = pairwise(oracle, points, points).T ** p
         cutoff = 1.0 - LOCAL_SEARCH_DELTA / k
-        start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
+        start = _seed(powered, weights, k, seed)
         if k > 1:
             _, d1, d2 = _nearest_two(powered[:, start])
             ties += int(np.sum(d1 == d2))
@@ -145,13 +156,13 @@ def test_local_search_matches_full_recompute(p, k, offset, monkeypatch):
         solves = []
         for other, q in ((_l1_oracle(offset), p), (oracle, 1.5)):
             other_powered = pairwise(other, points, points).T ** q
-            want = _seed_indices(other_powered, weights, k, np.random.default_rng(seed))
+            want = _seed(other_powered, weights, k, seed)
             solves.append((other, q, want, _reference_local_search(other_powered, weights, want, cutoff)))
         for source in SOURCES:
             with monkeypatch.context() as patch:
                 _force_source(patch, source)
                 got = list(start)
-                got_cost = _local_search(powered, weights, got, cutoff)
+                got_cost = _search(powered, weights, got, cutoff)
                 assert got == expected
                 assert repr(got_cost) == repr(expected_cost)
 
@@ -176,7 +187,7 @@ def test_center_retired_ahead_of_the_scan_is_rescanned_in_the_same_pass(monkeypa
     powered = np.abs(x[:, None] - x[None, :])
     expected, got = [4, 5], [4, 5]
     expected_cost = _reference_local_search(powered, weights, expected, 0.99)
-    assert _local_search(powered, weights, got, 0.99) == expected_cost == 52.0
+    assert _search(powered, weights, got, 0.99) == expected_cost == 52.0
     assert got == expected == [5, 1]
     # the swaps bring in columns 0, 1 and then 5, retired by the first one
     assert _check_cyclic_scan(powered, weights, [4, 5], 0.99, monkeypatch) == [0, 1, 5]
@@ -322,7 +333,7 @@ def _check_cyclic_scan(powered, weights, start, cutoff, monkeypatch):
         with monkeypatch.context() as patch:
             _force_source(patch, source)
             blocks = _record_blocks(patch, powered)
-            got_cost = _local_search(powered, weights, got, cutoff)
+            got_cost = _search(powered, weights, got, cutoff)
         assert got == expected
         assert repr(got_cost) == repr(expected_cost)
         screened = [j for first, end in blocks for j in range(first, end)]
@@ -339,7 +350,7 @@ def test_scan_stops_when_it_comes_back_to_the_last_swap(p, monkeypatch):
     for seed in range(12):
         powered, weights = _instance_arrays(2 * seed + 1, 70, p, 0.05 * (seed % 2))
         k = 2 + seed % 5
-        start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
+        start = _seed(powered, weights, k, seed)
         _check_cyclic_scan(powered, weights, start, 1.0 - LOCAL_SEARCH_DELTA / k, monkeypatch)
 
 
@@ -362,7 +373,7 @@ def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff(monkeypatch):
         p = (1.0, 2.0)[seed % 2]
         powered, weights = _instance_arrays(2 * seed + 1, 90, p, 0.05 * (seed % 3))
         k = 2 + seed % 6
-        start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
+        start = _seed(powered, weights, k, seed)
         cost, new_costs = _exact_new_costs(powered, weights, start)
         target = float(new_costs.min())
         ratio = target / cost
@@ -376,7 +387,7 @@ def test_screen_keeps_a_candidate_whose_new_cost_equals_the_cutoff(monkeypatch):
         for source in SOURCES:
             _force_source(monkeypatch, source)
             got = list(start)
-            got_cost = _local_search(powered, weights, got, cutoffs[0])
+            got_cost = _search(powered, weights, got, cutoffs[0])
             assert got == expected, (seed, source)
             assert repr(got_cost) == repr(expected_cost)
             assert got != start
@@ -392,7 +403,7 @@ def test_a_candidate_just_above_the_cutoff_goes_to_the_exact_code(monkeypatch):
         p = (1.0, 2.0)[seed % 2]
         powered, weights = _instance_arrays(2 * seed + 1, 90, p, 0.05 * (seed % 3))
         k = 2 + seed % 6
-        start = _seed_indices(powered, weights, k, np.random.default_rng(seed))
+        start = _seed(powered, weights, k, seed)
         cost, new_costs = _exact_new_costs(powered, weights, start)
         target = float(new_costs.min())
         if not target < cost:
@@ -408,7 +419,7 @@ def test_a_candidate_just_above_the_cutoff_goes_to_the_exact_code(monkeypatch):
             with monkeypatch.context() as patch:
                 _force_source(patch, source)
                 exact = _record_exact(patch, powered)
-                got_cost = _local_search(powered, weights, got, cutoff)
+                got_cost = _search(powered, weights, got, cutoff)
             assert got == expected == start, (seed, source)
             assert repr(got_cost) == repr(expected_cost)
             assert int(new_costs.argmin()) in exact
@@ -437,7 +448,7 @@ def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
     # screen entries give the same blocks, swaps and cost.
     powered, weights = _mixture(p)
     k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
-    start = _seed_indices(powered, weights, k, np.random.default_rng(3))
+    start = _seed(powered, weights, k, 3)
     expected = list(start)
     expected_cost = _reference_local_search(powered, weights, expected, cutoff)
     for source in SOURCES:
@@ -447,7 +458,7 @@ def test_screen_at_benchmark_scale_matches_full_recompute(p, monkeypatch):
             blocks = _record_blocks(patch, powered)
             exact = _record_exact(patch, powered)
             got = list(start)
-            got_cost = _local_search(powered, weights, got, cutoff)
+            got_cost = _search(powered, weights, got, cutoff)
         assert len(lists) == (source == "list")
         assert got == expected
         assert repr(got_cost) == repr(expected_cost)
@@ -474,7 +485,7 @@ def test_a_tie_between_two_centers_goes_to_the_exact_code(monkeypatch):
             _force_source(patch, source)
             blocks = _record_blocks(patch, powered)
             exact = _record_exact(patch, powered)
-            assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+            assert repr(_search(powered, weights, got, 0.99)) == repr(expected_cost)
         assert got == expected == [0, 6]
         assert blocks[0] == (0, 7) and exact[0] == 0
 
@@ -488,7 +499,7 @@ def test_screen_is_off_for_a_single_center(monkeypatch):
         with monkeypatch.context() as patch:
             _force_source(patch, source)
             blocks = _record_blocks(patch, powered)
-            assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+            assert repr(_search(powered, weights, got, 0.99)) == repr(expected_cost)
         assert got == expected != [3]
         assert blocks == []  # d2 is inf for every row, so the bound is not finite
 
@@ -497,7 +508,7 @@ def test_screen_is_off_while_its_bound_overflows(monkeypatch):
     # Scaled so that the cost stays finite but cost + sum(w*d2) does not:
     # every candidate goes to the exact code, which still finds the swaps.
     powered, weights = _instance_arrays(9, 60, 2.0)
-    start = _seed_indices(powered, weights, 4, np.random.default_rng(9))
+    start = _seed(powered, weights, 4, 9)
     _, d1, _ = _nearest_two(powered[:, start])
     powered *= 0.6 * np.finfo(np.float64).max / float(np.sum(weights * d1))
     _, d1, d2 = _nearest_two(powered[:, start])
@@ -512,7 +523,7 @@ def test_screen_is_off_while_its_bound_overflows(monkeypatch):
         with monkeypatch.context() as patch, np.errstate(over="ignore"):
             _force_source(patch, source)
             blocks = _record_blocks(patch, powered)
-            got_cost = _local_search(powered, weights, got, 0.99)
+            got_cost = _search(powered, weights, got, 0.99)
         assert got == expected != start
         assert repr(got_cost) == repr(expected_cost)
         assert blocks == []
@@ -530,7 +541,7 @@ def test_a_search_with_its_screen_off_samples_and_lists_nothing(p, offset, monke
     points = points_from_array(coords)
     inst, oracle = instance_of((q, int(w)) for q, w in zip(points, weights)), DistanceOracle(offset)
     powered = pairwise(oracle, points, points).T ** p
-    expected = _seed_indices(powered, weights, 1, np.random.default_rng(5))
+    expected = _seed(powered, weights, 1, 5)
     start = list(expected)
     expected_cost = _reference_local_search(powered, weights, expected, 0.99)
     assert expected != start
@@ -558,7 +569,7 @@ def _sampled_density(powered, start):
 def test_near_list_holds_the_entries_below_theta_in_column_order():
     powered, _ = _instance_arrays(5, 90, 1.0)
     theta = float(np.median(powered))
-    offsets, columns, rows, values = solver._near_list(powered.T, theta)
+    offsets, columns, rows, values = solver._near_list(powered.T, theta, solver._FINISHED)
     expected_columns, expected_rows = np.nonzero(powered.T < theta)
     assert offsets == np.searchsorted(expected_columns, np.arange(91)).tolist()
     assert columns.dtype == np.int32 and columns.tolist() == expected_columns.tolist()
@@ -574,12 +585,12 @@ def test_screen_source_follows_the_sampled_density(monkeypatch):
     lists = _record_calls(monkeypatch, "_near_list")
     for components, spread, k, listed in ((10, 20.0, 50, True), (25, 8.0, 5, False)):
         powered, weights = _mixture(1.0, components=components, spread=spread)
-        start = _seed_indices(powered, weights, k, np.random.default_rng(3))
+        start = _seed(powered, weights, k, 3)
         assert (_sampled_density(powered, start) <= solver._LIST_DENSITY) == listed
         lists.clear()
         expected, got = list(start), list(start)
         expected_cost = _reference_local_search(powered, weights, expected, 0.99)
-        assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost)
+        assert repr(_search(powered, weights, got, 0.99)) == repr(expected_cost)
         assert got == expected != start
         assert len(lists) == listed
 
@@ -620,7 +631,7 @@ def test_a_search_that_starts_dense_lists_once_its_largest_d2_has_halved(monkeyp
 
     monkeypatch.setattr(solver, "_screen_estimate", checking)
     got = list(start)
-    got_cost = _local_search(powered, weights, got, cutoff)
+    got_cost = _search(powered, weights, got, cutoff)
     assert got == expected != start
     assert repr(got_cost) == repr(expected_cost)
     (gram_t, top, _), = lists
@@ -629,7 +640,7 @@ def test_a_search_that_starts_dense_lists_once_its_largest_d2_has_halved(monkeyp
     with monkeypatch.context() as patch:               # forced dense, it never lists
         _force_source(patch, "dense")
         got = list(start)
-        assert repr(_local_search(powered, weights, got, cutoff)) == repr(expected_cost)
+        assert repr(_search(powered, weights, got, cutoff)) == repr(expected_cost)
     assert got == expected and len(lists) == 1
 
 
@@ -642,7 +653,7 @@ def test_listed_screen_reads_rows_whose_d2_rose_above_theta_densely(monkeypatch)
     # rounding bound of the search, since only the order of the sums differs.
     powered, weights = _mixture(1.0)
     k, cutoff = 50, 1.0 - LOCAL_SEARCH_DELTA / 50
-    start = _seed_indices(powered, weights, k, np.random.default_rng(3))
+    start = _seed(powered, weights, k, 3)
     theta = _nearest_two(powered[:, start])[2].max()
     expected = list(start)
     expected_cost = _reference_local_search(powered, weights, expected, cutoff)
@@ -667,7 +678,7 @@ def test_listed_screen_reads_rows_whose_d2_rose_above_theta_densely(monkeypatch)
     reads = _record_calls(monkeypatch, "_screen_entries")
     monkeypatch.setattr(solver, "_screen_estimate", checking)
     got = list(start)
-    got_cost = _local_search(powered, weights, got, cutoff)
+    got_cost = _search(powered, weights, got, cutoff)
     assert got == expected
     assert repr(got_cost) == repr(expected_cost)
     assert reads  # the branch ran, on the rows above theta alone
@@ -686,10 +697,10 @@ def test_listed_screen_stops_at_cost_zero(monkeypatch):
     weights = np.ones(6)
     expected, got = [0, 1], [0, 1]
     expected_cost = _reference_local_search(powered, weights, expected, 0.99)
-    assert repr(_local_search(powered, weights, got, 0.99)) == repr(expected_cost) == "0.0"
+    assert repr(_search(powered, weights, got, 0.99)) == repr(expected_cost) == "0.0"
     assert got == expected == [3, 1] and len(lists) == 1
     got = [0, 4]
-    assert _local_search(powered, weights, got, 0.99) == 0.0
+    assert _search(powered, weights, got, 0.99) == 0.0
     assert got == [0, 4] and len(lists) == 1
 
 
@@ -754,7 +765,7 @@ def test_list_from_the_product_gives_each_block_the_entries_of_the_gram(p, offse
               float(np.nextafter(values[len(values) // 5], np.inf)),
               offset ** p, 0.5 * offset ** p, float(values[0])]
     for theta in thetas:
-        from_gram = solver._near_list(gram.T, theta)
+        from_gram = solver._near_list(gram.T, theta, solver._FINISHED)
         from_product = solver._near_list(product, finish.bound(theta), finish)
         assert set(zip(from_gram[1].tolist(), from_gram[2].tolist())) <= set(
             zip(from_product[1].tolist(), from_product[2].tolist()))
@@ -780,7 +791,7 @@ def test_an_overflow_of_d_to_the_p_still_raises_on_the_list_path(monkeypatch):
     assert np.isfinite(finish(product.T[:, [0, 29]])).all()
     lists = _record_calls(monkeypatch, "_near_list")
     with pytest.raises(ValueError, match="^distances to the power 400.0 overflow float64$"):
-        _local_search(product.T, np.ones(32), [0, 29], 0.99, finish)
+        _search(product.T, np.ones(32), [0, 29], 0.99, finish)
     assert lists == []
     with pytest.raises(ValueError, match="overflow"):
         weighted_solve(instance_of([(q, 1) for q in points_from_array(x)]), 2, 400.0, 0, oracle)
@@ -795,7 +806,7 @@ def test_a_search_whose_seeding_costs_0_leaves_the_product_as_it_was():
     before = product.tobytes()
     chosen = [0, 2]
     finish = solver._Finish(DistanceOracle(), 1.0)
-    assert repr(_local_search(product.T, np.ones(4), chosen, 0.99, finish)) == "0.0"
+    assert repr(_search(product.T, np.ones(4), chosen, 0.99, finish)) == "0.0"
     assert chosen == [0, 2] and product.tobytes() == before
     assert np.all(np.diagonal(product) == -np.inf)
 
@@ -816,4 +827,4 @@ def test_a_swap_that_does_not_lower_the_cost_raises(source, monkeypatch):
     x = np.array([0.0, 1.0, 10.0, 11.0])
     powered = np.abs(x[:, None] - x[None, :])
     with pytest.raises(RuntimeError, match=r"^swapping in column 1 did not lower the cost: 2.0 -> 4.0$"):
-        _local_search(powered, np.array([3.0, 1.0, 1.0, 1.0]), [0, 2], 0.99)
+        _search(powered, np.array([3.0, 1.0, 1.0, 1.0]), [0, 2], 0.99)

@@ -167,7 +167,7 @@ def test_distance_is_the_one_pair_elementwise_kernel(offset):
     rng = np.random.default_rng(29)
     for dim in (1, 2, 7, 64):
         xs = points_from_array(rng.normal(scale=3.0, size=(200, dim)))
-        ys = points_from_array(rng.normal(scale=3.0, size=(200, dim)), start_id=1000)
+        ys = [Point(1000 + i, row) for i, row in enumerate(rng.normal(scale=3.0, size=(200, dim)))]
         oracle = DistanceOracle(offset)
         d = oracle.elementwise(np.stack([p.coords for p in xs]), np.stack([p.coords for p in ys]))
         assert oracle.evals == 0  # uncounted; distance() counts its one pair
@@ -228,6 +228,32 @@ def test_point_store_gather_and_dimension_guard():
     assert store.row_ids[store.rows_by_id()].tolist() == [1, 2, 7, 8]
 
 
+@pytest.mark.parametrize("bulk", [False, True])
+def test_store_grows_the_slot_array_with_its_rows(bulk):
+    # The store owns each row's slot: it grows it with matrix and row_ids,
+    # from add and add_many alike, rows it hands out fresh read -1, and it
+    # writes no row below ``used``, reused and removed ones included, so
+    # what the owner wrote there survives every growth
+    store, rng = PointStore(), np.random.default_rng(4)
+    assert store.slot.shape == (0,) and store.slot.dtype == np.int64
+    capacities = []
+    for start in range(0, 300, 23):
+        used, before = store.used, store.slot[: store.used].copy()
+        batch = [Point(pid, rng.normal(size=2)) for pid in range(start, start + 23)]
+        rows = store.add_many(batch) if bulk else np.array([store.add(q) for q in batch])
+        assert store.slot.shape[0] == store.matrix.shape[0] == store.row_ids.shape[0]
+        assert np.array_equal(store.slot[:used], before)
+        assert np.all(store.slot[used:] == -1)
+        assert np.all(store.slot[rows[rows >= used]] == -1) and np.any(rows < used) == (start > 0)
+        store.slot[rows] = 1000 + rows                  # the owner writes the rows it got
+        kept = store.slot.copy()
+        for pid in (start, start + 5, start + 11):
+            store.remove(pid)
+        assert np.array_equal(store.slot, kept)
+        capacities.append(store.matrix.shape[0])
+    assert len(set(capacities)) >= 4                    # 16 or 32 -> ... -> 256 rows
+
+
 def _store_state(store):
     used = store._used
     return (
@@ -246,7 +272,7 @@ def test_add_many_equals_one_add_per_point(first, removed):
     rng = np.random.default_rng(first)
     pts = points_from_array(rng.normal(size=(first + 70, 3)))
     flat = points_from_array(np.zeros((first + 70, 0)))
-    strided = points_from_array(rng.normal(size=(70, 6))[:, ::2], start_id=first)
+    strided = [Point(first + i, row) for i, row in enumerate(rng.normal(size=(70, 6))[:, ::2])]
     assert not any(q.coords.flags.c_contiguous for q in strided)
     mixed = [q if q.id % 2 else Point(q.id, q.coords.copy()) for q in pts[first:]]
     for head, batch in ((pts, pts[first:]), (pts, strided), (pts, mixed), (flat, flat[first:])):

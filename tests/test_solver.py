@@ -16,7 +16,7 @@ from dynkmed import (
     query,
     weighted_solve,
 )
-from dynkmed.solver import _Finish, _seed_indices
+from dynkmed.solver import _FINISHED, _Finish, _seed_indices
 from oracles import (
     brute_force_coverage_radius,
     brute_force_opt_weighted,
@@ -194,7 +194,7 @@ def test_weighted_solve_never_worse_than_seeding():
         pairs = entries(inst)
         w = np.array([wt for _, wt in pairs], dtype=float)
         powered = pairwise(ORACLE, [q for q, _ in pairs], [q for q, _ in pairs])
-        chosen = _seed_indices(powered, w, 4, np.random.default_rng(seed))
+        chosen, _ = _seed_indices(powered, w, 4, np.random.default_rng(seed), _FINISHED)
         seed_cost = float(np.sum(w * powered[:, chosen].min(axis=1)))
         sol = weighted_solve(inst, 4, 1.0, seed, ORACLE)
         assert sol.cost <= seed_cost + 1e-12
@@ -218,12 +218,11 @@ def test_seed_indices_draw_what_rng_choice_draws():
         np.fill_diagonal(product, -np.inf)
         k = int(rng.integers(1, n))
         got_stream, want_stream = np.random.default_rng(seed), np.random.default_rng(seed)
-        near: list = []
-        got = _seed_indices(product.T, weights, k, got_stream, _Finish(oracle, p), near)
+        got, near = _seed_indices(product.T, weights, k, got_stream, _Finish(oracle, p))
         assert got == seed_indices_by_choice(powered, weights, k, want_stream)
         assert got_stream.random() == want_stream.random()  # as many draws taken
-        assert np.stack(near).T.tobytes() == powered[:, got].tobytes()
-        assert _seed_indices(powered, weights, k, np.random.default_rng(seed)) == got
+        assert near.shape == (n, k) and near.tobytes() == powered[:, got].tobytes()
+        assert _seed_indices(powered, weights, k, np.random.default_rng(seed), _FINISHED)[0] == got
         picks += k
     assert picks > 1000
 
@@ -236,7 +235,7 @@ def test_seed_indices_raise_when_the_masses_overflow():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^seeding masses .* overflow float64$"):
-                _seed_indices(powered, np.full(3, weight), 2, np.random.default_rng(0))
+                _seed_indices(powered, np.full(3, weight), 2, np.random.default_rng(0), _FINISHED)
     # through the API: the squared distances are finite, the weighted ones not
     inst = WeightedInstance(np.arange(3), np.array([[0.0], [5e153], [1e154]]), np.full(3, 100))
     with warnings.catch_warnings():
@@ -250,7 +249,7 @@ def test_seed_indices_raise_when_the_masses_overflow():
 def test_instance_gram_equals_the_general_pairwise_path(p, offset):
     # the solver's dense read finishes the kernel's product whole, in place
     pts = random_points(40, dim=3, seed=31, scale=3.0)
-    pts += points_from_array(np.stack([q.coords for q in pts[:6]]), start_id=40)
+    pts += [Point(40 + i, q.coords) for i, q in enumerate(pts[:6])]
     general, fast = DistanceOracle(offset), DistanceOracle(offset)
     expected = pairwise(general, pts, pts).T ** p
     coords = np.stack([q.coords for q in pts])
@@ -428,6 +427,34 @@ def test_cost_set_over_a_point_store_equals_the_point_list(p):
         got = cost_set(centers, state.store, p, by_store)
         assert repr(got) == repr(cost_set(centers, live, p, by_list))
         assert by_store.evals == by_list.evals == 73 * len(picks)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_cost_set_over_a_store_costs_a_deleted_center_by_its_coordinates(p):
+    # The CLI's stale baseline (--baseline static:q, q above the query
+    # spacing) costs Point copies of centers that may since have been
+    # deleted; here the deleted center's row holds a new point. The store
+    # form reads the copies, as the point list does: the new point is costed
+    # against the deleted center's coordinates, not zeroed as a center's row
+    pts = random_points(60, dim=3, seed=21, scale=2.0)
+    state = preprocess(pts, DynamicParams(k=3, phi=8, seed=4), DistanceOracle(0.05))
+    centers = [state.store.get(pid) for pid in (4, 25, 47)]
+    row = state.store.row(25)
+    state.delete(25)
+    state.insert(Point(100, centers[1].coords + 0.5))   # takes the deleted center's row
+    assert state.store.row(100) == row and 25 not in state.store
+    live = state.live_points()
+    by_store, by_list = DistanceOracle(0.05), DistanceOracle(0.05)
+    got = cost_set(centers, state.store, p, by_store)
+    assert repr(got) == repr(cost_set(centers, live, p, by_list))
+    assert by_store.evals == by_list.evals == 60 * 3
+    terms = [min(distance(by_list, q, c) for c in centers) ** p for q in live]
+    assert terms[-1] == distance(by_list, live[-1], centers[1]) ** p > 0.0
+    assert got == pytest.approx(sum(terms), rel=1e-12)
+    row_read = [centers[0], state.store.get(100), centers[2]]   # what the row holds now
+    assert cost_set(row_read, state.store, p, by_store) != got
+    with pytest.raises(ValueError, match=r"center ids \[25\] are not in the store"):
+        cost_set([c.id for c in centers], state.store, p, by_store)
 
 
 def test_weighted_instance_is_the_center_rows_in_id_order():

@@ -10,12 +10,14 @@ before the update path was cut to fewer numpy calls per cover round, per
 rebuild and per update. Their bodies are unchanged, except that the cover
 round reads no sampler from the params, a forced sample reaching both sides
 through ``rng.integers`` as the draws of ``oracles.ForcedDraws``, that the
-rounds stop at ``phi``, and that the cover round states the package's two
-rules for sampled rows in one line each: each sampled row is its own
-center, so twin centers at offset 0 each keep a cluster, and a sample that
-fills the beta-quantile is the whole covered set, so a center's unsampled
-duplicates at offset 0 are left over. The reference kernel takes ids and
-zeroes or marks same-id pairs itself; the package's kernel takes
+rounds stop at ``phi``, that the slots are the store's ``slot``, which the
+store grows with its rows, so ``insert`` and ``reference_preprocess`` no
+longer call the state's ``_track_rows``, and that the cover round states
+the package's two rules for sampled rows in one line each: each sampled row
+is its own center, so twin centers at offset 0 each keep a cluster, and a
+sample that fills the beta-quantile is the whole covered set, so a center's
+unsampled duplicates at offset 0 are left over. The reference kernel takes
+ids and zeroes or marks same-id pairs itself; the package's kernel takes
 coordinates only, so the tests mark those pairs in its result to compare
 kernels. No package caller hands the package's reductions a marked entry,
 so they are compared with the references on unmarked blocks.
@@ -240,37 +242,36 @@ class ReferenceState(ClusteringState):
         for base_size, radius, layer_rows, group, centers, sizes in rounds:
             start = len(self.center)
             self.layers.append(Layer(start, radius, base_size, due=slack * base_size - _EPS))
-            self.slot[layer_rows] = start + group
+            self.store.slot[layer_rows] = start + group
             self.center += centers.tolist()
             self.size += sizes.tolist()
 
     def rebuild_from_layer(self, index: int) -> None:
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
-        slots = self.slot[: self.store.used]
+        slots = self.store.slot[: self.store.used]
         self._rebuild(index, np.flatnonzero(slots >= self.layers[index - 1].start))
 
     def insert(self, point: Point) -> None:
         row = self.store.add(point)  # raises on a duplicate id before any change
-        self._track_rows()
         for layer in self.layers:
             layer.updates += 1
-        self.slot[row] = len(self.center)
+        self.store.slot[row] = len(self.center)
         self.center.append(row)
         self.size.append(1)
         self.rebuild()
 
     def delete(self, pid: PointId) -> None:
         row = self.store.row(pid)  # KeyError for an unknown id
-        s = int(self.slot[row])
+        s = int(self.store.slot[row])
         for layer in self.layers:
             if layer.start > s:
                 break
             layer.updates += 1
-        self.slot[row] = -1
+        self.store.slot[row] = -1
         self.size[s] -= 1
         if self.center[s] == row and self.size[s]:
-            rows = np.flatnonzero(self.slot[: self.store.used] == s)
+            rows = np.flatnonzero(self.store.slot[: self.store.used] == s)
             self.center[s] = int(rows[np.argmin(self.store.row_ids[rows])])
         self.store.remove(pid)
         self.rebuild()
@@ -285,7 +286,6 @@ class ReferenceState(ClusteringState):
 def reference_preprocess(points, params: DynamicParams, oracle: ReferenceOracle) -> ReferenceState:
     state = ReferenceState(params, oracle)
     rows = state.store.add_many(list(points))
-    state._track_rows()
     state._rebuild(1, rows)
     return state
 
@@ -431,13 +431,13 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
     params = DynamicParams(k=3, phi=12, seed=stream(draws, 9))
     new = preprocess(pts[:n], params, DistanceOracle(offset, base))
     old = reference_preprocess(pts[:n], params, RoundReference(offset, base, params.beta))
-    assert_same_rounds(new, old, np.flatnonzero(new.slot >= 0))
+    assert_same_rounds(new, old, np.flatnonzero(new.store.slot >= 0))
     # a slide: the points inserted reuse the rows of the deleted ones, out of id order
     for step in range(n // 4):
         for state in (new, old):
             state.insert(pts[n + step])
             state.delete(pts[step].id)
-    rows = np.flatnonzero(new.slot >= new.layers[1].start)  # U_2
+    rows = np.flatnonzero(new.store.slot >= new.layers[1].start)  # U_2
     assert np.any(np.diff(new.store.row_ids[rows]) < 0) and rows.shape[0] < len(new.store)
     for state in (new, old):  # a round that reads a row outside U_2 fails
         outside = np.ones(state.store.matrix.shape[0], dtype=bool)
@@ -449,7 +449,7 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
 def assert_same_state(new: ClusteringState, old: ClusteringState) -> None:
     assert new.assignment() == old.assignment()
     assert (new.center, new.size) == (old.center, old.size)
-    assert np.array_equal(new.slot, old.slot)
+    assert np.array_equal(new.store.slot, old.store.slot)
     assert [(l.start, l.radius, l.base_size, l.updates) for l in new.layers] == [
         (l.start, l.radius, l.base_size, l.updates) for l in old.layers
     ]
