@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .metric import DistanceOracle, Point, PointId, PointStore
+from .metric import DistanceOracle, Point, PointId, PointStore, chunk_rows
 from .solver import WeightedInstance, _check_int
 
 # Absolute slop for comparing integer counts against fractional thresholds.
@@ -99,15 +99,19 @@ def _cover_arrays(
     oracle: DistanceOracle,
 ) -> tuple[_Round, np.ndarray]:
     """Cover round over the rows of ``matrix`` (the store's) of distinct points
-    in ascending id order; gathers only the rows its one kernel call reads.
+    in ascending id order; gathers only the rows its kernel calls read.
 
     Returns the layer as ``_rebuild`` installs it, whose covered rows are in
     ascending id order, each with its nearest center (ties toward the
     smallest id), and the rows left over, in ascending id order. Each of the
     c distinct sampled rows is its own nearest center, at distance 0, so the
-    one ``matrix_between`` call takes the (n - c) * c pairs of the unsampled
-    rows only, and the radius, the m-th smallest distance with the c sampled
-    rows at 0, is the (m - c)-th smallest of theirs. When c alone fills the
+    ``matrix_between`` calls, one per chunk of :func:`chunk_rows` unsampled
+    rows against one center block, take their (n - c) * c pairs only, and the
+    radius, the m-th smallest distance with the c sampled rows at 0, is the
+    (m - c)-th smallest of theirs. The round equals one call's bit for bit
+    as OpenBLAS reproduces the product under row splits at multiples of 768,
+    not under plain ones. A custom metric that raises leaves the pairs of the
+    chunks reached, its own included, counted. When c alone fills the
     beta-quantile the radius is 0 and there is no call, so a custom metric is
     neither called nor checked: the covered rows are the sampled ones.
     """
@@ -119,9 +123,12 @@ def _cover_arrays(
     nearest, radius = np.empty(n, dtype=np.intp), 0.0
     nearest[pos] = np.arange(c)
     if c < m:  # else the m nearest are centers at 0: the radius is 0
-        rest = (~mark).nonzero()[0]
-        nearest[rest], dmin = oracle.nearest(oracle.matrix_between(  # first minimum wins
-            matrix.take(rows.take(rest), 0), matrix.take(rows.take(pos), 0), squared=True))
+        rest, block = (~mark).nonzero()[0], matrix.take(rows.take(pos), 0)
+        step, dmin = chunk_rows(c), np.empty(rest.shape[0])
+        for lo in range(0, rest.shape[0], step):
+            part = rest[lo : lo + step]
+            nearest[part], dmin[lo : lo + step] = oracle.nearest(oracle.matrix_between(  # first minimum wins
+                matrix.take(rows.take(part), 0), block, squared=True))
         radius = float(np.partition(dmin, m - c - 1)[m - c - 1])
         mark[rest] = dmin <= radius
     covered = mark.nonzero()[0]

@@ -10,11 +10,11 @@ offset for its shape; which pairs are a point with itself, at distance 0, is
 the caller's to mark by position. Only the block kernel bumps the counter, by
 the pairs it touches: the aligned-pair kernel serves the 2*radius check of
 ``integrity_check``, and diagnostics count nothing. Callers that need only
-row minima (cover rounds, the live-set cost) take
-``matrix_between(..., squared=True)`` and reduce it with ``nearest`` or
-``row_min``, which take square roots of n row minima only. Only the oracle
-knows what such an entry means: ``_root`` maps it to a distance and
-``_entry`` back.
+row minima (cover rounds, the live-set cost) take ``matrix_between(...,
+squared=True)`` over chunks of :func:`chunk_rows` rows and reduce each with
+``nearest`` or ``row_min``, which take square roots of row minima only.
+Only the oracle knows what such an entry means: ``_root`` maps it to a
+distance and ``_entry`` back.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import numpy as np
 
 PointId = int
 _MARGIN = 1.0 + 2.0 ** -20  # the relative slop of DistanceOracle._entry
+_CHUNK_ENTRIES = 1 << 18    # entries of a chunk_rows block: 2 MB of float64
 
 
 class PowerOverflowError(ValueError):
@@ -210,10 +211,10 @@ class DistanceOracle:
         then, in place, ``maximum(out, 0)``, ``sqrt`` and a nonzero offset.
 
         Centering makes the rounding error scale with the squared distance
-        of the rows from ``mu``, not from the origin. One call over whole
-        blocks needs no row chunking: the operands add only
-        ``(n + c) * (d + 2)`` values to the output. They are new arrays, so
-        the result does not depend on whether ``a`` and ``b`` share memory.
+        of the rows from ``mu``, not from the origin. ``mu`` is ``b``'s alone, so
+        calls on row chunks of ``a`` (:func:`chunk_rows`) give the one call's
+        rows where the BLAS reproduces the row split. The operands are new arrays,
+        so the result does not depend on whether ``a`` and ``b`` share memory.
 
         Before the product, :class:`PowerOverflowError` is raised when
         ``2 * (max u2 + max v2)`` is not finite: every term of the product is
@@ -330,6 +331,11 @@ class DistanceOracle:
         if self.offset:
             d += self.offset
         return d
+
+
+def chunk_rows(c: int) -> int:
+    """Rows per chunk against ``c`` columns: the largest multiple of 768 within ``_CHUNK_ENTRIES``, or 768."""
+    return max(1, _CHUNK_ENTRIES // (768 * c)) * 768
 
 
 def _nearest_two(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

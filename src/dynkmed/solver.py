@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metric import DistanceOracle, Point, PointId, PointStore, PowerOverflowError, _nearest_two
+from .metric import DistanceOracle, Point, PointId, PointStore, PowerOverflowError, _nearest_two, chunk_rows
 
 # Relative-improvement cutoff of the local search: a swap must cut the cost
 # to at most (1 - LOCAL_SEARCH_DELTA/k) times its current value.
@@ -171,7 +171,9 @@ def cost_set(
         if not all(c in universe for c in center_ids):
             raise ValueError(f"center ids {[c for c in center_ids if c not in universe]} are not in the store")
         center_coords = universe.matrix[[universe.row(c) for c in center_ids]]
-    low = oracle.row_min(oracle.matrix_between(coords, center_coords, squared=True))
+    step = chunk_rows(center_coords.shape[0])
+    low = np.concatenate([oracle.row_min(oracle.matrix_between(
+        coords[lo : lo + step], center_coords, squared=True)) for lo in range(0, len(ids), step)])
     low[np.isin(ids, center_ids)] = 0.0
     with _power_overflow(p):
         return float(np.sum(low ** p))

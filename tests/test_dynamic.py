@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dynkmed import (
     preprocess,
     sliding_window_stream,
 )
+from dynkmed import metric
 from oracles import (
     assignment_of,
     clusters,
@@ -536,6 +539,58 @@ def test_failed_rebuild_leaves_the_state_unchanged():
     state.rebuild_from_layer(1)
     twin.rebuild_from_layer(1)
     assert (snapshot(state), state.assignment()) == (snapshot(twin), twin.assignment())
+
+
+def test_failed_rebuild_past_the_first_chunk_leaves_the_state_unchanged(monkeypatch):
+    # 768-row chunks; the metric returns NaN for every pair of one point that
+    # the first round of the rebuild leaves unsampled past 1536 other
+    # unsampled rows, so only its third chunk or a later one evaluates it
+    monkeypatch.setattr(metric, "_CHUNK_ENTRIES", 1)
+    n, phi, poisoned = 2000, 4, 1900
+    pts = gaussian_points(n, seed=9)
+    bad = {float(pts[poisoned].coords[0])}
+    armed = []
+
+    def l2(a, b):
+        if armed and (float(a[0]) in bad or float(b[0]) in bad):
+            return float("nan")
+        return float(np.linalg.norm(a - b))
+
+    state = preprocess(pts, DynamicParams(k=2, phi=phi, seed=9), DistanceOracle(0.01, base=l2))
+    before = (copy.deepcopy(state.layers), list(state.center), list(state.size),
+              state.store.slot.copy(), state.rng.bit_generator.state)
+    draws = np.random.default_rng(0)
+    draws.bit_generator.state = state.rng.bit_generator.state
+    sampled = np.unique(draws.integers(0, n, phi))  # the first round's sample, by id
+    assert poisoned not in sampled
+    c, at = sampled.shape[0], poisoned - np.count_nonzero(sampled < poisoned)
+    assert at // 768 >= 2
+    evals = state.oracle.evals
+    armed.append(True)
+    with pytest.raises(ValueError, match="custom metric returned nan"):
+        state.rebuild_from_layer(1)
+    # the pairs of the chunks reached are counted, the failing one's included
+    assert state.oracle.evals - evals == min((at // 768 + 1) * 768, n - c) * c
+    after = (state.layers, state.center, state.size, state.store.slot, state.rng.bit_generator.state)
+    assert all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(after, before))
+
+
+def test_a_layer_one_rebuild_traces_the_live_set_and_one_chunk():
+    # a cover round holds one chunk of its block at a time: about 60,000 5-d
+    # points at phi 200 would need a 95 MB block in one call
+    state = preprocess(gaussian_points(60_000, dim=5, seed=4), DynamicParams(k=5, phi=200, seed=4))
+    store = state.store
+    live = store.matrix.nbytes + store.row_ids.nbytes + store.slot.nbytes
+    chunk = 8 * 768 * 200  # at most phi distinct centers in a 768-row chunk
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state.rebuild_from_layer(1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert state.t >= 5 and peak <= 2 * live + 4 * chunk
 
 
 def test_update_whose_rebuild_fails_is_kept_and_the_next_update_rebuilds():

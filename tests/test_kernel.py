@@ -16,7 +16,9 @@ bit-identical to the reference, and so must each covered row's nearest
 center id, over a whole matrix and over a non-contiguous subset of the rows
 of a larger one. Its round evaluates only the unsampled rows, so it counts
 c * c pairs fewer than the reference for c sampled centers; no pinned round
-has a sample that fills the beta-quantile, which would evaluate nothing.
+has a sample that fills the beta-quantile, which would evaluate nothing. A
+round or a live-set cost forced into several 768-row chunks must return
+what one call gives, bit for bit.
 
 The rule that each sampled row is its own center is one plain line of the
 cover reference. At offset 0 a sampled twin's row can be as near its
@@ -52,6 +54,7 @@ from dynkmed import (
     query,
     synthetic_points,
 )
+from dynkmed import metric
 from dynkmed.dynamic import _quantile_index
 from dynkmed.metric import Point, _nearest_two
 from oracles import cover_positions, id_draws, pairwise
@@ -224,6 +227,57 @@ def test_cover_round_with_a_sampler_and_twin_centers_matches_the_reference():
         # keeps a cluster whose center is its own row
         assert ids[got[0]].tolist() == [0, 1, 30]
         assert got[1][got[0]].tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+@pytest.mark.parametrize("dim", [5, 8, 64])
+def test_a_chunked_round_equals_the_one_call_round(monkeypatch, dim, offset):
+    # 768-row chunks of the unsampled rows: three full ones and a ragged last
+    # one, over a whole matrix and over a non-contiguous subset of the rows
+    # of a larger one whose other rows are NaN
+    n = 2700
+    x = coordinates(n, dim, seed=dim)
+    store = np.full((2 * n + 3, dim), np.nan)
+    rows = np.sort(np.random.default_rng(dim).choice(store.shape[0], n, replace=False))
+    store[rows] = x
+    kernel, calls = DistanceOracle.matrix_between, []
+
+    def spy(self, a, b, squared=False):
+        calls.append(a.shape[0])
+        return kernel(self, a, b, squared)
+
+    monkeypatch.setattr(DistanceOracle, "matrix_between", spy)
+    for matrix, subset in ((x, None), (store, rows)):
+        rounds = []
+        for entries in (1 << 40, 1):  # one call, then the smallest chunks
+            monkeypatch.setattr(metric, "_CHUNK_ENTRIES", entries)
+            calls.clear()
+            oracle = DistanceOracle(offset)
+            pos, nearest, mask, radius = cover_positions(
+                matrix, DynamicParams(k=3, phi=40), np.random.default_rng(dim), oracle, subset)
+            c = pos.shape[0]
+            assert oracle.evals == (n - c) * c
+            rounds.append((pos, nearest, mask, np.bincount(nearest[mask]), repr(radius), list(calls)))
+        (*whole, one), (*chunked, parts) = rounds
+        assert one == [n - c]
+        assert len(parts) == 4 and parts[:3] == [768] * 3 and 0 < parts[3] < 768
+        for got, want in zip(chunked, whole):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+@pytest.mark.parametrize("dim", [5, 64])
+def test_a_chunked_live_set_cost_equals_the_one_call_cost(monkeypatch, dim, offset):
+    # 2,000 rows in 768-row chunks: two full ones and a ragged last one
+    pts = points_from_array(coordinates(2000, dim, seed=dim + 1))
+    centers = pts[5::40]
+    costs = []
+    for entries in (1 << 40, 1):
+        monkeypatch.setattr(metric, "_CHUNK_ENTRIES", entries)
+        oracle = DistanceOracle(offset)
+        costs.append([repr(cost_set(centers, pts, p, oracle)) for p in (1.0, 2.0)])
+        assert oracle.evals == 2 * 2000 * len(centers)
+    assert costs[0] == costs[1]
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
