@@ -133,7 +133,9 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
             try:
                 values = [float(v) for v in parts]
             except ValueError:
-                raise DatasetError(f"{path}: malformed row at line {lineno}") from None
+                values = []
+            if not values:  # a field that is not a number, or separators only
+                raise DatasetError(f"{path}: malformed row at line {lineno}")
             if not all(math.isfinite(v) for v in values):
                 raise DatasetError(f"{path}: non-finite value at line {lineno}")
             if dim is None:

@@ -34,6 +34,8 @@ from .solver import WeightedInstance, _check_int
 # Absolute slop for comparing integer counts against fractional thresholds.
 _EPS = 1e-9
 
+_STATS = ("rebuilds", "points", "rounds", "empty_rounds", "evals")  # per depth, as _rebuild adds them
+
 # One layer to append: working-set size, radius, its points' rows with each
 # one's cluster index in the layer, and the clusters' center rows and sizes.
 _Round = tuple[int, float, np.ndarray, np.ndarray, list, list]
@@ -155,6 +157,7 @@ class ClusteringState:
         self.center: list[int] = []
         self.size: list[int] = []
         self.layers: list[Layer] = [Layer(0)]  # empty: one terminal layer
+        self._stats: dict[int, list[int]] = {}  # per rebuild depth: the _STATS
 
     # -- basic views ---------------------------------------------------------
 
@@ -174,21 +177,25 @@ class ClusteringState:
 
     # -- construction --------------------------------------------------------
 
-    def _cover_rounds(self, rows: np.ndarray) -> list[_Round]:
+    def _cover_rounds(self, rows: np.ndarray) -> tuple[list[_Round], int]:
         """Peel cover rounds off the points (store rows in ascending id
         order) until at most ``phi`` remain; touches nothing but the
         sample stream.
 
         Returns one round per layer, the last being the remainder as
-        singletons. A round's clusters are in center id order.
+        singletons, and how many rounds evaluated nothing. A round's
+        clusters are in center id order.
         """
         rounds: list[_Round] = []
+        empty = 0
         while rows.shape[0] > self.params.phi:
+            evals = self.oracle.evals
             layer, rows = _cover_arrays(self.store.matrix, rows, self.params, self.rng, self.oracle)
             rounds.append(layer)
+            empty += self.oracle.evals == evals
         rest = rows.shape[0]
         rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist(), [1] * rest))
-        return rounds
+        return rounds, empty
 
     def _rebuild(self, index: int, rows: np.ndarray) -> None:
         """Replace layers index..t by the cover rounds of the given rows.
@@ -201,8 +208,9 @@ class ClusteringState:
         ids = self.store.row_ids.take(rows)
         order = ids.argsort(kind="stable")  # ids are distinct: the one ascending order
         stream = self.rng.bit_generator.state if rows.shape[0] > self.params.phi else None
+        evals = self.oracle.evals
         try:
-            rounds = self._cover_rounds(rows.take(order))
+            rounds, empty = self._cover_rounds(rows.take(order))
         except BaseException:
             if stream is not None:
                 self.rng.bit_generator.state = stream
@@ -215,6 +223,8 @@ class ClusteringState:
             self.store.slot[layer_rows] = np.add(group, start, out=group)
             self.center += centers
             self.size += sizes
+        added = (1, rows.shape[0], len(rounds) - 1, empty, self.oracle.evals - evals)
+        self._stats[index] = [a + b for a, b in zip(self._stats.get(index, (0,) * len(added)), added)]
 
     def rebuild_from_layer(self, index: int) -> None:
         """Discard layers index..t and rebuild them from the current U_index.
@@ -227,6 +237,13 @@ class ClusteringState:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
         start = self.layers[index - 1].start
         self._rebuild(index, (self.store.slot[: self.store.used] >= start).nonzero()[0])
+
+    def stats(self) -> dict[int, dict[str, int]]:
+        """Per depth i of ``rebuild_from_layer(i)`` (:func:`preprocess` is i = 1), a fresh
+        copy of the sums of ``rebuilds``, ``points`` (|U_i| at rebuild), cover ``rounds``,
+        ``empty_rounds`` (those that evaluated nothing) and ``evals``. A rebuild that
+        raises counts nothing; no clock is read."""
+        return {i: dict(zip(_STATS, counts)) for i, counts in sorted(self._stats.items())}
 
     # -- updates -------------------------------------------------------------
 

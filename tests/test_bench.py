@@ -75,10 +75,11 @@ def test_load_dataset_whitespace_and_full_read(tmp_path):
     assert pts[2].coords.tolist() == [4.0, 5.0, 6.0]
 
 
-def test_load_dataset_malformed_row_reports_line(tmp_path):
+@pytest.mark.parametrize("text, line", [("1,2\n3,oops\n", "line 2"), (",\n, ,\n", "line 1")])
+def test_load_dataset_malformed_row_reports_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
-    path.write_text("1,2\n3,oops\n")
-    with pytest.raises(DatasetError, match="line 2"):
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=line):
         load_dataset(path)
 
 

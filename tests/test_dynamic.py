@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dynkmed import (
     preprocess,
     sliding_window_stream,
 )
-from dynkmed import metric
+from dynkmed import dynamic, metric
 from oracles import (
     assignment_of,
     clusters,
@@ -525,13 +526,13 @@ def test_failed_rebuild_leaves_the_state_unchanged():
     state = preprocess(pts, params, DistanceOracle(0.01, base=metric))
     twin = preprocess(pts, params, DistanceOracle(0.01, base=FlakyEuclidean()))
     assert state.t >= 3
-    before = (snapshot(state), state.assignment())
+    before = (snapshot(state), state.assignment(), state.stats())
     # the first round of a rebuild from layer 1 makes 90 * |sample| calls,
     # so the metric fails in a later round
     metric.budget = 90 * 4 + 10
     with pytest.raises(RuntimeError):
         state.rebuild_from_layer(1)
-    assert (snapshot(state), state.assignment()) == before
+    assert (snapshot(state), state.assignment(), state.stats()) == before
     metric.budget = None
     assert state.integrity_check() == []
     # the sample stream is restored too: a retry rebuilds what a state that
@@ -558,7 +559,7 @@ def test_failed_rebuild_past_the_first_chunk_leaves_the_state_unchanged(monkeypa
 
     state = preprocess(pts, DynamicParams(k=2, phi=phi, seed=9), DistanceOracle(0.01, base=l2))
     before = (copy.deepcopy(state.layers), list(state.center), list(state.size),
-              state.store.slot.copy(), state.rng.bit_generator.state)
+              state.store.slot.copy(), state.rng.bit_generator.state, state.stats())
     draws = np.random.default_rng(0)
     draws.bit_generator.state = state.rng.bit_generator.state
     sampled = np.unique(draws.integers(0, n, phi))  # the first round's sample, by id
@@ -571,7 +572,8 @@ def test_failed_rebuild_past_the_first_chunk_leaves_the_state_unchanged(monkeypa
         state.rebuild_from_layer(1)
     # the pairs of the chunks reached are counted, the failing one's included
     assert state.oracle.evals - evals == min((at // 768 + 1) * 768, n - c) * c
-    after = (state.layers, state.center, state.size, state.store.slot, state.rng.bit_generator.state)
+    after = (state.layers, state.center, state.size, state.store.slot, state.rng.bit_generator.state,
+             state.stats())
     assert all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
                for x, y in zip(after, before))
 
@@ -662,6 +664,46 @@ def test_integrity_check_counts_no_evaluations_over_a_slide(base):
         evals = checked.oracle.evals
         assert checked.integrity_check() == []
         assert checked.oracle.evals == evals == plain.oracle.evals
+
+
+def test_stats_add_up_to_what_the_rebuilds_and_their_cover_rounds_did(monkeypatch):
+    # spies on rebuild_from_layer and on each cover round tally, per depth,
+    # what the counters must hold; the oracle's count is what they must sum to
+    pts = gaussian_points(600, seed=21)
+    params = DynamicParams(k=3, phi=10, seed=21)
+    state, twin = (preprocess(pts[:200], params, DistanceOracle(0.01)) for _ in range(2))
+    (bulk,) = state.stats().values()  # preprocess is one depth-1 rebuild
+    assert list(state.stats()) == [1] and state.stats() == twin.stats()
+    assert (bulk["rebuilds"], bulk["points"], bulk["rounds"], bulk["evals"]) == (1, 200, state.t - 1,
+                                                                                 state.oracle.evals)
+    before, evals, seen, depth = state.stats(), state.oracle.evals, defaultdict(Counter), []
+    rebuild_from_layer, cover_arrays = ClusteringState.rebuild_from_layer, dynamic._cover_arrays
+
+    def spy_rebuild(self, index):
+        depth.append(index)
+        rebuild_from_layer(self, index)
+        seen[depth.pop()].update(rebuilds=1, points=self.layers[index - 1].base_size)
+
+    def spy_round(matrix, rows, params, rng, oracle):
+        start = oracle.evals
+        result = cover_arrays(matrix, rows, params, rng, oracle)
+        seen[depth[-1]].update(rounds=1, empty_rounds=int(oracle.evals == start))
+        return result
+
+    for i in range(200, 600):  # a slide with no queries, the twin's unwatched
+        twin.insert(pts[i])
+        twin.delete(pts[i - 200].id)
+    monkeypatch.setattr(ClusteringState, "rebuild_from_layer", spy_rebuild)
+    monkeypatch.setattr(dynamic, "_cover_arrays", spy_round)
+    for i in range(200, 600):
+        state.insert(pts[i])
+        state.delete(pts[i - 200].id)
+    stats = state.stats()
+    assert stats == twin.stats() and len(seen) > 2
+    added = {i: {f: n - before.get(i, Counter())[f] for f, n in c.items()} for i, c in stats.items()}
+    assert sum(c["evals"] for c in added.values()) == state.oracle.evals - evals > 0
+    for i, c in added.items():
+        assert Counter({f: c[f] for f in ("rebuilds", "points", "rounds", "empty_rounds")}) == seen[i], i
 
 
 @pytest.mark.parametrize("pid", ["a", 2**70, -(2**63) - 1, 1.5, True, None])

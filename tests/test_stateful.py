@@ -151,13 +151,13 @@ class CustomMetricStateMachine(DynamicStateMachine):
         i = deep[layer % len(deep)]
         covered = sorted(members(self.state, i))
         self.metric.poison = self.state.store.get(covered[index % len(covered)]).coords
-        before = self.table()
+        before = self.table(), self.state.stats()
         try:
             with pytest.raises(RuntimeError, match="poisoned coordinate"):
                 self.state.rebuild_from_layer(i)
         finally:
             self.metric.poison = None
-        assert self.table() == before
+        assert (self.table(), self.state.stats()) == before
 
 
 CustomMetricStateMachine.TestCase.settings = settings(

@@ -413,7 +413,7 @@ def assert_same_rounds(new: ClusteringState, old: ReferenceState, rows: np.ndarr
     sample stream and evaluation count after them."""
     ids = new.store.row_ids[rows]
     order = np.argsort(ids)
-    got = new._cover_rounds(rows[order])
+    got, _ = new._cover_rounds(rows[order])
     want = old._cover_rounds(rows[order], ids[order])
     assert len(got) == len(want) > 1
     for g, w in zip(got, want):

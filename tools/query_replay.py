@@ -21,6 +21,10 @@ CPU time of any repetition, and the ratio of change to parent.
 Exits 1 when an instance's centers or ``repr(cost)`` differ between the
 sides or between repetitions of one side, so ``query_replay.py . .`` is a
 determinism check, and when a replay process fails.
+
+Its resolution is a few percent: replaying one checkout against itself on a
+shared 2-vCPU machine gave ratios of 0.94 to 1.03 over 9 and 21 repetitions.
+A cut of about 1% is priced by counting calls instead.
 """
 from __future__ import annotations
 
