@@ -177,44 +177,34 @@ class ClusteringState:
 
     # -- construction --------------------------------------------------------
 
-    def _cover_rounds(self, rows: np.ndarray) -> tuple[list[_Round], int]:
-        """Peel cover rounds off the points (store rows in ascending id
-        order) until at most ``phi`` remain; touches nothing but the
-        sample stream.
-
-        Returns one round per layer, the last being the remainder as
-        singletons, and how many rounds evaluated nothing. A round's
-        clusters are in center id order.
-        """
-        rounds: list[_Round] = []
-        empty = 0
-        while rows.shape[0] > self.params.phi:
-            evals = self.oracle.evals
-            layer, rows = _cover_arrays(self.store.matrix, rows, self.params, self.rng, self.oracle)
-            rounds.append(layer)
-            empty += self.oracle.evals == evals
-        rest = rows.shape[0]
-        rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist(), [1] * rest))
-        return rounds, empty
-
     def _rebuild(self, index: int, rows: np.ndarray) -> None:
-        """Replace layers index..t by the cover rounds of the given rows.
+        """Replace layers index..t by cover rounds peeled off the given rows
+        until at most ``phi`` remain, then the remainder as a layer of
+        singletons. A round's clusters are in center id order.
 
-        Atomic: every round runs before any layer changes, so if one raises
-        (say, a custom metric fails) the layers, the table, the slots and
-        the sample stream, saved only when a round will draw from it, are
-        left as they were.
+        Atomic: nothing but the sample stream changes before the layers are
+        installed, and the stream, saved only when a round will draw from
+        it, is restored if a round raises (say, a custom metric fails), so
+        the layers, the table, the slots and the stream are left as they were.
         """
         ids = self.store.row_ids.take(rows)
-        order = ids.argsort(kind="stable")  # ids are distinct: the one ascending order
-        stream = self.rng.bit_generator.state if rows.shape[0] > self.params.phi else None
-        evals = self.oracle.evals
+        rows = rows.take(ids.argsort(kind="stable"))  # ids are distinct: the one ascending order
+        n, phi, evals = rows.shape[0], self.params.phi, self.oracle.evals
+        stream = self.rng.bit_generator.state if n > phi else None
+        rounds: list[_Round] = []
+        empty = 0
         try:
-            rounds, empty = self._cover_rounds(rows.take(order))
+            while rows.shape[0] > phi:
+                before = self.oracle.evals
+                layer, rows = _cover_arrays(self.store.matrix, rows, self.params, self.rng, self.oracle)
+                rounds.append(layer)
+                empty += self.oracle.evals == before
         except BaseException:
             if stream is not None:
                 self.rng.bit_generator.state = stream
             raise
+        rest = rows.shape[0]
+        rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist(), [1] * rest))
         start, slack = self.layers[index - 1].start, self.params.slack
         del self.layers[index - 1 :], self.center[start:], self.size[start:]
         for base_size, radius, layer_rows, group, centers, sizes in rounds:
@@ -223,7 +213,7 @@ class ClusteringState:
             self.store.slot[layer_rows] = np.add(group, start, out=group)
             self.center += centers
             self.size += sizes
-        added = (1, rows.shape[0], len(rounds) - 1, empty, self.oracle.evals - evals)
+        added = (1, n, len(rounds) - 1, empty, self.oracle.evals - evals)
         self._stats[index] = [a + b for a, b in zip(self._stats.get(index, (0,) * len(added)), added)]
 
     def rebuild_from_layer(self, index: int) -> None:

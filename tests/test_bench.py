@@ -4,12 +4,14 @@ import dataclasses
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dynkmed import (
+    ClusteringState,
     ConfigError,
     DatasetError,
     DistanceOracle,
@@ -21,6 +23,8 @@ from dynkmed import (
     WeightedInstance,
     emit_metrics,
     load_dataset,
+    points_from_array,
+    query,
     run_experiment,
     sliding_window_stream,
     synthetic_points,
@@ -719,6 +723,49 @@ def test_cli_coordinates_that_overflow_the_kernel_are_one_line_and_exit_4(tmp_pa
     far = np.array([[1e300, 0.0], [0.0, 0.0]])
     with pytest.raises(PowerOverflowError, match="^coordinates overflow float64 in the Euclidean kernel$"):
         DistanceOracle().elementwise(far, far[::-1])
+
+
+def test_cli_exits_3_printing_the_first_20_violations_and_counting_them_all(tmp_path, capsys, monkeypatch):
+    checks = []
+
+    def planted(self):
+        checks.append(self)
+        return ["planted"]
+
+    monkeypatch.setattr(ClusteringState, "integrity_check", planted)
+    code = cli_main(["--synthetic", "g:3:2:100", "--window", "30", "--k", "3", "--phi", "8",
+                     "--queries", "25", "--check-every", "50", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 20
+    assert all(re.fullmatch(r"invariant violation: (query point|update) \d+: planted", line) for line in lines)
+    assert json.loads(out.strip().splitlines()[-1])["violations"] == len(checks) > 25
+
+
+def test_cli_baseline_none_writes_no_baseline_rows(tmp_path, capsys):
+    argv = ["--synthetic", "g:3:2:100", "--window", "30", "--k", "3", "--phi", "8",
+            "--queries", "5", "--baseline", "none", "--out", str(tmp_path / "m.csv")]
+    assert build_parser().parse_args(argv).baseline_every is None
+    assert cli_main(argv) == 0
+    with open(tmp_path / "m.csv", newline="") as f:
+        ops = Counter(row["op"] for row in csv.DictReader(f))
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert ops["query"] == printed["queries"] > 0 and ops["baseline"] == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: query(ClusteringState(DynamicParams(k=1, phi=1)), 1, 1.0),
+                 "state is empty", id="query-empty-state"),
+    pytest.param(lambda: sliding_window_stream(5, 0), "window must be at least 1", id="window-0"),
+    pytest.param(lambda: points_from_array(np.zeros(3)), "expected a 2-D array of row vectors",
+                 id="1-d-array"),
+    pytest.param(lambda: DistanceOracle().matrix_between(np.zeros((2, 3)), np.zeros((2, 4))),
+                 "coordinate blocks must be 2-D with equal dimension", id="unequal-dimensions"),
+])
+def test_inputs_the_cli_never_passes_are_rejected_by_the_api(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 if __name__ == "__main__":

@@ -369,6 +369,18 @@ def test_integrity_check_flags_point_map_corruption():
     assert any("do not add up to the live point count" in line for line in report)
 
 
+def test_integrity_check_flags_the_layer_count_and_shrink_bounds():
+    state = preprocess(gaussian_points(8), DynamicParams(k=1, phi=10))
+    assert state.t == 1 and not state.integrity_check()
+    state.layers.append(dynamic.Layer(len(state.center)))  # an empty extra layer
+    assert state.integrity_check() == ["layer count 2 exceeds bound 1 for n=8"]
+
+    state = big_state(seed=55)
+    state.layers[1].start = state.layers[0].start  # layer 2 now holds all of U_1
+    bound = state.params.shrink_factor * 300
+    assert f"layer 2: size 300 exceeds shrink bound {bound:.3f} from layer 1" in state.integrity_check()
+
+
 def test_update_locality_no_rebuild_means_no_distance_work():
     state = big_state(seed=66)
     evals = state.oracle.evals

@@ -28,15 +28,17 @@ the oracle's methods to the references.
 The package must return the same bits: sample positions, nearest columns,
 distances, covered masks, radii, rounds and the state of the sample stream,
 and a slide driven by the references must match a slide driven by the
-package after every update. The package's round gathers its rows from the
-store and returns the nearest center of the rows it covers only, so nearest
-columns are compared on the covered rows, and the other rows by being left
-over; its inputs include a non-contiguous subset of a larger matrix's rows,
-and its rounds a slid state's U_2, whose rows are out of id order, with
-every other row of the store NaN. The package's evaluation count
-must be the reference's exactly, less the c * c pairs between a round's c
-sampled centers and, in a round that evaluates nothing, its other
-(n - c) * c pairs too.
+package after every update. The package peels its rounds inside
+``_rebuild``, so rounds are compared through ``_rebuild`` on both sides, by
+the layers, table and slots each installs. The package's round gathers its
+rows from the store and returns the nearest center of the rows it covers
+only, so nearest columns are compared on the covered rows, and the other
+rows by being left over; its inputs include a non-contiguous subset of a
+larger matrix's rows, and its rounds a slid state's U_2, whose rows are out
+of id order, with every other row of the store NaN. The package's
+evaluation count must be the reference's exactly, less the c * c pairs
+between a round's c sampled centers and, in a round that evaluates nothing,
+its other (n - c) * c pairs too.
 """
 from __future__ import annotations
 
@@ -408,18 +410,18 @@ def test_kernel_and_reductions_match_their_references(case, offset, base, draws)
             assert_same_bits(block, before)
 
 
-def assert_same_rounds(new: ClusteringState, old: ReferenceState, rows: np.ndarray) -> None:
-    """The rounds of the given store rows, in ascending id order, and the
-    sample stream and evaluation count after them."""
-    ids = new.store.row_ids[rows]
-    order = np.argsort(ids)
-    got, _ = new._cover_rounds(rows[order])
-    want = old._cover_rounds(rows[order], ids[order])
-    assert len(got) == len(want) > 1
-    for g, w in zip(got, want):
-        assert g[:2] == w[:2]
-        for gi, wi in zip(g[2:], w[2:]):
-            assert np.array_equal(gi, wi)
+def assert_same_rounds(new: ClusteringState, old: ReferenceState, index: int, rows: np.ndarray) -> None:
+    """Both states' ``_rebuild`` of layers index..t from the given store rows
+    peels more than one round and installs the same layers, table and slots,
+    leaving the same sample stream and evaluation count."""
+    for state in (new, old):
+        state._rebuild(index, rows)
+    assert new.t == old.t > index
+    for g, w in zip(new.layers[index - 1 :], old.layers[index - 1 :]):
+        assert (g.start, g.radius, g.base_size) == (w.start, w.radius, w.base_size)
+    start = new.layers[index - 1].start
+    assert (new.center[start:], new.size[start:]) == (old.center[start:], old.size[start:])
+    assert np.array_equal(new.store.slot[rows], old.store.slot[rows])
     assert new.rng.bit_generator.state == old.rng.bit_generator.state
     assert new.oracle.evals == old.oracle.package_evals
 
@@ -431,7 +433,7 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
     params = DynamicParams(k=3, phi=12, seed=stream(draws, 9))
     new = preprocess(pts[:n], params, DistanceOracle(offset, base))
     old = reference_preprocess(pts[:n], params, RoundReference(offset, base, params.beta))
-    assert_same_rounds(new, old, np.flatnonzero(new.store.slot >= 0))
+    assert_same_rounds(new, old, 1, np.flatnonzero(new.store.slot >= 0))
     # a slide: the points inserted reuse the rows of the deleted ones, out of id order
     for step in range(n // 4):
         for state in (new, old):
@@ -443,7 +445,7 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
         outside = np.ones(state.store.matrix.shape[0], dtype=bool)
         outside[rows] = False
         state.store.matrix[outside] = np.nan
-    assert_same_rounds(new, old, rows)
+    assert_same_rounds(new, old, 2, rows)
 
 
 def assert_same_state(new: ClusteringState, old: ClusteringState) -> None:

@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
 import run  # noqa: E402  (benchmark/run.py: puts src/ on the path, pins one BLAS thread)
 import numpy as np  # noqa: E402
 
-FIELDS = ("rebuilds", "points", "rounds", "empty_rounds", "evals")
+FIELDS = run.dk.dynamic._STATS
 NONE = dict.fromkeys(FIELDS, 0)
 
 
