@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 config error, 2 ingestion error, 3 invariant
 violation detected during the run, 4 coordinates in the Euclidean kernel or
-distances to the power p overflow float64.
+distances to the power p overflow float64, 5 an allocation failed.
 """
 from __future__ import annotations
 
@@ -115,6 +115,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PowerOverflowError as exc:  # coordinates or p too large for float64
         print(f"overflow error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # say, a query Gram of m * m floats
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 5
 
     totals = result.summary["per_op"]
     print(

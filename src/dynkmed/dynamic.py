@@ -108,7 +108,7 @@ def _cover_arrays(
     smallest id), and the rows left over, in ascending id order. Each of the
     c distinct sampled rows is its own nearest center, at distance 0, so the
     ``matrix_between`` calls, one per chunk of :func:`chunk_rows` unsampled
-    rows against one center block, take their (n - c) * c pairs only, and the
+    rows against one prepared center block, take their (n - c) * c pairs only, and the
     radius, the m-th smallest distance with the c sampled rows at 0, is the
     (m - c)-th smallest of theirs. The round equals one call's bit for bit
     as OpenBLAS reproduces the product under row splits at multiples of 768,
@@ -125,7 +125,7 @@ def _cover_arrays(
     nearest, radius = np.empty(n, dtype=np.intp), 0.0
     nearest[pos] = np.arange(c)
     if c < m:  # else the m nearest are centers at 0: the radius is 0
-        rest, block = (~mark).nonzero()[0], matrix.take(rows.take(pos), 0)
+        rest, block = (~mark).nonzero()[0], oracle.prepare(matrix.take(rows.take(pos), 0))
         step, dmin = chunk_rows(c), np.empty(rest.shape[0])
         for lo in range(0, rest.shape[0], step):
             part = rest[lo : lo + step]

@@ -11,8 +11,8 @@ the caller's to mark by position. Only the block kernel bumps the counter, by
 the pairs it touches: the aligned-pair kernel serves the 2*radius check of
 ``integrity_check``, and diagnostics count nothing. Callers that need only
 row minima (cover rounds, the live-set cost) take ``matrix_between(...,
-squared=True)`` over chunks of :func:`chunk_rows` rows and reduce each with
-``nearest`` or ``row_min``, which take square roots of row minima only.
+squared=True)`` over chunks of :func:`chunk_rows` rows against a block made
+once by ``prepare``, and reduce each with ``nearest`` or ``row_min``.
 Only the oracle knows what such an entry means: ``_root`` maps it to a
 distance and ``_entry`` back.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -173,6 +173,14 @@ class PointStore:
         return rows[self.row_ids[rows].argsort(kind="stable")]  # ids are distinct
 
 
+class Prepared(NamedTuple):
+    """Block ``b`` made by ``DistanceOracle.prepare``; ``_replace(rows=rows[lo:])`` keeps its ``mu``."""
+
+    rows: np.ndarray                  # Euclidean: [-2v, v2, 1]; custom: the coordinates
+    mu: Optional[np.ndarray] = None
+    top: float = 0.0                  # the largest v2
+
+
 class DistanceOracle:
     """Distance evaluation with an additive offset and an evaluation counter.
 
@@ -198,9 +206,27 @@ class DistanceOracle:
         self.base = base
         self.evals = 0
 
-    def matrix_between(self, a: np.ndarray, b: np.ndarray, squared: bool = False) -> np.ndarray:
-        """Full distance matrix between two coordinate blocks; counts
-        ``len(a) * len(b)`` evaluations.
+    def prepare(self, b: np.ndarray) -> Prepared:
+        """Coordinate block ``b`` made once into what :meth:`matrix_between` reads of it."""
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim != 2:
+            raise ValueError("coordinate blocks must be 2-D with equal dimension")
+        if self.base is not None:
+            return Prepared(b)
+        rows = np.empty((b.shape[0], b.shape[1] + 2))
+        v = rows[:, :-2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = np.add.reduce(b, 0) / b.shape[0]
+            v2 = np.einsum("ij,ij->i", np.subtract(b, mu, out=v), v)
+            v *= -2.0  # overflows only where v2 does, which matrix_between refuses
+        rows[:, -2], rows[:, -1] = v2, 1.0
+        return Prepared(rows, mu, np.maximum.reduce(v2, initial=0.0))
+
+    def matrix_between(self, a: np.ndarray, b: np.ndarray | Prepared, squared: bool = False,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Full distance matrix between coordinate block ``a`` and ``b``, given as
+        coordinates or made by :meth:`prepare`; counts ``len(a) * len(b)``
+        evaluations and returns that block, into ``out`` when given.
 
         Euclidean entries come from one matrix product on blocks centered on
         ``mu = np.add.reduce(b, 0) / c``. With ``u = a - mu``, ``v = b - mu`` and
@@ -229,35 +255,31 @@ class DistanceOracle:
         product and custom ones are distances.
         """
         a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        b = b if isinstance(b, Prepared) else self.prepare(b)
+        d = b.rows.shape[1] - (0 if b.mu is None else 2)
+        if a.ndim != 2 or a.shape[1] != d:
             raise ValueError("coordinate blocks must be 2-D with equal dimension")
-        n, c = a.shape[0], b.shape[0]
+        n, c = a.shape[0], b.rows.shape[0]
         self.evals += n * c
-        out = np.empty((n, c), dtype=np.float64)
+        out = np.empty((n, c), dtype=np.float64) if out is None else out
         if self.base is not None:
             for i in range(n):
                 for j in range(c):
-                    out[i, j] = self.base(a[i], b[j])
-            _check_custom(out, a, b)
+                    out[i, j] = self.base(a[i], b.rows[j])
+            _check_custom(out, a, b.rows)
             if self.offset:
                 out += self.offset
         elif n and c:
-            d = a.shape[1]
-            both = np.empty((n + c, d + 2))  # the rows of left, then those of right
-            uv = both[:, :d]
+            left = np.empty((n, d + 2))  # the rows [u, 1, u2]
+            u = left[:, :d]
             with np.errstate(over="ignore", invalid="ignore"):
-                mu = np.add.reduce(b, 0) / c
-                np.subtract(a, mu, out=uv[:n])
-                np.subtract(b, mu, out=uv[n:])
-                sq = np.einsum("ij,ij->i", uv, uv)
-                if not math.isfinite(2.0 * (np.maximum.reduce(sq[:n]) + np.maximum.reduce(sq[n:]))):
+                np.subtract(a, b.mu, out=u)
+                u2 = np.einsum("ij,ij->i", u, u)
+                if not math.isfinite(2.0 * (np.maximum.reduce(u2) + b.top)):
                     raise PowerOverflowError("coordinates overflow float64 in the Euclidean kernel: "
                                              "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite")
-            uv[n:] *= -2.0
-            both[:n, d], both[:n, d + 1] = 1.0, sq[:n]
-            both[n:, d], both[n:, d + 1] = sq[n:], 1.0
-            np.matmul(both[:n], both[n:].T, out=out)
+            left[:, d], left[:, d + 1] = 1.0, u2
+            np.matmul(left, b.rows.T, out=out)
             if not squared:
                 self._root(out, out=out)
         return out

@@ -154,7 +154,7 @@ def cost_set(
     _check_power(p)
     if isinstance(universe, PointStore):
         rows = universe.rows_by_id()
-        ids, coords = universe.row_ids[rows], universe.matrix[rows]
+        ids, coords = universe.row_ids.take(rows), universe.matrix.take(rows, 0)
     else:
         ids, coords = _id_rows(universe)
     if len(ids) == 0:
@@ -170,19 +170,20 @@ def cost_set(
             raise ValueError("centers given as ids need a PointStore universe, not a point sequence")
         if not all(c in universe for c in center_ids):
             raise ValueError(f"center ids {[c for c in center_ids if c not in universe]} are not in the store")
-        center_coords = universe.matrix[[universe.row(c) for c in center_ids]]
-    step = chunk_rows(center_coords.shape[0])
+        center_coords = universe.matrix.take([universe.row(c) for c in center_ids], 0)
+    step, block = chunk_rows(center_coords.shape[0]), oracle.prepare(center_coords)
     low = np.concatenate([oracle.row_min(oracle.matrix_between(
-        coords[lo : lo + step], center_coords, squared=True)) for lo in range(0, len(ids), step)])
-    low[np.isin(ids, center_ids)] = 0.0
+        coords[lo : lo + step], block, squared=True)) for lo in range(0, len(ids), step)])
+    first, last = ids.searchsorted(center_ids).tolist(), ids.searchsorted(center_ids, "right").tolist()
+    low[[i for lo, hi in zip(first, last) for i in range(lo, hi)]] = 0.0
     with _power_overflow(p):
         return float(np.sum(low ** p))
 
 
-def _id_rows(points: Iterable[Point]) -> tuple[list[PointId], np.ndarray]:
+def _id_rows(points: Iterable[Point]) -> tuple[np.ndarray, np.ndarray]:
     """Ids and coordinate rows of points, in id order."""
     ordered = sorted(points, key=lambda q: q.id)
-    return [q.id for q in ordered], np.array([q.coords for q in ordered])
+    return np.array([q.id for q in ordered], dtype=np.int64), np.array([q.coords for q in ordered])
 
 
 # -- weighted solver ---------------------------------------------------------
@@ -228,6 +229,7 @@ _BLOCK_MAX = 256
 # most this share of the entries of every _SAMPLE_STEP-th column is below it.
 _LIST_DENSITY = 0.15
 _SAMPLE_STEP = 16
+_PANEL = 192  # rows per panel of the instance Gram, 8 x 24: the fastest of 48, 96, 192 and 384
 
 
 def _near_list(gram_t: np.ndarray, theta: float, finish: _Finish) -> tuple:
@@ -477,6 +479,19 @@ def _local_search(
     return cost
 
 
+def _instance_gram(coords: np.ndarray, oracle: DistanceOracle) -> np.ndarray:
+    """The ``squared=True`` product of the instance with itself in ``_PANEL``-row panels, each
+    against the prepared rows from its first row on and mirrored below it: about
+    m * (m + _PANEL) / 2 evaluations, and the whole product's one call when m <= _PANEL."""
+    m = coords.shape[0]
+    gram, prepared = np.empty((m, m)), oracle.prepare(coords)
+    for lo in range(0, m, _PANEL):
+        hi, rest = lo + _PANEL, prepared._replace(rows=prepared.rows[lo:])
+        oracle.matrix_between(coords[lo:hi], rest, squared=True, out=gram[lo:hi, lo:])
+        gram[hi:, lo:hi] = gram[lo:hi, hi:].T
+    return gram
+
+
 def weighted_solve(
     instance: WeightedInstance,
     k: int,
@@ -501,7 +516,7 @@ def weighted_solve(
     if len(ids) <= k:
         return Solution(frozenset(ids), 0.0)
     weights = instance.weights.astype(np.float64)
-    product = oracle.matrix_between(instance.coords, instance.coords, squared=True)
+    product = _instance_gram(instance.coords, oracle)
     np.fill_diagonal(product, -np.inf)
     finish = _Finish(oracle, p)
     chosen, near = _seed_indices(product.T, weights, k, np.random.default_rng(seed), finish)

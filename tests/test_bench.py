@@ -30,7 +30,7 @@ from dynkmed import (
     synthetic_points,
     weighted_solve,
 )
-from dynkmed import bench, cli
+from dynkmed import bench, cli, solver
 from dynkmed.bench import CSV_HEADER
 from dynkmed.cli import build_parser, main as cli_main
 
@@ -708,6 +708,21 @@ def test_cli_an_overflow_of_d_to_the_p_is_one_line_and_exits_4(tmp_path, capsys,
         cli_main(argv)
 
 
+def test_cli_a_failed_allocation_is_one_line_and_exits_5(tmp_path, capsys, monkeypatch):
+    # the query's m x m Gram stands in for any allocation numpy refuses
+    def refuse(coords, oracle):
+        m = coords.shape[0]
+        raise MemoryError(f"Unable to allocate {8 * m * m} bytes for an array with shape ({m}, {m})")
+
+    monkeypatch.setattr(solver, "_instance_gram", refuse)
+    code = cli_main(["--synthetic", "g:3:2:300", "--window", "50", "--k", "3", "--phi", "10",
+                     "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("memory error: Unable to allocate ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_coordinates_that_overflow_the_kernel_are_one_line_and_exit_4(tmp_path, capsys):
     # the row (1e300, 0) reaches the Euclidean kernel once a rebuild covers it
     rows = [f"{i % 17} {i // 17}" for i in range(300)]
@@ -774,3 +789,4 @@ if __name__ == "__main__":
     for name, overrides in CONTRACTS:
         if name in sys.argv[1:] or len(sys.argv) == 1:
             rerecord_contract(name, overrides)
+

@@ -18,7 +18,8 @@ of a larger one. Its round evaluates only the unsampled rows, so it counts
 c * c pairs fewer than the reference for c sampled centers; no pinned round
 has a sample that fills the beta-quantile, which would evaluate nothing. A
 round or a live-set cost forced into several 768-row chunks must return
-what one call gives, bit for bit.
+what one call gives, bit for bit, and so must 768-row chunks applied to a
+center block prepared once.
 
 The rule that each sampled row is its own center is one plain line of the
 cover reference. At offset 0 a sampled twin's row can be as near its
@@ -263,6 +264,28 @@ def test_a_chunked_round_equals_the_one_call_round(monkeypatch, dim, offset):
         assert len(parts) == 4 and parts[:3] == [768] * 3 and 0 < parts[3] < 768
         for got, want in zip(chunked, whole):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+@pytest.mark.parametrize("dim", [5, 8, 64])
+def test_a_prepared_block_applied_to_chunks_equals_one_unprepared_call(dim, offset):
+    # 768-row chunks of 2,700 rows, three full ones and a ragged last one,
+    # against one prepared 60-row block: each returns the block it counted,
+    # fresh or written into out, and together they give the one call's bits
+    x = coordinates(2700, dim, seed=dim + 2)
+    b = x[::45]
+    for squared in (False, True):
+        want = DistanceOracle(offset).matrix_between(x, b, squared=squared)
+        oracle = DistanceOracle(offset)
+        block, into = oracle.prepare(b), np.empty_like(want)
+        fresh = []
+        for lo in range(0, x.shape[0], 768):
+            fresh.append(oracle.matrix_between(x[lo : lo + 768], block, squared=squared))
+            out = into[lo : lo + 768]
+            assert oracle.matrix_between(x[lo : lo + 768], block, squared=squared, out=out) is out
+        assert_same_bits(np.concatenate(fresh), want)
+        assert_same_bits(into, want)
+        assert oracle.evals == 2 * x.shape[0] * b.shape[0]
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])

@@ -131,6 +131,21 @@ def _l1_oracle(offset: float) -> DistanceOracle:
     return DistanceOracle(offset, base=lambda a, b: float(np.abs(a - b).sum()))
 
 
+def test_a_per_pair_metric_is_called_once_per_counted_evaluation():
+    # 500 points make three Gram panels; the search reads only their product
+    inst, _ = _instance(7, 500, 0.05)
+    calls = []
+    l1 = _l1_oracle(0.05).base
+
+    def counted(a, b):
+        calls.append(None)
+        return l1(a, b)
+
+    oracle = DistanceOracle(0.05, base=counted)
+    weighted_solve(inst, 5, 1.0, 3, oracle)
+    assert len(calls) == oracle.evals == 192 * 500 + 192 * 308 + 116 * 116
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 5, 20])
 @pytest.mark.parametrize("offset", [0.0, 0.05])

@@ -1,6 +1,7 @@
 """``tools/query_replay.py`` on a workload small enough for a unit test: this
-checkout against itself exits 0, and a replay whose centers or cost differ
-between the sides or between repetitions makes it exit 1."""
+checkout against itself exits 0 and prints each side's distance evaluations,
+and a replay whose centers or cost differ between the sides or between
+repetitions makes it exit 1."""
 from __future__ import annotations
 
 import importlib.util
@@ -16,17 +17,26 @@ query_replay = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(query_replay)
 sys.path.insert(0, str(ROOT / "benchmark"))
 import run  # noqa: E402  (benchmark/run.py, whose workload table the capture reads)
+from dynkmed.solver import _PANEL  # noqa: E402
 
 TINY = run.Workload("tiny", components=3, dim=4, count=500, window=300, k=3, phi=20, p=1.0,
                     steps=150, queries=3, pass_s=1.0)
 
 
-def test_the_checkout_replayed_against_itself_exits_0(monkeypatch, capsys):
+def test_the_checkout_replayed_against_itself_exits_0(monkeypatch, capsys, tmp_path):
     monkeypatch.setitem(run.WORKLOADS, TINY.name, TINY)
     assert query_replay.main([str(ROOT), str(ROOT), TINY.name, "--reps", "1"]) == 0
     out = capsys.readouterr().out
     assert "tiny seed 2024: 3 query instances of pass 0, 1 repetition(s)" in out
     assert "centers and costs identical on both sides and in every repetition" in out
+    # a solve evaluates only its Gram's panels, each against the rows from its own on
+    assert query_replay.capture(TINY.name, 2024, tmp_path / "instances.npz") == 3
+    with np.load(tmp_path / "instances.npz") as data:
+        sizes = [data[f"ids{i}"].shape[0] for i in range(3)]
+    evals = sum(min(_PANEL, m - lo) * (m - lo) for m in sizes if m > TINY.k for lo in range(0, m, _PANEL))
+    lines = {line.split(":")[0].strip(): line for line in out.splitlines()}
+    for side in query_replay.SIDES:
+        assert lines[side].endswith(f" ms, {evals:,} distance evaluations")
 
 
 @pytest.mark.parametrize("call, field, side, rep", [

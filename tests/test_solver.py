@@ -16,7 +16,7 @@ from dynkmed import (
     query,
     weighted_solve,
 )
-from dynkmed.solver import _FINISHED, _Finish, _seed_indices
+from dynkmed.solver import _FINISHED, _PANEL, _Finish, _instance_gram, _seed_indices
 from oracles import (
     brute_force_coverage_radius,
     brute_force_opt_weighted,
@@ -260,6 +260,26 @@ def test_instance_gram_equals_the_general_pairwise_path(p, offset):
     assert np.array_equal(got, expected)
     assert got.flags.f_contiguous
     assert fast.evals == general.evals == 46 * 46
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+@pytest.mark.parametrize("m", [1, 191, 192, 193, 500])
+def test_instance_gram_panels_mirror_each_other_and_count_each_panel_once(m, offset):
+    # panels of 192 rows: each against the rows from its own first row on,
+    # the block below it mirrored; an instance of at most 192 rows is one
+    # panel, bit for bit the whole product
+    assert _PANEL == 192
+    coords = np.random.default_rng(m).normal(0.0, 3.0, size=(m, 5))
+    oracle = DistanceOracle(offset)
+    gram = _instance_gram(coords, oracle)
+    assert oracle.evals == sum(min(_PANEL, m - lo) * (m - lo) for lo in range(0, m, _PANEL))
+    panel = np.arange(m) // _PANEL
+    across = panel[:, None] != panel[None, :]
+    assert gram[across].tobytes() == gram.T[across].tobytes()
+    if m <= _PANEL:
+        assert gram.tobytes() == DistanceOracle(offset).matrix_between(coords, coords, squared=True).tobytes()
+    else:
+        assert oracle.evals < m * m
 
 
 def test_brute_force_opt_examples():

@@ -16,7 +16,9 @@ fresh process whose ``dynkmed`` is imported from that checkout's ``src``;
 repetition i runs the parent first when i is even and the change first
 when it is odd. A process solves its first instance once untimed, so lazy
 set-up is not timed. Prints each side's sum over instances of the least
-CPU time of any repetition, and the ratio of change to parent.
+CPU time of any repetition, next to its total distance evaluations over
+the instances (the oracle's count, which repeats exactly), and the ratio of
+change to parent.
 
 Exits 1 when an instance's centers or ``repr(cost)`` differ between the
 sides or between repetitions of one side, so ``query_replay.py . .`` is a
@@ -75,7 +77,8 @@ def capture(workload: str, seed: int, path: Path) -> int:
 
 def replay(checkout: Path, path: Path) -> list[dict]:
     """Solve every instance of ``path`` with ``checkout``'s engine; per
-    instance its sorted centers, ``repr(cost)`` and CPU time in ns."""
+    instance its sorted centers, ``repr(cost)``, CPU time in ns and
+    distance evaluations."""
     sys.path.insert(0, str(checkout / "src"))
     import dynkmed as dk
 
@@ -97,7 +100,8 @@ def replay(checkout: Path, path: Path) -> list[dict]:
         start = time.process_time_ns()
         solution = dk.weighted_solve(instance, k, p, seed, oracle)
         ns = time.process_time_ns() - start
-        results.append({"centers": sorted(solution.centers), "cost": repr(solution.cost), "ns": ns})
+        results.append({"centers": sorted(solution.centers), "cost": repr(solution.cost), "ns": ns,
+                        "evals": oracle.evals})
     return results
 
 
@@ -158,7 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     best = {side: np.min([[r["ns"] for r in results] for results in runs[side]], axis=0) / 1e6
             for side in SIDES}
     for side in SIDES:
-        print(f"  {side}: sum of per-instance least solve times {best[side].sum():.2f} ms")
+        evals = sum(r["evals"] for r in runs[side][0])
+        print(f"  {side}: sum of per-instance least solve times {best[side].sum():.2f} ms, "
+              f"{evals:,} distance evaluations")
     ratio = best["change"].sum() / best["parent"].sum() if count else float("nan")
     print(f"  change / parent: {ratio:.4f}")
     if lines := disagreements(runs):
