@@ -203,7 +203,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     that falls on an empty live set is skipped and counted in the summary.
     Asking for more queries than the stream has updates is a
     :class:`ConfigError`.
-    Query timing covers instance extraction plus the weighted solve. The
+    Query timing covers instance extraction, the weighted solve and the
+    answer's cost over the whole live set. The
     baseline, when enabled, recomputes a fresh static solution at a query
     point whenever at least ``baseline_every`` updates passed since its last
     recompute, and its current centers are re-costed at every query point.
@@ -350,8 +351,9 @@ def _summarize(
         "invariant_violations": list(violations),
         "per_op": per_op,
         "timing_note": (
-            "query wall time covers weighted-instance extraction plus the "
-            "weighted solve; acceptance gates use distance_evals, not wall time"
+            "query wall time covers weighted-instance extraction, the weighted "
+            "solve and the answer's cost over the whole live set; acceptance "
+            "gates use distance_evals, not wall time"
         ),
     }
 

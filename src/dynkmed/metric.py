@@ -309,14 +309,14 @@ class DistanceOracle:
     def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's first-minimum column and its distance, bit for bit as
         over the distances, from a ``squared=True`` result ``x``. The distance
-        is monotone in ``x``, so it is only reduced again over the rows whose
-        second-smallest entry of ``x`` rounds to the same distance as the
-        smallest, as distinct entries can."""
+        is monotone in ``x``, so the row minimum's is the least, and only the
+        column is found again, over the rows whose second-smallest entry of
+        ``x`` rounds to the same distance as the smallest, as distinct entries can."""
         cols, low, second = _nearest_two(x)
         dmin, second = self._root(np.concatenate((low, second))).reshape(2, -1)
         tied = (second <= dmin).nonzero()[0]
         if tied.shape[0]:
-            cols[tied], dmin[tied] = _nearest_two(self._root(x[tied]))[:2]
+            cols[tied] = self._root(x[tied]).argmin(1)
         return cols, dmin
 
     def row_min(self, x: np.ndarray) -> np.ndarray:

@@ -88,39 +88,22 @@ def _power_overflow(p: float):
 
 
 class _Finish:
-    """Gram entries from the kernel's ``squared=True`` product: ``oracle._root``
-    then ``** p``, elementwise, so bit for bit the whole Gram's; no oracle:
-    already finished. :func:`weighted_solve` marks the diagonal, each point's
-    pair with itself, ``-inf``, which the search's sample and :func:`_near_list`
-    read as below every bound. Finishes zero it: ``marked`` where told, ``whole``
-    on the diagonal, column ``j`` at entry ``j``, any other block where marked."""
+    """Gram entries from the kernel's ``squared=True`` product, bit for bit the
+    whole Gram's: ``oracle._root``, the diagonal's entries set to 0, then
+    ``** p``, elementwise; no oracle: already finished. :func:`weighted_solve`
+    marks the diagonal, each point's pair with itself, ``-inf``, which the
+    search's sample and :func:`_near_list` read as below every bound."""
 
     def __init__(self, oracle: Optional[DistanceOracle], p: float) -> None:
         self.oracle, self.p = oracle, p
 
-    def __call__(self, x: np.ndarray, j: Optional[int] = None) -> np.ndarray:
-        """A finished copy of ``x``, or of column ``j`` of the transposed product ``x``."""
+    def __call__(self, x: np.ndarray, zero, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x`` finished into ``out`` (``None`` or ``x``), with ``zero`` indexing
+        the diagonal's entries in it; ``x`` itself if already finished."""
         if self.oracle is None:
-            return x if j is None else x[:, j]
-        d = self.oracle._root(x if j is None else x[:, j])
-        d[(x == -np.inf) if j is None else j] = 0.0   # the diagonal's entries
-        return self._power(d)
-
-    def marked(self, values: np.ndarray, marks) -> np.ndarray:
-        """Finish ``values``, entries of the product with its diagonal at
-        ``marks``, in place."""
-        if self.oracle is not None:
-            self.oracle._root(values, out=values)
-            values[marks] = 0.0
-            self._power(values)
-        return values
-
-    def whole(self, x: np.ndarray) -> "_Finish":
-        """Finish all of the product ``x`` in place; returns the finish of the result."""
-        self.marked(x, np.diag_indices(x.shape[0]))
-        return _FINISHED
-
-    def _power(self, d: np.ndarray) -> np.ndarray:
+            return x
+        d = self.oracle._root(x, out=out)
+        d[zero] = 0.0
         if self.p != 1.0:
             with _power_overflow(self.p):
                 d **= self.p
@@ -216,7 +199,7 @@ def _seed_indices(
                 cdf /= cdf[-1]
                 nxt = int(cdf.searchsorted(rng.random(), side="right"))
             chosen.append(nxt)
-            near[:, j] = finish(powered, nxt)
+            near[:, j] = finish(powered[:, nxt], nxt)
             np.minimum(dmin, near[:, j], out=dmin)
             mass = weights * dmin
     return chosen, near
@@ -240,7 +223,8 @@ def _near_list(gram_t: np.ndarray, theta: float, finish: _Finish) -> tuple:
     flat = (gram_t < theta).reshape(-1).nonzero()[0]
     offsets = flat.searchsorted(np.arange(0, size + 1, m))
     columns = np.repeat(np.arange(gram_t.shape[0], dtype=np.int32), np.diff(offsets))
-    values = finish.marked(gram_t.take(flat), flat.searchsorted(np.arange(0, size, m + 1)))
+    values = gram_t.take(flat)
+    finish(values, flat.searchsorted(np.arange(0, size, m + 1)), values)
     flat -= np.multiply(columns, m, dtype=np.intp)
     return offsets.tolist(), columns, flat, values
 
@@ -424,10 +408,11 @@ def _local_search(
                 theta = top
                 if np.count_nonzero(sample < finish.bound(theta)) <= _LIST_DENSITY * sample.size:
                     if finish.p != 1.0:               # d^p of the largest entry must not overflow
-                        finish(np.maximum.reduce(powered.T, axis=None, keepdims=True))
+                        finish(np.maximum.reduce(powered.T, axis=None, keepdims=True), [])
                     listed = _near_list(powered.T, finish.bound(theta), finish)
-            if listed is None:
-                finish = finish.whole(powered.T)      # a no-op once finished
+            if listed is None:                        # a no-op once finished
+                finish(powered.T, np.diag_indices(n), powered.T)
+                finish = _FINISHED
             limit = cutoff * cost
             if screened:
                 base = np.bincount(c1, weights=np.subtract(wd2, wd1, out=wd2), minlength=k)
@@ -443,7 +428,8 @@ def _local_search(
             else:
                 entries = _listed_entries(listed, lo, hi, cut)
                 if high.size:                         # appended in block order of their own
-                    cand, at, v = _screen_entries(finish(slab.take(high, axis=1)), below, d2.take(high))
+                    part = slab.take(high, axis=1)
+                    cand, at, v = _screen_entries(finish(part, part == -np.inf, part), below, d2.take(high))
                     entries = tuple(map(np.concatenate, zip(entries, (cand, high.take(at), v))))
             estimate, per_center = _screen_estimate(slab, entries, weights, c1, d1, d2, base)
             candidates = [lo + i for i in (estimate <= skip).nonzero()[0].tolist()]
@@ -454,7 +440,7 @@ def _local_search(
         for j in candidates:
             if j in chosen:
                 continue
-            c_pos, column = -1, finish(powered, j)
+            c_pos, column = -1, finish(powered[:, j], j)
             if screened and estimate[j - lo] <= prove:
                 row = per_center[j - lo]
                 best, runner_up = row.argpartition(1)[:2].tolist()

@@ -777,6 +777,8 @@ def test_cli_baseline_none_writes_no_baseline_rows(tmp_path, capsys):
                  id="1-d-array"),
     pytest.param(lambda: DistanceOracle().matrix_between(np.zeros((2, 3)), np.zeros((2, 4))),
                  "coordinate blocks must be 2-D with equal dimension", id="unequal-dimensions"),
+    pytest.param(lambda: DistanceOracle().prepare(np.zeros(3)),
+                 "coordinate blocks must be 2-D with equal dimension", id="prepare-1-d-block"),
 ])
 def test_inputs_the_cli_never_passes_are_rejected_by_the_api(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

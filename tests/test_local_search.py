@@ -48,7 +48,8 @@ def _seed(powered, weights, k, seed):
 def _search(powered, weights, chosen, cutoff, finish=solver._FINISHED):
     """The search from ``chosen`` (changed in place) over ``powered``, read
     through ``finish``, starting from the centers' columns ``powered[:, chosen]``."""
-    return _local_search(powered, weights, chosen, cutoff, finish, finish(powered[:, chosen]))
+    near = finish(powered[:, chosen], (chosen, np.arange(len(chosen))))
+    return _local_search(powered, weights, chosen, cutoff, finish, near)
 
 
 def _reference_solution_stats(
@@ -745,18 +746,23 @@ def test_finished_pieces_equal_the_whole_gram_bit_for_bit(p, offset, metric):
     n = gram.shape[0]
     # seeding picks and the columns swapped in or evaluated exactly
     for j in range(n):
-        assert finish(product.T, j).tobytes() == gram[:, j].tobytes()
+        assert finish(product.T[:, j], j).tobytes() == gram[:, j].tobytes()
     chosen = [3, 17, 40, 41]
-    assert finish(product.T[:, chosen]).tobytes() == gram[:, chosen].tobytes()
-    # rows above theta in a list-screened block: candidates 16..47 as rows
+    assert finish(product.T[:, chosen], (chosen, np.arange(4))).tobytes() == gram[:, chosen].tobytes()
+    # rows above theta in a list-screened block: candidates 16..47 as rows, in place
     high = np.array([0, 5, 16, 30, 47, 69])
-    assert finish(product[16:48].take(high, axis=1)).tobytes() == gram.T[16:48].take(high, axis=1).tobytes()
+    part = product[16:48].take(high, axis=1)
+    assert finish(part, part == -np.inf, part) is part
+    assert part.tobytes() == gram.T[16:48].take(high, axis=1).tobytes()
+    # the overflow probe's 1x1 block, with no diagonal entry
+    top = np.maximum.reduce(product, axis=None, keepdims=True)
+    assert finish(top, []).tobytes() == np.maximum.reduce(gram, axis=None, keepdims=True).tobytes()
     # the list's values
     theta = float(np.median(gram))
     _, columns, rows, values = solver._near_list(product, finish.bound(theta), finish)
     assert values.tobytes() == gram.T[columns, rows].tobytes()
     # the dense screen's finish, whole and in place
-    finish.whole(product)
+    assert finish(product, np.diag_indices(n), product) is product
     assert product.T.tobytes() == gram.tobytes()
 
 
@@ -803,7 +809,7 @@ def test_an_overflow_of_d_to_the_p_still_raises_on_the_list_path(monkeypatch):
     product = oracle.matrix_between(x, x, squared=True)
     np.fill_diagonal(product, -np.inf)
     finish = solver._Finish(oracle, 400.0)
-    assert np.isfinite(finish(product.T[:, [0, 29]])).all()
+    assert np.isfinite(finish(product.T[:, [0, 29]], ([0, 29], [0, 1]))).all()
     lists = _record_calls(monkeypatch, "_near_list")
     with pytest.raises(ValueError, match="^distances to the power 400.0 overflow float64$"):
         _search(product.T, np.ones(32), [0, 29], 0.99, finish)
