@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError("limit must be at least the window size")
         if self.offset_mode not in ("none", "inv-n"):
             raise ConfigError(f"unknown offset mode {self.offset_mode!r}")
+        if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
+            raise ConfigError(f"out path {self.out!r} is a directory or its directory does not exist")
         try:  # the state's and the solver's own rules, with their messages
             DynamicParams(self.k, self.phi, self.beta, epsilon=self.epsilon)
             _check_power(self.p)

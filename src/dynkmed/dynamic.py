@@ -130,7 +130,7 @@ def _cover_arrays(
         for lo in range(0, rest.shape[0], step):
             part = rest[lo : lo + step]
             nearest[part], dmin[lo : lo + step] = oracle.nearest(oracle.matrix_between(  # first minimum wins
-                matrix.take(rows.take(part), 0), block, squared=True))
+                matrix.take(rows.take(part), 0), block))
         radius = float(np.partition(dmin, m - c - 1)[m - c - 1])
         mark[rest] = dmin <= radius
     covered = mark.nonzero()[0]

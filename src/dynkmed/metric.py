@@ -9,12 +9,12 @@ takes coordinate arrays only and applies the custom-metric check and the
 offset for its shape; which pairs are a point with itself, at distance 0, is
 the caller's to mark by position. Only the block kernel bumps the counter, by
 the pairs it touches: the aligned-pair kernel serves the 2*radius check of
-``integrity_check``, and diagnostics count nothing. Callers that need only
-row minima (cover rounds, the live-set cost) take ``matrix_between(...,
-squared=True)`` over chunks of :func:`chunk_rows` rows against a block made
-once by ``prepare``, and reduce each with ``nearest`` or ``row_min``.
-Only the oracle knows what such an entry means: ``_root`` maps it to a
-distance and ``_entry`` back.
+``integrity_check``, and diagnostics count nothing. The block kernel has one
+form: coordinate rows against a block made once by ``prepare``, returning
+the kernel's product. Cover rounds and the live-set cost take it over chunks
+of :func:`chunk_rows` rows and reduce each with ``nearest`` or ``row_min``;
+the query finishes the entries it reads. Only the oracle knows what a
+product entry means: ``_root`` maps it to a distance and ``_entry`` back.
 """
 from __future__ import annotations
 
@@ -222,22 +222,19 @@ class DistanceOracle:
         rows[:, -2], rows[:, -1] = v2, 1.0
         return Prepared(rows, mu, np.maximum.reduce(v2, initial=0.0))
 
-    def matrix_between(self, a: np.ndarray, b: np.ndarray | Prepared, squared: bool = False,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Full distance matrix between coordinate block ``a`` and ``b``, given as
-        coordinates or made by :meth:`prepare`; counts ``len(a) * len(b)``
-        evaluations and returns that block, into ``out`` when given.
+    def matrix_between(self, a: np.ndarray, b: Prepared, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The kernel's product of coordinate block ``a`` against ``b``, made by
+        :meth:`prepare`: counts ``len(a) * len(b.rows)`` evaluations and returns
+        that block, into ``out`` when given, for :meth:`_root` to finish.
 
         Euclidean entries come from one matrix product on blocks centered on
         ``mu = np.add.reduce(b, 0) / c``. With ``u = a - mu``, ``v = b - mu`` and
-        their squared row norms ``u2``, ``v2`` by ``einsum("ij,ij->i")``::
+        their rows' sums of squares ``u2``, ``v2`` by ``einsum("ij,ij->i")``::
 
             out = matmul([u, 1, u2], [-2.0 * v, v2, 1].T)
 
-        then, in place, ``maximum(out, 0)``, ``sqrt`` and a nonzero offset.
-
-        Centering makes the rounding error scale with the squared distance
-        of the rows from ``mu``, not from the origin. ``mu`` is ``b``'s alone, so
+        Centering makes the rounding error scale with ``|x - mu|^2`` over the
+        rows ``x``, not with ``|x|^2``. ``mu`` is ``b``'s alone, so
         calls on row chunks of ``a`` (:func:`chunk_rows`) give the one call's
         rows where the BLAS reproduces the row split. The operands are new arrays,
         so the result does not depend on whether ``a`` and ``b`` share memory.
@@ -248,14 +245,11 @@ class DistanceOracle:
 
         A custom ``base`` must return a finite value >= 0 for every pair;
         anything else raises ``ValueError`` naming the two coordinate rows
-        it was called with.
-
-        ``squared=True`` returns the input of :meth:`nearest` and
-        :meth:`row_min`, with the same count: Euclidean entries stop at the
-        product and custom ones are distances.
+        it was called with. Its entries are the distances plus the offset.
         """
+        if not isinstance(b, Prepared):
+            raise ValueError("matrix_between reads b as made by DistanceOracle.prepare(b)")
         a = np.asarray(a, dtype=np.float64)
-        b = b if isinstance(b, Prepared) else self.prepare(b)
         d = b.rows.shape[1] - (0 if b.mu is None else 2)
         if a.ndim != 2 or a.shape[1] != d:
             raise ValueError("coordinate blocks must be 2-D with equal dimension")
@@ -280,12 +274,10 @@ class DistanceOracle:
                                              "2 * (max|a-mu|^2 + max|b-mu|^2) is not finite")
             left[:, d], left[:, d + 1] = 1.0, u2
             np.matmul(left, b.rows.T, out=out)
-            if not squared:
-                self._root(out, out=out)
         return out
 
     def _root(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Distances of ``squared=True`` entries, into ``out`` (``None`` or ``x``):
+        """Distances of the kernel's product entries, into ``out`` (``None`` or ``x``):
         Euclidean ones are sqrt(max(x, 0)) + offset, custom ones a copy or ``x``."""
         if self.base is not None:
             return x.copy() if out is None else x
@@ -296,7 +288,7 @@ class DistanceOracle:
         return out
 
     def _entry(self, d: float) -> float:
-        """T, the ``squared=True`` entry bound of distance ``d``: :meth:`_root`
+        """T, the product entry bound of distance ``d``: :meth:`_root`
         inverted with ``_MARGIN`` at each end, ``e = max(d * _MARGIN - offset, 0)``
         then ``e * (e * _MARGIN)`` (``d * _MARGIN`` if custom), plus the smallest
         normal. The margin is far above the ulps ``sqrt``, ``+ offset`` and ``** p``
@@ -308,7 +300,7 @@ class DistanceOracle:
 
     def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's first-minimum column and its distance, bit for bit as
-        over the distances, from a ``squared=True`` result ``x``. The distance
+        over the distances, from the kernel's product ``x``. The distance
         is monotone in ``x``, so the row minimum's is the least, and only the
         column is found again, over the rows whose second-smallest entry of
         ``x`` rounds to the same distance as the smallest, as distinct entries can."""
@@ -320,7 +312,7 @@ class DistanceOracle:
         return cols, dmin
 
     def row_min(self, x: np.ndarray) -> np.ndarray:
-        """Each row's minimum distance from a ``squared=True`` result: the
+        """Each row's minimum distance from the kernel's product: the
         distance of the row minimum of ``x``, taken column by column."""
         low = x[:, 0].copy()
         for j in range(1, x.shape[1]):

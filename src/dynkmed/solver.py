@@ -41,7 +41,7 @@ class WeightedInstance:
         light = np.flatnonzero(weights < 1)
         if light.size:
             raise ValueError(f"weight of point {ids[light[0]]} must be at least 1")
-        unordered = np.flatnonzero(np.diff(ids) <= 0)
+        unordered = np.flatnonzero(ids[1:] <= ids[:-1])
         if unordered.size:
             raise ValueError(f"duplicate or unordered point id {ids[unordered[0] + 1]}")
         self.ids, self.coords, self.weights = ids, coords, weights
@@ -88,9 +88,9 @@ def _power_overflow(p: float):
 
 
 class _Finish:
-    """Gram entries from the kernel's ``squared=True`` product, bit for bit the
-    whole Gram's: ``oracle._root``, the diagonal's entries set to 0, then
-    ``** p``, elementwise; no oracle: already finished. :func:`weighted_solve`
+    """Gram entries from the kernel's product, bit for bit the whole Gram's:
+    ``oracle._root``, the diagonal's entries set to 0, then ``** p``,
+    elementwise; no oracle: already finished. :func:`weighted_solve`
     marks the diagonal, each point's pair with itself, ``-inf``, which the
     search's sample and :func:`_near_list` read as below every bound."""
 
@@ -156,7 +156,7 @@ def cost_set(
         center_coords = universe.matrix.take([universe.row(c) for c in center_ids], 0)
     step, block = chunk_rows(center_coords.shape[0]), oracle.prepare(center_coords)
     low = np.concatenate([oracle.row_min(oracle.matrix_between(
-        coords[lo : lo + step], block, squared=True)) for lo in range(0, len(ids), step)])
+        coords[lo : lo + step], block)) for lo in range(0, len(ids), step)])
     first, last = ids.searchsorted(center_ids).tolist(), ids.searchsorted(center_ids, "right").tolist()
     low[[i for lo, hi in zip(first, last) for i in range(lo, hi)]] = 0.0
     with _power_overflow(p):
@@ -466,14 +466,14 @@ def _local_search(
 
 
 def _instance_gram(coords: np.ndarray, oracle: DistanceOracle) -> np.ndarray:
-    """The ``squared=True`` product of the instance with itself in ``_PANEL``-row panels, each
+    """The kernel's product of the instance with itself in ``_PANEL``-row panels, each
     against the prepared rows from its first row on and mirrored below it: about
     m * (m + _PANEL) / 2 evaluations, and the whole product's one call when m <= _PANEL."""
     m = coords.shape[0]
     gram, prepared = np.empty((m, m)), oracle.prepare(coords)
     for lo in range(0, m, _PANEL):
         hi, rest = lo + _PANEL, prepared._replace(rows=prepared.rows[lo:])
-        oracle.matrix_between(coords[lo:hi], rest, squared=True, out=gram[lo:hi, lo:])
+        oracle.matrix_between(coords[lo:hi], rest, out=gram[lo:hi, lo:])
         gram[hi:, lo:hi] = gram[lo:hi, hi:].T
     return gram
 

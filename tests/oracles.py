@@ -2,9 +2,9 @@
 relaxed triangle check, one cover round over points or read back by
 position, the covered set of a layer and the checks of a state's weighted
 instance; the views of the engine that only tests read: distances between
-points, a layer's members and clusters, a point's center, a state's layer
-table, the live ids of a store, and weighted instances built from or read
-back as ``(Point, weight)`` pairs;
+points and between coordinate blocks, a layer's members and clusters, a
+point's center, a state's layer table, the live ids of a store, and
+weighted instances built from or read back as ``(Point, weight)`` pairs;
 :class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
 by the test, passed to the engine as ``DynamicParams(seed=...)``; the
 seeding of a weighted solve drawn with ``rng.choice``; and the powered Gram
@@ -54,6 +54,13 @@ def distance(oracle: DistanceOracle, x: Point, y: Point) -> float:
     return 0.0 if x.id == y.id else d
 
 
+def distances(oracle: DistanceOracle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance matrix between coordinate blocks ``a`` and ``b``, counted as
+    the block kernel counts it: the kernel's product against ``prepare(b)``,
+    finished by ``_root``."""
+    return oracle._root(oracle.matrix_between(a, oracle.prepare(b)))
+
+
 def pairwise(
     oracle: DistanceOracle, xs: Sequence[Point], ys: Sequence[Point], count: bool = True
 ) -> np.ndarray:
@@ -65,7 +72,7 @@ def pairwise(
     evals = oracle.evals
     a = np.stack([p.coords for p in xs])
     b = np.stack([p.coords for p in ys])
-    out = oracle.matrix_between(a, b)
+    out = distances(oracle, a, b)
     out[np.equal.outer([p.id for p in xs], [p.id for p in ys])] = 0.0
     if not count:
         oracle.evals = evals
@@ -360,10 +367,10 @@ def seed_indices_by_choice(
 
 def instance_gram(coords: np.ndarray, p: float, oracle: DistanceOracle) -> np.ndarray:
     """Powered distance matrix of instance coordinates against themselves,
-    finished whole: ``oracle.matrix_between(coords, coords).T ** p`` with
+    finished whole: ``distances(oracle, coords, coords).T ** p`` with
     the diagonal, each point's pair with itself, at 0. The reference for the
     pieces the solver finishes from the kernel's product alone."""
-    gram = oracle.matrix_between(coords, coords).T
+    gram = distances(oracle, coords, coords).T
     np.fill_diagonal(gram, 0.0)
     if p != 1.0:
         gram **= p

@@ -668,6 +668,19 @@ def test_cli_too_many_queries_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_an_out_path_it_cannot_write_is_a_config_error_before_the_run(tmp_path, capsys, monkeypatch):
+    # refused by validation, before a point is made, not after the whole stream
+    monkeypatch.setattr(bench, "synthetic_points", lambda *args: pytest.fail("points were made"))
+    (tmp_path / "dir").mkdir()
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "dir"):
+        code = cli_main(["--synthetic", "g:2:2:50", "--window", "5", "--k", "1", "--phi", "1",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: out path {str(out)!r} is a directory or its directory does not exist\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
 def test_a_synthetic_size_numpy_cannot_index_is_a_config_error(tmp_path, capsys, monkeypatch):
     # validation alone: a spec that got past it would reach the generator,
     # which fails the test here instead of asking numpy for the array
@@ -775,8 +788,11 @@ def test_cli_baseline_none_writes_no_baseline_rows(tmp_path, capsys):
     pytest.param(lambda: sliding_window_stream(5, 0), "window must be at least 1", id="window-0"),
     pytest.param(lambda: points_from_array(np.zeros(3)), "expected a 2-D array of row vectors",
                  id="1-d-array"),
-    pytest.param(lambda: DistanceOracle().matrix_between(np.zeros((2, 3)), np.zeros((2, 4))),
+    pytest.param(lambda: DistanceOracle().matrix_between(np.zeros((2, 3)),
+                                                         DistanceOracle().prepare(np.zeros((2, 4)))),
                  "coordinate blocks must be 2-D with equal dimension", id="unequal-dimensions"),
+    pytest.param(lambda: DistanceOracle().matrix_between(np.zeros((2, 3)), np.zeros((2, 3))),
+                 "matrix_between reads b as made by DistanceOracle.prepare(b)", id="unprepared-block"),
     pytest.param(lambda: DistanceOracle().prepare(np.zeros(3)),
                  "coordinate blocks must be 2-D with equal dimension", id="prepare-1-d-block"),
 ])

@@ -29,11 +29,11 @@ whose samples hold both twins of a pair, at offset 0 alone, the reference's
 output differs from each row's plain first minimum; at offset 0.25 a row's
 own pair at 0 is its minimum already.
 
-``nearest`` and ``row_min`` reduce the squared product that
-``matrix_between(..., squared=True)`` returns. ``_reference_nearest``
-finishes that product into distances as the kernel does and takes the first
-argmin and the minimum; the reductions must match it bit for bit, and the
-finished product must match ``matrix_between`` itself, on cases where
+``nearest`` and ``row_min`` reduce the product that ``matrix_between``
+returns. ``_reference_nearest`` finishes that product into distances as
+``_root`` does and takes the first argmin and the minimum; the reductions
+must match it bit for bit, and the finished product must match
+``oracles.distances``, the kernel's product finished whole, on cases where
 distinct products round to one distance. The kernel knows no ids: a block
 of points against some of themselves pairs each picked point with itself,
 and the reductions read that pair as the kernel computed it. No package
@@ -58,7 +58,7 @@ from dynkmed import (
 from dynkmed import metric
 from dynkmed.dynamic import _quantile_index
 from dynkmed.metric import Point, _nearest_two
-from oracles import cover_positions, id_draws, pairwise
+from oracles import cover_positions, distances, id_draws, pairwise
 
 
 def _reference_matrix_between(
@@ -166,7 +166,7 @@ def test_matrix_between_matches_the_reference_bitwise(n, c, dim, scale, shift, g
     rng = np.random.default_rng(dim)
     picked = np.sort(rng.choice(n, size=c, replace=False))
     new, old = DistanceOracle(offset), DistanceOracle(offset)
-    got = new.matrix_between(x, x[picked])
+    got = distances(new, x, x[picked])
     want = _reference_matrix_between(old, x, x[picked])
     assert_same_bits(got, want)
     assert new.evals == old.evals == n * c
@@ -175,10 +175,10 @@ def test_matrix_between_matches_the_reference_bitwise(n, c, dim, scale, shift, g
 def test_matrix_between_does_not_depend_on_buffer_identity():
     x = coordinates(700, 6, seed=5, scale=4.0)
     oracle = DistanceOracle(0.1)
-    same = oracle.matrix_between(x, x)
-    assert_same_bits(same, oracle.matrix_between(x, x.copy()))
+    same = distances(oracle, x, x)
+    assert_same_bits(same, distances(oracle, x, x.copy()))
     # a view of the same memory is copied too
-    assert_same_bits(oracle.matrix_between(x, x[:50]), oracle.matrix_between(x, x[:50].copy()))
+    assert_same_bits(distances(oracle, x, x[:50]), distances(oracle, x, x[:50].copy()))
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
@@ -243,9 +243,9 @@ def test_a_chunked_round_equals_the_one_call_round(monkeypatch, dim, offset):
     store[rows] = x
     kernel, calls = DistanceOracle.matrix_between, []
 
-    def spy(self, a, b, squared=False):
+    def spy(self, a, b, out=None):
         calls.append(a.shape[0])
-        return kernel(self, a, b, squared)
+        return kernel(self, a, b, out)
 
     monkeypatch.setattr(DistanceOracle, "matrix_between", spy)
     for matrix, subset in ((x, None), (store, rows)):
@@ -268,24 +268,25 @@ def test_a_chunked_round_equals_the_one_call_round(monkeypatch, dim, offset):
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
 @pytest.mark.parametrize("dim", [5, 8, 64])
-def test_a_prepared_block_applied_to_chunks_equals_one_unprepared_call(dim, offset):
+def test_a_prepared_block_applied_to_chunks_equals_one_call(dim, offset):
     # 768-row chunks of 2,700 rows, three full ones and a ragged last one,
     # against one prepared 60-row block: each returns the block it counted,
-    # fresh or written into out, and together they give the one call's bits
+    # fresh or written into out, and together they give the one call's bits,
+    # which finish into the distances of one call on the whole block
     x = coordinates(2700, dim, seed=dim + 2)
     b = x[::45]
-    for squared in (False, True):
-        want = DistanceOracle(offset).matrix_between(x, b, squared=squared)
-        oracle = DistanceOracle(offset)
-        block, into = oracle.prepare(b), np.empty_like(want)
-        fresh = []
-        for lo in range(0, x.shape[0], 768):
-            fresh.append(oracle.matrix_between(x[lo : lo + 768], block, squared=squared))
-            out = into[lo : lo + 768]
-            assert oracle.matrix_between(x[lo : lo + 768], block, squared=squared, out=out) is out
-        assert_same_bits(np.concatenate(fresh), want)
-        assert_same_bits(into, want)
-        assert oracle.evals == 2 * x.shape[0] * b.shape[0]
+    want = DistanceOracle(offset).matrix_between(x, DistanceOracle(offset).prepare(b))
+    oracle = DistanceOracle(offset)
+    block, into = oracle.prepare(b), np.empty_like(want)
+    fresh = []
+    for lo in range(0, x.shape[0], 768):
+        fresh.append(oracle.matrix_between(x[lo : lo + 768], block))
+        out = into[lo : lo + 768]
+        assert oracle.matrix_between(x[lo : lo + 768], block, out=out) is out
+    assert_same_bits(np.concatenate(fresh), want)
+    assert_same_bits(into, want)
+    assert_same_bits(oracle._root(into), distances(DistanceOracle(offset), x, b))
+    assert oracle.evals == 2 * x.shape[0] * b.shape[0]
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.25])
@@ -313,7 +314,7 @@ def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offse
     for shift in (0.0, 1e2, 1e4, 1e6, 1e8):
         x = np.random.default_rng(dim).normal(size=(260, dim)) + shift
         a, b = x[:200], x[200:]
-        got = DistanceOracle(offset).matrix_between(a, b) - offset
+        got = distances(DistanceOracle(offset), a, b) - offset
         diff = a[:, None, :] - b[None, :, :]
         want_sq = np.einsum("ijk,ijk->ij", diff, diff)
         spread = x - b.mean(axis=0)
@@ -325,8 +326,8 @@ def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offse
 
 
 def _reference_nearest(oracle: DistanceOracle, x: np.ndarray):
-    """The distances ``matrix_between`` finishes a squared product ``x``
-    into, with their first argmin and minimum."""
+    """The distances ``_root`` finishes the kernel's product ``x`` into,
+    with their first argmin and minimum."""
     d = x.copy()
     if oracle.base is None:
         d = np.sqrt(np.maximum(x, 0.0))
@@ -376,12 +377,12 @@ def assert_layouts_match(oracle: DistanceOracle, x: np.ndarray) -> None:
 
 
 def assert_blocks_match(oracle, a, picked):
-    """The reductions of the squared product of ``a`` against ``a[picked]``
-    equal ``matrix_between`` plus its first argmin, with the same evaluation
+    """The reductions of the kernel's product of ``a`` against ``a[picked]``
+    equal its distances plus their first argmin, with the same evaluation
     count; each picked row's pair with itself is as the kernel computed it."""
     plain = DistanceOracle(oracle.offset, oracle.base)
-    x = oracle.matrix_between(a, a[picked], squared=True)
-    want = plain.matrix_between(a, a[picked])
+    x = oracle.matrix_between(a, oracle.prepare(a[picked]))
+    want = distances(plain, a, a[picked])
     d = assert_reductions_match(oracle, x)
     assert_same_bits(d, want)
     assert oracle.evals == plain.evals == a.shape[0] * picked.shape[0]
@@ -397,18 +398,18 @@ def test_reductions_match_the_distance_matrix(n, c, dim, scale, shift, gap, offs
     x = coordinates(n, dim, seed=n * dim, scale=scale, shift=shift, gap=gap)
     picked = np.sort(np.random.default_rng(dim).choice(n, size=c, replace=False))
     oracle = DistanceOracle(offset)
-    squared, _ = assert_blocks_match(oracle, x, picked)
-    squared[:, ::5] = np.inf  # whole columns masked, as a caller may leave centers out
-    assert_reductions_match(oracle, squared)
+    product, _ = assert_blocks_match(oracle, x, picked)
+    product[:, ::5] = np.inf  # whole columns masked, as a caller may leave centers out
+    assert_reductions_match(oracle, product)
 
 
 def test_reductions_break_offset_dominated_ties_toward_the_first_column():
     # spread 1e-17 under offset 1: distinct products, every distance 1.0
     x = np.random.default_rng(0).normal(scale=1e-17, size=(500, 3))
     oracle = DistanceOracle(1.0)
-    squared, d = assert_blocks_match(oracle, x, np.arange(40))
+    product, d = assert_blocks_match(oracle, x, np.arange(40))
     assert np.all(d == 1.0)
-    assert np.count_nonzero(np.argmin(squared, axis=1) != 0) > 400
+    assert np.count_nonzero(np.argmin(product, axis=1) != 0) > 400
 
 
 def test_nearest_takes_the_first_column_of_a_one_ulp_sqrt_merge():
@@ -471,7 +472,7 @@ def test_cost_set_equals_the_minimum_of_the_distance_matrix(offset):
         ctr = np.stack([q.coords for q in centers])
         for p in (1.0, 2.0):
             oracle = DistanceOracle(offset, base)
-            d = oracle.matrix_between(coords, ctr)
+            d = distances(oracle, coords, ctr)
             d[3::29, np.arange(len(centers))] = 0.0  # each center's own row
             want = float(np.sum(d.min(axis=1) ** p))
             got = cost_set(centers, pts, p, oracle)

@@ -731,7 +731,7 @@ def _product_and_gram(p: float, offset: float, metric: str, n: int = 70, seed: i
     coords = rng.normal(0.0, 3.0, size=(n, 3))
     coords[rng.choice(n, n // 5, replace=False)] = coords[rng.integers(0, n, n // 5)]
     oracle = DistanceOracle(offset) if metric == "l2" else _l1_oracle(offset)
-    product = oracle.matrix_between(coords, coords, squared=True)
+    product = oracle.matrix_between(coords, oracle.prepare(coords))
     np.fill_diagonal(product, -np.inf)
     return solver._Finish(oracle, p), product, instance_gram(coords, p, oracle)
 
@@ -806,7 +806,7 @@ def test_an_overflow_of_d_to_the_p_still_raises_on_the_list_path(monkeypatch):
     _force_source(monkeypatch, "list")
     x = np.concatenate([np.linspace(-0.5, 0.5, 30), [-4.0, 4.0]])[:, None]
     oracle = DistanceOracle()
-    product = oracle.matrix_between(x, x, squared=True)
+    product = oracle.matrix_between(x, oracle.prepare(x))
     np.fill_diagonal(product, -np.inf)
     finish = solver._Finish(oracle, 400.0)
     assert np.isfinite(finish(product.T[:, [0, 29]], ([0, 29], [0, 1]))).all()
@@ -822,7 +822,7 @@ def test_a_search_whose_seeding_costs_0_leaves_the_product_as_it_was():
     # Each point is a center or shares a center's coordinates, so the seeded
     # cost is 0: the search scans nothing, so it finishes nothing either.
     x = np.array([0.0, 0.0, 5.0, 5.0])[:, None]
-    product = DistanceOracle().matrix_between(x, x, squared=True)
+    product = DistanceOracle().matrix_between(x, DistanceOracle().prepare(x))
     np.fill_diagonal(product, -np.inf)
     before = product.tobytes()
     chosen = [0, 2]

@@ -18,7 +18,7 @@ from dynkmed import (
     cost_set,
     points_from_array,
 )
-from oracles import distance, live_ids, pairwise, relaxed_triangle_ok
+from oracles import distance, distances, live_ids, pairwise, relaxed_triangle_ok
 
 
 def pt(pid, *coords):
@@ -362,8 +362,7 @@ def test_custom_base_metric_rejects_non_finite_and_negative_values(bad):
         lambda: distance(oracle, pts[1], pts[2]),
         lambda: pairwise(oracle, pts, pts),
         lambda: oracle.elementwise(coords[:2], coords[1:]),
-        lambda: oracle.matrix_between(coords, coords),
-        lambda: oracle.matrix_between(coords, coords, squared=True),
+        lambda: oracle.matrix_between(coords, oracle.prepare(coords)),
         lambda: cost_set([pts[2]], pts, 1.0, oracle),
     ]
     for call in calls:
@@ -387,7 +386,7 @@ def test_matrix_between_is_exact_for_large_coordinates_with_a_small_spread():
     # coordinates' distances from the column block's mean
     a, b = np.array([[1e160, 0.0]]), np.array([[1e160, 1.0]])
     oracle = DistanceOracle()
-    got = oracle.matrix_between(a, b)[0, 0]
+    got = distances(oracle, a, b)[0, 0]
     assert got == 1.0 == oracle.elementwise(a, b)[0]
 
 

@@ -127,6 +127,12 @@ def test_weighted_instance_validation():
         WeightedInstance(ids, coords, np.ones(3))
     with pytest.raises(ValueError, match="ids must be integers"):
         WeightedInstance([1.5, 2.5, 3.5], coords, [1, 1, 1])
+    # the order is read by comparing ids, never from differences, which wrap
+    # for unsigned and narrow integers
+    for dtype, order in ((np.uint64, [5, 3]), (np.int8, [100, -100])):
+        with pytest.raises(ValueError, match=f"duplicate or unordered point id {order[1]}$"):
+            WeightedInstance(np.array(order, dtype=dtype), coords[:2], [1, 1])
+    assert WeightedInstance(np.array([-100, 100], dtype=np.int8), coords[:2], [1, 1]).total_weight == 2
     assert WeightedInstance(ids, coords, [1, 1, 2]).total_weight == 4
 
 
@@ -214,7 +220,7 @@ def test_seed_indices_draw_what_rng_choice_draws():
         weights = rng.integers(1, 5, n).astype(np.float64)
         p, oracle = (1.0, 2.0, 1.5)[seed % 3], DistanceOracle(0.1 * (seed % 2))
         powered = instance_gram(coords, p, oracle)
-        product = oracle.matrix_between(coords, coords, squared=True)
+        product = oracle.matrix_between(coords, oracle.prepare(coords))
         np.fill_diagonal(product, -np.inf)
         k = int(rng.integers(1, n))
         got_stream, want_stream = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -253,7 +259,7 @@ def test_instance_gram_equals_the_general_pairwise_path(p, offset):
     general, fast = DistanceOracle(offset), DistanceOracle(offset)
     expected = pairwise(general, pts, pts).T ** p
     coords = np.stack([q.coords for q in pts])
-    product = fast.matrix_between(coords, coords, squared=True)
+    product = fast.matrix_between(coords, fast.prepare(coords))
     np.fill_diagonal(product, -np.inf)
     _Finish(fast, p)(product, np.diag_indices(46), product)
     got = product.T
@@ -277,7 +283,7 @@ def test_instance_gram_panels_mirror_each_other_and_count_each_panel_once(m, off
     across = panel[:, None] != panel[None, :]
     assert gram[across].tobytes() == gram.T[across].tobytes()
     if m <= _PANEL:
-        assert gram.tobytes() == DistanceOracle(offset).matrix_between(coords, coords, squared=True).tobytes()
+        assert gram.tobytes() == DistanceOracle(offset).matrix_between(coords, oracle.prepare(coords)).tobytes()
     else:
         assert oracle.evals < m * m
 

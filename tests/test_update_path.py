@@ -393,7 +393,9 @@ def test_kernel_and_reductions_match_their_references(case, offset, base, draws)
         for a_ids, b_ids in ((ids, ids[picked]), (None, None)):
             for squared in (False, True):  # the reductions below read the squared block
                 new, old = DistanceOracle(offset, base), ReferenceOracle(offset, base)
-                got = new.matrix_between(x, x[picked], squared=squared)
+                got = new.matrix_between(x, new.prepare(x[picked]))
+                if not squared:  # the reference's distances are the product finished by _root
+                    got = new._root(got, out=got)
                 if a_ids is not None:  # each picked row's own pair, as a caller marks it
                     got[picked, np.arange(picked.shape[0])] = -np.inf if squared else 0.0
                 want = old.matrix_between(x, a_ids, x[picked], b_ids, squared=squared)
