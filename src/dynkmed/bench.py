@@ -96,8 +96,11 @@ class ExperimentConfig:
             raise ConfigError("limit must be at least the window size")
         if self.offset_mode not in ("none", "inv-n"):
             raise ConfigError(f"unknown offset mode {self.offset_mode!r}")
-        if self.out and (Path(self.out).is_dir() or not Path(self.out).parent.is_dir()):
-            raise ConfigError(f"out path {self.out!r} is a directory or its directory does not exist")
+        if self.out is not None:  # the summary goes to out.with_suffix(".summary.json")
+            out = Path(self.out)
+            if not self.out or out.is_dir() or not out.parent.is_dir() or out.with_suffix(".summary.json").is_dir():
+                raise ConfigError(f"out path {self.out!r} is empty or a directory, its directory "
+                                  "does not exist, or its .summary.json is a directory")
         try:  # the state's and the solver's own rules, with their messages
             DynamicParams(self.k, self.phi, self.beta, epsilon=self.epsilon)
             _check_power(self.p)
@@ -115,9 +118,9 @@ class ExperimentResult:
 def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
     """Read numeric rows (comma or whitespace separated, one point per line).
 
-    Blank lines are skipped; malformed rows (non-UTF-8 bytes too) and dimension
-    drift raise :class:`DatasetError` with the offending line number. Ids run
-    0..n-1 in file order; ``limit``, when given, must be an integer of at least 1.
+    Blank lines and a leading UTF-8 byte-order mark are skipped; malformed rows
+    (non-UTF-8 bytes too) and dimension drift raise :class:`DatasetError` naming
+    the line. Ids run 0..n-1 in file order; ``limit``, when given, is an int >= 1.
     """
     if limit is not None:
         # the type only, first: the bound below names the value
@@ -126,7 +129,7 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
             raise ConfigError(f"limit must be at least 1, got {limit}")
     rows: list[list[float]] = []
     dim: Optional[int] = None
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:

@@ -104,13 +104,14 @@ def _cover_arrays(
     in ascending id order; gathers only the rows its kernel calls read.
 
     Returns the layer as ``_rebuild`` installs it, whose covered rows are in
-    ascending id order, each with its nearest center (ties toward the
-    smallest id), and the rows left over, in ascending id order. Each of the
-    c distinct sampled rows is its own nearest center, at distance 0, so the
+    ascending id order, each with its nearest center, the first minimum of the
+    kernel's product (at one distance, the smaller entry's; of exact twins, the
+    smaller id's), and the rows left over, in ascending id order. Each of the c
+    distinct sampled rows is its own nearest center, at distance 0, so the
     ``matrix_between`` calls, one per chunk of :func:`chunk_rows` unsampled
-    rows against one prepared center block, take their (n - c) * c pairs only, and the
-    radius, the m-th smallest distance with the c sampled rows at 0, is the
-    (m - c)-th smallest of theirs. The round equals one call's bit for bit
+    rows against one prepared center block, take their (n - c) * c pairs only,
+    and the radius, the m-th smallest distance with the c sampled rows at 0, is
+    the (m - c)-th smallest of theirs. The round equals one call's bit for bit
     as OpenBLAS reproduces the product under row splits at multiples of 768,
     not under plain ones. A custom metric that raises leaves the pairs of the
     chunks reached, its own included, counted. When c alone fills the

@@ -299,17 +299,11 @@ class DistanceOracle:
         return e * (e * _MARGIN) + 2.0 ** -1022
 
     def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's first-minimum column and its distance, bit for bit as
-        over the distances, from the kernel's product ``x``. The distance
-        is monotone in ``x``, so the row minimum's is the least, and only the
-        column is found again, over the rows whose second-smallest entry of
-        ``x`` rounds to the same distance as the smallest, as distinct entries can."""
-        cols, low, second = _nearest_two(x)
-        dmin, second = self._root(np.concatenate((low, second))).reshape(2, -1)
-        tied = (second <= dmin).nonzero()[0]
-        if tied.shape[0]:
-            cols[tied] = self._root(x[tied]).argmin(1)
-        return cols, dmin
+        """Each row's first minimum of the kernel's product ``x``: its column
+        and its distance, the row's least, as ``_root`` is monotone. Of columns
+        at one distance the smallest entry wins, and of equal entries the first."""
+        cols = x.argmin(1)
+        return cols, self._root(x[np.arange(x.shape[0]), cols])
 
     def row_min(self, x: np.ndarray) -> np.ndarray:
         """Each row's minimum distance from the kernel's product: the

@@ -7,8 +7,8 @@ point's center, a state's layer table, the live ids of a store, and
 weighted instances built from or read back as ``(Point, weight)`` pairs;
 :class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
 by the test, passed to the engine as ``DynamicParams(seed=...)``; the
-seeding of a weighted solve drawn with ``rng.choice``; and the powered Gram
-of an instance finished whole.
+seeding of a weighted solve drawn with ``rng.choice``; the powered Gram
+of an instance finished whole; and points on a line.
 
 None of these is on an engine path. The brute-force enumerations carry hard
 size guards and evaluate distances without touching the oracle counter; the
@@ -36,6 +36,7 @@ from dynkmed import (
     PointStore,
     Solution,
     WeightedInstance,
+    points_from_array,
 )
 from dynkmed.dynamic import _cover_arrays
 
@@ -44,6 +45,11 @@ _BRUTE_FORCE_MAX_SUBSETS = 100_000
 
 
 # -- views of points, instances, stores and states -----------------------------
+
+
+def line_points(*coords: float) -> list[Point]:
+    """Points on the real line at ``coords``, with ids 0..n-1."""
+    return points_from_array(np.array([[float(c)] for c in coords]))
 
 
 def distance(oracle: DistanceOracle, x: Point, y: Point) -> float:

@@ -79,6 +79,16 @@ def test_load_dataset_whitespace_and_full_read(tmp_path):
     assert pts[2].coords.tolist() == [4.0, 5.0, 6.0]
 
 
+def test_load_dataset_skips_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with the UTF-8 byte-order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("1,2\n3.5,-4\n5,6e3\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = load_dataset(plain), load_dataset(marked)
+    assert [q.id for q in got] == [q.id for q in want] == [0, 1, 2]
+    assert np.array_equal(np.stack([q.coords for q in got]), np.stack([q.coords for q in want]))
+
+
 @pytest.mark.parametrize("text, line", [("1,2\n3,oops\n", "line 2"), (",\n, ,\n", "line 1")])
 def test_load_dataset_malformed_row_reports_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
@@ -669,16 +679,20 @@ def test_cli_too_many_queries_is_config_error(tmp_path, capsys):
 
 
 def test_cli_an_out_path_it_cannot_write_is_a_config_error_before_the_run(tmp_path, capsys, monkeypatch):
-    # refused by validation, before a point is made, not after the whole stream
+    # refused by validation, before a point is made, not after the whole
+    # stream: an out in a missing directory, a directory, an out whose summary
+    # path is a directory, and an empty out, which names no file to write
     monkeypatch.setattr(bench, "synthetic_points", lambda *args: pytest.fail("points were made"))
     (tmp_path / "dir").mkdir()
-    for out in (tmp_path / "missing" / "x.csv", tmp_path / "dir"):
+    (tmp_path / "x.summary.json").mkdir()
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "dir", tmp_path / "x.csv", ""):
         code = cli_main(["--synthetic", "g:2:2:50", "--window", "5", "--k", "1", "--phi", "1",
                          "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"config error: out path {str(out)!r} is a directory or its directory does not exist\n")
-        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+            f"config error: out path {str(out)!r} is empty or a directory, its directory does not exist, "
+            "or its .summary.json is a directory\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "x.summary.json"]
 
 
 def test_a_synthetic_size_numpy_cannot_index_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -22,12 +22,9 @@ from oracles import (
     distance,
     first_draws,
     id_draws,
+    line_points,
     pairwise,
 )
-
-
-def line_points(*coords):
-    return points_from_array(np.array([[float(c)] for c in coords]))
 
 
 def round_radius(centers, universe, fraction):

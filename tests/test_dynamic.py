@@ -24,6 +24,7 @@ from oracles import (
     distance,
     entries,
     first_draws,
+    line_points,
     live_ids,
     members,
     pairwise,
@@ -34,10 +35,6 @@ from oracles import (
 def gaussian_points(n, dim=2, seed=0, start_id=0):
     rng = np.random.default_rng(seed)
     return [Point(start_id + i, row) for i, row in enumerate(rng.normal(0, 5, size=(n, dim)))]
-
-
-def line_points(*coords):
-    return points_from_array(np.array([[float(c)] for c in coords]))
 
 
 def big_state(n=300, phi=20, seed=3, k=5):

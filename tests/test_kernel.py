@@ -1,13 +1,16 @@
 """The distance kernel and the cover round against plain-numpy references.
 
-``_reference_matrix_between`` states the kernel's formula in plain numpy:
-center both blocks on the mean of ``b``, multiply ``[u, 1, |u|^2]`` by
-``[-2v, |v|^2, 1]`` transposed, clip at 0, take the sqrt and add the offset.
+``_reference_product`` states the kernel's formula in plain numpy: center
+both blocks on the mean of ``b`` and multiply ``[u, 1, |u|^2]`` by
+``[-2v, |v|^2, 1]`` transposed; ``_reference_finish`` clips at 0, takes the
+sqrt and adds the offset, and ``_reference_matrix_between`` is the two.
 ``_reference_cover_arrays`` is the package's earlier cover round, kept
 verbatim apart from taking the oracle as an argument, from reading no
 sampler from the params (a forced sample reaches both rounds through
-``rng.integers``, as the draws of ``oracles.ForcedDraws``) and from the
-own-center line below. It zeroes
+``rng.integers``, as the draws of ``oracles.ForcedDraws``), from the
+own-center line below and from naming each row's center by the first
+minimum of the product over the row's columns at its least distance,
+which in a row with no same-id pair is the product's first minimum. It zeroes
 same-id pairs through an n x c id mask, which the kernel did when it took
 ids, and takes the minimum in a second reduction. The package works in
 place and in fewer passes over
@@ -31,8 +34,9 @@ own pair at 0 is its minimum already.
 
 ``nearest`` and ``row_min`` reduce the product that ``matrix_between``
 returns. ``_reference_nearest`` finishes that product into distances as
-``_root`` does and takes the first argmin and the minimum; the reductions
-must match it bit for bit, and the finished product must match
+``_root`` does and takes the product's first argmin and the distances'
+minimum, which must be that column's distance; the reductions must match
+it bit for bit, and the finished product must match
 ``oracles.distances``, the kernel's product finished whole, on cases where
 distinct products round to one distance. The kernel knows no ids: a block
 of points against some of themselves pairs each picked point with itself,
@@ -61,7 +65,7 @@ from dynkmed.metric import Point, _nearest_two
 from oracles import cover_positions, distances, id_draws, pairwise
 
 
-def _reference_matrix_between(
+def _reference_product(
     self: DistanceOracle, a_coords: np.ndarray, b_coords: np.ndarray, count: bool = True
 ) -> np.ndarray:
     a = np.asarray(a_coords, dtype=np.float64)
@@ -79,15 +83,30 @@ def _reference_matrix_between(
         v2 = np.einsum("ij,ij->i", v, v)
         left = np.hstack([u, np.ones((n, 1)), u2[:, None]])
         right = np.hstack([-2.0 * v, v2[:, None], np.ones((c, 1))])
-        out = np.sqrt(np.maximum(left @ right.T, 0.0))
-    else:
-        out = np.empty((n, c), dtype=np.float64)
-        for i in range(n):
-            for j in range(c):
-                out[i, j] = self.base(a[i], b[j])
+        return left @ right.T
+    out = np.empty((n, c), dtype=np.float64)
+    for i in range(n):
+        for j in range(c):
+            out[i, j] = self.base(a[i], b[j])
     if self.offset:
         out += self.offset
     return out
+
+
+def _reference_finish(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
+    """The distances ``_root`` finishes the kernel's product ``x`` into."""
+    if oracle.base is not None:
+        return x.copy()
+    d = np.sqrt(np.maximum(x, 0.0))
+    if oracle.offset:
+        d += oracle.offset
+    return d
+
+
+def _reference_matrix_between(
+    self: DistanceOracle, a_coords: np.ndarray, b_coords: np.ndarray, count: bool = True
+) -> np.ndarray:
+    return _reference_finish(self, _reference_product(self, a_coords, b_coords, count))
 
 
 def _reference_cover_arrays(
@@ -103,12 +122,15 @@ def _reference_cover_arrays(
     center_ids = np.array(sorted(set(int(s) for s in sample)), dtype=np.int64)
     pos = np.searchsorted(ids, center_ids)
 
-    dist = _reference_matrix_between(oracle, coords, coords[pos])
+    product = _reference_product(oracle, coords, coords[pos])
+    dist = _reference_finish(oracle, product)
     dist[ids[:, None] == center_ids[None, :]] = 0.0
     dmin = dist.min(axis=1)
     m = _quantile_index(params.beta, n)
     radius = float(np.partition(dmin, m - 1)[m - 1])
-    nearest = np.argmin(dist, axis=1)  # first minimum: smallest center id wins
+    # the first minimum of the product over each row's columns at its least
+    # distance: the product's first minimum in a row with no same-id pair
+    nearest = np.argmin(np.where(dist == dmin[:, None], product, np.inf), axis=1)
     if own_column:
         nearest[pos] = np.arange(pos.shape[0])  # each sampled row is its own center
     return center_ids, nearest, dmin <= radius, radius
@@ -327,14 +349,12 @@ def test_matrix_between_error_is_bounded_by_the_spread_about_the_mean(dim, offse
 
 def _reference_nearest(oracle: DistanceOracle, x: np.ndarray):
     """The distances ``_root`` finishes the kernel's product ``x`` into,
-    with their first argmin and minimum."""
-    d = x.copy()
-    if oracle.base is None:
-        d = np.sqrt(np.maximum(x, 0.0))
-        if oracle.offset:
-            d += oracle.offset
-    cols = np.argmin(d, axis=1)
-    return d, cols, d[np.arange(d.shape[0]), cols]
+    the product's first argmin and the distances' row minimum, which is the
+    distance of that column."""
+    d = _reference_finish(oracle, x)
+    cols, dmin = np.argmin(x, axis=1), d.min(axis=1)
+    assert_same_bits(d[np.arange(d.shape[0]), cols], dmin)
+    return d, cols, dmin
 
 
 def assert_reductions_match(oracle: DistanceOracle, x: np.ndarray) -> np.ndarray:
@@ -403,28 +423,31 @@ def test_reductions_match_the_distance_matrix(n, c, dim, scale, shift, gap, offs
     assert_reductions_match(oracle, product)
 
 
-def test_reductions_break_offset_dominated_ties_toward_the_first_column():
-    # spread 1e-17 under offset 1: distinct products, every distance 1.0
+def test_offset_dominated_rows_go_to_the_first_minimum_of_the_product():
+    # spread 1e-17 under offset 1: distinct products, every distance 1.0,
+    # and each row's column is its smallest entry's, rarely the first
     x = np.random.default_rng(0).normal(scale=1e-17, size=(500, 3))
     oracle = DistanceOracle(1.0)
     product, d = assert_blocks_match(oracle, x, np.arange(40))
     assert np.all(d == 1.0)
-    assert np.count_nonzero(np.argmin(product, axis=1) != 0) > 400
+    cols, dmin = oracle.nearest(product)
+    assert np.array_equal(cols, product.argmin(1)) and np.all(dmin == 1.0)
+    assert np.count_nonzero(cols != 0) > 400
 
 
-def test_nearest_takes_the_first_column_of_a_one_ulp_sqrt_merge():
+def test_nearest_takes_the_smaller_of_a_one_ulp_sqrt_merge_and_the_first_of_equal_entries():
     # entries one ulp apart whose square roots round to one value, the
-    # larger in the earlier column
+    # larger in the earlier column, and a third column equal to the smaller
     rng = np.random.default_rng(4)
     hi = rng.uniform(1.0, 1e6, size=4000)
     lo = np.nextafter(hi, 0.0)
     merged = np.sqrt(hi) == np.sqrt(lo)
     assert merged.sum() > 1000
-    x = np.stack([hi[merged], lo[merged], hi[merged] * 2.0], axis=1)
+    x = np.stack([hi[merged], lo[merged], lo[merged], hi[merged] * 2.0], axis=1)
     for offset in (0.0, 0.5):
         oracle = DistanceOracle(offset)
         assert_reductions_match(oracle, x)
-        assert np.all(oracle.nearest(x)[0] == 0)
+        assert np.all(oracle.nearest(x)[0] == 1)
 
 
 def test_reductions_with_exact_twins_at_offset_0():

@@ -28,14 +28,11 @@ from oracles import (
     first_draws,
     instance_gram,
     instance_of,
+    line_points,
     pairwise,
     seed_indices_by_choice,
     unit_instance,
 )
-
-
-def line_points(*coords):
-    return points_from_array(np.array([[float(c)] for c in coords]))
 
 
 def random_points(n, dim=2, seed=0, scale=1.0):

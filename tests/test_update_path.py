@@ -20,7 +20,10 @@ unsampled duplicates at offset 0 are left over. The reference kernel takes
 ids and zeroes or marks same-id pairs itself; the package's kernel takes
 coordinates only, so the tests mark those pairs in its result to compare
 kernels. No package caller hands the package's reductions a marked entry,
-so they are compared with the references on unmarked blocks.
+so they are compared with the references on unmarked blocks. The reference
+``nearest`` picks again, over the distances, the column of each row whose
+two smallest entries round to one distance; the package's takes the first
+minimum of the product, and on these blocks both name the same column.
 ``ReferenceOracle`` and ``ReferenceState`` carry the methods, so the cover
 round and the rounds below resolve ``_cover_arrays``, ``_nearest_two`` and
 the oracle's methods to the references.
@@ -330,17 +333,6 @@ CASES = [
 ]
 
 
-class BranchCounter(DistanceOracle):
-    """Counts the tie branch of ``nearest``: its second ``_root`` call takes
-    a 2-D block of tied rows, and a cover round calls ``_root`` nowhere else."""
-
-    ties = 0
-
-    def _root(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        BranchCounter.ties += x.ndim == 2
-        return super()._root(x, out)
-
-
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -350,7 +342,7 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 @pytest.mark.parametrize("case, offset, base, draws", CASES)
 def test_cover_round_matches_its_reference(case, offset, base, draws):
-    twins, skipped, BranchCounter.ties = 0, 0, 0
+    twins, skipped = 0, 0
     for seed in range(16):
         # from seed 12 on the working set is little larger than the sample,
         # as in a rebuild's last rounds, where the sample can fill the quantile
@@ -366,7 +358,7 @@ def test_cover_round_matches_its_reference(case, offset, base, draws):
         old = RoundReference(offset, base, params.beta)
         want = _cover_arrays(ids, x, params, old_rng, old)
         for matrix, subset in ((x, None), (store, rows)):
-            new_rng, new = np.random.default_rng(stream(draws, seed)), BranchCounter(offset, base)
+            new_rng, new = np.random.default_rng(stream(draws, seed)), DistanceOracle(offset, base)
             got = cover_positions(matrix, params, new_rng, new, subset)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[2], want[2])
@@ -377,9 +369,8 @@ def test_cover_round_matches_its_reference(case, offset, base, draws):
         skipped += skips(params.beta, x.shape[0], got[0].shape[0])
         pos = got[0]  # a twin pair's rows are adjacent, so both sampled are adjacent centers
         twins += np.count_nonzero((x[pos[1:]] == x[pos[:-1]]).all(axis=1))
-    # exact duplicates at offset 0 tie at distance 0, and twin centers in one
-    # sample each keep a cluster
-    assert (twins > 0 and BranchCounter.ties > 0) == (case == "duplicates")
+    # twin centers in one sample each keep a cluster
+    assert (twins > 0) == (case == "duplicates")
     # from seed 12 on a seeded sample can fill the quantile; the twin draws number too few
     assert (skipped > 0) == (draws is None)
 
