@@ -1,20 +1,21 @@
 """Fully dynamic layered clustering structure.
 
 The state keeps a stack of layers, each one round of the static sampling
-cover, over one cluster table of center rows and sizes ordered layer by
-layer: layer i owns the slots from its ``start`` up to the next layer's, so a
+cover, over one cluster table of center rows ordered layer by layer:
+layer i owns the slots from its ``start`` up to the next layer's, so a
 cluster's depth is its position in the table. Each live point stores only its
 slot, at its row of the store's ``slot`` array, which the store grows and the
 state writes. Ids are read through ``store.row_ids`` only where the API
 returns them. U_i, the points covered at depth i or deeper, is the rows with
 slot >= ``start_i``, so the U_i nest by construction.
 
-Updates touch the counters, one slot and one table entry, and evaluate no
-distances: an insert appends a singleton slot to the last layer, a delete
-decrements a size (an emptied cluster keeps size 0 until its layer is
-rebuilt), and deleting a center promotes the smallest-id surviving member,
-which keeps all members within twice the layer radius of their center. Once
-a layer has absorbed updates a ``tau`` fraction of its size at build time,
+Updates touch the counters and one slot, and evaluate no distances: an
+insert appends a singleton center row to the last layer, and a delete
+writes -1 to the point's slot. A cluster's size is the count of live slots
+holding it, and its center (:meth:`ClusteringState._centers`) is its
+round's center while that row holds the cluster's slot, else its smallest-id
+live member, within twice the layer radius of every other member. Once a
+layer has absorbed updates a ``tau`` fraction of its size at build time,
 layers i..t are rebuilt from U_i and the table is truncated at ``start_i``.
 
 A round (:func:`_cover_arrays`) samples ``phi`` points and covers the
@@ -37,8 +38,8 @@ _EPS = 1e-9
 _STATS = ("rebuilds", "points", "rounds", "empty_rounds", "evals")  # per depth, as _rebuild adds them
 
 # One layer to append: working-set size, radius, its points' rows with each
-# one's cluster index in the layer, and the clusters' center rows and sizes.
-_Round = tuple[int, float, np.ndarray, np.ndarray, list, list]
+# one's cluster index in the layer, and the clusters' center rows.
+_Round = tuple[int, float, np.ndarray, np.ndarray, list]
 
 
 @dataclass
@@ -135,9 +136,7 @@ def _cover_arrays(
         radius = float(np.partition(dmin, m - c - 1)[m - c - 1])
         mark[rest] = dmin <= radius
     covered = mark.nonzero()[0]
-    group = nearest.take(covered)
-    layer = (n, radius, rows.take(covered), group, rows.take(pos).tolist(), np.bincount(group).tolist())
-    return layer, rows[~mark]
+    return (n, radius, rows.take(covered), nearest.take(covered), rows.take(pos).tolist()), rows[~mark]
 
 
 class ClusteringState:
@@ -154,9 +153,8 @@ class ClusteringState:
         self.oracle = oracle or DistanceOracle()
         self.store = PointStore()
         self.rng = np.random.default_rng(params.seed)
-        # the cluster table (center rows, sizes); each row's slot is store.slot (-1: no point)
+        # the cluster table's center rows; each row's slot is store.slot (-1: no point)
         self.center: list[int] = []
-        self.size: list[int] = []
         self.layers: list[Layer] = [Layer(0)]  # empty: one terminal layer
         self._stats: dict[int, list[int]] = {}  # per rebuild depth: the _STATS
 
@@ -205,15 +203,14 @@ class ClusteringState:
                 self.rng.bit_generator.state = stream
             raise
         rest = rows.shape[0]
-        rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist(), [1] * rest))
+        rounds.append((rest, 0.0, rows, np.arange(rest), rows.tolist()))
         start, slack = self.layers[index - 1].start, self.params.slack
-        del self.layers[index - 1 :], self.center[start:], self.size[start:]
-        for base_size, radius, layer_rows, group, centers, sizes in rounds:
+        del self.layers[index - 1 :], self.center[start:]
+        for base_size, radius, layer_rows, group, centers in rounds:
             start = len(self.center)
             self.layers.append(Layer(start, radius, base_size, due=math.ceil(slack * base_size - _EPS)))
             self.store.slot[layer_rows] = np.add(group, start, out=group)
             self.center += centers
-            self.size += sizes
         added = (1, n, len(rounds) - 1, empty, self.oracle.evals - evals)
         self._stats[index] = [a + b for a, b in zip(self._stats.get(index, (0,) * len(added)), added)]
 
@@ -246,14 +243,13 @@ class ClusteringState:
             layer.updates += 1
         self.store.slot[row] = len(self.center)
         self.center.append(row)
-        self.size.append(1)
         self.rebuild()
 
     def delete(self, pid: PointId) -> None:
         """Remove a live point; counts as an update in layers 1..depth.
 
-        If it centered a cluster with surviving members, the smallest-id
-        member takes over as center.
+        Only the point's slot is written, so a deleted center keeps its table
+        row; :meth:`_centers` reads its cluster's successor from the slots.
         """
         row = self.store.remove(pid)  # KeyError for an unknown id, before any change
         s = self.store.slot.item(row)
@@ -262,10 +258,6 @@ class ClusteringState:
                 break
             layer.updates += 1
         self.store.slot[row] = -1
-        self.size[s] -= 1
-        if self.center[s] == row and self.size[s]:
-            rows = (self.store.slot[: self.store.used] == s).nonzero()[0]
-            self.center[s] = rows.item(self.store.row_ids.take(rows).argmin())
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -286,93 +278,95 @@ class ClusteringState:
 
     def assignment(self) -> dict[PointId, PointId]:
         """Full point -> center map across all layers."""
-        ids, slot = self.store.row_ids, self.store.slot
+        ids, slot = self.store.row_ids, self.store.slot[: self.store.used]
         rows = np.flatnonzero(slot >= 0)
-        centers = ids[np.array(self.center, dtype=np.int64)[slot[rows]]]
+        centers = ids[self._centers(slot)[slot[rows]]]
         return dict(zip(ids[rows].tolist(), centers.tolist()))
 
     def weighted_instance(self) -> WeightedInstance:
         """The centers of the nonempty clusters in id order, weighted by their
-        cluster sizes.
+        cluster sizes, the counts of live slots holding each cluster.
 
         Weights sum to the live point count; last-layer points carry weight 1.
         """
         if len(self.store) == 0:
             raise ValueError("state is empty")
-        sizes = np.array(self.size, dtype=np.int64)
+        slot = self.store.slot[: self.store.used]
+        sizes = np.bincount(slot + 1, minlength=len(self.center) + 1)[1:]  # a free row's -1 counts at 0
         nonempty = sizes > 0
-        rows, weights = np.array(self.center, dtype=np.int64)[nonempty], sizes[nonempty]
+        rows, weights = self._centers(slot)[nonempty], sizes[nonempty]
         order = self.store.row_ids[rows].argsort(kind="stable")  # ids are distinct
         rows = rows[order]
         return WeightedInstance(self.store.row_ids[rows], self.store.matrix[rows], weights[order])
+
+    def _centers(self, slot: np.ndarray) -> np.ndarray:
+        """Each cluster's center row, from ``slot``, the store's slots up to
+        ``used``: the round's center while its row still holds the cluster's
+        slot, else the cluster's smallest-id live member, -1 if none.
+
+        That is where promoting the smallest-id survivor at each deletion
+        would leave it: a cluster only loses points until its layer is
+        rebuilt, and a freed or reused row only ever gets a later slot or -1.
+        Only the clusters whose row lost their slot read the slots again. A
+        row outside the store holds no slot.
+        """
+        center = np.array(self.center, dtype=np.intp)
+        lost = np.append(slot.take(center, mode="clip") != np.arange(center.shape[0]), False)
+        lost[:-1] |= (center < 0) | (center >= slot.shape[0])
+        if lost.any():
+            center[lost[:-1]] = -1
+            rows = np.flatnonzero(lost[slot])  # a free row's -1 reads the last entry, False
+            rows = rows[self.store.row_ids[rows].argsort(kind="stable")]
+            clusters, first = np.unique(slot[rows], return_index=True)  # first: the smallest id
+            center[clusters] = rows[first]
+        return center
 
     # -- diagnostics ---------------------------------------------------------
 
     def integrity_check(self) -> list[str]:
         """Verify the structural invariants; returns violations (empty = ok).
 
-        Checks each size against the points holding its slot and each center
-        row against its own slot, then the slack invariant, the per-layer shrink
-        bound, the 2*radius cluster bound, and the layer-count bound. Nesting
-        and depths hold by construction. Distance work here is uncounted so
-        diagnostics never distort evaluation-cost measurements.
+        Checks that exactly the live points hold a slot in the table and that
+        every center row is in the store, then the slack invariant, the
+        per-layer shrink bound, the 2*radius bound of each point from its
+        cluster's center as :meth:`_centers` reads it, and the layer-count
+        bound. Nesting and depths hold by construction, and each cluster's
+        size is the count of slots holding it. Distance work here is
+        uncounted so diagnostics never distort evaluation-cost measurements.
         """
         violations: list[str] = []
-        params = self.params
-        n = len(self.store)
-        slack = params.slack
-
-        slot = self.store.slot
-        rows = np.flatnonzero(slot >= 0)
-        slots = slot[rows]
-        held = np.bincount(slots, minlength=len(self.size))[: len(self.size)]
-        for s in np.flatnonzero(held != np.array(self.size, dtype=np.int64))[:5]:
-            violations.append(f"cluster slot {s}: size {self.size[s]}, but {held[s]} points hold it")
-        totals = [sum(self.size[layer.start :]) for layer in self.layers]  # |U_i|
+        params, n, slack, m = self.params, len(self.store), self.params.slack, len(self.center)
+        slot = self.store.slot[: self.store.used]
+        slot = np.where(slot < m, slot, -1)  # a slot past the table names no cluster
+        sizes = np.bincount(slot + 1, minlength=m + 1)[1:]
+        totals = [int(sizes[layer.start :].sum()) for layer in self.layers]  # |U_i|
         if totals[0] != n:
             violations.append("cluster sizes do not add up to the live point count")
-        # each center row is in range and holds its own slot (a freed row holds -1)
-        center = np.array(self.center, dtype=np.int64)
-        member = (center >= 0) & (center < slot.shape[0])
-        member[member] = slot[center[member]] == np.flatnonzero(member)
-        ends = [layer.start for layer in self.layers[1:]] + [len(self.center)]
+        ends = [layer.start for layer in self.layers[1:]] + [m]
         for i, (layer, end) in enumerate(zip(self.layers, ends), start=1):
-            if i > 1:
-                bound = params.shrink_factor * totals[i - 2]
-                if totals[i - 1] > bound + _EPS:
-                    violations.append(
-                        f"layer {i}: size {totals[i - 1]} exceeds shrink bound "
-                        f"{bound:.3f} from layer {i-1}"
-                    )
+            bound = params.shrink_factor * totals[i - 2] if i > 1 else math.inf
+            if totals[i - 1] > bound + _EPS:
+                violations.append(f"layer {i}: size {totals[i - 1]} exceeds shrink bound "
+                                  f"{bound:.3f} from layer {i-1}")
             if layer.updates > slack * layer.base_size + _EPS:
-                violations.append(
-                    f"layer {i}: slack invariant broken "
-                    f"({layer.updates} updates > {slack} * {layer.base_size})"
-                )
-            for s in range(layer.start, end):
-                if self.size[s] and not member[s]:
-                    violations.append(
-                        f"layer {i}: cluster slot {s}: center row {self.center[s]} is not a member"
-                    )
-        rows, slots = rows[slots < len(center)], slots[slots < len(center)]
-        keep = member[slots] & (rows != center[slots])
-        violations.extend(self._check_radii(rows[keep], slots[keep], center[slots[keep]]))
-
+                violations.append(f"layer {i}: slack invariant broken "
+                                  f"({layer.updates} updates > {slack} * {layer.base_size})")
+            violations += [f"layer {i}: cluster slot {s}: center row {self.center[s]} is outside the store"
+                           for s in range(layer.start, end) if not 0 <= self.center[s] < slot.shape[0]]
+        rows = np.flatnonzero(slot >= 0)
+        slots = slot[rows]
+        centers = self._centers(slot)[slots]
+        keep = rows != centers
+        violations.extend(self._check_radii(rows[keep], slots[keep], centers[keep]))
         if n > 0:
             # The next-to-last layer was bigger than phi when built and may
             # have shrunk by a `slack` fraction since, hence the (1 - slack)
-            # correction on phi.
+            # correction on phi; the bound is at least 1.
             ratio = n / ((1.0 - slack) * params.phi)
-            if ratio <= 1.0 + _EPS:
-                allowed = 1
-            else:
-                allowed = math.ceil(
-                    math.log(ratio) / math.log(1.0 / params.shrink_factor) - _EPS
-                ) + 1
-            if self.t > max(1, allowed):
-                violations.append(
-                    f"layer count {self.t} exceeds bound {max(1, allowed)} for n={n}"
-                )
+            allowed = 1 if ratio <= 1.0 + _EPS else math.ceil(
+                math.log(ratio) / math.log(1.0 / params.shrink_factor) - _EPS) + 1
+            if self.t > allowed:
+                violations.append(f"layer count {self.t} exceeds bound {allowed} for n={n}")
         return violations
 
     def _check_radii(

@@ -26,8 +26,8 @@ LOCAL_SEARCH_DELTA = 0.01
 
 class WeightedInstance:
     """Distinct points with positive integer weights, held as three arrays
-    in ascending id order: integer ``ids``, ``coords`` (one row per id) and
-    ``weights``."""
+    in ascending id order: integer ``ids``, real and finite ``coords`` (one
+    row per id) and ``weights``."""
 
     def __init__(self, ids: np.ndarray, coords: np.ndarray, weights: np.ndarray) -> None:
         ids, coords, weights = np.asarray(ids), np.asarray(coords), np.asarray(weights)
@@ -44,6 +44,9 @@ class WeightedInstance:
         unordered = np.flatnonzero(ids[1:] <= ids[:-1])
         if unordered.size:
             raise ValueError(f"duplicate or unordered point id {ids[unordered[0] + 1]}")
+        finite = np.isfinite(coords) if coords.dtype.kind in "iuf" else np.zeros(coords.shape, dtype=bool)
+        if not finite.all():
+            raise ValueError(f"point {ids[(~finite.all(1)).argmax()]}: coordinates must be real and finite")
         self.ids, self.coords, self.weights = ids, coords, weights
 
     def __len__(self) -> int:
@@ -51,7 +54,7 @@ class WeightedInstance:
 
     @property
     def total_weight(self) -> int:
-        return self.weights.sum().item()
+        return sum(self.weights.tolist())  # Python ints: a numpy sum wraps
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ relaxed triangle check, one cover round over points or read back by
 position, the covered set of a layer and the checks of a state's weighted
 instance; the views of the engine that only tests read: distances between
 points and between coordinate blocks, a layer's members and clusters, a
-point's center, a state's layer table, the live ids of a store, and
-weighted instances built from or read back as ``(Point, weight)`` pairs;
+point's center, a state's cluster sizes and center rows, its layer table,
+the live ids of a store, and weighted instances built from or read back as
+``(Point, weight)`` pairs;
 :class:`ForcedDraws`, a sample stream whose cover-round draws are chosen
 by the test, passed to the engine as ``DynamicParams(seed=...)``; the
 seeding of a weighted solve drawn with ``rng.choice``; the powered Gram
@@ -112,6 +113,18 @@ def _slots(state: ClusteringState, index: int) -> tuple[int, int]:
     return starts[index - 1], starts[index]
 
 
+def sizes(state: ClusteringState) -> np.ndarray:
+    """Each cluster's size in table order: the count of live slots holding it."""
+    slot = state.store.slot[: state.store.used]
+    return np.bincount(slot[slot >= 0], minlength=len(state.center))
+
+
+def center_rows(state: ClusteringState) -> np.ndarray:
+    """Each cluster's center row in table order, as the state reads it from
+    the slots (-1 for an emptied cluster)."""
+    return state._centers(state.store.slot[: state.store.used])
+
+
 def members(state: ClusteringState, index: int) -> set[PointId]:
     """U_index (1-based): the points covered at depth index or deeper."""
     start = state.layers[index - 1].start
@@ -121,30 +134,31 @@ def members(state: ClusteringState, index: int) -> set[PointId]:
 def clusters(state: ClusteringState, index: int) -> dict[PointId, set[PointId]]:
     """The clusters of layer index (1-based) as center -> member ids."""
     lo, hi = _slots(state, index)
-    ids = state.store.row_ids
-    out = {int(ids[state.center[s]]): set() for s in range(lo, hi) if state.size[s]}
+    ids, center, size = state.store.row_ids, center_rows(state), sizes(state)
+    out = {int(ids[center[s]]): set() for s in range(lo, hi) if size[s]}
     rows = np.flatnonzero((state.store.slot >= lo) & (state.store.slot < hi))
     for pid, s in zip(ids[rows].tolist(), state.store.slot[rows].tolist()):
-        out[int(ids[state.center[s]])].add(pid)
+        out[int(ids[center[s]])].add(pid)
     return out
 
 
 def assignment_of(state: ClusteringState, pid: PointId) -> PointId:
     """Current center of the unique cluster containing ``pid`` (KeyError
     for an id that is not live)."""
-    return int(state.store.row_ids[state.center[state.store.slot[state.store.row(pid)]]])
+    return int(state.store.row_ids[center_rows(state)[state.store.slot[state.store.row(pid)]]])
 
 
 def snapshot(state: ClusteringState) -> str:
     """Tab-separated dump: one line per layer with
     i, |U_i|, |S_i|, |C_i|, radius, base size, update counter."""
-    sizes = [sum(state.size[layer.start :]) for layer in state.layers] + [0]
+    size = sizes(state)
+    totals = [int(size[layer.start :].sum()) for layer in state.layers] + [0]
     lines = []
     for i, layer in enumerate(state.layers, start=1):
         lo, hi = _slots(state, i)
-        kept = sum(1 for w in state.size[lo:hi] if w)
+        kept = np.count_nonzero(size[lo:hi])
         lines.append(
-            f"{i}\t{sizes[i - 1]}\t{kept}\t{sizes[i - 1] - sizes[i]}\t"
+            f"{i}\t{totals[i - 1]}\t{kept}\t{totals[i - 1] - totals[i]}\t"
             f"{layer.radius!r}\t{layer.base_size}\t{layer.updates}"
         )
     return "\n".join(lines) + "\n"
@@ -284,17 +298,17 @@ def cover_positions(
     sampled centers, each covered row's cluster index (-1 on the
     rows it leaves over), the covered mask and the radius. Checks first that
     the layer and the rows left over split the working set, each in order,
-    and that the sizes count the cluster indices."""
+    and that each covered row has one cluster index."""
     rows = np.arange(matrix.shape[0]) if rows is None else rows
     n = rows.shape[0]
-    (size, radius, layer_rows, group, centers, sizes), left = _cover_arrays(
+    (size, radius, layer_rows, group, centers), left = _cover_arrays(
         matrix, rows, params, rng, oracle)
     at = np.full(matrix.shape[0], -1)
     at[rows] = np.arange(n)
     covered, left = at[layer_rows], at[left]
     assert size == n and np.array_equal(np.sort(np.concatenate((covered, left))), np.arange(n))
     assert np.all(np.diff(covered) > 0) and np.all(np.diff(left) > 0)
-    assert sizes == np.bincount(group).tolist() and group.shape == covered.shape
+    assert group.shape == covered.shape
     nearest, mask = np.full(n, -1), np.zeros(n, dtype=bool)
     nearest[covered], mask[covered] = group, True
     return at[np.array(centers, dtype=np.int64)], nearest, mask, radius
@@ -334,7 +348,7 @@ def checked_instance(state: ClusteringState) -> WeightedInstance:
     assert np.all(np.diff(inst.ids) > 0)
     assert np.all(inst.weights >= 1) and inst.total_weight == state.live_count
     assert dict(zip(ids, inst.weights.tolist())) == {
-        int(state.store.row_ids[c]): w for c, w in zip(state.center, state.size) if w
+        int(state.store.row_ids[c]): w for c, w in zip(center_rows(state).tolist(), sizes(state).tolist()) if w
     }
     rows = [state.store.row(pid) for pid in ids]
     assert inst.coords.tobytes() == state.store.matrix[rows].tobytes()

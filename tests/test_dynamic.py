@@ -18,6 +18,8 @@ from dynkmed import (
 from dynkmed import dynamic, metric
 from oracles import (
     assignment_of,
+    center_rows,
+    checked_instance,
     clusters,
     cover_round,
     covered,
@@ -28,6 +30,7 @@ from oracles import (
     live_ids,
     members,
     pairwise,
+    sizes,
     snapshot,
 )
 
@@ -198,6 +201,55 @@ def test_delete_center_promotes_smallest_member():
     assert state.integrity_check() == []
 
 
+def test_a_delete_writes_only_the_points_slot_and_centers_resolve_in_id_order():
+    # the center goes, then its successor: the cluster resolves to the next
+    # smallest id, and neither delete writes another slot or the table
+    state = big_state(seed=21)
+    old_center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 3)
+    s = state.store.slot[state.store.row(old_center)]
+    first, second = sorted(group - {old_center})[:2]
+    for victim, survivors in ((old_center, group - {old_center}), (first, group - {old_center, first})):
+        row, slot, table = state.store.row(victim), state.store.slot.copy(), list(state.center)
+        state.delete(victim)
+        slot[row] = -1
+        assert np.array_equal(state.store.slot, slot) and state.center == table
+        assert clusters(state, 1)[min(survivors)] == survivors
+        assert state.store.row_ids[center_rows(state)[s]] == min(survivors) and sizes(state)[s] == len(survivors)
+    inst = checked_instance(state)
+    assert inst.weights[inst.ids.tolist().index(second)] == len(group) - 2
+    assert state.integrity_check() == []
+
+
+def test_a_cluster_that_loses_every_point_leaves_the_instance():
+    state = big_state(seed=21)
+    center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 3)
+    s = state.store.slot[state.store.row(center)]
+    before = checked_instance(state)
+    for pid in sorted(group):
+        state.delete(pid)
+    assert center_rows(state)[s] == -1 and sizes(state)[s] == 0
+    assert center not in clusters(state, 1) and not group & set(state.assignment())
+    inst = checked_instance(state)
+    assert inst.ids.tolist() == [pid for pid in before.ids.tolist() if pid != center]
+    assert state.integrity_check() == []
+
+
+def test_an_insert_into_a_deleted_centers_row_is_its_own_center():
+    # the free list is LIFO: the next insert takes the deleted center's row and
+    # a later slot, and the center's cluster still resolves to its survivor
+    state = big_state(seed=21)
+    old_center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 2)
+    row, s = state.store.row(old_center), state.store.slot[state.store.row(old_center)]
+    state.delete(old_center)
+    state.insert(Point(9999, np.array([40.0, 40.0])))
+    assert state.store.row(9999) == row and state.center[s] == row
+    assert state.store.slot[row] == len(state.center) - 1 and state.center[-1] == row
+    assert assignment_of(state, 9999) == 9999
+    assert state.store.row_ids[center_rows(state)[s]] == min(group - {old_center})
+    assert clusters(state, 1)[min(group - {old_center})] == group - {old_center}
+    assert state.integrity_check() == []
+
+
 def test_slot_scans_see_exactly_the_used_rows_of_a_store_with_free_rows(monkeypatch):
     # 300 rows handed out of a 512-row capacity, then 40 of them freed and
     # 15 reused: U_i and a cluster's members are found among the used rows
@@ -334,35 +386,38 @@ def test_integrity_check_flags_corruption():
     state.center[0] = 10**8  # corrupt: a center row out of range
     report = state.integrity_check()
     assert report
-    assert any("layer 1: cluster slot 0: center row 100000000 is not a member" in line for line in report)
+    assert any("layer 1: cluster slot 0: center row 100000000 is outside the store" in line for line in report)
+    assert state.weighted_instance().total_weight == state.live_count
 
+    # a center row that holds another slot, or a freed row, no longer holds
+    # its cluster's: the cluster resolves to its smallest-id live member
     state = big_state(seed=55)
+    group = set(state.store.row_ids[state.store.slot == 0].tolist())
     state.center[0] = state.center[-1]  # a live point's row, but it holds another slot
-    report = state.integrity_check()
-    assert any(f"cluster slot 0: center row {state.center[0]} is not a member" in line for line in report)
+    assert clusters(state, 1)[min(group)] == group and assignment_of(state, max(group)) == min(group)
+    assert state.integrity_check() == []
 
     state = big_state(seed=55)
-    row = next(r for r in np.flatnonzero(state.store.slot >= 0) if state.center[state.store.slot[r]] != r)
+    row = next(r for r in np.flatnonzero(state.store.slot > 0) if state.center[state.store.slot[r]] != r)
     state.delete(int(state.store.row_ids[row]))
+    group = set(state.store.row_ids[state.store.slot == 0].tolist())
     state.center[0] = int(row)  # a freed row
-    report = state.integrity_check()
-    assert any(f"cluster slot 0: center row {row} is not a member" in line for line in report)
+    assert clusters(state, 1)[min(group)] == group and assignment_of(state, max(group)) == min(group)
+    assert state.integrity_check() == []
 
 
 def test_integrity_check_flags_point_map_corruption():
     state = big_state(seed=55)
     center, group = next((c, m) for c, m in clusters(state, 1).items() if len(m) >= 2)
     moved = max(group - {center})
-    source, target = state.store.slot[state.store.row(moved)], len(state.center) - 1
-    state.store.slot[state.store.row(moved)] = target  # the point's slot names another cluster
-    report = state.integrity_check()
-    assert any(f"cluster slot {source}: size" in line for line in report)
-    assert any(f"cluster slot {target}: size" in line for line in report)
+    state.store.slot[state.store.row(moved)] = len(state.center) - 1  # the point's slot names another cluster
+    report = state.integrity_check()  # the 2*radius check: a last-layer cluster has radius 0
+    assert any(f"layer {state.t}: point {moved} at distance" in line and "exceeds 2*radius=0" in line
+               for line in report)
 
     state = big_state(seed=55)
-    state.size[0] += 1  # a wrong size count
+    state.store.slot[state.store.row(moved)] = -1  # a live point that holds no slot
     report = state.integrity_check()
-    assert any("cluster slot 0: size" in line for line in report)
     assert any("do not add up to the live point count" in line for line in report)
 
 
@@ -567,7 +622,7 @@ def test_failed_rebuild_past_the_first_chunk_leaves_the_state_unchanged(monkeypa
         return float(np.linalg.norm(a - b))
 
     state = preprocess(pts, DynamicParams(k=2, phi=phi, seed=9), DistanceOracle(0.01, base=l2))
-    before = (copy.deepcopy(state.layers), list(state.center), list(state.size),
+    before = (copy.deepcopy(state.layers), list(state.center),
               state.store.slot.copy(), state.rng.bit_generator.state, state.stats())
     draws = np.random.default_rng(0)
     draws.bit_generator.state = state.rng.bit_generator.state
@@ -581,8 +636,7 @@ def test_failed_rebuild_past_the_first_chunk_leaves_the_state_unchanged(monkeypa
         state.rebuild_from_layer(1)
     # the pairs of the chunks reached are counted, the failing one's included
     assert state.oracle.evals - evals == min((at // 768 + 1) * 768, n - c) * c
-    after = (state.layers, state.center, state.size, state.store.slot, state.rng.bit_generator.state,
-             state.stats())
+    after = (state.layers, state.center, state.store.slot, state.rng.bit_generator.state, state.stats())
     assert all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
                for x, y in zip(after, before))
 
@@ -738,7 +792,7 @@ def fields(state):
     stream and the evaluation count. Rows past ``used`` were never written."""
     store = state.store
     return ([(l.start, l.radius, l.base_size, l.updates, l.due) for l in state.layers],
-            state.store.slot.tolist(), list(state.center), list(state.size), store.used,
+            state.store.slot.tolist(), list(state.center), store.used,
             store.row_ids[: store.used].tolist(), list(store._free), dict(store._rows),
             store.matrix[: store.used].tobytes(), state.rng.bit_generator.state, state.oracle.evals)
 

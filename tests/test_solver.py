@@ -20,6 +20,7 @@ from dynkmed.solver import _FINISHED, _PANEL, _Finish, _instance_gram, _seed_ind
 from oracles import (
     brute_force_coverage_radius,
     brute_force_opt_weighted,
+    center_rows,
     checked_instance,
     cost_assignment,
     cost_weighted,
@@ -31,6 +32,7 @@ from oracles import (
     line_points,
     pairwise,
     seed_indices_by_choice,
+    sizes,
     unit_instance,
 )
 
@@ -131,6 +133,19 @@ def test_weighted_instance_validation():
             WeightedInstance(np.array(order, dtype=dtype), coords[:2], [1, 1])
     assert WeightedInstance(np.array([-100, 100], dtype=np.int8), coords[:2], [1, 1]).total_weight == 2
     assert WeightedInstance(ids, coords, [1, 1, 2]).total_weight == 4
+    # the total is the exact integer sum, which a numpy sum wraps to 0 here
+    assert WeightedInstance(np.arange(4), np.zeros((4, 2)), np.full(4, 2**62)).total_weight == 2**64
+    assert WeightedInstance(ids[:2], coords[:2], np.array([2**63] * 2, dtype=np.uint64)).total_weight == 2**64
+    # coordinates that are not real and finite are refused, naming the first
+    # such point: a NaN once reached the kernel as an overflow, an inf row of
+    # at most k points cost 0, and complex ones were solved on their real parts
+    for value in (np.nan, -np.inf):
+        bad = coords.copy()
+        bad[1:, 1] = value
+        with pytest.raises(ValueError, match="^point 2: coordinates must be real and finite$"):
+            WeightedInstance(ids, bad, [1, 1, 1])
+    with pytest.raises(ValueError, match="^point 1: coordinates must be real and finite$"):
+        WeightedInstance(ids, coords + 1j, [1, 1, 1])
 
 
 def test_weighted_solve_small_instance_returned_whole():
@@ -496,7 +511,7 @@ def test_weighted_solve_is_the_same_for_an_array_and_an_entries_instance(p):
         # the pairs in table order, layer by layer, not in id order
         from_pairs = instance_of(
             [(state.store.get(int(state.store.row_ids[c])), w)
-             for c, w in zip(state.center, state.size) if w]
+             for c, w in zip(center_rows(state).tolist(), sizes(state).tolist()) if w]
         )
         by_arrays, by_entries = DistanceOracle(0.01), DistanceOracle(0.01)
         got = weighted_solve(arrays, 3, p, seed, by_arrays)
@@ -513,8 +528,7 @@ def test_id_sorts_give_the_permutation_of_the_default_sort():
         store = state.store
         live = np.delete(np.arange(store._used), store._free)
         assert store.rows_by_id().tolist() == live[np.argsort(store.row_ids[live])].tolist()
-        sizes = np.array(state.size)
-        centers = np.array(state.center)[sizes > 0]
+        centers = center_rows(state)[sizes(state) > 0]
         expected = centers[np.argsort(store.row_ids[centers])]
         assert state.weighted_instance().ids.tolist() == store.row_ids[expected].tolist()
 

@@ -134,7 +134,7 @@ class CustomMetricStateMachine(DynamicStateMachine):
         the slots and the sample stream."""
         state = self.state
         return ([dataclasses.astuple(layer) for layer in state.layers], list(state.center),
-                list(state.size), state.store.slot.tolist(), state.rng.bit_generator.state)
+                state.store.slot.tolist(), state.rng.bit_generator.state)
 
     def evaluating(self, size: int) -> bool:
         """Whether the first cover round over U_i of ``size`` points must

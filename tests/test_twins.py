@@ -8,12 +8,13 @@ decision the engine takes:
 
 - **Scale.** Every coordinate, and the offset with it, times 2^j. After
   every update the evaluation count, each layer's ``start``, ``base_size``
-  and ``updates``, the center rows and the sizes are identical, and every
-  radius is exactly 2^j times the first state's. At every query the
-  centers and the evaluations are identical and the cost is exactly
-  2^(j*p) times the first's. Any absolute epsilon that enters a distance
-  decision breaks this. The exponents stay out of the subnormal and
-  overflow ranges, where the relation does not hold exactly.
+  and ``updates``, the table's center rows, the sizes and the centers read
+  from the slots are identical, and every radius is exactly 2^j times the
+  first state's. At every query the centers and the evaluations are
+  identical and the cost is exactly 2^(j*p) times the first's. Any
+  absolute epsilon that enters a distance decision breaks this. The
+  exponents stay out of the subnormal and overflow ranges, where the
+  relation does not hold exactly.
 - **Ids.** Ids mapped by ``2 * id + c``, a strictly increasing affine map.
   Counters, radii and costs are identical, and the centers are mapped the
   same way. Any use of ids beyond their order breaks this.
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 
 from dynkmed import DistanceOracle, DynamicParams, Point, SyntheticSpec, preprocess, query, synthetic_points
+from oracles import center_rows, sizes
 
 WINDOW, STEPS, PHI, K, QUERIES = 120, 200, 20, 5, (50, 100, 150, 200)
 
@@ -65,7 +67,8 @@ def test_twin_states_keep_the_scale_and_id_relations(data, p, relation, value, o
         assert ([(layer.start, layer.base_size, layer.updates) for layer in first.layers]
                 == [(layer.start, layer.base_size, layer.updates) for layer in twin.layers])
         assert [math.ldexp(layer.radius, j) for layer in first.layers] == [layer.radius for layer in twin.layers]
-        assert first.center == twin.center and first.size == twin.size
+        assert first.center == twin.center and sizes(first).tolist() == sizes(twin).tolist()
+        assert np.array_equal(center_rows(first), center_rows(twin))
 
     assert_related()
     for step in range(1, STEPS + 1):

@@ -5,9 +5,12 @@ Below are the cover round ``_cover_arrays``, the Euclidean kernel
 ``_same_id_pairs``), the reductions ``nearest`` and ``_nearest_two`` with
 the oracle's ``_distances``, which read a ``-inf`` entry as 0, and
 the rebuild loop of ``ClusteringState`` (``_cover_rounds``, ``_rebuild``,
-``rebuild_from_layer``, ``insert``, ``delete`` and ``rebuild``) as they were
-before the update path was cut to fewer numpy calls per cover round, per
-rebuild and per update. Their bodies are unchanged, except that the cover
+``rebuild_from_layer``, ``insert``, ``delete``, ``rebuild`` and
+``assignment``) as they were before the update path was cut to fewer numpy
+calls per cover round, per rebuild and per update, and before a delete
+stopped writing a cluster size and promoting a deleted center's successor:
+the reference keeps its own ``size`` list, which the package no longer
+stores. Their bodies are unchanged, except that the cover
 round reads no sampler from the params, a forced sample reaching both sides
 through ``rng.integers`` as the draws of ``oracles.ForcedDraws``, that the
 rounds stop at ``phi``, that the slots are the store's ``slot``, which the
@@ -31,7 +34,10 @@ the oracle's methods to the references.
 The package must return the same bits: sample positions, nearest columns,
 distances, covered masks, radii, rounds and the state of the sample stream,
 and a slide driven by the references must match a slide driven by the
-package after every update. The package peels its rounds inside
+package after every update: the package's assignment, the sizes it counts
+from the slots and the centers it reads from them (:meth:`_centers`) must be
+the reference's eager ones. Right after a rebuild, every center row of the
+layers it installed holds its own slot. The package peels its rounds inside
 ``_rebuild``, so rounds are compared through ``_rebuild`` on both sides, by
 the layers, table and slots each installs. The package's round gathers its
 rows from the store and returns the nearest center of the rows it covers
@@ -55,7 +61,7 @@ from dynkmed import DistanceOracle, DynamicParams, points_from_array, preprocess
 from dynkmed import metric
 from dynkmed.dynamic import _EPS, ClusteringState, Layer, _quantile_index
 from dynkmed.metric import Point, PointId
-from oracles import ForcedDraws, cover_positions
+from oracles import ForcedDraws, center_rows, cover_positions, sizes
 
 # -- references, verbatim ------------------------------------------------------
 
@@ -219,6 +225,10 @@ class RoundReference(ReferenceOracle):
 
 
 class ReferenceState(ClusteringState):
+    def __init__(self, params: DynamicParams, oracle: Optional[DistanceOracle] = None) -> None:
+        super().__init__(params, oracle)
+        self.size: list[int] = []
+
     def _cover_rounds(self, rows: np.ndarray, ids: np.ndarray) -> list:
         coords = self.store.matrix[rows]
         rounds: list = []
@@ -286,6 +296,12 @@ class ReferenceState(ClusteringState):
             if layer.updates >= layer.due:
                 self.rebuild_from_layer(i)
                 return
+
+    def assignment(self) -> dict[PointId, PointId]:
+        ids, slot = self.store.row_ids, self.store.slot
+        rows = np.flatnonzero(slot >= 0)
+        centers = ids[np.array(self.center, dtype=np.int64)[slot[rows]]]
+        return dict(zip(ids[rows].tolist(), centers.tolist()))
 
 
 def reference_preprocess(points, params: DynamicParams, oracle: ReferenceOracle) -> ReferenceState:
@@ -413,8 +429,10 @@ def assert_same_rounds(new: ClusteringState, old: ReferenceState, index: int, ro
     for g, w in zip(new.layers[index - 1 :], old.layers[index - 1 :]):
         assert (g.start, g.radius, g.base_size) == (w.start, w.radius, w.base_size)
     start = new.layers[index - 1].start
-    assert (new.center[start:], new.size[start:]) == (old.center[start:], old.size[start:])
+    assert new.center[start:] == old.center[start:] and sizes(new)[start:].tolist() == old.size[start:]
     assert np.array_equal(new.store.slot[rows], old.store.slot[rows])
+    assert_rebuilt_rows_hold_their_slots(new, index)
+    assert new.assignment() == old.assignment()
     assert new.rng.bit_generator.state == old.rng.bit_generator.state
     assert new.oracle.evals == old.oracle.package_evals
 
@@ -441,9 +459,23 @@ def test_cover_rounds_match_their_reference(case, offset, base, draws):
     assert_same_rounds(new, old, 2, rows)
 
 
-def assert_same_state(new: ClusteringState, old: ClusteringState) -> None:
+def assert_rebuilt_rows_hold_their_slots(state: ClusteringState, index: int) -> None:
+    """Every center row of layers index..t holds its own slot."""
+    start = state.layers[index - 1].start
+    assert np.array_equal(state.store.slot[state.center[start:]], np.arange(start, len(state.center)))
+
+
+def rebuilt_depth(state: ClusteringState, before: dict) -> Optional[int]:
+    """The depth rebuilt since ``before``, the state's ``stats()`` then."""
+    now = {i: counts["rebuilds"] for i, counts in state.stats().items()}
+    return next((i for i, n in now.items() if n != before.get(i, {}).get("rebuilds", 0)), None)
+
+
+def assert_same_state(new: ClusteringState, old: ReferenceState) -> None:
     assert new.assignment() == old.assignment()
-    assert (new.center, new.size) == (old.center, old.size)
+    size = sizes(new)
+    assert size.tolist() == old.size
+    assert center_rows(new)[size > 0].tolist() == np.array(old.center)[size > 0].tolist()
     assert np.array_equal(new.store.slot, old.store.slot)
     assert [(l.start, l.radius, l.base_size, l.updates) for l in new.layers] == [
         (l.start, l.radius, l.base_size, l.updates) for l in old.layers
@@ -459,14 +491,18 @@ def test_a_slide_matches_its_reference_after_every_update(case, offset, base, dr
     params = DynamicParams(k=3, phi=8, seed=stream(draws, 4))
     new = preprocess(pts[:window], params, DistanceOracle(offset, base))
     old = reference_preprocess(pts[:window], params, RoundReference(offset, base, params.beta))
+    assert_rebuilt_rows_hold_their_slots(new, 1)
     assert_same_state(new, old)
     rebuilds = 0
     for step in range(steps):
         for op, arg in (("insert", pts[window + step]), ("delete", pts[step].id)):
-            marks = new.oracle.evals, old.oracle.package_evals
+            marks, stats = (new.oracle.evals, old.oracle.package_evals), new.stats()
             getattr(new, op)(arg)
             getattr(old, op)(arg)
             assert new.oracle.evals - marks[0] == old.oracle.package_evals - marks[1]
             rebuilds += new.oracle.evals > marks[0]
+            depth = rebuilt_depth(new, stats)
+            if depth is not None:
+                assert_rebuilt_rows_hold_their_slots(new, depth)
             assert_same_state(new, old)
     assert rebuilds > steps // 10
