@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -101,6 +102,10 @@ class ExperimentConfig:
             if not self.out or out.is_dir() or not out.parent.is_dir() or out.with_suffix(".summary.json").is_dir():
                 raise ConfigError(f"out path {self.out!r} is empty or a directory, its directory "
                                   "does not exist, or its .summary.json is a directory")
+            if self.dataset is not None and os.path.exists(self.dataset) and any(  # a link counts too
+                    os.path.exists(path) and os.path.samefile(path, self.dataset)
+                    for path in (out, out.with_suffix(".summary.json"))):
+                raise ConfigError(f"out path {self.out!r} or its .summary.json is the dataset {self.dataset!r}")
         try:  # the state's and the solver's own rules, with their messages
             DynamicParams(self.k, self.phi, self.beta, epsilon=self.epsilon)
             _check_power(self.p)
@@ -119,8 +124,9 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
     """Read numeric rows (comma or whitespace separated, one point per line).
 
     Blank lines and a leading UTF-8 byte-order mark are skipped; malformed rows
-    (non-UTF-8 bytes too) and dimension drift raise :class:`DatasetError` naming
-    the line. Ids run 0..n-1 in file order; ``limit``, when given, is an int >= 1.
+    (an empty comma-separated field and non-UTF-8 bytes too) and dimension
+    drift raise :class:`DatasetError` naming the line. Ids run 0..n-1 in file
+    order; ``limit``, when given, is an int >= 1.
     """
     if limit is not None:
         # the type only, first: the bound below names the value
@@ -134,12 +140,12 @@ def load_dataset(path: str | Path, limit: Optional[int] = None) -> list[Point]:
             text = line.strip()
             if not text:
                 continue
-            parts = text.replace(",", " ").split()
+            fields = text.split(",")  # an empty one is a missing value, not a separator
             try:
-                values = [float(v) for v in parts]
+                values = [float(v) for field in fields for v in field.split()]
             except ValueError:
                 values = []
-            if not values:  # a field that is not a number, or separators only
+            if not values or not all(map(str.strip, fields)):  # a field empty or not a number, or separators only
                 raise DatasetError(f"{path}: malformed row at line {lineno}")
             if not all(math.isfinite(v) for v in values):
                 raise DatasetError(f"{path}: non-finite value at line {lineno}")
@@ -327,7 +333,7 @@ def _static_solution(
         return live
     fresh = preprocess(live, replace(state.params, seed=build_seed), state.oracle)
     picked = weighted_solve(fresh.weighted_instance(), k, p, solve_seed, state.oracle)
-    return [state.store.get(c) for c in sorted(picked.centers)]
+    return [state.store.get(c) for c in picked.centers]
 
 
 def _summarize(

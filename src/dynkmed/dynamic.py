@@ -186,8 +186,7 @@ class ClusteringState:
         it, is restored if a round raises (say, a custom metric fails), so
         the layers, the table, the slots and the stream are left as they were.
         """
-        ids = self.store.row_ids.take(rows)
-        rows = rows.take(ids.argsort(kind="stable"))  # ids are distinct: the one ascending order
+        rows = self.store.by_id(rows)
         n, phi, evals = rows.shape[0], self.params.phi, self.oracle.evals
         stream = self.rng.bit_generator.state if n > phi else None
         rounds: list[_Round] = []
@@ -221,6 +220,7 @@ class ClusteringState:
         preprocess of the current point set on the same sample stream. The
         rebuild is atomic (see :meth:`_rebuild`).
         """
+        _check_int("layer index", index, -math.inf)  # the range below raises IndexError
         if not 1 <= index <= self.t:
             raise IndexError(f"layer index {index} out of range 1..{self.t}")
         start = self.layers[index - 1].start
@@ -284,8 +284,8 @@ class ClusteringState:
         return dict(zip(ids[rows].tolist(), centers.tolist()))
 
     def weighted_instance(self) -> WeightedInstance:
-        """The centers of the nonempty clusters in id order, weighted by their
-        cluster sizes, the counts of live slots holding each cluster.
+        """The centers of the nonempty clusters in id order, each weighted by the
+        size read at its own slot, its cluster's: the count of live slots holding it.
 
         Weights sum to the live point count; last-layer points carry weight 1.
         """
@@ -293,11 +293,8 @@ class ClusteringState:
             raise ValueError("state is empty")
         slot = self.store.slot[: self.store.used]
         sizes = np.bincount(slot + 1, minlength=len(self.center) + 1)[1:]  # a free row's -1 counts at 0
-        nonempty = sizes > 0
-        rows, weights = self._centers(slot)[nonempty], sizes[nonempty]
-        order = self.store.row_ids[rows].argsort(kind="stable")  # ids are distinct
-        rows = rows[order]
-        return WeightedInstance(self.store.row_ids[rows], self.store.matrix[rows], weights[order])
+        rows = self.store.by_id(self._centers(slot)[sizes > 0])
+        return WeightedInstance(self.store.row_ids[rows], self.store.matrix[rows], sizes[slot[rows]])
 
     def _centers(self, slot: np.ndarray) -> np.ndarray:
         """Each cluster's center row, from ``slot``, the store's slots up to
@@ -313,12 +310,10 @@ class ClusteringState:
         center = np.array(self.center, dtype=np.intp)
         lost = np.append(slot.take(center, mode="clip") != np.arange(center.shape[0]), False)
         lost[:-1] |= (center < 0) | (center >= slot.shape[0])
-        if lost.any():
-            center[lost[:-1]] = -1
-            rows = np.flatnonzero(lost[slot])  # a free row's -1 reads the last entry, False
-            rows = rows[self.store.row_ids[rows].argsort(kind="stable")]
-            clusters, first = np.unique(slot[rows], return_index=True)  # first: the smallest id
-            center[clusters] = rows[first]
+        center[lost[:-1]] = -1
+        rows = self.store.by_id(np.flatnonzero(lost[slot]))  # a free row's -1 reads the last entry, False
+        clusters, first = np.unique(slot[rows], return_index=True)  # first: the smallest id
+        center[clusters] = rows[first]
         return center
 
     # -- diagnostics ---------------------------------------------------------

@@ -74,7 +74,8 @@ class PointStore:
     row: the store grows it with the rows, -1 in each new one, and the owner
     writes every other value. Rows of removed points are reused by later
     inserts, so the arrays grow with the live count, not with the number of
-    inserts; ids are never reused while a point is live.
+    inserts; ids are never reused while a point is live. :meth:`by_id` is
+    the package's one id order: rows sorted by the ids they hold.
     """
 
     def __init__(self) -> None:
@@ -167,10 +168,13 @@ class PointStore:
     def row(self, pid: PointId) -> int:
         return self._rows[pid]
 
+    def by_id(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows of live points in ascending id order, the one order: ids are distinct."""
+        return rows.take(self.row_ids.take(rows).argsort(kind="stable"))
+
     def rows_by_id(self) -> np.ndarray:
         """Rows of the live points, in ascending id order."""
-        rows = np.delete(np.arange(self._used), self._free)
-        return rows[self.row_ids[rows].argsort(kind="stable")]  # ids are distinct
+        return self.by_id(np.delete(np.arange(self._used), self._free))
 
 
 class Prepared(NamedTuple):
@@ -200,7 +204,7 @@ class DistanceOracle:
         offset: float = 0.0,
         base: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
     ) -> None:
-        if not 0.0 <= offset < math.inf:
+        if isinstance(offset, (bool, np.bool_)) or not 0.0 <= offset < math.inf:
             raise ValueError(f"offset must be finite and nonnegative, got {offset!r}")
         self.offset = float(offset)
         self.base = base

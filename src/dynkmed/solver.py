@@ -75,8 +75,8 @@ def _check_int(name: str, value: int, low: int = 1, error: type[ValueError] = Va
 
 
 def _check_power(p: float) -> None:
-    """Raise unless the exponent of d^p is finite and at least 1."""
-    if not (math.isfinite(p) and p >= 1.0):  # a NaN fails both
+    """Raise unless the exponent of d^p is finite and at least 1, and not a bool."""
+    if isinstance(p, (bool, np.bool_)) or not (math.isfinite(p) and p >= 1.0):  # a NaN fails both
         raise ValueError(f"power must be finite and at least 1, got {p!r}")
 
 
@@ -528,6 +528,6 @@ def query(
     if state.live_count <= k:
         return Solution(frozenset(state.assignment()), 0.0)
     picked = weighted_solve(state.weighted_instance(), k, p, seed, state.oracle)
-    full_cost = cost_set(sorted(picked.centers), state.store, p, state.oracle)
+    full_cost = cost_set(picked.centers, state.store, p, state.oracle)
     return Solution(picked.centers, full_cost)
 

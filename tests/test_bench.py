@@ -24,6 +24,7 @@ from dynkmed import (
     emit_metrics,
     load_dataset,
     points_from_array,
+    preprocess,
     query,
     run_experiment,
     sliding_window_stream,
@@ -89,7 +90,12 @@ def test_load_dataset_skips_a_byte_order_mark(tmp_path):
     assert np.array_equal(np.stack([q.coords for q in got]), np.stack([q.coords for q in want]))
 
 
-@pytest.mark.parametrize("text, line", [("1,2\n3,oops\n", "line 2"), (",\n, ,\n", "line 1")])
+@pytest.mark.parametrize("text, line", [
+    ("1,2\n3,oops\n", "line 2"), (",\n, ,\n", "line 1"),
+    # an empty comma-separated field, leading, doubled or trailing, is a
+    # missing value: dropping it would shift the columns
+    ("1,2\n,3,4\n", "line 2"), ("1,2\n3,,4\n", "line 2"), ("1,,2\n3,,4\n", "line 1"), ("1,2\n3,4,\n", "line 2"),
+])
 def test_load_dataset_malformed_row_reports_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -695,6 +701,28 @@ def test_cli_an_out_path_it_cannot_write_is_a_config_error_before_the_run(tmp_pa
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "x.summary.json"]
 
 
+def test_cli_an_out_that_would_overwrite_the_dataset_is_a_config_error_before_the_run(tmp_path, capsys, monkeypatch):
+    # the metrics CSV or its .summary.json sibling would replace the input:
+    # refused by validation, before the dataset is read, whether the out path
+    # is the dataset's own spelling, another spelling of it or a link to it
+    monkeypatch.setattr(bench, "load_dataset", lambda *args: pytest.fail("the dataset was read"))
+    (tmp_path / "sub").mkdir()
+    for name in ("data.csv", "x.summary.json"):
+        (tmp_path / name).write_text("".join(f"{i % 7},{i % 5}\n" for i in range(30)))
+    (tmp_path / "link.csv").symlink_to(tmp_path / "data.csv")
+    before = {name: (tmp_path / name).read_bytes() for name in ("data.csv", "x.summary.json")}
+    for dataset, out in (("data.csv", "data.csv"), ("data.csv", "sub/../data.csv"), ("data.csv", "link.csv"),
+                         ("x.summary.json", "x.csv"), ("link.csv", "data.csv")):
+        code = cli_main(["--dataset", str(tmp_path / dataset), "--window", "5", "--k", "1", "--phi", "1",
+                         "--out", str(tmp_path / out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: out path {str(tmp_path / out)!r} or its .summary.json is the dataset "
+            f"{str(tmp_path / dataset)!r}\n")
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.csv", "link.csv", "sub", "x.summary.json"]
+
+
 def test_a_synthetic_size_numpy_cannot_index_is_a_config_error(tmp_path, capsys, monkeypatch):
     # validation alone: a spec that got past it would reach the generator,
     # which fails the test here instead of asking numpy for the array
@@ -796,6 +824,10 @@ def test_cli_baseline_none_writes_no_baseline_rows(tmp_path, capsys):
     assert ops["query"] == printed["queries"] > 0 and ops["baseline"] == 0
 
 
+def _small_state():
+    return preprocess(points_from_array(np.random.default_rng(0).normal(size=(30, 2))), DynamicParams(k=2, phi=4))
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: query(ClusteringState(DynamicParams(k=1, phi=1)), 1, 1.0),
                  "state is empty", id="query-empty-state"),
@@ -809,6 +841,17 @@ def test_cli_baseline_none_writes_no_baseline_rows(tmp_path, capsys):
                  "matrix_between reads b as made by DistanceOracle.prepare(b)", id="unprepared-block"),
     pytest.param(lambda: DistanceOracle().prepare(np.zeros(3)),
                  "coordinate blocks must be 2-D with equal dimension", id="prepare-1-d-block"),
+    # a bool is not a number, nor a float a layer index
+    pytest.param(lambda: DistanceOracle(offset=True), "offset must be finite and nonnegative, got True",
+                 id="offset-bool"),
+    pytest.param(lambda: DistanceOracle(offset=np.True_), "offset must be finite and nonnegative, got np.True_",
+                 id="offset-numpy-bool"),
+    pytest.param(lambda: query(_small_state(), 2, True), "power must be finite and at least 1, got True",
+                 id="query-power-bool"),
+    pytest.param(lambda: _small_state().rebuild_from_layer(1.5), "layer index must be an integer, got 1.5",
+                 id="layer-index-float"),
+    pytest.param(lambda: _small_state().rebuild_from_layer(True), "layer index must be an integer, got True",
+                 id="layer-index-bool"),
 ])
 def test_inputs_the_cli_never_passes_are_rejected_by_the_api(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

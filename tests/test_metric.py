@@ -228,6 +228,30 @@ def test_point_store_gather_and_dimension_guard():
     assert store.row_ids[store.rows_by_id()].tolist() == [1, 2, 7, 8]
 
 
+def test_store_by_id_orders_any_live_rows_by_their_ids():
+    # the free list is LIFO, so freeing and refilling rows leaves row order
+    # and id order apart; by_id orders any subset of live rows by id, and
+    # rows_by_id is by_id of all of them
+    store, rng = PointStore(), np.random.default_rng(5)
+    store.add_many(points_from_array(rng.normal(size=(40, 2))))
+    alive = list(range(40))
+    for pid in range(40, 88, 8):
+        for gone in rng.choice(alive, 8, replace=False).tolist():
+            store.remove(gone)
+            alive.remove(gone)
+        for new in range(pid, pid + 8):
+            store.add(Point(new, rng.normal(size=2)))
+            alive.append(new)
+    live = np.array([store.row(i) for i in alive])       # in id order: alive ascends
+    assert not np.array_equal(np.sort(live), live)         # row order is not id order
+    for subset in (live, rng.permutation(live), rng.permutation(live)[:13], live[:1], live[:0]):
+        got = store.by_id(subset)
+        assert sorted(got.tolist()) == sorted(subset.tolist())
+        assert store.row_ids[got].tolist() == sorted(store.row_ids[subset].tolist())
+    assert np.array_equal(store.rows_by_id(), store.by_id(rng.permutation(live)))
+    assert np.array_equal(store.rows_by_id(), live)
+
+
 @pytest.mark.parametrize("bulk", [False, True])
 def test_store_grows_the_slot_array_with_its_rows(bulk):
     # The store owns each row's slot: it grows it with matrix and row_ids,
